@@ -10,17 +10,14 @@ means the asymptotic statement has little force at this size.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .model import (
     EdgeProbabilityModel,
-    GeneralMatrix,
-    Homogeneous,
     PlantedAlternative,
     RankOne,
     check_subset,
@@ -107,28 +104,6 @@ def _mean_density(model: EdgeProbabilityModel, subset: np.ndarray) -> float:
     return expected_edges_null(model, subset) / (k * (k - 1) / 2)
 
 
-def _max_mean_edges_of_size(model: EdgeProbabilityModel, community: np.ndarray,
-                            k: int, budget: int) -> float:
-    """max over D in C with |D| = k of E0[e(D)]."""
-    if isinstance(model, Homogeneous):
-        return k * (k - 1) / 2 * model.p
-    if isinstance(model, RankOne):
-        w = np.sort(model.weights[community])[::-1][:k]
-        s = float(w.sum())
-        return 0.5 * (s * s - float((w * w).sum()))
-    count = math.comb(community.size, k)
-    if count > budget:
-        raise BudgetError(
-            f"size-{k} search over C({community.size},{k}) = {count} subsets "
-            f"exceeds the audit budget {budget}"
-        )
-    best = 0.0
-    for combo in itertools.combinations(range(community.size), k):
-        d = community[list(combo)]
-        best = max(best, expected_edges_null(model, d))
-    return best
-
-
 def audit_assumption_1_1(model: EdgeProbabilityModel, community, delta: float,
                          gamma: float, threshold: float = DEFAULT_MARGIN_THRESHOLD,
                          budget: int = DEFAULT_AUDIT_BUDGET) -> AuditReport:
@@ -168,7 +143,7 @@ def audit_assumption_1_1(model: EdgeProbabilityModel, community, delta: float,
     else:
         worst = 0.0
         for k in range(2, k_max + 1):
-            mean_k = _max_mean_edges_of_size(model, c, k, budget)
+            mean_k = model.max_within_mean(c, k, budget)
             ratio = (k * mean_k / (k * (k - 1) / 2)) / (r * p_bar_c)
             worst = max(worst, ratio)
         entries.append(_entry("small-subgraph density ratio", worst, float(delta),

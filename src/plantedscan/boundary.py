@@ -38,7 +38,6 @@ from .errors import BudgetError, ValidationError
 from .kernels import entropy_h, entropy_h_inverse
 from .model import (
     EdgeProbabilityModel,
-    GeneralMatrix,
     Homogeneous,
     RankOne,
     check_subset,

@@ -33,7 +33,7 @@ from .boundary import (
     write_surface_csv,
 )
 from .errors import PlantedScanError, ValidationError
-from .harness import ExperimentConfig, estimate_risk, run_sweep
+from .harness import ExperimentConfig, _format_cell, estimate_risk, run_sweep
 from .lr import DEFAULT_EXACT_BUDGET, DEFAULT_SAMPLE_SIZE, LrProblem, bayes_risk
 from .model import (
     PlantedAlternative,
@@ -100,23 +100,13 @@ def _emit_json(payload, out: str | None) -> None:
     _emit_text(json.dumps(payload, indent=1, sort_keys=True), out)
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if value is None:
-        return ""
-    return str(value)
-
-
 def _emit_csv(columns: Sequence[str], rows: Sequence[Sequence], out: str | None) -> None:
     buf = io.StringIO()
     buf.write("#schema=1\n")
     writer = csv.writer(buf)
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_cell(v) for v in row])
+        writer.writerow([_format_cell(v) for v in row])
     _emit_text(buf.getvalue(), out)
 
 

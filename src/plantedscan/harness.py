@@ -37,16 +37,7 @@ from .model import (
     sample_alternative,
     sample_null,
 )
-from .scan import (
-    DEFAULT_SUBSET_BUDGET,
-    Exhaustive,
-    Explicit,
-    ScanConfig,
-    SubsetFamily,
-    WeightPrefix,
-    scan_known,
-    scan_unknown,
-)
+from .scan import DEFAULT_SUBSET_BUDGET, ScanConfig, SubsetFamily, scan_known, scan_unknown
 from .boundary import threshold_scaling
 from .seeding import derive_seed, generator
 
@@ -111,7 +102,11 @@ class ExperimentConfig:
         if self.workers:
             return self.workers
         env = os.environ.get("SCAN_WORKERS", "")
-        return max(1, int(env)) if env.isdigit() and env != "0" else 1
+        if not env:
+            return 1
+        if not (env.isascii() and env.isdigit()):
+            raise ValidationError(f"SCAN_WORKERS must be a non-negative integer, got {env!r}")
+        return max(1, int(env))
 
     def resolved_communities(self) -> tuple[tuple[int, ...], ...]:
         if not isinstance(self.communities, int):
@@ -131,7 +126,7 @@ class ExperimentConfig:
         model = model_from_json(raw.pop("model"))
         family = raw.pop("family", None)
         if family is not None:
-            family = _family_from_dict(family)
+            family = SubsetFamily.from_dict(family)
         known = {
             "test", "r", "rho", "communities", "null_replications",
             "alt_replications", "epsilon", "budget", "lr_exact_budget",
@@ -163,28 +158,8 @@ class ExperimentConfig:
             "workers": self.workers,
         }
         if self.family is not None:
-            d["family"] = _family_to_dict(self.family)
+            d["family"] = self.family.to_dict()
         return d
-
-
-def _family_from_dict(raw: Mapping) -> SubsetFamily:
-    kind = raw.get("kind")
-    if kind == "exhaustive":
-        return Exhaustive(int(raw["min_size"]), int(raw["max_size"]))
-    if kind == "weight_prefix":
-        return WeightPrefix(int(raw["min_size"]), int(raw["max_size"]))
-    if kind == "explicit":
-        return Explicit(tuple(tuple(int(v) for v in s) for s in raw["subsets"]))
-    raise ValidationError(f"unknown family kind {kind!r}")
-
-
-def _family_to_dict(family: SubsetFamily) -> dict:
-    if isinstance(family, Exhaustive):
-        return {"kind": "exhaustive", "min_size": family.min_size, "max_size": family.max_size}
-    if isinstance(family, WeightPrefix):
-        return {"kind": "weight_prefix", "min_size": family.min_size,
-                "max_size": family.max_size}
-    return {"kind": "explicit", "subsets": [list(s) for s in family.subsets]}
 
 
 @dataclass(frozen=True)
@@ -359,10 +334,14 @@ _RESULT_COLUMNS = {
 
 
 def _format_cell(value) -> str:
+    """One CSV cell: lowercase booleans, floats at 12 significant digits,
+    None as an empty cell."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
+    if value is None:
+        return ""
     return str(value)
 
 

@@ -30,14 +30,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .model import (
-    EdgeProbabilityModel,
-    GraphSample,
-    Homogeneous,
-    RankOne,
-    check_subset,
-    sample_null,
-)
+from .model import EdgeProbabilityModel, GraphSample, _pair_index, check_subset, sample_null
 from .seeding import derive_seed, generator
 
 __all__ = [
@@ -51,14 +44,6 @@ __all__ = [
 
 DEFAULT_EXACT_BUDGET = 200_000
 DEFAULT_SAMPLE_SIZE = 4096
-
-
-def _pair_probability(model: EdgeProbabilityModel, i, j) -> np.ndarray:
-    if isinstance(model, Homogeneous):
-        return np.broadcast_to(np.float64(model.p), np.shape(i)).copy()
-    if isinstance(model, RankOne):
-        return model.weights[i] * model.weights[j]
-    return model.matrix[i, j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +114,7 @@ class LrProblem:
             )
         a, b = np.triu_indices(r, 1)
         ci, cj = comms[:, a], comms[:, b]
-        p = _pair_probability(self.model, ci, cj)
+        p = self.model.pair_probability(ci, cj)
         rho_m = np.full(comms.shape[0], self.rho)
         if self.rho_map:
             lookup = {key: val for key, val in self.rho_map.items()}
@@ -147,7 +132,7 @@ class LrProblem:
         # a pair with p = 1 never shows up absent; its no-edge branch is
         # unreachable, any finite placeholder keeps the arithmetic clean
         noedge[p >= 1.0] = 0.0
-        pair_index = _pair_flat_index(n, ci, cj)
+        pair_index = _pair_index(n, ci, cj)
         return {
             "mode": mode,
             "communities": comms,
@@ -175,10 +160,6 @@ class LrProblem:
     @property
     def mode(self) -> str:
         return self._bundle["mode"]
-
-
-def _pair_flat_index(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
 def likelihood_ratio_single(problem: LrProblem, community: Iterable[int],

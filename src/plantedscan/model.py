@@ -15,16 +15,18 @@ on first use, which is the practical memory ceiling of this design.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .seeding import generator
 
 __all__ = [
@@ -51,6 +53,8 @@ MAX_VERTICES = 1 << 16
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
+_BATCH_ROWS = 1 << 15
+
 
 def _check_vertex_count(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -76,8 +80,38 @@ def check_subset(n: int, subset: Iterable[int]) -> np.ndarray:
     return d
 
 
+def _check_pair(n: int, i: int, j: int) -> None:
+    if not (0 <= i < n and 0 <= j < n) or i == j:
+        raise ValidationError(f"invalid vertex pair ({i}, {j}) for n={n}")
+
+
+def _pair_index(n: int, i, j):
+    """Position of the pair (i, j), i < j, in the packed lexicographic
+    triangle; scalars or integer arrays."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
+class EdgeProbabilityModel:
+    """The null model as the scans and the likelihood ratio see it.
+
+    Each model class supplies:
+      pair_probability(i, j)  p_ij for integer arrays i, j (no checks);
+      row_probabilities(i)    p_ij for j > i, the sampler's row slice;
+      within_mean(rows)       E0[e(D)] for each row of an (m, k) array of
+                              sorted subsets;
+      across_mean(d)          E0[e(D, V \\ D)] for a sorted subset, 0 < |D| < n;
+      max_within_mean(c, k, budget)  max of E0[e(D)] over D in C, |D| = k;
+      max_pair_within(d)      the largest p_ij inside a subset and its pair;
+      to_json(matrix_path)    the descriptor model_from_json reads back.
+    """
+
+    def probability(self, i: int, j: int) -> float:
+        _check_pair(self.n, i, j)
+        return float(self.pair_probability(i, j))
+
+
 @dataclass(frozen=True)
-class Homogeneous:
+class Homogeneous(EdgeProbabilityModel):
     """Every pair has the same edge probability p."""
 
     n: int
@@ -90,19 +124,31 @@ class Homogeneous:
             raise ValidationError(f"p must lie in [0, 1], got {p}")
         object.__setattr__(self, "p", p)
 
-    def probability(self, i: int, j: int) -> float:
-        _check_pair(self.n, i, j)
-        return self.p
+    def pair_probability(self, i, j) -> np.ndarray:
+        return np.full(np.broadcast(i, j).shape, self.p)
 
     def row_probabilities(self, i: int) -> np.ndarray:
         return np.full(self.n - 1 - i, self.p)
 
+    def within_mean(self, rows: np.ndarray) -> np.ndarray:
+        m, k = rows.shape
+        return np.full(m, k * (k - 1) / 2 * self.p)
+
+    def across_mean(self, d: np.ndarray) -> float:
+        return d.size * (self.n - d.size) * self.p
+
+    def max_within_mean(self, community: np.ndarray, k: int, budget: int) -> float:
+        return k * (k - 1) / 2 * self.p
+
     def max_pair_within(self, subset: np.ndarray) -> tuple[float, tuple[int, int]]:
         return self.p, (int(subset[0]), int(subset[1]))
 
+    def to_json(self, matrix_path: str | os.PathLike | None = None) -> dict:
+        return {"variant": "homogeneous", "n": self.n, "p": self.p}
+
 
 @dataclass(frozen=True, eq=False)
-class RankOne:
+class RankOne(EdgeProbabilityModel):
     """p_ij = w_i * w_j for a weight vector with entries in (0, 1)."""
 
     weights: np.ndarray
@@ -123,12 +169,28 @@ class RankOne:
     def n(self) -> int:
         return int(self.weights.size)
 
-    def probability(self, i: int, j: int) -> float:
-        _check_pair(self.n, i, j)
-        return float(self.weights[i] * self.weights[j])
+    def pair_probability(self, i, j) -> np.ndarray:
+        return self.weights[i] * self.weights[j]
 
     def row_probabilities(self, i: int) -> np.ndarray:
         return self.weights[i] * self.weights[i + 1 :]
+
+    def within_mean(self, rows: np.ndarray) -> np.ndarray:
+        # (sum w)^2 - sum w^2 counts every pair twice
+        w = self.weights
+        s = w[rows].sum(axis=1)
+        ss = (w * w)[rows].sum(axis=1)
+        return 0.5 * (s * s - ss)
+
+    def across_mean(self, d: np.ndarray) -> float:
+        s = float(self.weights[d].sum())
+        return s * (float(self.weights.sum()) - s)
+
+    def max_within_mean(self, community: np.ndarray, k: int, budget: int) -> float:
+        # the k heaviest members maximise the mean
+        w = np.sort(self.weights[community])[::-1][:k]
+        s = float(w.sum())
+        return 0.5 * (s * s - float((w * w).sum()))
 
     def max_pair_within(self, subset: np.ndarray) -> tuple[float, tuple[int, int]]:
         order = subset[np.argsort(self.weights[subset], kind="stable")]
@@ -137,9 +199,12 @@ class RankOne:
             a, b = b, a
         return float(self.weights[a] * self.weights[b]), (a, b)
 
+    def to_json(self, matrix_path: str | os.PathLike | None = None) -> dict:
+        return {"variant": "rank_one", "weights": [float(w) for w in self.weights]}
+
 
 @dataclass(frozen=True, eq=False)
-class GeneralMatrix:
+class GeneralMatrix(EdgeProbabilityModel):
     """Arbitrary symmetric probability matrix with zero diagonal.
 
     The matrix must be exactly symmetric; build it as (M + M.T) / 2 first
@@ -169,12 +234,37 @@ class GeneralMatrix:
     def n(self) -> int:
         return int(self.matrix.shape[0])
 
-    def probability(self, i: int, j: int) -> float:
-        _check_pair(self.n, i, j)
-        return float(self.matrix[i, j])
+    def pair_probability(self, i, j) -> np.ndarray:
+        return self.matrix[i, j]
 
     def row_probabilities(self, i: int) -> np.ndarray:
         return self.matrix[i, i + 1 :]
+
+    def within_mean(self, rows: np.ndarray) -> np.ndarray:
+        # the pairs are added one at a time in lexicographic order
+        m, k = rows.shape
+        acc = np.zeros(m)
+        for a in range(k - 1):
+            block = self.matrix[rows[:, a, None], rows[:, a + 1 :]]
+            block[:, 0] += acc
+            acc = np.add.accumulate(block, axis=1)[:, -1]
+        return acc
+
+    def across_mean(self, d: np.ndarray) -> float:
+        return float(self.matrix[np.ix_(d, np.delete(np.arange(self.n), d))].sum())
+
+    def max_within_mean(self, community: np.ndarray, k: int, budget: int) -> float:
+        count = math.comb(community.size, k)
+        if count > budget:
+            raise BudgetError(
+                f"size-{k} search over C({community.size},{k}) = {count} subsets "
+                f"exceeds the audit budget {budget}"
+            )
+        combos = itertools.combinations(community.tolist(), k)
+        best = 0.0
+        while block := list(itertools.islice(combos, _BATCH_ROWS)):
+            best = max(best, float(self.within_mean(np.array(block)).max()))
+        return best
 
     def max_pair_within(self, subset: np.ndarray) -> tuple[float, tuple[int, int]]:
         sub = self.matrix[np.ix_(subset, subset)]
@@ -184,13 +274,14 @@ class GeneralMatrix:
         a, b = int(subset[iu[best]]), int(subset[ju[best]])
         return float(sub[iu[best], ju[best]]), (a, b)
 
-
-EdgeProbabilityModel = Union[Homogeneous, RankOne, GeneralMatrix]
-
-
-def _check_pair(n: int, i: int, j: int) -> None:
-    if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise ValidationError(f"invalid vertex pair ({i}, {j}) for n={n}")
+    def to_json(self, matrix_path: str | os.PathLike | None = None) -> dict:
+        if matrix_path is None:
+            return {"variant": "general", "matrix": [[float(x) for x in row] for row in self.matrix]}
+        path = str(matrix_path)
+        if not path.endswith(".npy"):
+            path += ".npy"
+        np.save(path, np.asarray(self.matrix))
+        return {"variant": "general", "matrix_path": path}
 
 
 @dataclass(frozen=True)
@@ -271,13 +362,13 @@ class GraphSample:
     @cached_property
     def _row_offsets(self) -> np.ndarray:
         i = np.arange(self.n, dtype=np.int64)
-        return i * (2 * self.n - i - 1) // 2
+        return _pair_index(self.n, i, i + 1)
 
     def pair_index(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i
         _check_pair(self.n, i, j)
-        return int(self._row_offsets[i] + j - i - 1)
+        return int(_pair_index(self.n, i, j))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self._tri[self.pair_index(i, j)])
@@ -291,7 +382,7 @@ class GraphSample:
         if d.size < 2:
             return 0
         iu, ju = np.triu_indices(d.size, 1)
-        idx = self._row_offsets[d[iu]] + d[ju] - d[iu] - 1
+        idx = _pair_index(self.n, d[iu], d[ju])
         return int(self._tri[idx].sum())
 
     def degree(self, v: int) -> int:
@@ -302,7 +393,7 @@ class GraphSample:
         total = int(row.sum())
         if v:
             i = np.arange(v, dtype=np.int64)
-            total += int(self._tri[off[i] + v - i - 1].sum())
+            total += int(self._tri[_pair_index(self.n, i, v)].sum())
         return total
 
     def edges_across(self, subset: Iterable[int]) -> int:
@@ -403,45 +494,20 @@ def sample_null_sparse(model: Homogeneous, seed: int) -> GraphSample:
 def expected_edges_null(model: EdgeProbabilityModel, subset: Iterable[int]) -> float:
     """E[edges inside the subset] under the null."""
     d = check_subset(model.n, subset)
-    k = d.size
-    if k < 2:
-        return 0.0
-    if isinstance(model, Homogeneous):
-        return k * (k - 1) / 2 * model.p
-    if isinstance(model, RankOne):
-        w = model.weights[d]
-        s = float(w.sum())
-        return 0.5 * (s * s - float((w * w).sum()))
-    return float(model.matrix[np.ix_(d, d)].sum()) / 2.0
+    return float(model.within_mean(d[None, :])[0])
 
 
 def expected_edges_across_null(model: EdgeProbabilityModel, subset: Iterable[int]) -> float:
     """E[edges with exactly one endpoint in the subset] under the null."""
     d = check_subset(model.n, subset)
-    k = d.size
-    if k == 0 or k == model.n:
+    if d.size == 0 or d.size == model.n:
         return 0.0
-    if isinstance(model, Homogeneous):
-        return k * (model.n - k) * model.p
-    if isinstance(model, RankOne):
-        s = float(model.weights[d].sum())
-        return s * (float(model.weights.sum()) - s)
-    mask = np.ones(model.n, dtype=bool)
-    mask[d] = False
-    return float(model.matrix[np.ix_(d, np.where(mask)[0])].sum())
+    return model.across_mean(d)
 
 
 def expected_total_null(model: EdgeProbabilityModel) -> float:
     """E[total edge count] under the null."""
-    if isinstance(model, Homogeneous):
-        return model.n * (model.n - 1) / 2 * model.p
-    if isinstance(model, RankOne):
-        w = model.weights
-        s = float(w.sum())
-        return 0.5 * (s * s - float((w * w).sum()))
-    n = model.n
-    iu, ju = np.triu_indices(n, 1)
-    return float(model.matrix[iu, ju].sum())
+    return float(model.within_mean(np.arange(model.n)[None, :])[0])
 
 
 # -- interchange formats ------------------------------------------------------
@@ -460,6 +526,30 @@ def write_edge_list(sample: GraphSample, path: str | os.PathLike) -> None:
                 fh.write(f"{i} {i + 1 + int(j)}\n")
 
 
+def _edge_positions(lines: Iterable[str], n: int) -> np.ndarray:
+    """Packed-triangle positions of "i j" edge lines; a malformed line, a
+    pair out of order or a pair listed twice is a ValidationError."""
+    heads, tails = array("q"), array("q")
+    for line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise ValidationError(f"malformed edge line {line!r}")
+        i, j = int(parts[0]), int(parts[1])
+        if not (0 <= i < j < n):
+            raise ValidationError(f"edge ({i}, {j}) violates 0 <= i < j < n={n}")
+        heads.append(i)
+        tails.append(j)
+    idx = _pair_index(n, np.frombuffer(heads, dtype=np.int64), np.frombuffer(tails, dtype=np.int64))
+    ordered = np.sort(idx)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        t = int(np.argmax(idx == repeated[0]))
+        raise ValidationError(f"edge ({heads[t]}, {tails[t]}) is listed more than once")
+    return idx
+
+
 def read_edge_list(path: str | os.PathLike) -> GraphSample:
     """Inverse of write_edge_list; the result carries hypothesis "imported"."""
     with open(path, "r", encoding="ascii") as fh:
@@ -469,21 +559,10 @@ def read_edge_list(path: str | os.PathLike) -> GraphSample:
         n, m = int(header[0]), int(header[1])
         _check_vertex_count(n)
         bits = np.zeros(n * (n - 1) // 2, dtype=bool)
-        offsets = np.arange(n, dtype=np.int64) * (2 * n - np.arange(n, dtype=np.int64) - 1) // 2
-        count = 0
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValidationError(f"malformed edge line {line!r}")
-            i, j = int(parts[0]), int(parts[1])
-            if not (0 <= i < j < n):
-                raise ValidationError(f"edge ({i}, {j}) violates 0 <= i < j < n={n}")
-            bits[offsets[i] + j - i - 1] = True
-            count += 1
-        if count != m:
-            raise ValidationError(f"header claims {m} edges, file has {count}")
+        idx = _edge_positions(fh, n)
+    if idx.size != m:
+        raise ValidationError(f"header claims {m} edges, file has {idx.size}")
+    bits[idx] = True
     return GraphSample(n, _pack(bits), None, "imported", sampler="file-import")
 
 
@@ -492,19 +571,7 @@ def model_to_json(model: EdgeProbabilityModel,
     """JSON-compatible descriptor.  General matrices are stored inline as
     nested lists unless matrix_path is given, in which case the matrix is
     saved there as .npy and referenced by path."""
-    if isinstance(model, Homogeneous):
-        return {"variant": "homogeneous", "n": model.n, "p": model.p}
-    if isinstance(model, RankOne):
-        return {"variant": "rank_one", "weights": [float(w) for w in model.weights]}
-    if isinstance(model, GeneralMatrix):
-        if matrix_path is not None:
-            path = str(matrix_path)
-            if not path.endswith(".npy"):
-                path += ".npy"
-            np.save(path, np.asarray(model.matrix))
-            return {"variant": "general", "matrix_path": path}
-        return {"variant": "general", "matrix": [[float(x) for x in row] for row in model.matrix]}
-    raise ValidationError(f"unknown model type {type(model).__name__}")
+    return model.to_json(matrix_path)
 
 
 def model_from_json(source: dict | str | os.PathLike) -> EdgeProbabilityModel:

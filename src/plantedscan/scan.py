@@ -25,20 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .kernels import entropy_h_vec
-from .model import (
-    EdgeProbabilityModel,
-    GraphSample,
-    Homogeneous,
-    RankOne,
-    check_subset,
-    expected_edges_null,
-)
+from .model import _BATCH_ROWS, EdgeProbabilityModel, GraphSample, RankOne, check_subset
 
 __all__ = [
     "Exhaustive",
@@ -59,13 +52,28 @@ __all__ = [
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
 
-_BATCH_ROWS = 1 << 15
+
+class SubsetFamily:
+    """A family of candidate subsets; each kind (de)serialises itself.
+
+    to_dict() is the full description that from_dict() reads back;
+    describe() is the summary a ScanOutcome records.
+    """
+
+    def describe(self) -> dict:
+        return self.to_dict()
+
+    @staticmethod
+    def from_dict(raw: Mapping) -> "SubsetFamily":
+        kinds = {cls.kind: cls for cls in (Exhaustive, WeightPrefix, Explicit)}
+        family = kinds.get(str(raw.get("kind")))
+        if family is None:
+            raise ValidationError(f"unknown family kind {raw.get('kind')!r}")
+        return family._from_dict(raw)
 
 
 @dataclass(frozen=True)
-class Exhaustive:
-    """All subsets with min_size <= |D| <= max_size."""
-
+class _SizeRange(SubsetFamily):
     min_size: int
     max_size: int
 
@@ -75,42 +83,47 @@ class Exhaustive:
                 f"need 1 <= min_size <= max_size, got [{self.min_size}, {self.max_size}]"
             )
 
-    def count(self, n: int) -> int:
-        return sum(math.comb(n, k) for k in range(self.min_size, min(self.max_size, n) + 1))
-
     def size_range(self, n: int) -> tuple[int, int]:
         return self.min_size, min(self.max_size, n)
 
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "min_size": self.min_size, "max_size": self.max_size}
+
+    @classmethod
+    def _from_dict(cls, raw: Mapping) -> "_SizeRange":
+        return cls(int(raw["min_size"]), int(raw["max_size"]))
+
 
 @dataclass(frozen=True)
-class WeightPrefix:
+class Exhaustive(_SizeRange):
+    """All subsets with min_size <= |D| <= max_size."""
+
+    kind = "exhaustive"
+
+    def count(self, n: int) -> int:
+        return sum(math.comb(n, k) for k in range(self.min_size, min(self.max_size, n) + 1))
+
+
+@dataclass(frozen=True)
+class WeightPrefix(_SizeRange):
     """Prefixes of the weight-sorted vertex order (rank-one models only).
 
     Vertices are ranked by decreasing weight, ties broken by vertex id, and
     the family contains the first k vertices for each k in the size range.
     """
 
-    min_size: int
-    max_size: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.min_size <= self.max_size:
-            raise ValidationError(
-                f"need 1 <= min_size <= max_size, got [{self.min_size}, {self.max_size}]"
-            )
+    kind = "weight_prefix"
 
     def count(self, n: int) -> int:
         return min(self.max_size, n) - self.min_size + 1
 
-    def size_range(self, n: int) -> tuple[int, int]:
-        return self.min_size, min(self.max_size, n)
-
 
 @dataclass(frozen=True)
-class Explicit:
+class Explicit(SubsetFamily):
     """A caller-supplied list of candidate subsets."""
 
     subsets: tuple[tuple[int, ...], ...]
+    kind = "explicit"
 
     def __post_init__(self) -> None:
         if not self.subsets:
@@ -126,8 +139,15 @@ class Explicit:
         sizes = [len(s) for s in self.subsets]
         return min(sizes), max(sizes)
 
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "subsets": [list(s) for s in self.subsets]}
 
-SubsetFamily = Union[Exhaustive, WeightPrefix, Explicit]
+    def describe(self) -> dict:
+        return {"kind": self.kind, "count": len(self.subsets)}
+
+    @classmethod
+    def _from_dict(cls, raw: Mapping) -> "Explicit":
+        return cls(tuple(tuple(int(v) for v in s) for s in raw["subsets"]))
 
 
 @dataclass(frozen=True)
@@ -191,14 +211,6 @@ def min_blind_size(r: int) -> int:
     if r < 1:
         raise ValidationError(f"r must be >= 1, got {r}")
     return max(1, math.ceil(r ** (1.0 / 3.0) - 1e-9))
-
-
-def _describe(family: SubsetFamily) -> dict:
-    if isinstance(family, Exhaustive):
-        return {"kind": "exhaustive", "min_size": family.min_size, "max_size": family.max_size}
-    if isinstance(family, WeightPrefix):
-        return {"kind": "weight_prefix", "min_size": family.min_size, "max_size": family.max_size}
-    return {"kind": "explicit", "count": len(family.subsets)}
 
 
 def _combination_batches(n: int, k: int) -> Iterator[np.ndarray]:
@@ -277,26 +289,6 @@ def _degree_vector(sample: GraphSample) -> np.ndarray:
     return deg
 
 
-def _expected_within_batch(model: EdgeProbabilityModel, rows: np.ndarray) -> np.ndarray:
-    """E0[e(D)] per row, matching expected_edges_null's float operations."""
-    m, k = rows.shape
-    if k < 2:
-        return np.zeros(m)
-    if isinstance(model, Homogeneous):
-        return np.full(m, k * (k - 1) / 2 * model.p)
-    if isinstance(model, RankOne):
-        w = model.weights
-        s = w[rows].sum(axis=1)
-        ss = (w * w)[rows].sum(axis=1)
-        return 0.5 * (s * s - ss)
-    acc = np.zeros(m)
-    for a in range(k - 1):
-        ia = rows[:, a]
-        for b in range(a + 1, k):
-            acc += model.matrix[ia, rows[:, b]]
-    return acc
-
-
 def _known_stat_from_counts(n: int, k: int, counts: np.ndarray,
                             means: np.ndarray) -> np.ndarray:
     safe = np.where(means > 0.0, means, 1.0)
@@ -328,7 +320,7 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
     counts = np.array([sample.edges_within(d)], dtype=np.int64)
-    means = np.array([expected_edges_null(model, d)])
+    means = model.within_mean(d[None, :])
     return float(_known_stat_from_counts(sample.n, d.size, counts, means)[0])
 
 
@@ -381,7 +373,7 @@ def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanCon
 
     def stat_batch(k: int, rows: np.ndarray) -> np.ndarray:
         counts = _edges_within_batch(sample, rows)
-        means = _expected_within_batch(model, rows)
+        means = model.within_mean(rows)
         return _known_stat_from_counts(n, k, counts, means)
 
     stat, subset, trace, evaluated = _scan_batches(
@@ -394,7 +386,7 @@ def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanCon
         reject=stat >= threshold,
         epsilon=config.epsilon,
         r=config.r,
-        family=_describe(family),
+        family=family.describe(),
         size_trace=trace,
         metadata=_metadata(n, config.r, evaluated),
     )
@@ -520,7 +512,7 @@ def scan_unknown(sample: GraphSample, config: ScanConfig,
         reject=stat >= threshold,
         epsilon=config.epsilon,
         r=config.r,
-        family=_describe(family),
+        family=family.describe(),
         size_trace=trace,
         metadata=md,
     )

@@ -21,9 +21,9 @@ from plantedscan import (
     sample_null,
     threshold_scaling,
 )
-from plantedscan.harness import RateWithError, _family_from_dict, _family_to_dict
+from plantedscan.harness import RateWithError
 from plantedscan.model import model_to_json
-from plantedscan.scan import Exhaustive, Explicit, WeightPrefix
+from plantedscan.scan import Exhaustive, Explicit, SubsetFamily, WeightPrefix
 
 
 def small_config(**overrides):
@@ -75,8 +75,10 @@ class TestConfig:
         assert small_config(workers=2).resolved_workers() == 2
         monkeypatch.setenv("SCAN_WORKERS", "0")
         assert small_config(workers=0).resolved_workers() == 1
-        monkeypatch.setenv("SCAN_WORKERS", "many")
-        assert small_config(workers=0).resolved_workers() == 1
+        for malformed in ("many", "two", " 2", "2 ", "-1", "1.5", "\u00b2"):
+            monkeypatch.setenv("SCAN_WORKERS", malformed)
+            with pytest.raises(ValidationError, match="SCAN_WORKERS"):
+                small_config(workers=0).resolved_workers()
         monkeypatch.delenv("SCAN_WORKERS")
         assert small_config(workers=0).resolved_workers() == 1
 
@@ -115,11 +117,11 @@ class TestConfig:
     def test_family_serialization(self):
         for family in (Exhaustive(2, 5), WeightPrefix(1, 4),
                        Explicit(((0, 1), (2, 3, 4)))):
-            again = _family_from_dict(_family_to_dict(family))
+            again = SubsetFamily.from_dict(family.to_dict())
             assert type(again) is type(family)
-            assert _family_to_dict(again) == _family_to_dict(family)
+            assert again.to_dict() == family.to_dict()
         with pytest.raises(ValidationError, match="unknown family kind"):
-            _family_from_dict({"kind": "spectral"})
+            SubsetFamily.from_dict({"kind": "spectral"})
 
 
 class TestEstimateRisk:
@@ -266,6 +268,15 @@ class TestSweep:
         meta = json.loads((out / "sweep-meta.json").read_text())
         assert meta["points"] == 2
         assert meta["failures"] == 1
+
+    def test_null_grid_value_is_an_empty_cell(self, tmp_path):
+        csv_path = run_sweep(risk_base(), {"lr_sample_size": [None, 4096]}, tmp_path / "s")
+        lines = open(csv_path, encoding="ascii").read().splitlines()
+        first, second = (line.split(",") for line in lines[2:])
+        assert first[0] == "" and second[0] == "4096"
+        # C(16, 3) communities fit the exact budget, so the fallback size is moot
+        assert first[1:] == second[1:]
+        assert first[-1] == ""
 
     def test_empty_grid_gives_header_only_csv(self, tmp_path):
         csv_path = run_sweep(risk_base(), {"rho": []}, tmp_path / "s")

@@ -27,6 +27,15 @@ from plantedscan import (
 from plantedscan.model import check_subset
 
 
+def random_model(kind, n, rng):
+    if kind == "homogeneous":
+        return Homogeneous(n, float(rng.uniform(0.0, 1.0)))
+    if kind == "rank_one":
+        return RankOne(rng.uniform(0.05, 0.95, size=n))
+    m = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+    return GeneralMatrix(m + m.T)
+
+
 def naive_within(adj, subset):
     subset = list(subset)
     return sum(
@@ -295,6 +304,39 @@ class TestExpectations:
         for j in range(i + 1, 6):
             assert model.probability(i, j) == pytest.approx(row[j - i - 1])
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["homogeneous", "rank_one", "general"]))
+    @settings(max_examples=60, deadline=None)
+    def test_within_mean_is_the_sum_of_pair_probabilities(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        model = random_model(kind, n, rng)
+        k = int(rng.integers(0, n + 1))
+        rows = np.array([np.sort(rng.choice(n, size=k, replace=False))
+                         for _ in range(4)], dtype=np.int64).reshape(4, k)
+        got = model.within_mean(rows)
+        assert got.shape == (4,)
+        for row, value in zip(rows, got):
+            want = sum(model.probability(int(row[a]), int(row[b]))
+                       for a in range(k) for b in range(a + 1, k))
+            assert value == pytest.approx(want, rel=1e-12)
+            assert expected_edges_null(model, row) == value
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["homogeneous", "rank_one", "general"]))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_probability_is_probability_elementwise(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        model = random_model(kind, n, rng)
+        i = rng.integers(0, n, size=(3, 5))
+        j = (i + rng.integers(1, n, size=(3, 5))) % n
+        got = model.pair_probability(i, j)
+        assert got.shape == (3, 5)
+        want = [[model.probability(int(a), int(b)) for a, b in zip(ra, rb)]
+                for ra, rb in zip(i, j)]
+        assert got.tolist() == want
+
 
 class TestInterchange:
     def test_edge_list_round_trip(self, tmp_path):
@@ -316,6 +358,13 @@ class TestInterchange:
         path = tmp_path / "bad.txt"
         path.write_text("4 2\n0 1\n")
         with pytest.raises(ValidationError, match="claims 2"):
+            read_edge_list(path)
+
+    def test_edge_list_rejects_repeated_edge(self, tmp_path):
+        # the header count matches the line count, but only two pairs are distinct
+        path = tmp_path / "bad.txt"
+        path.write_text("4 3\n0 1\n0 1\n2 3\n")
+        with pytest.raises(ValidationError, match=r"edge \(0, 1\) is listed more than once"):
             read_edge_list(path)
 
     def test_edge_list_rejects_unordered_pair(self, tmp_path):

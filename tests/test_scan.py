@@ -15,6 +15,7 @@ from plantedscan import (
     BudgetError,
     Exhaustive,
     Explicit,
+    GeneralMatrix,
     GraphSample,
     Homogeneous,
     PlantedAlternative,
@@ -113,6 +114,24 @@ class TestScanKnown:
             )
             assert out.statistic == ref_stat
             assert out.subset == ref_subset
+
+    @pytest.mark.parametrize("kind", ["homogeneous", "rank_one", "general"])
+    def test_statistic_is_stat_known_of_its_subset(self, kind):
+        # the scan's batched null means and the one-subset mean are one code
+        # path, so the reported maximum is reproduced exactly
+        n = 14
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            if kind == "homogeneous":
+                model = Homogeneous(n, float(rng.uniform(0.05, 0.6)))
+            elif kind == "rank_one":
+                model = RankOne(rng.uniform(0.05, 0.8, size=n))
+            else:
+                m = np.triu(rng.uniform(0.05, 0.6, size=(n, n)), 1)
+                model = GeneralMatrix(m + m.T)
+            g = sample_null(model, seed)
+            out = scan_known(model, g, ScanConfig(r=4))
+            assert out.statistic == stat_known(model, g, out.subset)
 
     def test_clique_rejects(self):
         g = graph_from_edges(50, itertools.combinations(range(6), 2))
