@@ -23,7 +23,6 @@ from plantedscan import (
     read_edge_list,
     sample_alternative,
     sample_null,
-    sample_null_sparse,
     write_edge_list,
 )
 
@@ -50,11 +49,6 @@ print(f"  observed inside, planted draw : {h.edges_within(community)}")
 outside = np.setdiff1d(np.arange(n), community)
 assert g.edges_within(outside) == h.edges_within(outside)
 print("  outside the community the two draws are identical (same seed)")
-
-# the sparse sampler skips the dense Bernoulli matrix; same distribution
-s = sample_null_sparse(model, seed=2)
-print(f"\nSparse-path null draw (seed 2): {s.total_edges()} edges "
-      f"(expectation {expected_total_null(model):.1f})")
 
 # rank-one: probability of a pair is the product of two vertex weights
 weights = np.full(50, 0.1)

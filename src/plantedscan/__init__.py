@@ -33,7 +33,6 @@ from .model import (
     read_edge_list,
     sample_alternative,
     sample_null,
-    sample_null_sparse,
     write_edge_list,
 )
 from .scan import (
@@ -112,7 +111,7 @@ __all__ = [
     # model
     "MAX_VERTICES", "Homogeneous", "RankOne", "GeneralMatrix",
     "EdgeProbabilityModel", "PlantedAlternative", "GraphSample",
-    "sample_null", "sample_alternative", "sample_null_sparse",
+    "sample_null", "sample_alternative",
     "expected_edges_null", "expected_edges_across_null", "expected_total_null",
     "write_edge_list", "read_edge_list", "model_to_json", "model_from_json",
     # scan

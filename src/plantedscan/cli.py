@@ -42,7 +42,6 @@ from .model import (
     read_edge_list,
     sample_alternative,
     sample_null,
-    sample_null_sparse,
     write_edge_list,
 )
 from .scan import DEFAULT_SUBSET_BUDGET, Exhaustive, ScanConfig, scan_known, scan_unknown
@@ -123,8 +122,6 @@ def cmd_sample(args) -> None:
         community = _parse_community(args.community)
         alt = PlantedAlternative(community, args.rho, model)
         g = sample_alternative(model, alt, seed)
-    elif args.sparse:
-        g = sample_null_sparse(model, seed)
     else:
         g = sample_null(model, seed)
     write_edge_list(g, args.out)
@@ -363,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plant on these vertices (comma-separated)")
     p.add_argument("--rho", type=float, default=1.0,
                    help="within-community probability multiplier (default 1)")
-    p.add_argument("--sparse", action="store_true",
-                   help="use the sparse null sampler (homogeneous models only)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("scan", parents=[common], help="run a scan test on a graph")

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, NumericError, ValidationError
 from .model import EdgeProbabilityModel, GraphSample, _pair_index, check_subset, sample_null
 from .seeding import derive_seed, generator
 
@@ -112,60 +112,68 @@ class LrProblem:
                 f"C({n},{r}) = {self.community_count} communities exceed the exact "
                 f"budget {self.exact_budget} and sampling is disabled"
             )
-        a, b = np.triu_indices(r, 1)
-        ci, cj = comms[:, a], comms[:, b]
-        p = self.model.pair_probability(ci, cj)
         rho_m = np.full(comms.shape[0], self.rho)
         if self.rho_map:
-            lookup = {key: val for key, val in self.rho_map.items()}
             for m, row in enumerate(comms):
-                val = lookup.get(tuple(int(v) for v in row))
-                if val is not None:
-                    rho_m[m] = val
-        rr = rho_m[:, None]
-        self._check_domain(p, rr, comms)
-        q = rr * p
-        # log1p on both sides so rho = 1 cancels exactly, pair by pair
-        with np.errstate(divide="ignore", invalid="ignore"):
-            noedge = np.log1p(-np.where(q < 1.0, q, 0.0)) - np.log1p(-p)
-        noedge[q >= 1.0] = -np.inf
-        # a pair with p = 1 never shows up absent; its no-edge branch is
-        # unreachable, any finite placeholder keeps the arithmetic clean
-        noedge[p >= 1.0] = 0.0
-        pair_index = _pair_index(n, ci, cj)
-        return {
-            "mode": mode,
-            "communities": comms,
-            "pair_index": pair_index,
-            "edge_log": np.log(rho_m)[:, None],
-            "noedge_log": noedge,
-        }
-
-    @staticmethod
-    def _check_domain(p: np.ndarray, rr: np.ndarray, comms: np.ndarray) -> None:
-        bad = (p == 0.0) & (rr > 1.0)
-        if np.any(bad):
-            m, j = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"pair with probability 0 inside community {tuple(comms[m])} "
-                "cannot be lifted by rho > 1"
-            )
-        over = rr * p > 1.0 + 1e-12
-        if np.any(over):
-            m, j = np.argwhere(over)[0]
-            raise ValidationError(
-                f"rho * p = {float((rr * p)[m, j])} > 1 inside community {tuple(comms[m])}"
-            )
+                rho_m[m] = self.rho_map.get(tuple(int(v) for v in row), self.rho)
+        return {"mode": mode, "communities": comms,
+                "tables": _log_tables(self.model, comms, rho_m)}
 
     @property
     def mode(self) -> str:
         return self._bundle["mode"]
 
 
+def _log_tables(model: EdgeProbabilityModel, comms: np.ndarray,
+                rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair terms of log L_C for each row of an (m, r) array of sorted
+    communities with lifts rho (m,): the pairs' packed-triangle positions,
+    the log factor of a present edge (per row) and of an absent one (per
+    pair).  A pair with rho * p = 1 has absent factor -inf."""
+    a, b = np.triu_indices(comms.shape[1], 1)
+    ci, cj = comms[:, a], comms[:, b]
+    p = model.pair_probability(ci, cj)
+    rr = rho[:, None]
+    bad = (p == 0.0) & (rr > 1.0)
+    if np.any(bad):
+        m, _ = np.argwhere(bad)[0]
+        raise ValidationError(
+            f"pair with probability 0 inside community {tuple(comms[m])} "
+            "cannot be lifted by rho > 1"
+        )
+    q = rr * p
+    over = q > 1.0 + 1e-12
+    if np.any(over):
+        m, j = np.argwhere(over)[0]
+        raise ValidationError(f"rho * p = {float(q[m, j])} > 1 inside community {tuple(comms[m])}")
+    # log1p on both sides so rho = 1 cancels exactly, pair by pair
+    with np.errstate(divide="ignore", invalid="ignore"):
+        noedge = np.log1p(-np.where(q < 1.0, q, 0.0)) - np.log1p(-p)
+    noedge[q >= 1.0] = -np.inf
+    # a pair with p = 1 never shows up absent; its no-edge branch is
+    # unreachable, any finite placeholder keeps the arithmetic clean
+    noedge[p >= 1.0] = 0.0
+    return _pair_index(model.n, ci, cj), np.log(rho)[:, None], noedge
+
+
+def _log_ratios(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+                sample: GraphSample) -> np.ndarray:
+    """log L_C of every community of the tables on one graph."""
+    pair_index, edge_log, noedge_log = tables
+    return np.where(sample._tri[pair_index], edge_log, noedge_log).sum(axis=1)
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def likelihood_ratio_single(problem: LrProblem, community: Iterable[int],
                             sample: GraphSample) -> float:
     """L_C for one community of size r; 0.0 exactly when an absent pair has
-    rho * p = 1."""
+    rho * p = 1, inf when L_C exceeds the float range."""
     c = check_subset(sample.n, community)
     if problem.model.n != sample.n:
         raise ValidationError(f"model has n={problem.model.n} but sample has n={sample.n}")
@@ -174,26 +182,8 @@ def likelihood_ratio_single(problem: LrProblem, community: Iterable[int],
     rho = problem.rho
     if problem.rho_map:
         rho = problem.rho_map.get(tuple(int(v) for v in c), rho)
-    log_total = 0.0
-    for a in range(c.size - 1):
-        for b in range(a + 1, c.size):
-            i, j = int(c[a]), int(c[b])
-            p = problem.model.probability(i, j)
-            if p == 0.0:
-                if rho > 1.0:
-                    raise ValidationError(
-                        f"pair ({i},{j}) has probability 0; rho > 1 undefined there"
-                    )
-                continue
-            if rho * p > 1.0 + 1e-12:
-                raise ValidationError(f"rho * p = {rho * p} > 1 at pair ({i},{j})")
-            if sample.has_edge(i, j):
-                log_total += math.log(rho)
-            elif rho * p >= 1.0:
-                return 0.0
-            else:
-                log_total += math.log1p(-rho * p) - math.log1p(-p)
-    return math.exp(log_total)
+    tables = _log_tables(problem.model, c[None, :], np.array([rho]))
+    return _exp(float(_log_ratios(tables, sample)[0]))
 
 
 @dataclass(frozen=True)
@@ -210,17 +200,26 @@ def likelihood_ratio_average(problem: LrProblem, sample: GraphSample) -> LrAvera
     if problem.model.n != sample.n:
         raise ValidationError(f"model has n={problem.model.n} but sample has n={sample.n}")
     bundle = problem._bundle
-    bits = sample._tri[bundle["pair_index"]]
-    logs = np.where(bits, bundle["edge_log"], bundle["noedge_log"]).sum(axis=1)
+    logs = _log_ratios(bundle["tables"], sample)
     shift = float(logs.max())
+    excess = 0.0  # log of a factor the values still lack
     if shift == -math.inf:
         values = np.zeros(logs.shape)
     else:
-        values = np.exp(logs - shift) * math.exp(shift)
-    mean = float(values.mean())
+        values = np.exp(logs - shift)
+        try:
+            values = values * math.exp(shift)
+        except OverflowError:
+            # the largest L_C is past the float range; the mean may not be
+            excess = shift
+
+    def scaled(x: float) -> float:
+        return _exp(excess + math.log(x)) if excess and x > 0.0 else x
+
+    mean = scaled(float(values.mean()))
     if bundle["mode"] == "exact":
         return LrAverage(mean, "exact", values.size)
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else None
+    se = scaled(float(values.std(ddof=1) / math.sqrt(values.size))) if values.size > 1 else None
     return LrAverage(mean, "sampled", values.size, se)
 
 
@@ -262,6 +261,11 @@ def bayes_risk(problem: LrProblem, replications: int, master_seed: int) -> Bayes
     for i in range(replications):
         g = sample_null(problem.model, derive_seed(master_seed, "lr-null", i))
         lr = likelihood_ratio_average(problem, g).value
+        if lr == math.inf:
+            raise NumericError(
+                f"likelihood ratio overflows on null replication {i}; "
+                "the risk estimate would be meaningless"
+            )
         lrs[i] = lr
         devs[i] = abs(lr - 1.0)
     risk = 1.0 - float(devs.mean()) / 2.0

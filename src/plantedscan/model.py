@@ -22,7 +22,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "GraphSample",
     "sample_null",
     "sample_alternative",
-    "sample_null_sparse",
     "expected_edges_null",
     "expected_edges_across_null",
     "expected_total_null",
@@ -51,9 +50,10 @@ __all__ = [
 
 MAX_VERTICES = 1 << 16
 
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-
 _BATCH_ROWS = 1 << 15
+
+# triangle positions decoded per block by GraphSample._edges
+_PAIR_BLOCK = 1 << 20
 
 
 def _check_vertex_count(n: int) -> int:
@@ -70,14 +70,25 @@ def _check_vertex_count(n: int) -> int:
 def check_subset(n: int, subset: Iterable[int]) -> np.ndarray:
     """Sorted int64 array of distinct vertex ids in [0, n); ValidationError otherwise."""
     d = np.asarray(sorted(subset), dtype=np.int64)
-    if d.size:
-        if d[0] < 0 or d[-1] >= n:
-            bad = d[0] if d[0] < 0 else d[-1]
-            raise ValidationError(f"vertex {bad} out of range for n={n}")
-        if np.any(np.diff(d) == 0):
-            dup = int(d[np.where(np.diff(d) == 0)[0][0]])
-            raise ValidationError(f"duplicate vertex {dup} in subset")
+    _check_rows(n, d[None, :])
     return d
+
+
+def _check_rows(n: int, rows: np.ndarray) -> None:
+    """Validate an (m, k) array of row-sorted subsets: the first bad row
+    names its out-of-range vertex, or else its repeated one."""
+    if rows.size == 0:
+        return
+    bad = (rows[:, 0] < 0) | (rows[:, -1] >= n)
+    repeats = rows[:, 1:] == rows[:, :-1]
+    bad |= repeats.any(axis=1)
+    if not bad.any():
+        return
+    t = int(np.argmax(bad))
+    d = rows[t]
+    if d[0] < 0 or d[-1] >= n:
+        raise ValidationError(f"vertex {d[0] if d[0] < 0 else d[-1]} out of range for n={n}")
+    raise ValidationError(f"duplicate vertex {d[int(np.argmax(repeats[t]))]} in subset")
 
 
 def _check_pair(n: int, i: int, j: int) -> None:
@@ -176,11 +187,15 @@ class RankOne(EdgeProbabilityModel):
         return self.weights[i] * self.weights[i + 1 :]
 
     def within_mean(self, rows: np.ndarray) -> np.ndarray:
-        # (sum w)^2 - sum w^2 counts every pair twice
-        w = self.weights
-        s = w[rows].sum(axis=1)
-        ss = (w * w)[rows].sum(axis=1)
-        return 0.5 * (s * s - ss)
+        # sum over columns a of w_a * (w_0 + ... + w_{a-1}): every term is
+        # positive, so nothing cancels when one weight dominates
+        w = self.weights[rows]
+        acc = np.zeros(rows.shape[0])
+        prefix = np.zeros(rows.shape[0])
+        for a in range(1, rows.shape[1]):
+            prefix += w[:, a - 1]
+            acc += w[:, a] * prefix
+        return acc
 
     def across_mean(self, d: np.ndarray) -> float:
         s = float(self.weights[d].sum())
@@ -188,9 +203,8 @@ class RankOne(EdgeProbabilityModel):
 
     def max_within_mean(self, community: np.ndarray, k: int, budget: int) -> float:
         # the k heaviest members maximise the mean
-        w = np.sort(self.weights[community])[::-1][:k]
-        s = float(w.sum())
-        return 0.5 * (s * s - float((w * w).sum()))
+        heaviest = community[np.argsort(-self.weights[community], kind="stable")[:k]]
+        return float(self.within_mean(np.sort(heaviest)[None, :])[0])
 
     def max_pair_within(self, subset: np.ndarray) -> tuple[float, tuple[int, int]]:
         order = subset[np.argsort(self.weights[subset], kind="stable")]
@@ -323,9 +337,8 @@ class GraphSample:
 
     hypothesis is "null", "planted", or "imported"; planted samples carry
     the community and rho they were drawn under.  sampler records which
-    bitstream produced the graph ("dense-lexicographic" is the reference
-    stream; "sparse-geometric" is statistically equivalent but yields a
-    different stream for the same seed).
+    bitstream produced the graph ("dense-lexicographic" for the samplers
+    here, "file-import" for read_edge_list).
     """
 
     n: int
@@ -364,6 +377,37 @@ class GraphSample:
         i = np.arange(self.n, dtype=np.int64)
         return _pair_index(self.n, i, i + 1)
 
+    def _edges(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(i, j) arrays of the edges, i < j, in lexicographic order; one
+        pair of arrays per _PAIR_BLOCK triangle positions."""
+        off = self._row_offsets
+        for start in range(0, self.pair_count, _PAIR_BLOCK):
+            pos = np.flatnonzero(self._tri[start : start + _PAIR_BLOCK]) + start
+            i = np.searchsorted(off, pos, side="right") - 1
+            yield i, pos - off[i] + i + 1
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        deg = np.zeros(self.n, dtype=np.int64)
+        for i, j in self._edges():
+            deg += np.bincount(i, minlength=self.n)
+            deg += np.bincount(j, minlength=self.n)
+        deg.flags.writeable = False
+        return deg
+
+    def _edges_within_rows(self, rows: np.ndarray) -> np.ndarray:
+        """e(D) for every row of an (m, k) array of row-sorted subsets."""
+        tri = self._tri
+        off = self._row_offsets
+        m, k = rows.shape
+        counts = np.zeros(m, dtype=np.int64)
+        for a in range(k - 1):
+            ia = rows[:, a]
+            base = off[ia] - ia - 1
+            for b in range(a + 1, k):
+                counts += tri[base + rows[:, b]]
+        return counts
+
     def pair_index(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i
@@ -374,35 +418,22 @@ class GraphSample:
         return bool(self._tri[self.pair_index(i, j)])
 
     def total_edges(self) -> int:
-        return int(_POPCOUNT[self.packed].sum())
+        return int(np.bitwise_count(self.packed).sum())
 
     def edges_within(self, subset: Iterable[int]) -> int:
         """Number of edges with both endpoints in the subset."""
         d = check_subset(self.n, subset)
-        if d.size < 2:
-            return 0
-        iu, ju = np.triu_indices(d.size, 1)
-        idx = _pair_index(self.n, d[iu], d[ju])
-        return int(self._tri[idx].sum())
+        return int(self._edges_within_rows(d[None, :])[0])
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValidationError(f"vertex {v} out of range for n={self.n}")
-        off = self._row_offsets
-        row = self._tri[off[v] : off[v] + self.n - 1 - v]
-        total = int(row.sum())
-        if v:
-            i = np.arange(v, dtype=np.int64)
-            total += int(self._tri[_pair_index(self.n, i, v)].sum())
-        return total
+        return int(self._degrees[v])
 
     def edges_across(self, subset: Iterable[int]) -> int:
         """Number of edges with exactly one endpoint in the subset."""
         d = check_subset(self.n, subset)
-        if d.size == 0 or d.size == self.n:
-            return 0
-        deg_sum = sum(self.degree(int(v)) for v in d)
-        return deg_sum - 2 * self.edges_within(d)
+        return int(self._degrees[d].sum()) - 2 * int(self._edges_within_rows(d[None, :])[0])
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric boolean adjacency; refuses n > 8192 (use the
@@ -413,9 +444,9 @@ class GraphSample:
                 "use edges_within/edges_across instead"
             )
         m = np.zeros((self.n, self.n), dtype=bool)
-        iu, ju = np.triu_indices(self.n, 1)
-        m[iu, ju] = self._tri
-        m[ju, iu] = m[iu, ju]
+        for i, j in self._edges():
+            m[i, j] = True
+            m[j, i] = True
         return m
 
 
@@ -464,30 +495,6 @@ def sample_alternative(model: EdgeProbabilityModel,
                        planted_community=alt.community, planted_rho=alt.rho)
 
 
-def sample_null_sparse(model: Homogeneous, seed: int) -> GraphSample:
-    """Geometric-skip sampler for sparse homogeneous nulls.
-
-    Statistically equivalent to sample_null but consumes a different
-    variate stream; flagged in provenance as "sparse-geometric".
-    """
-    if not isinstance(model, Homogeneous):
-        raise ValidationError("sparse sampling is only defined for homogeneous models")
-    n, p = model.n, model.p
-    m = n * (n - 1) // 2
-    bits = np.zeros(m, dtype=bool)
-    if p >= 1.0:
-        bits[:] = True
-    elif p > 0.0:
-        rng = generator(seed)
-        pos = -1
-        while True:
-            pos += int(rng.geometric(p))
-            if pos >= m:
-                break
-            bits[pos] = True
-    return GraphSample(n, _pack(bits), seed, "null", sampler="sparse-geometric")
-
-
 # -- null expectations --------------------------------------------------------
 
 
@@ -516,31 +523,31 @@ def expected_total_null(model: EdgeProbabilityModel) -> float:
 def write_edge_list(sample: GraphSample, path: str | os.PathLike) -> None:
     """Text format: first line "n m", then one "i j" line per edge with
     0 <= i < j < n in lexicographic order."""
-    tri = sample._tri
-    off = sample._row_offsets
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{sample.n} {sample.total_edges()}\n")
-        for i in range(sample.n - 1):
-            row = tri[off[i] : off[i] + sample.n - 1 - i]
-            for j in np.where(row)[0]:
-                fh.write(f"{i} {i + 1 + int(j)}\n")
+        for i, j in sample._edges():
+            fh.write("".join(f"{a} {b}\n" for a, b in zip(i.tolist(), j.tolist())))
 
 
 def _edge_positions(lines: Iterable[str], n: int) -> np.ndarray:
     """Packed-triangle positions of "i j" edge lines; a malformed line, a
     pair out of order or a pair listed twice is a ValidationError."""
     heads, tails = array("q"), array("q")
-    for line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            raise ValidationError(f"malformed edge line {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if not (0 <= i < j < n):
-            raise ValidationError(f"edge ({i}, {j}) violates 0 <= i < j < n={n}")
-        heads.append(i)
-        tails.append(j)
+    line = ""
+    try:
+        for line in lines:
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise ValidationError(f"malformed edge line {line!r}")
+            i, j = int(parts[0]), int(parts[1])
+            if not (0 <= i < j < n):
+                raise ValidationError(f"edge ({i}, {j}) violates 0 <= i < j < n={n}")
+            heads.append(i)
+            tails.append(j)
+    except ValueError as exc:
+        raise ValidationError(f"malformed edge line {line!r}: {exc}") from exc
     idx = _pair_index(n, np.frombuffer(heads, dtype=np.int64), np.frombuffer(tails, dtype=np.int64))
     ordered = np.sort(idx)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
@@ -554,9 +561,10 @@ def read_edge_list(path: str | os.PathLike) -> GraphSample:
     """Inverse of write_edge_list; the result carries hypothesis "imported"."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValidationError(f"malformed header {header!r}; expected 'n m'")
-        n, m = int(header[0]), int(header[1])
+        try:
+            n, m = (int(v) for v in header)
+        except ValueError as exc:
+            raise ValidationError(f"malformed header {header!r}; expected 'n m'") from exc
         _check_vertex_count(n)
         bits = np.zeros(n * (n - 1) // 2, dtype=bool)
         idx = _edge_positions(fh, n)

@@ -16,8 +16,8 @@ batches (size ascending, lexicographic within a size) and are evaluated
 vectorised; the first strict maximum in that order wins, which breaks
 ties toward the smaller subset, then the lexicographically smallest
 vertex tuple, independent of batch boundaries.  The one-subset statistic
-functions run through the same float kernel, so a scan outcome is
-bit-for-bit reproducible by evaluating them subset by subset.
+functions evaluate a one-row block with the scans' own per-block code, so
+a scan outcome is bit-for-bit reproducible subset by subset.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .kernels import entropy_h_vec
-from .model import _BATCH_ROWS, EdgeProbabilityModel, GraphSample, RankOne, check_subset
+from .model import _BATCH_ROWS, EdgeProbabilityModel, GraphSample, RankOne, _check_rows, check_subset
 
 __all__ = [
     "Exhaustive",
@@ -57,7 +58,9 @@ class SubsetFamily:
     """A family of candidate subsets; each kind (de)serialises itself.
 
     to_dict() is the full description that from_dict() reads back;
-    describe() is the summary a ScanOutcome records.
+    describe() is the summary a ScanOutcome records; _row_blocks(n, model)
+    yields validated (m, k) arrays of row-sorted subsets, sizes ascending
+    and lexicographic within each size.
     """
 
     def describe(self) -> dict:
@@ -103,6 +106,15 @@ class Exhaustive(_SizeRange):
     def count(self, n: int) -> int:
         return sum(math.comb(n, k) for k in range(self.min_size, min(self.max_size, n) + 1))
 
+    def _row_blocks(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
+        lo, hi = self.size_range(n)
+        for k in range(lo, hi + 1):
+            source = itertools.combinations(range(n), k)
+            while block := list(itertools.islice(source, _BATCH_ROWS)):
+                flat = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64,
+                                   count=len(block) * k)
+                yield flat.reshape(len(block), k)
+
 
 @dataclass(frozen=True)
 class WeightPrefix(_SizeRange):
@@ -116,6 +128,14 @@ class WeightPrefix(_SizeRange):
 
     def count(self, n: int) -> int:
         return min(self.max_size, n) - self.min_size + 1
+
+    def _row_blocks(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
+        if not isinstance(model, RankOne):
+            raise ValidationError("WeightPrefix requires a rank-one model with known weights")
+        order = np.argsort(-model.weights, kind="stable")
+        lo, hi = self.size_range(n)
+        for k in range(lo, hi + 1):
+            yield np.sort(order[:k]).astype(np.int64).reshape(1, k)
 
 
 @dataclass(frozen=True)
@@ -144,6 +164,21 @@ class Explicit(SubsetFamily):
 
     def describe(self) -> dict:
         return {"kind": self.kind, "count": len(self.subsets)}
+
+    @cached_property
+    def _size_blocks(self) -> tuple[np.ndarray, ...]:
+        # one (m, k) array per size, sizes ascending, rows lexicographic
+        ordered = sorted(self.subsets, key=lambda s: (len(s), s))
+        return tuple(
+            np.array(list(group), dtype=np.int64)
+            for _, group in itertools.groupby(ordered, key=len)
+        )
+
+    def _row_blocks(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
+        for rows in self._size_blocks:
+            _check_rows(n, rows)
+            for start in range(0, rows.shape[0], _BATCH_ROWS):
+                yield rows[start : start + _BATCH_ROWS]
 
     @classmethod
     def _from_dict(cls, raw: Mapping) -> "Explicit":
@@ -213,49 +248,6 @@ def min_blind_size(r: int) -> int:
     return max(1, math.ceil(r ** (1.0 / 3.0) - 1e-9))
 
 
-def _combination_batches(n: int, k: int) -> Iterator[np.ndarray]:
-    source = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(source, _BATCH_ROWS))
-        if not block:
-            return
-        flat = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64,
-                           count=len(block) * k)
-        yield flat.reshape(len(block), k)
-
-
-def _iter_batches(family: SubsetFamily, n: int,
-                  model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
-    """(m, k) arrays of row-sorted subsets, sizes ascending, lexicographic
-    within each size."""
-    if isinstance(family, Exhaustive):
-        lo, hi = family.size_range(n)
-        for k in range(lo, hi + 1):
-            yield from _combination_batches(n, k)
-    elif isinstance(family, WeightPrefix):
-        if not isinstance(model, RankOne):
-            raise ValidationError("WeightPrefix requires a rank-one model with known weights")
-        order = np.argsort(-model.weights, kind="stable")
-        lo, hi = family.size_range(n)
-        for k in range(lo, hi + 1):
-            yield np.sort(order[:k]).astype(np.int64).reshape(1, k)
-    else:
-        ordered = sorted(family.subsets, key=lambda s: (len(s), s))
-        start = 0
-        while start < len(ordered):
-            k = len(ordered[start])
-            end = start
-            while end < len(ordered) and len(ordered[end]) == k:
-                end += 1
-            for lo_i in range(start, end, _BATCH_ROWS):
-                block = ordered[lo_i : min(lo_i + _BATCH_ROWS, end)]
-                rows = np.empty((len(block), k), dtype=np.int64)
-                for t, s in enumerate(block):
-                    rows[t] = check_subset(n, s)
-                yield rows
-            start = end
-
-
 def _check_scan_size(n: int, k: int) -> None:
     if k == 0:
         raise ValidationError("statistic undefined for the empty subset")
@@ -263,49 +255,38 @@ def _check_scan_size(n: int, k: int) -> None:
         raise ValidationError(f"statistic undefined for |D| = {k} with n = {n} (needs |D| < n)")
 
 
-def _edges_within_batch(sample: GraphSample, rows: np.ndarray) -> np.ndarray:
-    """e(D) for every row; rows hold sorted vertex ids."""
-    tri = sample._tri
-    off = sample._row_offsets
-    m, k = rows.shape
-    counts = np.zeros(m, dtype=np.int64)
-    for a in range(k - 1):
-        ia = rows[:, a]
-        base = off[ia] - ia - 1
-        for b in range(a + 1, k):
-            counts += tri[base + rows[:, b]]
-    return counts
-
-
-def _degree_vector(sample: GraphSample) -> np.ndarray:
-    tri = sample._tri
-    off = sample._row_offsets
-    n = sample.n
-    deg = np.zeros(n, dtype=np.int64)
-    for i in range(n - 1):
-        row = tri[off[i] : off[i] + n - 1 - i]
-        deg[i] += int(row.sum())
-        deg[i + 1 :][row] += 1
-    return deg
-
-
-def _known_stat_from_counts(n: int, k: int, counts: np.ndarray,
-                            means: np.ndarray) -> np.ndarray:
+def _known_stats(model: EdgeProbabilityModel, sample: GraphSample,
+                 rows: np.ndarray) -> np.ndarray:
+    """Known-probability statistic of every row of an (m, k) block."""
+    k = rows.shape[1]
+    counts = sample._edges_within_rows(rows)
+    means = model.within_mean(rows)
     safe = np.where(means > 0.0, means, 1.0)
     x = np.maximum(counts / safe - 1.0, 0.0)
     x = np.where(means > 0.0, x, 0.0)
-    return means * entropy_h_vec(x) / (k * math.log(n / k))
+    return means * entropy_h_vec(x) / (k * math.log(sample.n / k))
+
+
+def _blind_floor(n: int, k: int) -> float:
+    return (k * k / n) * math.log(n / k) ** 4
 
 
 def _blind_stat_from_counts(n_eff: int, k: int, counts: np.ndarray,
                             cross: np.ndarray, e_total: float) -> np.ndarray:
     radicand = np.maximum(e_total - 2.0 * cross, 0.0)
     root = math.sqrt(e_total) - np.sqrt(radicand)
-    estimate = root * root / 4.0
-    floor = (k * k / n_eff) * math.log(n_eff / k) ** 4
-    mean = np.maximum(estimate, floor)
+    mean = np.maximum(root * root / 4.0, _blind_floor(n_eff, k))
     x = np.maximum(counts / mean - 1.0, 0.0)
     return mean * entropy_h_vec(x) / (k * math.log(n_eff / k))
+
+
+def _blind_stats(sample: GraphSample, rows: np.ndarray, n_eff: int,
+                 e_total: float) -> np.ndarray:
+    """Blind statistic of every row of an (m, k) block; e_total is the
+    sample's edge count."""
+    counts = sample._edges_within_rows(rows)
+    cross = sample._degrees[rows].sum(axis=1) - 2 * counts
+    return _blind_stat_from_counts(n_eff, rows.shape[1], counts, cross, e_total)
 
 
 def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
@@ -319,9 +300,7 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
     _check_scan_size(sample.n, d.size)
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
-    counts = np.array([sample.edges_within(d)], dtype=np.int64)
-    means = model.within_mean(d[None, :])
-    return float(_known_stat_from_counts(sample.n, d.size, counts, means)[0])
+    return float(_known_stats(model, sample, d[None, :])[0])
 
 
 def _scan_batches(batches: Iterator[np.ndarray], n: int, stat_batch,
@@ -334,7 +313,7 @@ def _scan_batches(batches: Iterator[np.ndarray], n: int, stat_batch,
         m, k = rows.shape
         _check_scan_size(n, k)
         evaluated += m
-        stats = stat_batch(k, rows)
+        stats = stat_batch(rows)
         i = int(np.argmax(stats))
         mx = float(stats[i])
         if mx > best_stat:
@@ -370,14 +349,9 @@ def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanCon
             f"family enumerates {count} subsets, over the budget {config.budget}"
         )
     threshold = 1.0 + config.epsilon / 2.0
-
-    def stat_batch(k: int, rows: np.ndarray) -> np.ndarray:
-        counts = _edges_within_batch(sample, rows)
-        means = model.within_mean(rows)
-        return _known_stat_from_counts(n, k, counts, means)
-
     stat, subset, trace, evaluated = _scan_batches(
-        _iter_batches(family, n, model), n, stat_batch, keep_trace
+        family._row_blocks(n, model), n,
+        lambda rows: _known_stats(model, sample, rows), keep_trace
     )
     return ScanOutcome(
         statistic=stat,
@@ -443,9 +417,7 @@ def estimate_expected_edges_thresholded(sample: GraphSample, subset: Iterable[in
     n = sample.n if n is None else int(n)
     if n <= d.size:
         raise ValidationError(f"floor undefined for n={n} <= |D|={d.size}")
-    k = d.size
-    floor = (k * k / n) * math.log(n / k) ** 4
-    return max(estimate_expected_edges(sample, d), floor)
+    return max(estimate_expected_edges(sample, d), _blind_floor(n, d.size))
 
 
 def stat_unknown(sample: GraphSample, subset: Iterable[int],
@@ -457,10 +429,7 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
     n_eff = sample.n if n is None else int(n)
     if n_eff <= d.size:
         raise ValidationError(f"floor undefined for n={n_eff} <= |D|={d.size}")
-    counts = np.array([sample.edges_within(d)], dtype=np.int64)
-    cross = np.array([sample.edges_across(d)], dtype=np.int64)
-    return float(_blind_stat_from_counts(n_eff, d.size, counts, cross,
-                                         float(sample.total_edges()))[0])
+    return float(_blind_stats(sample, d[None, :], n_eff, float(sample.total_edges()))[0])
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,
@@ -492,16 +461,10 @@ def scan_unknown(sample: GraphSample, config: ScanConfig,
             f"family enumerates {count} subsets, over the budget {config.budget}"
         )
     threshold = 1.0 + config.epsilon / 3.0
-    degrees = _degree_vector(sample)
     e_total = float(sample.total_edges())
-
-    def stat_batch(k: int, rows: np.ndarray) -> np.ndarray:
-        counts = _edges_within_batch(sample, rows)
-        cross = degrees[rows].sum(axis=1) - 2 * counts
-        return _blind_stat_from_counts(n, k, counts, cross, e_total)
-
     stat, subset, trace, evaluated = _scan_batches(
-        _iter_batches(family, n, None), n, stat_batch, keep_trace
+        family._row_blocks(n, None), n,
+        lambda rows: _blind_stats(sample, rows, n, e_total), keep_trace
     )
     md = _metadata(n, config.r, evaluated)
     md["size_window"] = [k_min, config.r]

@@ -124,12 +124,6 @@ class TestSampleAndScan:
         # average; the null average is 1.5, so 5+ is a loud signal
         assert g.edges_within(range(6)) >= 5
 
-    def test_sparse_sampler_flag(self, capsys, tmp_path, model_cfg):
-        graph = tmp_path / "g.txt"
-        run_ok(capsys, ["sample", "--config", model_cfg, "--seed", "3",
-                        "--sparse", "--out", str(graph)])
-        assert read_edge_list(str(graph)).n == 64
-
     def test_sample_requires_out(self, capsys, model_cfg):
         err = run_err(capsys, ["sample", "--config", model_cfg], 2)
         assert "needs --out" in err

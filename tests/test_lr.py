@@ -11,8 +11,11 @@ import pytest
 from plantedscan import (
     BudgetError,
     ExperimentConfig,
+    GeneralMatrix,
     Homogeneous,
     LrProblem,
+    NumericError,
+    PlantedAlternative,
     RankOne,
     ValidationError,
     bayes_risk,
@@ -20,8 +23,10 @@ from plantedscan import (
     estimate_risk,
     likelihood_ratio_average,
     likelihood_ratio_single,
+    sample_alternative,
     sample_null,
 )
+from plantedscan import lr as lr_module
 from plantedscan.model import GraphSample
 
 
@@ -98,6 +103,46 @@ class TestSingle:
         g = graph_from_edges(4, [])
         assert likelihood_ratio_single(prob, (0, 1), g) == 0.0
         assert likelihood_ratio_single(prob, (0, 2), g) == 1.0
+
+    def test_rho_one_is_exactly_one_and_saturation_exactly_zero(self):
+        rng = np.random.default_rng(8)
+        model = RankOne(rng.uniform(0.1, 0.5, size=10))
+        for seed in range(6):
+            g = sample_null(model, seed)
+            for c in combinations(range(10), 4):
+                assert likelihood_ratio_single(LrProblem(model, 4, 1.0), c, g) == 1.0
+        # rho * p = 1 on pair (0, 1) only; its absence zeroes L_C whatever
+        # the other pairs show
+        m = np.full((5, 5), 0.25)
+        m[0, 1] = m[1, 0] = 0.5
+        np.fill_diagonal(m, 0.0)
+        prob = LrProblem(GeneralMatrix(m), 3, 2.0)
+        g = graph_from_edges(5, [(0, 2), (1, 2)])
+        assert likelihood_ratio_single(prob, (0, 1, 2), g) == 0.0
+        assert likelihood_ratio_single(prob, (0, 2, 3), g) > 0.0
+
+    def test_sure_pair_observed_absent_at_rho_one(self):
+        # p = 1 makes the pair's absence impossible under both hypotheses;
+        # at rho = 1 they are the same law, so L_C stays 1 (the average
+        # always treated the pair this way)
+        m = np.full((4, 4), 0.3)
+        m[0, 1] = m[1, 0] = 1.0
+        np.fill_diagonal(m, 0.0)
+        prob = LrProblem(GeneralMatrix(m), 2, 1.0)
+        g = graph_from_edges(4, [])
+        assert likelihood_ratio_single(prob, (0, 1), g) == 1.0
+        assert likelihood_ratio_average(prob, g).value == 1.0
+
+    def test_single_needs_no_community_set(self):
+        # sampling disabled and C(64, 4) over the budget: the average has
+        # no community set to average over, one community still evaluates
+        model = Homogeneous(64, 0.1)
+        prob = LrProblem(model, 4, 2.0, sample_size=None)
+        g = graph_from_edges(64, [(0, 1)])
+        assert likelihood_ratio_single(prob, (0, 1, 2, 3), g) == pytest.approx(
+            naive_ratio(model, (0, 1, 2, 3), g, 2.0), rel=1e-12)
+        with pytest.raises(BudgetError):
+            likelihood_ratio_average(prob, g)
 
     def test_size_and_sample_mismatch(self):
         model = Homogeneous(6, 0.3)
@@ -205,6 +250,42 @@ class TestAverage:
             assert likelihood_ratio_average(prob, g).value == pytest.approx(
                 likelihood_ratio_average(prob, relabeled(g, perm)).value, rel=1e-10
             )
+
+
+class TestOverflow:
+    def planted(self):
+        # 40 vertices lifted 15-fold: log L_C of the planted community is
+        # far past log(float max) = 709.78
+        model = Homogeneous(200, 0.05)
+        prob = LrProblem(model, 40, 15.0, sample_size=64)
+        community = tuple(int(v) for v in prob._bundle["communities"][0])
+        g = sample_alternative(model, PlantedAlternative(community, 15.0, model), 1)
+        return prob, community, g
+
+    def test_single_and_average_return_inf(self):
+        prob, community, g = self.planted()
+        assert likelihood_ratio_single(prob, community, g) == math.inf
+        res = likelihood_ratio_average(prob, g)
+        assert res.value == math.inf
+        assert res.stderr == math.inf
+
+    def test_mean_stays_finite_when_only_its_largest_term_overflows(self, monkeypatch):
+        model = Homogeneous(6, 0.3)
+        prob = LrProblem(model, 2, 1.5)
+        logs = np.full(15, -np.inf)
+        logs[3], logs[5] = 710.0, 0.0
+        monkeypatch.setattr(lr_module, "_log_ratios", lambda tables, sample: logs)
+        res = likelihood_ratio_average(prob, sample_null(model, 0))
+        assert res.value == pytest.approx(math.exp(710.0 - math.log(15.0)), rel=1e-12)
+
+    def test_bayes_risk_refuses_an_infinite_ratio(self, monkeypatch):
+        model = Homogeneous(6, 0.3)
+        prob = LrProblem(model, 2, 1.5)
+        logs = np.zeros(15)
+        logs[0] = 800.0
+        monkeypatch.setattr(lr_module, "_log_ratios", lambda tables, sample: logs)
+        with pytest.raises(NumericError, match="overflows"):
+            bayes_risk(prob, 4, master_seed=0)
 
 
 class TestProblemValidation:

@@ -1,6 +1,11 @@
 """Tests for graph models, sampling, edge counting, and interchange."""
 
+import itertools
 import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +26,9 @@ from plantedscan import (
     read_edge_list,
     sample_alternative,
     sample_null,
-    sample_null_sparse,
     write_edge_list,
 )
+from plantedscan import model as model_module
 from plantedscan.model import check_subset
 
 
@@ -192,24 +197,6 @@ class TestSampling:
         sigma = math.sqrt(48 * 0.25 * 0.75 / reps)
         assert abs(total / reps - want) <= 3 * sigma
 
-    def test_sparse_sampler_matches_distribution(self):
-        model = Homogeneous(60, 0.03)
-        reps = 5_000
-        total = sum(sample_null_sparse(model, s).total_edges() for s in range(reps))
-        pairs = 60 * 59 / 2
-        sigma = math.sqrt(pairs * 0.03 * 0.97 / reps)
-        assert abs(total / reps - pairs * 0.03) <= 3 * sigma
-
-    def test_sparse_sampler_edge_cases(self):
-        assert sample_null_sparse(Homogeneous(12, 0.0), 0).total_edges() == 0
-        assert sample_null_sparse(Homogeneous(12, 1.0), 0).total_edges() == 66
-        with pytest.raises(ValidationError):
-            sample_null_sparse(RankOne(np.full(4, 0.5)), 0)
-
-    def test_sparse_sampler_provenance(self):
-        s = sample_null_sparse(Homogeneous(12, 0.1), 3)
-        assert s.sampler == "sparse-geometric"
-
 
 @pytest.fixture(scope="module")
 def sample():
@@ -254,6 +241,42 @@ class TestCounting:
         assert sample.edges_across([]) == 0
         assert sample.edges_within([5]) == 0
 
+    @given(st.integers(min_value=1, max_value=30),
+           st.sampled_from(["random", "empty", "complete"]),
+           st.integers(min_value=1, max_value=64),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_counts_against_brute_force(self, n, shape, block, seed):
+        # the graph is built from its own edge list, and every count is
+        # checked against that list; a small decoder block makes the
+        # triangle span many blocks
+        rng = np.random.default_rng(seed)
+        pairs = list(itertools.combinations(range(n), 2))
+        density = {"random": rng.uniform(0.0, 1.0), "empty": 0.0, "complete": 1.0}[shape]
+        edges = [pair for pair in pairs if rng.random() < density]
+        adj = np.zeros((n, n), dtype=bool)
+        for i, j in edges:
+            adj[i, j] = adj[j, i] = True
+        bits = np.array([adj[i, j] for i, j in pairs], dtype=bool)
+        g = GraphSample(n, np.packbits(bits), None, "imported")
+        with mock.patch.object(model_module, "_PAIR_BLOCK", block):
+            decoded = [(int(i), int(j)) for a, b in g._edges() for i, j in zip(a, b)]
+            assert np.array_equal(g.adjacency_matrix(), adj)
+            assert [g.degree(v) for v in range(n)] == adj.sum(axis=1).tolist()
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "g.txt"
+                write_edge_list(g, path)
+                lines = path.read_text().splitlines()
+        assert decoded == edges
+        assert lines == [f"{n} {len(edges)}"] + [f"{i} {j}" for i, j in edges]
+        k = int(rng.integers(0, n + 1))
+        rows = np.array([np.sort(rng.choice(n, size=k, replace=False))
+                         for _ in range(5)], dtype=np.int64).reshape(5, k)
+        assert g._edges_within_rows(rows).tolist() == [naive_within(adj, r) for r in rows]
+        for row in rows:
+            assert g.edges_within(row) == naive_within(adj, row)
+            assert g.edges_across(row) == naive_across(adj, row, n)
+
     def test_packed_size_validated(self):
         with pytest.raises(ValidationError):
             GraphSample(10, np.zeros(99, dtype=np.uint8), 0, "null")
@@ -272,6 +295,18 @@ class TestExpectations:
         assert math.isclose(expected_total_null(model), 0.31, rel_tol=1e-12)
         assert math.isclose(expected_edges_null(model, [0, 1]), 0.06, rel_tol=1e-12)
         assert math.isclose(expected_edges_across_null(model, [0]), 0.16, rel_tol=1e-12)
+
+    def test_rank_one_mean_does_not_cancel(self):
+        # one dominant weight: (sum w)^2 - sum w^2 loses the small pairs
+        # to cancellation; the pair sum must stay within an ulp or two
+        w = [0.9, 1e-7, 1e-7]
+        model = RankOne(np.array(w))
+        exact = sum(Fraction(a) * Fraction(b) for a, b in itertools.combinations(w, 2))
+        for got in (expected_edges_null(model, [0, 1, 2]), expected_total_null(model),
+                    model.max_within_mean(np.arange(3), 3, 1)):
+            assert abs(Fraction(got) - exact) <= exact * 2**-51
+        assert model.within_mean(np.zeros((3, 1), dtype=np.int64)).tolist() == [0.0] * 3
+        assert model.within_mean(np.zeros((2, 0), dtype=np.int64)).tolist() == [0.0] * 2
 
     def test_homogeneous_closed_forms(self):
         model = Homogeneous(10, 0.3)
@@ -352,6 +387,18 @@ class TestInterchange:
         path = tmp_path / "bad.txt"
         path.write_text("17\n")
         with pytest.raises(ValidationError, match="header"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("4 1\n0 x\n", "malformed edge line '0 x"),
+        ("4 2\n0 1\n1.5 2\n", "malformed edge line '1.5 2"),
+        ("x 1\n0 1\n", "malformed header"),
+        ("4 one\n0 1\n", "malformed header"),
+    ], ids=["edge-word", "edge-float", "header-word-n", "header-word-m"])
+    def test_edge_list_rejects_non_integer_tokens(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
             read_edge_list(path)
 
     def test_edge_list_rejects_count_mismatch(self, tmp_path):

@@ -187,6 +187,21 @@ class TestScanKnown:
         assert a.statistic == b.statistic
         assert a.subset == b.subset
 
+    @pytest.mark.parametrize("subsets, message", [
+        (((0, 1), (2, 12)), "vertex 12 out of range for n=12"),
+        (((0, 1), (-1, 3)), "vertex -1 out of range for n=12"),
+        (((0, 1, 2), (4, 4, 5)), "duplicate vertex 4 in subset"),
+    ], ids=["above-range", "below-range", "repeated"])
+    def test_explicit_family_validated_at_scan_time(self, subsets, message):
+        # the family is built without knowing n; both scans reject a bad
+        # member with the message check_subset gives for it
+        g = graph_from_edges(12, [])
+        cfg = ScanConfig(r=3, family=Explicit(subsets))
+        with pytest.raises(ValidationError, match=message):
+            scan_known(Homogeneous(12, 0.1), g, cfg)
+        with pytest.raises(ValidationError, match=message):
+            scan_unknown(g, cfg)
+
     def test_weight_prefix_needs_weights(self):
         g = graph_from_edges(10, [])
         cfg = ScanConfig(r=4, family=WeightPrefix(2, 4))
@@ -360,6 +375,19 @@ class TestScanUnknown:
             )
             assert out.statistic == ref_stat
             assert out.subset == ref_subset
+
+    @pytest.mark.parametrize("kind", ["homogeneous", "rank_one"])
+    def test_statistic_is_stat_unknown_of_its_subset(self, kind):
+        n = 14
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            if kind == "homogeneous":
+                model = Homogeneous(n, float(rng.uniform(0.05, 0.6)))
+            else:
+                model = RankOne(rng.uniform(0.05, 0.8, size=n))
+            g = sample_null(model, seed)
+            out = scan_unknown(g, ScanConfig(r=5))
+            assert out.statistic == stat_unknown(g, out.subset)
 
     def test_family_below_size_floor_rejected(self):
         g = graph_from_edges(40, [])
