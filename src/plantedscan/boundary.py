@@ -263,11 +263,13 @@ def _best_prefix(weights: np.ndarray, members: np.ndarray,
     Returns (k_star, objective, mean_edges, ordered_members)."""
     order = _prefix_order(weights, members)
     w = weights[order]
-    s = np.cumsum(w)
-    ss = np.cumsum(w * w)
+    # prefix means as sums of w_a * (w_0 + ... + w_{a-1}): every term is
+    # positive, so nothing cancels when one weight dominates
+    means = np.zeros(order.size)
+    means[1:] = np.cumsum(w[1:] * np.cumsum(w)[:-1])
     best = None
     for k in range(1, order.size + 1):
-        mean_k = 0.5 * (s[k - 1] ** 2 - ss[k - 1])
+        mean_k = means[k - 1]
         obj = mean_k / denom(k)
         # strict improvement only: ties resolve to the smaller prefix
         if best is None or obj > best[1]:

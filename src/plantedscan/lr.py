@@ -78,10 +78,11 @@ class LrProblem:
         if self.rho_map is not None:
             cleaned = {}
             for key, value in self.rho_map.items():
-                kt = tuple(int(v) for v in key)
-                check_subset(n, kt)
+                kt = tuple(int(v) for v in check_subset(n, key))
                 if len(kt) != self.r:
                     raise ValidationError(f"rho_map key {kt} does not have size r={self.r}")
+                if kt in cleaned:
+                    raise ValidationError(f"rho_map has two keys for community {kt}")
                 if not (value >= 1.0 and math.isfinite(value)):
                     raise ValidationError(f"rho_map value for {kt} must be >= 1, got {value}")
                 cleaned[kt] = float(value)

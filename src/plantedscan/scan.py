@@ -11,13 +11,22 @@ union bound over all subsets of size at most r is summable once T exceeds
 (floored away from zero) and restricts candidate sizes to at least
 ceil(r^(1/3)), rejecting at 1 + eps/3.
 
-Scans maximise the statistic over a subset family.  Candidates stream in
-batches (size ascending, lexicographic within a size) and are evaluated
-vectorised; the first strict maximum in that order wins, which breaks
-ties toward the smaller subset, then the lexicographically smallest
-vertex tuple, independent of batch boundaries.  The one-subset statistic
-functions evaluate a one-row block with the scans' own per-block code, so
-a scan outcome is bit-for-bit reproducible subset by subset.
+Scans maximise the statistic over a subset family.  Everything but the
+edge counts is independent of the graph, so each scan runs a compiled
+plan: one layer per candidate size (ascending), holding the family's
+validated rows in lexicographic order, their null means (known-probability
+scans only), the normaliser |D| ln(n/|D|) and the blind floor.  A plan is
+built on first use for its (family, n, model) and reused by later scans
+while it is among the few most recent; models and families are immutable,
+so a cached plan cannot go stale.  Per graph, a scan counts edges and
+applies the kernel to slices of at most _BATCH_ROWS rows of each layer;
+the kernel runs only where the count exceeds a positive mean, every other
+row scoring 0.0.  The first strict maximum in plan order wins, which
+breaks ties toward the smaller subset, then the lexicographically
+smallest vertex tuple, independent of slice boundaries.  The one-subset
+statistic functions evaluate a one-row block with the scans' own
+per-block code, so a scan outcome is bit-for-bit reproducible subset by
+subset.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -53,14 +62,19 @@ __all__ = [
 
 DEFAULT_SUBSET_BUDGET = 5_000_000
 
+# compiled plans kept for reuse: a risk estimate runs one plan, a caller
+# alternating the known and the blind scan two; each costs about
+# (4k + 8) bytes per row of size k
+_PLAN_CACHE_SIZE = 2
+
 
 class SubsetFamily:
     """A family of candidate subsets; each kind (de)serialises itself.
 
     to_dict() is the full description that from_dict() reads back;
-    describe() is the summary a ScanOutcome records; _row_blocks(n, model)
-    yields validated (m, k) arrays of row-sorted subsets, sizes ascending
-    and lexicographic within each size.
+    describe() is the summary a ScanOutcome records; _row_tables(n, model)
+    yields one validated, read-only (m, k) array of row-sorted subsets per
+    size, sizes ascending and rows lexicographic.
     """
 
     def describe(self) -> dict:
@@ -106,14 +120,32 @@ class Exhaustive(_SizeRange):
     def count(self, n: int) -> int:
         return sum(math.comb(n, k) for k in range(self.min_size, min(self.max_size, n) + 1))
 
-    def _row_blocks(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
+    def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
+        # the first table is enumerated directly: C(n, k) below min_size can
+        # exceed the whole family by orders of magnitude
         lo, hi = self.size_range(n)
         for k in range(lo, hi + 1):
-            source = itertools.combinations(range(n), k)
-            while block := list(itertools.islice(source, _BATCH_ROWS)):
-                flat = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64,
-                                   count=len(block) * k)
-                yield flat.reshape(len(block), k)
+            if k == lo:
+                rows = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+                                   dtype=np.int32, count=math.comb(n, k) * k).reshape(-1, k)
+            else:
+                rows = _extend_combinations(rows, n)
+            rows.flags.writeable = False
+            yield rows
+
+
+def _extend_combinations(rows: np.ndarray, n: int) -> np.ndarray:
+    """The (k+1)-subsets of range(n) from its k-subsets, both lexicographic:
+    vertex a followed by each k-subset whose first vertex exceeds a."""
+    m, k = rows.shape
+    starts = np.searchsorted(rows[:, 0], np.arange(1, n + 1)).tolist()
+    out = np.empty((sum(m - s for s in starts), k + 1), dtype=rows.dtype)
+    at = 0
+    for a, s in enumerate(starts):
+        out[at : at + m - s, 0] = a
+        out[at : at + m - s, 1:] = rows[s:]
+        at += m - s
+    return out
 
 
 @dataclass(frozen=True)
@@ -129,13 +161,15 @@ class WeightPrefix(_SizeRange):
     def count(self, n: int) -> int:
         return min(self.max_size, n) - self.min_size + 1
 
-    def _row_blocks(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
+    def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
         if not isinstance(model, RankOne):
             raise ValidationError("WeightPrefix requires a rank-one model with known weights")
         order = np.argsort(-model.weights, kind="stable")
         lo, hi = self.size_range(n)
         for k in range(lo, hi + 1):
-            yield np.sort(order[:k]).astype(np.int64).reshape(1, k)
+            rows = np.sort(order[:k]).astype(np.int64).reshape(1, k)
+            rows.flags.writeable = False
+            yield rows
 
 
 @dataclass(frozen=True)
@@ -152,12 +186,19 @@ class Explicit(SubsetFamily):
             self, "subsets", tuple(tuple(int(v) for v in sorted(s)) for s in self.subsets)
         )
 
+    def __hash__(self) -> int:
+        # hashed once: the plan cache looks the family up on every scan
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.subsets)
+
     def count(self, n: int) -> int:
         return len(self.subsets)
 
     def size_range(self, n: int) -> tuple[int, int]:
-        sizes = [len(s) for s in self.subsets]
-        return min(sizes), max(sizes)
+        return self._size_blocks[0].shape[1], self._size_blocks[-1].shape[1]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "subsets": [list(s) for s in self.subsets]}
@@ -169,16 +210,18 @@ class Explicit(SubsetFamily):
     def _size_blocks(self) -> tuple[np.ndarray, ...]:
         # one (m, k) array per size, sizes ascending, rows lexicographic
         ordered = sorted(self.subsets, key=lambda s: (len(s), s))
-        return tuple(
+        blocks = tuple(
             np.array(list(group), dtype=np.int64)
             for _, group in itertools.groupby(ordered, key=len)
         )
+        for rows in blocks:
+            rows.flags.writeable = False
+        return blocks
 
-    def _row_blocks(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
+    def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
         for rows in self._size_blocks:
             _check_rows(n, rows)
-            for start in range(0, rows.shape[0], _BATCH_ROWS):
-                yield rows[start : start + _BATCH_ROWS]
+            yield rows
 
     @classmethod
     def _from_dict(cls, raw: Mapping) -> "Explicit":
@@ -255,38 +298,72 @@ def _check_scan_size(n: int, k: int) -> None:
         raise ValidationError(f"statistic undefined for |D| = {k} with n = {n} (needs |D| < n)")
 
 
-def _known_stats(model: EdgeProbabilityModel, sample: GraphSample,
-                 rows: np.ndarray) -> np.ndarray:
-    """Known-probability statistic of every row of an (m, k) block."""
-    k = rows.shape[1]
-    counts = sample._edges_within_rows(rows)
-    means = model.within_mean(rows)
-    safe = np.where(means > 0.0, means, 1.0)
-    x = np.maximum(counts / safe - 1.0, 0.0)
-    x = np.where(means > 0.0, x, 0.0)
-    return means * entropy_h_vec(x) / (k * math.log(sample.n / k))
+@dataclass(frozen=True)
+class _Layer:
+    """The candidates of one size in a compiled plan."""
+
+    rows: np.ndarray          # (m, k) validated row-sorted subsets, read-only
+    means: np.ndarray | None  # null mean of each row; None in a blind plan
+    norm: float               # k ln(n/k)
+    floor: float | None       # blind floor (k^2/n) ln(n/k)^4; None in a known plan
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(family: SubsetFamily, n: int,
+          model: EdgeProbabilityModel | None) -> tuple[_Layer, ...]:
+    """The graph-independent part of a scan over family on n vertices, with
+    null means from model (None for the blind scan), sizes ascending."""
+    layers = []
+    for rows in family._row_tables(n, model):
+        k = rows.shape[1]
+        _check_scan_size(n, k)
+        means = floor = None
+        if model is None:
+            floor = _blind_floor(n, k)
+        else:
+            means = np.empty(rows.shape[0])
+            for s in range(0, rows.shape[0], _BATCH_ROWS):
+                means[s : s + _BATCH_ROWS] = model.within_mean(rows[s : s + _BATCH_ROWS])
+            means.flags.writeable = False
+        layers.append(_Layer(rows, means, _norm(n, k), floor))
+    if not layers:
+        raise ValidationError("subset family yielded no candidates")
+    return tuple(layers)
+
+
+def _scores(counts: np.ndarray, means: np.ndarray, norm: float) -> np.ndarray:
+    """means * h(counts / means - 1) / norm where a count exceeds its
+    positive mean; 0.0 elsewhere, which is that formula's value at no
+    overshoot and the convention at a zero mean."""
+    hot = (counts > means) & (means > 0.0)
+    mu = means[hot]
+    out = np.zeros(means.shape)
+    out[hot] = mu * entropy_h_vec(counts[hot] / mu - 1.0) / norm
+    return out
+
+
+def _norm(n: int, k: int) -> float:
+    return k * math.log(n / k)
 
 
 def _blind_floor(n: int, k: int) -> float:
     return (k * k / n) * math.log(n / k) ** 4
 
 
-def _blind_stat_from_counts(n_eff: int, k: int, counts: np.ndarray,
-                            cross: np.ndarray, e_total: float) -> np.ndarray:
+def _blind_stat_from_counts(counts: np.ndarray, cross: np.ndarray, e_total: float,
+                            floor: float, norm: float) -> np.ndarray:
     radicand = np.maximum(e_total - 2.0 * cross, 0.0)
     root = math.sqrt(e_total) - np.sqrt(radicand)
-    mean = np.maximum(root * root / 4.0, _blind_floor(n_eff, k))
-    x = np.maximum(counts / mean - 1.0, 0.0)
-    return mean * entropy_h_vec(x) / (k * math.log(n_eff / k))
+    return _scores(counts, np.maximum(root * root / 4.0, floor), norm)
 
 
-def _blind_stats(sample: GraphSample, rows: np.ndarray, n_eff: int,
-                 e_total: float) -> np.ndarray:
+def _blind_stats(sample: GraphSample, rows: np.ndarray, e_total: float,
+                 floor: float, norm: float) -> np.ndarray:
     """Blind statistic of every row of an (m, k) block; e_total is the
     sample's edge count."""
     counts = sample._edges_within_rows(rows)
     cross = sample._degrees[rows].sum(axis=1) - 2 * counts
-    return _blind_stat_from_counts(n_eff, rows.shape[1], counts, cross, e_total)
+    return _blind_stat_from_counts(counts, cross, e_total, floor, norm)
 
 
 def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
@@ -300,29 +377,31 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
     _check_scan_size(sample.n, d.size)
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
-    return float(_known_stats(model, sample, d[None, :])[0])
+    rows = d[None, :]
+    return float(_scores(sample._edges_within_rows(rows), model.within_mean(rows),
+                         _norm(sample.n, d.size))[0])
 
 
-def _scan_batches(batches: Iterator[np.ndarray], n: int, stat_batch,
-                  keep_trace: bool) -> tuple[float, tuple[int, ...], dict | None, int]:
+def _run_plan(plan: tuple[_Layer, ...], stats_of: Callable[[_Layer, slice], np.ndarray],
+              keep_trace: bool) -> tuple[float, tuple[int, ...], dict | None, int]:
+    """First strict maximum of stats_of(layer, rows slice) in plan order."""
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
     evaluated = 0
-    for rows in batches:
-        m, k = rows.shape
-        _check_scan_size(n, k)
+    for layer in plan:
+        m, k = layer.rows.shape
         evaluated += m
-        stats = stat_batch(rows)
-        i = int(np.argmax(stats))
-        mx = float(stats[i])
-        if mx > best_stat:
-            best_stat = mx
-            best_subset = tuple(int(v) for v in rows[i])
-        if keep_trace and (k not in trace or mx > trace[k][0]):
-            trace[k] = (mx, tuple(int(v) for v in rows[i]))
-    if best_subset is None:
-        raise ValidationError("subset family yielded no candidates")
+        for start in range(0, m, _BATCH_ROWS):
+            sl = slice(start, start + _BATCH_ROWS)
+            stats = stats_of(layer, sl)
+            i = int(np.argmax(stats))
+            mx = float(stats[i])
+            if mx > best_stat:
+                best_stat = mx
+                best_subset = tuple(int(v) for v in layer.rows[start + i])
+            if keep_trace and (k not in trace or mx > trace[k][0]):
+                trace[k] = (mx, tuple(int(v) for v in layer.rows[start + i]))
     return best_stat, best_subset, (trace if keep_trace else None), evaluated
 
 
@@ -349,9 +428,11 @@ def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanCon
             f"family enumerates {count} subsets, over the budget {config.budget}"
         )
     threshold = 1.0 + config.epsilon / 2.0
-    stat, subset, trace, evaluated = _scan_batches(
-        family._row_blocks(n, model), n,
-        lambda rows: _known_stats(model, sample, rows), keep_trace
+    stat, subset, trace, evaluated = _run_plan(
+        _plan(family, n, model),
+        lambda layer, sl: _scores(sample._edges_within_rows(layer.rows[sl]), layer.means[sl],
+                                  layer.norm),
+        keep_trace,
     )
     return ScanOutcome(
         statistic=stat,
@@ -429,7 +510,8 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
     n_eff = sample.n if n is None else int(n)
     if n_eff <= d.size:
         raise ValidationError(f"floor undefined for n={n_eff} <= |D|={d.size}")
-    return float(_blind_stats(sample, d[None, :], n_eff, float(sample.total_edges()))[0])
+    return float(_blind_stats(sample, d[None, :], float(sample.total_edges()),
+                              _blind_floor(n_eff, d.size), _norm(n_eff, d.size))[0])
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,
@@ -462,9 +544,10 @@ def scan_unknown(sample: GraphSample, config: ScanConfig,
         )
     threshold = 1.0 + config.epsilon / 3.0
     e_total = float(sample.total_edges())
-    stat, subset, trace, evaluated = _scan_batches(
-        family._row_blocks(n, None), n,
-        lambda rows: _blind_stats(sample, rows, n, e_total), keep_trace
+    stat, subset, trace, evaluated = _run_plan(
+        _plan(family, n, None),
+        lambda layer, sl: _blind_stats(sample, layer.rows[sl], e_total, layer.floor, layer.norm),
+        keep_trace,
     )
     md = _metadata(n, config.r, evaluated)
     md["size_window"] = [k_min, config.r]

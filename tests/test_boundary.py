@@ -93,6 +93,15 @@ class TestOptimalSubgraph:
             assert a.subset == b.subset
             assert a.objective == pytest.approx(b.objective, rel=1e-12)
 
+    def test_prefix_mean_does_not_cancel(self):
+        # one dominant weight: 0.5((sum w)^2 - sum w^2) loses 5.7e-10 of
+        # the prefix mean here, the sum of positive pair terms does not
+        w = [0.9, 1e-7, 1e-7, 0.5]
+        opt = optimal_subgraph(RankOne(w), (0, 1, 2))
+        assert opt.subset == (0, 1, 2)
+        exact = math.fsum([w[0] * w[1], w[0] * w[2], w[1] * w[2]])
+        assert opt.mean_edges == pytest.approx(exact, rel=1e-15, abs=0.0)
+
     def test_general_budget(self):
         m = np.zeros((30, 30))
         m[0, 1] = m[1, 0] = 0.5

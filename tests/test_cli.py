@@ -2,8 +2,11 @@
 output formats, and exit codes (0 ok, 2 validation, 3 budget)."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +78,16 @@ class TestTable1:
         assert exe, "console script not on PATH"
         proc = subprocess.run([exe, "table1"], capture_output=True, text=True)
         assert proc.returncode == 0
+        assert "degenerate" in proc.stdout
+
+
+    def test_module_entry_point(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "plantedscan", "table1"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
         assert "degenerate" in proc.stdout
 
 

@@ -104,6 +104,17 @@ class TestSingle:
         assert likelihood_ratio_single(prob, (0, 1), g) == 0.0
         assert likelihood_ratio_single(prob, (0, 2), g) == 1.0
 
+    def test_rho_map_key_order_is_irrelevant(self):
+        # keys are stored sorted, so (1, 0) overrides the community (0, 1)
+        model = Homogeneous(8, 0.3)
+        g = graph_from_edges(8, [(0, 1)])
+        swapped = LrProblem(model, 2, 1.0, rho_map={(1, 0): 2.0})
+        ordered = LrProblem(model, 2, 1.0, rho_map={(0, 1): 2.0})
+        assert swapped.rho_map == {(0, 1): 2.0}
+        assert likelihood_ratio_single(swapped, (0, 1), g) == 2.0
+        assert (likelihood_ratio_average(swapped, g).value
+                == likelihood_ratio_average(ordered, g).value)
+
     def test_rho_one_is_exactly_one_and_saturation_exactly_zero(self):
         rng = np.random.default_rng(8)
         model = RankOne(rng.uniform(0.1, 0.5, size=10))
@@ -309,6 +320,8 @@ class TestProblemValidation:
             LrProblem(model, 3, 1.5, rho_map={(0, 1): 1.5})
         with pytest.raises(ValidationError, match="must be >= 1"):
             LrProblem(model, 3, 1.5, rho_map={(0, 1, 2): 0.5})
+        with pytest.raises(ValidationError, match="two keys"):
+            LrProblem(model, 3, 1.5, rho_map={(0, 1, 2): 1.5, (2, 1, 0): 2.0})
 
     def test_budget_and_sample_size_checks(self):
         model = Homogeneous(6, 0.3)

@@ -7,13 +7,16 @@ fixtures come from tests/oracles/frozen_values.py.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plantedscan import (
     BudgetError,
     Exhaustive,
+    ExperimentConfig,
     Explicit,
     GeneralMatrix,
     GraphSample,
@@ -26,6 +29,7 @@ from plantedscan import (
     estimate_expected_edges,
     estimate_expected_edges_thresholded,
     estimate_from_totals,
+    estimate_risk,
     expected_edges_across_null,
     expected_edges_null,
     expected_total_null,
@@ -37,7 +41,8 @@ from plantedscan import (
     stat_known,
     stat_unknown,
 )
-from plantedscan.scan import _blind_stat_from_counts
+from plantedscan import scan as scan_module
+from plantedscan.scan import _blind_floor, _blind_stat_from_counts
 from plantedscan.seeding import derive_seed, generator
 
 
@@ -311,7 +316,8 @@ class TestStatUnknown:
         # (max 6), so this pin is applied at the formula level: mean is the
         # n = 1024 floor, overshoot 30/floor - 1
         got = _blind_stat_from_counts(
-            1024, 4, np.array([30.0]), np.array([0.0]), 0.0
+            np.array([30.0]), np.array([0.0]), 0.0,
+            _blind_floor(1024, 4), 4 * math.log(1024 / 4),
         )
         assert float(got[0]) == pytest.approx(0.271606535070808, rel=1e-12)
 
@@ -483,3 +489,171 @@ class TestScanMonotonicity:
                 denser = self._add_edge(g, a, b)
                 grown = scan_known(model, denser, cfg)
                 assert grown.statistic >= out.statistic
+
+
+def _random_model(kind, n, rng):
+    if kind == "homogeneous":
+        return Homogeneous(n, float(rng.uniform(0.05, 0.6)))
+    if kind == "rank_one":
+        return RankOne(rng.uniform(0.05, 0.8, size=n))
+    m = np.triu(rng.uniform(0.0, 0.6, size=(n, n)) * (rng.random((n, n)) < 0.8), 1)
+    return GeneralMatrix(m + m.T)
+
+
+def first_max_reference(candidates, stat):
+    """First strict maximum over candidates (in scan order), overall and
+    per size, evaluated one subset at a time."""
+    best, trace = (-math.inf, None), {}
+    for d in candidates:
+        t = stat(d)
+        if t > best[0]:
+            best = (t, d)
+        if len(d) not in trace or t > trace[len(d)][0]:
+            trace[len(d)] = (t, d)
+    return best, trace
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(3, 12))
+    kind = draw(st.sampled_from(["homogeneous", "rank_one", "general"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = _random_model(kind, n, rng)
+    r = draw(st.integers(1, min(n - 1, 4)))
+    lo = draw(st.integers(1, r))
+    families = ["exhaustive", "explicit"] + (["weight_prefix"] if kind == "rank_one" else [])
+    family_kind = draw(st.sampled_from(families))
+    if family_kind == "exhaustive":
+        family = Exhaustive(lo, r)
+        candidates = [d for k in range(lo, r + 1) for d in itertools.combinations(range(n), k)]
+    elif family_kind == "weight_prefix":
+        family = WeightPrefix(lo, r)
+        order = np.argsort(-model.weights, kind="stable")
+        candidates = [tuple(sorted(int(v) for v in order[:k])) for k in range(lo, r + 1)]
+    else:
+        subsets = [tuple(int(v) for v in rng.choice(n, size=int(rng.integers(lo, r + 1)),
+                                                    replace=False))
+                   for _ in range(draw(st.integers(1, 30)))]
+        family = Explicit(tuple(subsets))
+        candidates = sorted((tuple(sorted(d)) for d in subsets), key=lambda d: (len(d), d))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    bits = rng.random(n * (n - 1) // 2) < density
+    g = GraphSample(n, np.packbits(bits), None, "imported")
+    return model, g, r, family, candidates
+
+
+class TestScanPlan:
+    """The compiled plan against subset-by-subset evaluation, and its cache."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(scan_cases())
+    def test_scans_equal_first_maximum_of_one_subset_statistics(self, case):
+        model, g, r, family, candidates = case
+        out = scan_known(model, g, ScanConfig(r, family=family), keep_trace=True)
+        best, trace = first_max_reference(candidates, lambda d: stat_known(model, g, d))
+        assert (out.statistic, out.subset) == best
+        assert out.size_trace == trace
+        assert out.metadata["subsets_evaluated"] == len(candidates)
+        k_min = min_blind_size(r)
+        blind = [d for d in candidates if len(d) >= k_min]
+        if isinstance(family, WeightPrefix) or not blind:
+            return
+        if isinstance(family, Explicit):
+            family = Explicit(tuple(blind))
+        else:
+            family = Exhaustive(max(family.min_size, k_min), r)
+        out = scan_unknown(g, ScanConfig(r, family=family), keep_trace=True)
+        best, trace = first_max_reference(blind, lambda d: stat_unknown(g, d))
+        assert (out.statistic, out.subset) == best
+        assert out.size_trace == trace
+        assert out.metadata["subsets_evaluated"] == len(blind)
+
+    def test_models_with_equal_n_get_their_own_plans(self):
+        rng = np.random.default_rng(3)
+        a, b = (RankOne(rng.uniform(0.05, 0.5, size=10)) for _ in range(2))
+        g = sample_null(a, 1)
+        cfg = ScanConfig(r=3)
+        outcomes = {}
+        for _ in range(2):
+            for name, model in (("a", a), ("b", b)):
+                out = scan_known(model, g, cfg)
+                ref = brute_max(10, range(1, 4), lambda d: stat_known(model, g, d))
+                assert (out.statistic, out.subset) == ref
+                outcomes[name] = out.statistic
+        assert outcomes["a"] != outcomes["b"]
+
+    def test_estimate_risk_builds_each_plan_once(self):
+        model = RankOne(np.random.default_rng(5).uniform(0.05, 0.5, size=12))
+        for test in ("scan_known", "scan_unknown"):
+            config = ExperimentConfig(model=model, test=test, r=3, rho=2.0, communities=2,
+                                      null_replications=4, alt_replications=3, workers=1)
+            scan_module._plan.cache_clear()
+            estimate_risk(config)
+            info = scan_module._plan.cache_info()
+            assert (info.misses, info.hits) == (1, 4 + 2 * 3 - 1)
+
+    def test_layer_past_one_slice(self):
+        n = 60
+        assert math.comb(n, 3) > scan_module._BATCH_ROWS
+        cfg = ScanConfig(r=3, family=Exhaustive(3, 3))
+        model = Homogeneous(n, 0.1)
+        # all rows score 0.0: the first row of the layer is reported
+        g = graph_from_edges(n, [])
+        for out in (scan_known(model, g, cfg, keep_trace=True),
+                    scan_unknown(g, cfg, keep_trace=True)):
+            assert (out.statistic, out.subset) == (0.0, (0, 1, 2))
+            assert out.size_trace == {3: (0.0, (0, 1, 2))}
+            assert out.metadata["subsets_evaluated"] == math.comb(n, 3)
+        # the maximum is the layer's last row, in its last slice
+        g = graph_from_edges(n, [(57, 58), (57, 59), (58, 59)])
+        out = scan_known(model, g, cfg, keep_trace=True)
+        assert out.subset == (57, 58, 59)
+        assert out.statistic == stat_known(model, g, (57, 58, 59))
+        assert out.size_trace == {3: (out.statistic, (57, 58, 59))}
+
+    def test_zero_mean_rows_score_zero(self):
+        # pairs inside {0, 1, 2} have p = 0 but carry edges in the graph
+        m = np.full((6, 6), 0.3)
+        m[:3, :3] = 0.0
+        np.fill_diagonal(m, 0.0)
+        model = GeneralMatrix(m)
+        g = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        cfg = ScanConfig(r=3, family=Explicit(((0, 1), (0, 1, 2), (3, 4, 5))))
+        out = scan_known(model, g, cfg, keep_trace=True)
+        assert out.size_trace[2] == (0.0, (0, 1))
+        assert out.subset == (3, 4, 5) and out.statistic > 0.0
+        assert stat_known(model, g, (0, 1, 2)) == 0.0
+
+    def test_sizes_above_half_n(self):
+        # C(30, 15) is about 1.5e8: a plan must not pass through the sizes
+        # below min_size on its way to 26..28
+        n, family = 30, Exhaustive(26, 28)
+        plan = scan_module._plan.__wrapped__(family, n, None)
+        for k, layer in zip(range(26, 29), plan):
+            assert layer.rows.tolist() == [list(d) for d in itertools.combinations(range(n), k)]
+        assert sum(layer.rows.shape[0] for layer in plan) == family.count(n) == 31_900
+        # and the scans over such a family, against every subset
+        n, r = 14, 12
+        model = Homogeneous(n, 0.5)
+        g = sample_null(model, 4)
+        cfg = ScanConfig(r=r, family=Exhaustive(10, r))
+        candidates = [d for k in range(10, r + 1) for d in itertools.combinations(range(n), k)]
+        out = scan_known(model, g, cfg, keep_trace=True)
+        best, trace = first_max_reference(candidates, lambda d: stat_known(model, g, d))
+        assert (out.statistic, out.subset) == best and out.size_trace == trace
+        out = scan_unknown(g, cfg, keep_trace=True)
+        best, trace = first_max_reference(candidates, lambda d: stat_unknown(g, d))
+        assert (out.statistic, out.subset) == best and out.size_trace == trace
+
+    def test_plan_memory_is_its_layers(self):
+        # the tables for sizes 17 and 18 of n = 20 take 92 kB; the size-10
+        # table alone would take 7.4 MB
+        tracemalloc.start()
+        try:
+            plan = scan_module._plan.__wrapped__(Exhaustive(17, 18), 20, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(layer.rows.nbytes for layer in plan)
+        assert [layer.rows.shape for layer in plan] == [(1140, 17), (190, 18)]
+        assert peak < 2 * held
