@@ -24,25 +24,18 @@ n^(-1/8).
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .kernels import entropy_h, entropy_h_inverse
-from .model import (
-    EdgeProbabilityModel,
-    Homogeneous,
-    RankOne,
-    check_subset,
-    expected_edges_null,
-)
+from .model import EdgeProbabilityModel, _best_prefix, check_subset, write_csv
 
 __all__ = [
     "Degenerate",
@@ -72,6 +65,37 @@ DEFAULT_SUBSET_BUDGET = 1 << 20
 # -- weight profile distributions ---------------------------------------------
 
 
+class WeightDistribution:
+    """A community weight profile, as the quantile route sees it.
+
+    Each profile class supplies:
+      upper_integral(alpha)  the integral of its upper alpha-quantile;
+      support_max()          its largest value, None when unbounded above;
+      alpha_candidates()     the alphas in (0, 1] among which J is largest;
+      upper_quantile(ys)     its values x at upper-tail levels ys, giving
+                             weights (s + x) / ln(n)^norm_exponent.
+    A literal weight vector overrides community_size and community_weights
+    instead.  A new profile is one subclass.
+    """
+
+    def community_size(self, r: int | None, n: int, regime: str) -> int:
+        """r of the finite-n route: the one asked for, else ln(n)^4, times
+        n^(1/4) in the quarter_power regime."""
+        if r is not None:
+            return r
+        base = math.log(n) ** 4
+        if regime == "quarter_power":
+            base *= n ** 0.25
+        return max(2, int(base))
+
+    def community_weights(self, r: int, n: int) -> np.ndarray:
+        """Descending community weights: r quantile midpoints of the profile,
+        scaled by ln(n)^(-norm_exponent)."""
+        ys = (np.arange(r, dtype=np.float64) + 0.5) / r  # upper-tail midpoints
+        w = (self.s + self.upper_quantile(ys)) / math.log(n) ** self.norm_exponent
+        return np.sort(w)[::-1]
+
+
 def _check_shift(s: float) -> float:
     s = float(s)
     if s < 0 or not math.isfinite(s):
@@ -80,7 +104,7 @@ def _check_shift(s: float) -> float:
 
 
 @dataclass(frozen=True)
-class Degenerate:
+class Degenerate(WeightDistribution):
     """All community weights equal: profile s + value."""
 
     s: float
@@ -98,9 +122,15 @@ class Degenerate:
     def support_max(self) -> float:
         return self.s + self.value
 
+    def alpha_candidates(self) -> list[float]:
+        return [1.0]
+
+    def upper_quantile(self, ys: np.ndarray) -> np.ndarray:
+        return np.full(ys.size, self.value)
+
 
 @dataclass(frozen=True)
-class ShiftedBernoulli:
+class ShiftedBernoulli(WeightDistribution):
     """Profile s + t*X with X ~ Bernoulli(q)."""
 
     q: float
@@ -121,9 +151,15 @@ class ShiftedBernoulli:
     def support_max(self) -> float:
         return self.s + self.t
 
+    def alpha_candidates(self) -> list[float]:
+        return [self.q, 1.0]
+
+    def upper_quantile(self, ys: np.ndarray) -> np.ndarray:
+        return np.where(ys < self.q, self.t, 0.0)
+
 
 @dataclass(frozen=True)
-class ShiftedUniform:
+class ShiftedUniform(WeightDistribution):
     """Profile s + X with X ~ Uniform(a, b)."""
 
     a: float
@@ -145,9 +181,15 @@ class ShiftedUniform:
     def support_max(self) -> float:
         return self.s + self.b
 
+    def alpha_candidates(self) -> list[float]:
+        return [min((2.0 / 3.0) * (self.s + self.b) / (self.b - self.a), 1.0)]
+
+    def upper_quantile(self, ys: np.ndarray) -> np.ndarray:
+        return self.a + (self.b - self.a) * (1.0 - ys)
+
 
 @dataclass(frozen=True)
-class ShiftedExponential:
+class ShiftedExponential(WeightDistribution):
     """Profile s + X with X ~ Exponential(rate lam)."""
 
     lam: float
@@ -165,9 +207,15 @@ class ShiftedExponential:
     def support_max(self) -> float | None:
         return None  # unbounded above
 
+    def alpha_candidates(self) -> list[float]:
+        return [min(math.exp(self.s * self.lam - 1.0), 1.0)]
+
+    def upper_quantile(self, ys: np.ndarray) -> np.ndarray:
+        return -np.log(ys) / self.lam
+
 
 @dataclass(frozen=True, eq=False)
-class Empirical:
+class Empirical(WeightDistribution):
     """A literal community weight profile, sorted descending."""
 
     weights: np.ndarray
@@ -197,10 +245,22 @@ class Empirical:
     def support_max(self) -> float:
         return float(self.weights[0])
 
+    def alpha_candidates(self) -> list[float]:
+        # I is piecewise linear in alpha, so J = I^2/(2 alpha) is convex on
+        # each segment: the maximum sits on a segment junction k/m
+        m = self.weights.size
+        return [k / m for k in range(1, m + 1)]
 
-WeightDistribution = Union[
-    Degenerate, ShiftedBernoulli, ShiftedUniform, ShiftedExponential, Empirical
-]
+    def community_size(self, r: int | None, n: int, regime: str) -> int:
+        if r is not None and r != self.weights.size:
+            raise ValidationError(
+                f"Empirical profile has {self.weights.size} weights but r={r} was requested"
+            )
+        return self.weights.size
+
+    def community_weights(self, r: int, n: int) -> np.ndarray:
+        return self.weights
+
 
 STANDARD_DISTRIBUTIONS: dict[str, WeightDistribution] = {
     "degenerate": Degenerate(s=0.1),
@@ -234,15 +294,18 @@ class BoundaryResult:
     feasible: bool | None = None
     metadata: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        out = {
+    def row(self) -> dict:
+        """The summary columns of the boundary CSVs, from the CLI and sweeps."""
+        return {
             "rho_star": self.rho_star,
             "optimal_size": self.optimal_size,
             "optimal_fraction": self.optimal_fraction,
             "objective": self.objective,
             "feasible": self.feasible,
-            "metadata": dict(self.metadata),
         }
+
+    def to_json(self) -> dict:
+        out = {**self.row(), "metadata": dict(self.metadata)}
         if self.subset is not None:
             out["subset"] = list(self.subset)
         return out
@@ -251,41 +314,14 @@ class BoundaryResult:
 # -- most informative subgraph ------------------------------------------------
 
 
-def _prefix_order(weights: np.ndarray, members: np.ndarray) -> np.ndarray:
-    # descending weight, ties by vertex id: stable sort on the negated key
-    return members[np.argsort(-weights[members], kind="stable")]
-
-
-def _best_prefix(weights: np.ndarray, members: np.ndarray,
-                 denom: Callable[[int], float]) -> tuple[int, float, float, np.ndarray]:
-    """argmax over k of prefix mean-edges / denom(k); ties to smaller k.
-
-    Returns (k_star, objective, mean_edges, ordered_members)."""
-    order = _prefix_order(weights, members)
-    w = weights[order]
-    # prefix means as sums of w_a * (w_0 + ... + w_{a-1}): every term is
-    # positive, so nothing cancels when one weight dominates
-    means = np.zeros(order.size)
-    means[1:] = np.cumsum(w[1:] * np.cumsum(w)[:-1])
-    best = None
-    for k in range(1, order.size + 1):
-        mean_k = means[k - 1]
-        obj = mean_k / denom(k)
-        # strict improvement only: ties resolve to the smaller prefix
-        if best is None or obj > best[1]:
-            best = (k, obj, mean_k)
-    return best[0], best[1], best[2], order
-
-
 def optimal_subgraph(model: EdgeProbabilityModel, community: Iterable[int],
                      budget: int = DEFAULT_SUBSET_BUDGET) -> OptimalSubgraph:
     """The subset of the community maximising E0[e(D)] / (|D| ln(n/|D|)).
 
-    Rank-one models need only the |C| weight-sorted prefixes (swapping any
-    member for a heavier outsider never decreases the numerator and leaves
-    the denominator alone).  Homogeneous models always return the whole
-    community.  General matrices fall back to exhaustive search over all
-    2^|C| - 1 subsets, guarded by the budget.
+    The model runs the search: Homogeneous returns the whole community,
+    RankOne compares the |C| weight-sorted prefixes, and GeneralMatrix
+    compares all 2^|C| - 1 subsets, guarded by the budget.  Ties go to the
+    smaller subset.
     """
     n = model.n
     c = check_subset(n, community)
@@ -293,48 +329,7 @@ def optimal_subgraph(model: EdgeProbabilityModel, community: Iterable[int],
         raise ValidationError("community must be non-empty")
     if c.size >= n:
         raise ValidationError(f"community must be a proper subset, got |C| = {c.size} = n")
-
-    if isinstance(model, Homogeneous):
-        # objective p(k-1) / (2 ln(n/k)) is strictly increasing in k
-        mean = expected_edges_null(model, c)
-        obj = mean / (c.size * math.log(n / c.size))
-        return OptimalSubgraph(tuple(int(v) for v in c), obj, mean)
-
-    if isinstance(model, RankOne):
-        k, obj, mean, order = _best_prefix(
-            model.weights, c, lambda k: k * math.log(n / k)
-        )
-        subset = tuple(sorted(int(v) for v in order[:k]))
-        return OptimalSubgraph(subset, obj, mean)
-
-    count = (1 << c.size) - 1
-    if count > budget:
-        raise BudgetError(
-            f"general-model search needs {count} subsets, over the budget {budget}"
-        )
-    sub = model.matrix[np.ix_(c, c)]
-    r = c.size
-    mean_of = np.zeros(1 << r)
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    for mask in range(1, 1 << r):
-        low = mask & -mask
-        rest = mask ^ low
-        i = low.bit_length() - 1
-        add = 0.0
-        mm = rest
-        while mm:
-            lb = mm & -mm
-            add += sub[i, lb.bit_length() - 1]
-            mm ^= lb
-        mean_of[mask] = mean_of[rest] + add
-        k = mask.bit_count()
-        obj = mean_of[mask] / (k * math.log(n / k))
-        key = (-obj, k, mask)
-        if best is None or key < best:
-            best = key
-    mask = best[2]
-    subset = tuple(int(c[i]) for i in range(r) if mask >> i & 1)
-    return OptimalSubgraph(subset, -best[0], float(mean_of[mask]))
+    return OptimalSubgraph(*model.optimal_subgraph(c, budget))
 
 
 def threshold_scaling(model: EdgeProbabilityModel, community: Iterable[int],
@@ -384,25 +379,8 @@ def _J(dist: WeightDistribution, alpha: float) -> float:
 
 
 def _alpha_closed_form(dist: WeightDistribution) -> tuple[float, float]:
-    """(alpha*, J*) from per-family stationarity; exact except Empirical,
-    which maximises exactly over its quantile segments."""
-    if isinstance(dist, Degenerate):
-        return 1.0, _J(dist, 1.0)
-    if isinstance(dist, ShiftedBernoulli):
-        cands = [dist.q, 1.0]
-    elif isinstance(dist, ShiftedUniform):
-        a0 = (2.0 / 3.0) * (dist.s + dist.b) / (dist.b - dist.a)
-        cands = [min(a0, 1.0)]
-    elif isinstance(dist, ShiftedExponential):
-        cands = [min(math.exp(dist.s * dist.lam - 1.0), 1.0)]
-    elif isinstance(dist, Empirical):
-        # I is piecewise linear in alpha, so J = I^2/(2 alpha) is convex on
-        # each segment: the maximum sits on a segment junction k/m
-        m = dist.weights.size
-        cands = [k / m for k in range(1, m + 1)]
-    else:
-        raise ValidationError(f"unsupported distribution {type(dist).__name__}")
-    best = max(cands, key=lambda a: _J(dist, a))
+    """(alpha*, J*), exactly, from the profile's stationary candidates."""
+    best = max(dist.alpha_candidates(), key=lambda a: _J(dist, a))
     return best, _J(dist, best)
 
 
@@ -439,11 +417,26 @@ def _alpha_numeric(dist: WeightDistribution, r: int | None) -> tuple[float, floa
     return a_star, _J(dist, a_star)
 
 
-def _default_r(n: int, regime: str) -> int:
-    base = math.log(n) ** 4
-    if regime == "quarter_power":
-        base *= n ** 0.25
-    return max(2, int(base))
+def _prefix_threshold(w: np.ndarray, n: int, denominator: str, target: float,
+                      what: str) -> BoundaryResult:
+    """The threshold of a community given by its descending weights w: the
+    best prefix under the "per_size" ln(n/k) or "log_n" ln(n) denominator,
+    rho*, the objective at rho*, and whether rho* keeps the largest pair
+    probability inside the community, w[0] * w[1], at most 1."""
+    denom = ((lambda k: k * math.log(n / k)) if denominator == "per_size"
+             else (lambda k: k * math.log(n)))
+    k_star, multiplier, mean_edges, _ = _best_prefix(w, np.arange(w.size), denom)
+    if mean_edges <= 0.0:
+        raise ValidationError(f"{what} carries no expected edges; threshold degenerate")
+    rho = 1.0 + entropy_h_inverse(target / multiplier)
+    return BoundaryResult(
+        rho_star=rho,
+        optimal_size=k_star,
+        optimal_fraction=k_star / w.size,
+        objective=multiplier * entropy_h(rho - 1.0),
+        feasible=bool(rho * (w[0] * w[1]) <= 1.0),
+        metadata={"multiplier": multiplier, "mean_edges_exact": mean_edges},
+    )
 
 
 def quantile_boundary(dist: WeightDistribution, *, r: int | None = None,
@@ -501,62 +494,22 @@ def quantile_boundary(dist: WeightDistribution, *, r: int | None = None,
         )
     if n is None:
         raise ValidationError(f"denominator {denominator!r} requires n")
-    if r is None:
-        r = len(dist.weights) if isinstance(dist, Empirical) else _default_r(n, regime)
-    if isinstance(dist, Empirical) and r != dist.weights.size:
-        raise ValidationError(
-            f"Empirical profile has {dist.weights.size} weights but r={r} was requested"
-        )
+    r = dist.community_size(r, n, regime)
     if not 2 <= r < n:
         raise ValidationError(f"need 2 <= r < n, got r={r}, n={n}")
-    w = _profile_weights(dist, r, n)
-    denom = ((lambda k: k * math.log(n / k)) if denominator == "per_size"
-             else (lambda k: k * math.log(n)))
-    k_star, multiplier, mean_edges, _ = _best_prefix(w, np.arange(r), denom)
-    if mean_edges <= 0.0:
-        raise ValidationError("profile carries no expected edges; threshold degenerate")
-    rho = 1.0 + entropy_h_inverse(target / multiplier)
+    w = dist.community_weights(r, n)
+    res = _prefix_threshold(w, n, denominator, target, "profile")
+    k_star = res.optimal_size
     top_mean = float(w[:k_star].mean())
-    mean_field = (k_star * (k_star - 1) / 2) * top_mean * top_mean
-    supp = dist.support_max()
-    w_max = w[0]
-    return BoundaryResult(
-        rho_star=rho,
-        optimal_size=k_star,
-        optimal_fraction=k_star / r,
-        objective=multiplier * entropy_h(rho - 1.0),
-        feasible=bool(rho * w_max * w_max <= 1.0),
-        metadata={
-            "multiplier": multiplier,
-            "mean_edges_exact": mean_edges,
-            "mean_edges_mean_field": mean_field,
-            "denominator": denominator,
-            "n": n,
-            "r": r,
-            "target": target,
-            "support_max": supp,
-        },
-    )
-
-
-def _profile_weights(dist: WeightDistribution, r: int, n: int) -> np.ndarray:
-    """Descending community weights: r quantile midpoints of the profile,
-    scaled by ln(n)^(-norm_exponent)."""
-    if isinstance(dist, Empirical):
-        return np.asarray(dist.weights, dtype=np.float64)
-    ys = (np.arange(r, dtype=np.float64) + 0.5) / r  # upper-tail midpoints
-    if isinstance(dist, Degenerate):
-        x = np.full(r, dist.value)
-    elif isinstance(dist, ShiftedBernoulli):
-        x = np.where(ys < dist.q, dist.t, 0.0)
-    elif isinstance(dist, ShiftedUniform):
-        x = dist.a + (dist.b - dist.a) * (1.0 - ys)
-    elif isinstance(dist, ShiftedExponential):
-        x = -np.log(ys) / dist.lam
-    else:
-        raise ValidationError(f"unsupported distribution {type(dist).__name__}")
-    w = (dist.s + x) / math.log(n) ** dist.norm_exponent
-    return np.sort(w)[::-1]
+    return replace(res, metadata={
+        **res.metadata,
+        "mean_edges_mean_field": (k_star * (k_star - 1) / 2) * top_mean * top_mean,
+        "denominator": denominator,
+        "n": n,
+        "r": r,
+        "target": target,
+        "support_max": dist.support_max(),
+    })
 
 
 def standard_table(mode: str = "analytic", regime: str = "polylog",
@@ -666,8 +619,6 @@ def boundary_surface(n: int, class_weights: Sequence[float],
                 for m1 in range(0, r + 1, step)
                 for m2 in range(0, r + 1 - m1, step)
             ]
-    denom = ((lambda k: k * math.log(n)) if denominator == "log_n"
-             else (lambda k: k * math.log(n / k)))
     rows = []
     for comp in compositions:
         comp = tuple(int(m) for m in comp)
@@ -676,20 +627,17 @@ def boundary_surface(n: int, class_weights: Sequence[float],
         size = sum(comp)
         if not 2 <= size < n:
             raise ValidationError(f"composition {comp} has size {size}, needs 2 <= size < n")
-        w = np.repeat(ws, comp)
-        k_star, multiplier, mean_edges, _ = _best_prefix(w, np.arange(size), denom)
-        if mean_edges <= 0.0:
-            raise ValidationError(f"composition {comp} carries no expected edges")
-        rho = 1.0 + entropy_h_inverse(target / multiplier)
+        res = _prefix_threshold(np.repeat(ws, comp), n, denominator, target,
+                                f"composition {comp}")
         bounds = np.cumsum(comp)
-        classes_used = int(np.searchsorted(bounds, k_star, side="left")) + 1
+        classes_used = int(np.searchsorted(bounds, res.optimal_size, side="left")) + 1
         rows.append(SurfaceRow(
             composition=comp,
-            rho_star=rho,
-            optimal_size=k_star,
+            rho_star=res.rho_star,
+            optimal_size=res.optimal_size,
             regime=_regime_label(classes_used, len(comp)),
-            objective=multiplier * entropy_h(rho - 1.0),
-            feasible=bool(rho * max(ws) ** 2 <= 1.0),
+            objective=res.objective,
+            feasible=res.feasible,
         ))
     return rows
 
@@ -699,16 +647,7 @@ def write_surface_csv(rows: Sequence[SurfaceRow], path: str | os.PathLike | io.T
     if not rows:
         raise ValidationError("no surface rows to write")
     width = len(rows[0].composition)
-    own = not isinstance(path, io.TextIOBase)
-    fh = open(path, "w", newline="", encoding="ascii") if own else path
-    try:
-        fh.write("#schema=1\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"count_{i + 1}" for i in range(width)]
-                        + ["rho_star", "optimal_size", "regime"])
-        for row in rows:
-            writer.writerow(list(row.composition)
-                            + [f"{row.rho_star:.12g}", row.optimal_size, row.regime])
-    finally:
-        if own:
-            fh.close()
+    write_csv([f"count_{i + 1}" for i in range(width)] + ["rho_star", "optimal_size", "regime"],
+              [list(row.composition) + [row.rho_star, row.optimal_size, row.regime]
+               for row in rows],
+              path)

@@ -13,8 +13,6 @@ error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from typing import Mapping, Sequence
@@ -33,7 +31,7 @@ from .boundary import (
     write_surface_csv,
 )
 from .errors import PlantedScanError, ValidationError
-from .harness import ExperimentConfig, _format_cell, estimate_risk, run_sweep
+from .harness import ExperimentConfig, _number, estimate_risk, run_sweep
 from .lr import DEFAULT_EXACT_BUDGET, DEFAULT_SAMPLE_SIZE, LrProblem, bayes_risk
 from .model import (
     PlantedAlternative,
@@ -42,6 +40,7 @@ from .model import (
     read_edge_list,
     sample_alternative,
     sample_null,
+    write_csv,
     write_edge_list,
 )
 from .scan import DEFAULT_SUBSET_BUDGET, Exhaustive, ScanConfig, scan_known, scan_unknown
@@ -66,6 +65,10 @@ def _config_dict(args) -> dict:
     return _load_json(args.config) if args.config else {}
 
 
+def _config_number(cfg: Mapping, key: str, default, kind: type):
+    return _number(key, cfg.get(key, default), kind)
+
+
 def _model_from_args(args, cfg: Mapping):
     if "model" in cfg:
         return model_from_json(cfg["model"])
@@ -83,30 +86,21 @@ def _parse_community(text: str) -> tuple[int, ...]:
                               "vertex ids") from exc
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    if out in (None, "-"):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+def _output(out: str | None):
+    return sys.stdout if out in (None, "-") else out
 
 
 def _emit_json(payload, out: str | None) -> None:
-    _emit_text(json.dumps(payload, indent=1, sort_keys=True), out)
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    if out in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
-def _emit_csv(columns: Sequence[str], rows: Sequence[Sequence], out: str | None) -> None:
-    buf = io.StringIO()
-    buf.write("#schema=1\n")
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(v) for v in row])
-    _emit_text(buf.getvalue(), out)
+def _emit_row(row: Mapping, out: str | None) -> None:
+    write_csv(list(row), [list(row.values())], _output(out))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -115,7 +109,7 @@ def _emit_csv(columns: Sequence[str], rows: Sequence[Sequence], out: str | None)
 def cmd_sample(args) -> None:
     cfg = _config_dict(args)
     model = _model_from_args(args, cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _config_number(cfg, "seed", 0, int)
     if args.out is None:
         raise ValidationError("sample needs --out PATH for the edge list")
     if args.community:
@@ -128,14 +122,16 @@ def cmd_sample(args) -> None:
     print(f"wrote {args.out}: n={g.n} edges={g.total_edges()} seed={seed}")
 
 
-def _scan_outcome_rows(outcome) -> tuple[list[str], list[list]]:
-    columns = ["statistic", "threshold", "reject", "subset_size", "subset",
-               "epsilon", "r"]
-    subset = " ".join(str(v) for v in outcome.subset) if outcome.subset else ""
-    rows = [[outcome.statistic, outcome.threshold, outcome.reject,
-             len(outcome.subset) if outcome.subset else 0, subset,
-             outcome.epsilon, outcome.r]]
-    return columns, rows
+def _scan_outcome_row(outcome) -> dict:
+    return {
+        "statistic": outcome.statistic,
+        "threshold": outcome.threshold,
+        "reject": outcome.reject,
+        "subset_size": len(outcome.subset) if outcome.subset else 0,
+        "subset": " ".join(str(v) for v in outcome.subset) if outcome.subset else "",
+        "epsilon": outcome.epsilon,
+        "r": outcome.r,
+    }
 
 
 def cmd_scan(args) -> None:
@@ -144,22 +140,23 @@ def cmd_scan(args) -> None:
     r = args.r if args.r is not None else cfg.get("r")
     if r is None:
         raise ValidationError("scan needs --r (or an 'r' config key)")
-    epsilon = args.epsilon if args.epsilon is not None else float(cfg.get("epsilon", 0.2))
+    epsilon = (args.epsilon if args.epsilon is not None
+               else _config_number(cfg, "epsilon", 0.2, float))
     family = None
     if args.min_size is not None or args.max_size is not None:
         if args.min_size is None or args.max_size is None:
             raise ValidationError("--min-size and --max-size go together")
         family = Exhaustive(args.min_size, args.max_size)
-    budget = args.budget if args.budget is not None else int(cfg.get("budget", DEFAULT_SUBSET_BUDGET))
-    scan_cfg = ScanConfig(int(r), epsilon, family, budget)
+    budget = (args.budget if args.budget is not None
+              else _config_number(cfg, "budget", DEFAULT_SUBSET_BUDGET, int))
+    scan_cfg = ScanConfig(_number("r", r, int), epsilon, family, budget)
     if args.blind:
         outcome = scan_unknown(sample, scan_cfg)
     else:
         model = _model_from_args(args, cfg)
         outcome = scan_known(model, sample, scan_cfg)
     if args.fmt == "csv":
-        columns, rows = _scan_outcome_rows(outcome)
-        _emit_csv(columns, rows, args.out)
+        _emit_row(_scan_outcome_row(outcome), args.out)
     else:
         _emit_json(outcome.to_json(), args.out)
 
@@ -178,12 +175,9 @@ def cmd_boundary(args) -> None:
         n = args.n if args.n is not None else cfg.get("n")
         if n is None:
             raise ValidationError("--surface needs --n (ambient vertex count)")
-        rows = boundary_surface(int(n), weights, r=args.r,
+        rows = boundary_surface(_number("n", n, int), weights, r=args.r,
                                 denominator=args.denominator, target=args.target)
-        if args.out in (None, "-"):
-            write_surface_csv(rows, sys.stdout)
-        else:
-            write_surface_csv(rows, args.out)
+        write_surface_csv(rows, _output(args.out))
         return
     model = _model_from_args(args, cfg)
     community = args.community or cfg.get("community")
@@ -193,22 +187,16 @@ def cmd_boundary(args) -> None:
         community = _parse_community(community)
     result = threshold_scaling(model, community, target=args.target)
     if args.fmt == "csv":
-        _emit_csv(
-            ["rho_star", "optimal_size", "optimal_fraction", "objective", "feasible"],
-            [[result.rho_star, result.optimal_size, result.optimal_fraction,
-              result.objective, result.feasible]],
-            args.out)
+        _emit_row(result.row(), args.out)
     else:
         _emit_json(result.to_json(), args.out)
 
 
-def _experiment_config(args, cfg: Mapping, forced_test: str | None = None) -> ExperimentConfig:
+def _experiment_config(args, cfg: Mapping) -> ExperimentConfig:
     raw = {k: v for k, v in cfg.items() if k not in ("seed", "out", "format")}
     if "master_seed" not in raw and "seed" in cfg:
         raw["master_seed"] = cfg["seed"]
-    if forced_test is not None:
-        raw["test"] = forced_test
-    elif args.test is not None:
+    if args.test is not None:
         raw["test"] = args.test
     if args.seed is not None:
         raw["master_seed"] = args.seed
@@ -226,13 +214,7 @@ def cmd_risk(args) -> None:
         raise ValidationError("risk needs --config with an experiment description")
     est = estimate_risk(_experiment_config(args, cfg))
     if args.fmt == "csv":
-        rates = [r.rate for r in est.type2.values()]
-        _emit_csv(
-            ["type1", "type1_stderr", "type2_max", "type2_mean",
-             "worst_case_risk", "average_risk"],
-            [[est.type1.rate, est.type1.stderr, max(rates),
-              sum(rates) / len(rates), est.worst_case_risk, est.average_risk]],
-            args.out)
+        _emit_row(est.row(), args.out)
     else:
         _emit_json(est.to_json(), args.out)
 
@@ -245,22 +227,21 @@ def cmd_lr_risk(args) -> None:
     for key in ("r", "rho"):
         if key not in cfg:
             raise ValidationError(f"lr-risk config needs {key!r}")
+    seed = args.seed if args.seed is not None else _config_number(cfg, "master_seed", 0, int)
+    sample_size = cfg.get("lr_sample_size", DEFAULT_SAMPLE_SIZE)
     problem = LrProblem(
-        model, int(cfg["r"]), float(cfg["rho"]),
-        exact_budget=int(cfg.get("lr_exact_budget", DEFAULT_EXACT_BUDGET)),
-        sample_size=cfg.get("lr_sample_size", DEFAULT_SAMPLE_SIZE),
-        community_seed=args.seed if args.seed is not None else int(cfg.get("master_seed", 0)),
+        model, _number("r", cfg["r"], int), _number("rho", cfg["rho"], float),
+        exact_budget=_config_number(cfg, "lr_exact_budget", DEFAULT_EXACT_BUDGET, int),
+        sample_size=None if sample_size is None else _number("lr_sample_size", sample_size, int),
+        community_seed=seed,
     )
-    reps = args.reps if args.reps is not None else int(cfg.get("replications", 1000))
-    seed = args.seed if args.seed is not None else int(cfg.get("master_seed", 0))
+    reps = args.reps if args.reps is not None else _config_number(cfg, "replications", 1000, int)
     result = bayes_risk(problem, reps, seed)
     if args.fmt == "csv":
-        _emit_csv(
-            ["risk", "stderr", "replications", "mode", "communities",
-             "mean_lr", "mean_lr_stderr"],
-            [[result.risk, result.stderr, result.replications, result.mode,
-              result.communities, result.mean_lr, result.mean_lr_stderr]],
-            args.out)
+        _emit_row({"risk": result.risk, "stderr": result.stderr,
+                   "replications": result.replications, "mode": result.mode,
+                   "communities": result.communities, "mean_lr": result.mean_lr,
+                   "mean_lr_stderr": result.mean_lr_stderr}, args.out)
     else:
         _emit_json(result.to_json(), args.out)
 
@@ -291,7 +272,7 @@ def cmd_audit(args) -> None:
         columns = ["assumption", "check", "lhs", "rhs", "margin", "passed"]
         rows = [[key, e.name, e.lhs, e.rhs, e.margin, e.passed]
                 for key, rep in sorted(reports.items()) for e in rep.entries]
-        _emit_csv(columns, rows, args.out)
+        write_csv(columns, rows, _output(args.out))
     else:
         _emit_json({"all_passed": all_passed,
                     "reports": {k: rep.to_json() for k, rep in reports.items()}},
@@ -303,10 +284,10 @@ def cmd_table1(args) -> None:
     if args.fmt == "json":
         _emit_json(rows, args.out)
     else:
-        _emit_csv(["distribution", "rho_star", "optimal_fraction"],
+        write_csv(["distribution", "rho_star", "optimal_fraction"],
                   [[r["distribution"], r["rho_star"], r["optimal_fraction"]]
                    for r in rows],
-                  args.out)
+                  _output(args.out))
 
 
 def cmd_sweep(args) -> None:

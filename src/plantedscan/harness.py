@@ -14,14 +14,13 @@ a separate metadata sidecar, never into the CSV.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,6 +35,7 @@ from .model import (
     model_to_json,
     sample_alternative,
     sample_null,
+    write_csv,
 )
 from .scan import DEFAULT_SUBSET_BUDGET, ScanConfig, SubsetFamily, scan_known, scan_unknown
 from .boundary import threshold_scaling
@@ -51,6 +51,15 @@ __all__ = [
 ]
 
 TESTS = ("scan_known", "scan_unknown", "lr")
+
+
+def _number(key: str, value, kind: type):
+    """value as kind, int or float; anything else is a ValidationError."""
+    allowed = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +90,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.test not in TESTS:
             raise ValidationError(f"test must be one of {TESTS}, got {self.test!r}")
+        for key in ("r", "null_replications", "alt_replications", "budget",
+                    "lr_exact_budget", "master_seed", "workers"):
+            _number(key, getattr(self, key), int)
+        for key in ("rho", "epsilon"):
+            _number(key, getattr(self, key), float)
+        if self.lr_sample_size is not None:
+            _number("lr_sample_size", self.lr_sample_size, int)
         if not 1 <= self.r < self.model.n:
             raise ValidationError(f"need 1 <= r < n, got r={self.r}, n={self.model.n}")
         if not (self.rho >= 1.0 and math.isfinite(self.rho)):
@@ -91,7 +107,8 @@ class ExperimentConfig:
             if self.communities < 1:
                 raise ValidationError(f"community count must be >= 1, got {self.communities}")
         else:
-            comms = tuple(tuple(int(v) for v in c) for c in self.communities)
+            comms = tuple(tuple(_number("community vertex", v, int) for v in c)
+                          for c in self.communities)
             if not comms:
                 raise ValidationError("communities must be non-empty")
             object.__setattr__(self, "communities", comms)
@@ -127,36 +144,17 @@ class ExperimentConfig:
         family = raw.pop("family", None)
         if family is not None:
             family = SubsetFamily.from_dict(family)
-        known = {
-            "test", "r", "rho", "communities", "null_replications",
-            "alt_replications", "epsilon", "budget", "lr_exact_budget",
-            "lr_sample_size", "master_seed", "workers",
-        }
+        known = {f.name for f in fields(ExperimentConfig)} - {"model", "family"}
         extra = set(raw) - known
         if extra:
             raise ValidationError(f"unknown config keys: {sorted(extra)}")
-        comms = raw.get("communities")
-        if isinstance(comms, list):
-            raw["communities"] = tuple(tuple(int(v) for v in c) for c in comms)
         return ExperimentConfig(model=model, family=family, **raw)
 
     def to_dict(self) -> dict:
-        d = {
-            "model": model_to_json(self.model),
-            "test": self.test,
-            "r": self.r,
-            "rho": self.rho,
-            "communities": (self.communities if isinstance(self.communities, int)
-                            else [list(c) for c in self.communities]),
-            "null_replications": self.null_replications,
-            "alt_replications": self.alt_replications,
-            "epsilon": self.epsilon,
-            "budget": self.budget,
-            "lr_exact_budget": self.lr_exact_budget,
-            "lr_sample_size": self.lr_sample_size,
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "family"}
+        d["model"] = model_to_json(self.model)
+        if not isinstance(self.communities, int):
+            d["communities"] = [list(c) for c in self.communities]
         if self.family is not None:
             d["family"] = self.family.to_dict()
         return d
@@ -193,6 +191,18 @@ class RiskEstimate:
     def average_risk(self) -> float:
         rates = [r.rate for r in self.type2.values()]
         return self.type1.rate + sum(rates) / len(rates)
+
+    def row(self) -> dict:
+        """The summary columns of the risk CSVs, from the CLI and sweeps."""
+        rates = [r.rate for r in self.type2.values()]
+        return {
+            "type1": self.type1.rate,
+            "type1_stderr": self.type1.stderr,
+            "type2_max": max(rates),
+            "type2_mean": sum(rates) / len(rates),
+            "worst_case_risk": self.worst_case_risk,
+            "average_risk": self.average_risk,
+        }
 
     def to_json(self) -> dict:
         return {
@@ -299,50 +309,22 @@ def estimate_risk(config: ExperimentConfig, test: str | None = None) -> RiskEsti
 
 
 def _risk_point(point: Mapping) -> dict:
-    est = estimate_risk(ExperimentConfig.from_dict(point))
-    rates = [r.rate for r in est.type2.values()]
-    return {
-        "type1": est.type1.rate,
-        "type1_stderr": est.type1.stderr,
-        "type2_max": max(rates),
-        "type2_mean": sum(rates) / len(rates),
-        "worst_case_risk": est.worst_case_risk,
-        "average_risk": est.average_risk,
-    }
+    return estimate_risk(ExperimentConfig.from_dict(point)).row()
 
 
 def _boundary_point(point: Mapping) -> dict:
-    point = dict(point)
     model = model_from_json(point["model"])
     res = threshold_scaling(model, point["community"],
-                            target=float(point.get("target", 1.0)))
-    return {
-        "rho_star": res.rho_star,
-        "optimal_size": res.optimal_size,
-        "optimal_fraction": res.optimal_fraction,
-        "feasible": res.feasible,
-    }
+                            target=_number("target", point.get("target", 1.0), float))
+    return res.row()
 
 
-_POINT_RUNNERS = {"risk": _risk_point, "boundary": _boundary_point}
-
-_RESULT_COLUMNS = {
-    "risk": ["type1", "type1_stderr", "type2_max", "type2_mean",
-             "worst_case_risk", "average_risk"],
-    "boundary": ["rho_star", "optimal_size", "optimal_fraction", "feasible"],
+# per sweep kind: the point runner, and the columns of its row the sweep keeps
+_POINT_KINDS = {
+    "risk": (_risk_point, ["type1", "type1_stderr", "type2_max", "type2_mean",
+                           "worst_case_risk", "average_risk"]),
+    "boundary": (_boundary_point, ["rho_star", "optimal_size", "optimal_fraction", "feasible"]),
 }
-
-
-def _format_cell(value) -> str:
-    """One CSV cell: lowercase booleans, floats at 12 significant digits,
-    None as an empty cell."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if value is None:
-        return ""
-    return str(value)
 
 
 def run_sweep(base: Mapping, grid: Mapping[str, Sequence], out_dir: str | os.PathLike,
@@ -356,14 +338,15 @@ def run_sweep(base: Mapping, grid: Mapping[str, Sequence], out_dir: str | os.Pat
     pure function of base, grid, and kind.  An empty grid axis produces a
     header-only CSV.
     """
-    if kind not in _POINT_RUNNERS:
-        raise ValidationError(f"kind must be one of {sorted(_POINT_RUNNERS)}, got {kind!r}")
+    if kind not in _POINT_KINDS:
+        raise ValidationError(f"kind must be one of {sorted(_POINT_KINDS)}, got {kind!r}")
     for key, values in grid.items():
         if not isinstance(values, (list, tuple)):
             raise ValidationError(f"grid axis {key!r} must be a list, got {type(values).__name__}")
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()
     keys = sorted(grid)
+    run_point, columns = _POINT_KINDS[kind]
     points = list(itertools.product(*(grid[k] for k in keys)))
     results = []
     failures = 0
@@ -376,7 +359,8 @@ def run_sweep(base: Mapping, grid: Mapping[str, Sequence], out_dir: str | os.Pat
         else:
             point_cfg = {**base, **overrides}
             try:
-                record = {"grid": overrides, "result": _POINT_RUNNERS[kind](point_cfg)}
+                row = run_point(point_cfg)
+                record = {"grid": overrides, "result": {c: row[c] for c in columns}}
             except PlantedScanError as exc:
                 record = {"grid": overrides,
                           "error": str(exc), "error_type": type(exc).__name__}
@@ -386,20 +370,15 @@ def run_sweep(base: Mapping, grid: Mapping[str, Sequence], out_dir: str | os.Pat
             failures += 1
         results.append(record)
     csv_path = os.path.join(out_dir, "sweep.csv")
-    columns = keys + _RESULT_COLUMNS[kind] + ["error"]
-    with open(csv_path, "w", newline="", encoding="ascii") as fh:
-        fh.write("#schema=1\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for record in results:
-            row = [_format_cell(record["grid"][k]) for k in keys]
-            if "result" in record:
-                row += [_format_cell(record["result"][c]) for c in _RESULT_COLUMNS[kind]]
-                row.append("")
-            else:
-                row += [""] * len(_RESULT_COLUMNS[kind])
-                row.append(record["error_type"])
-            writer.writerow(row)
+    rows = []
+    for record in results:
+        row = [record["grid"][k] for k in keys]
+        if "result" in record:
+            row += [record["result"][c] for c in columns] + [""]
+        else:
+            row += [""] * len(columns) + [record["error_type"]]
+        rows.append(row)
+    write_csv(keys + columns + ["error"], rows, csv_path)
     meta = {
         "kind": kind,
         "points": len(points),

@@ -15,6 +15,8 @@ on first use, which is the practical memory ceiling of this design.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import itertools
 import json
 import math
@@ -22,7 +24,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -112,6 +114,9 @@ class EdgeProbabilityModel:
                               sorted subsets;
       across_mean(d)          E0[e(D, V \\ D)] for a sorted subset, 0 < |D| < n;
       max_within_mean(c, k, budget)  max of E0[e(D)] over D in C, |D| = k;
+      optimal_subgraph(c, budget)    (subset, objective, mean) of the D in C
+                              maximising E0[e(D)] / (|D| ln(n/|D|)), for a
+                              sorted community with 0 < |C| < n;
       max_pair_within(d)      the largest p_ij inside a subset and its pair;
       to_json(matrix_path)    the descriptor model_from_json reads back.
     """
@@ -119,6 +124,27 @@ class EdgeProbabilityModel:
     def probability(self, i: int, j: int) -> float:
         _check_pair(self.n, i, j)
         return float(self.pair_probability(i, j))
+
+
+def _prefix_order(weights: np.ndarray, members: np.ndarray) -> np.ndarray:
+    # descending weight, ties by vertex id: stable sort on the negated key
+    return members[np.argsort(-weights[members], kind="stable")]
+
+
+def _best_prefix(weights: np.ndarray, members: np.ndarray,
+                 denom: Callable[[int], float]) -> tuple[int, float, float, np.ndarray]:
+    """argmax over k of prefix mean-edges / denom(k); ties to smaller k.
+
+    Returns (k_star, objective, mean_edges, ordered_members)."""
+    order = _prefix_order(weights, members)
+    w = weights[order]
+    # prefix means as sums of w_a * (w_0 + ... + w_{a-1}): every term is
+    # positive, so nothing cancels when one weight dominates
+    means = np.zeros(order.size)
+    means[1:] = np.cumsum(w[1:] * np.cumsum(w)[:-1])
+    objs = means / np.array([denom(k) for k in range(1, order.size + 1)])
+    best = int(np.argmax(objs))  # the first maximum: ties go to the smaller prefix
+    return best + 1, objs[best], means[best], order
 
 
 @dataclass(frozen=True)
@@ -150,6 +176,13 @@ class Homogeneous(EdgeProbabilityModel):
 
     def max_within_mean(self, community: np.ndarray, k: int, budget: int) -> float:
         return k * (k - 1) / 2 * self.p
+
+    def optimal_subgraph(self, community: np.ndarray,
+                         budget: int) -> tuple[tuple[int, ...], float, float]:
+        # objective p(k-1) / (2 ln(n/k)) is strictly increasing in k
+        k = community.size
+        mean = float(self.within_mean(community[None, :])[0])
+        return tuple(int(v) for v in community), mean / (k * math.log(self.n / k)), mean
 
     def max_pair_within(self, subset: np.ndarray) -> tuple[float, tuple[int, int]]:
         return self.p, (int(subset[0]), int(subset[1]))
@@ -203,8 +236,16 @@ class RankOne(EdgeProbabilityModel):
 
     def max_within_mean(self, community: np.ndarray, k: int, budget: int) -> float:
         # the k heaviest members maximise the mean
-        heaviest = community[np.argsort(-self.weights[community], kind="stable")[:k]]
+        heaviest = _prefix_order(self.weights, community)[:k]
         return float(self.within_mean(np.sort(heaviest)[None, :])[0])
+
+    def optimal_subgraph(self, community: np.ndarray,
+                         budget: int) -> tuple[tuple[int, ...], float, float]:
+        # only the |C| weight-sorted prefixes compete: swapping a member for
+        # a heavier outsider never lowers the numerator, nor moves |D|
+        k, obj, mean, order = _best_prefix(self.weights, community,
+                                           lambda k: k * math.log(self.n / k))
+        return tuple(sorted(int(v) for v in order[:k])), obj, mean
 
     def max_pair_within(self, subset: np.ndarray) -> tuple[float, tuple[int, int]]:
         order = subset[np.argsort(self.weights[subset], kind="stable")]
@@ -279,6 +320,36 @@ class GeneralMatrix(EdgeProbabilityModel):
         while block := list(itertools.islice(combos, _BATCH_ROWS)):
             best = max(best, float(self.within_mean(np.array(block)).max()))
         return best
+
+    def optimal_subgraph(self, community: np.ndarray,
+                         budget: int) -> tuple[tuple[int, ...], float, float]:
+        # every one of the 2^|C| - 1 subsets, as bit masks over the community
+        r = community.size
+        count = (1 << r) - 1
+        if count > budget:
+            raise BudgetError(
+                f"general-model search needs {count} subsets, over the budget {budget}"
+            )
+        sub = self.matrix[np.ix_(community, community)]
+        # mean[mask] = mean[mask minus its lowest bit i] plus sub[i, j] summed
+        # over the other bits j in ascending order, which the subset sums of
+        # sub[i, i+1:] give when doubled in ascending bit order
+        mean = np.zeros(1 << r)
+        for i in range(r - 1, -1, -1):
+            sums = np.zeros(1)
+            for j in range(i + 1, r):
+                sums = np.concatenate([sums, sums + sub[i, j]])
+            rest = np.arange(sums.size) << (i + 1)
+            mean[rest | 1 << i] = mean[rest] + sums
+        k = np.bitwise_count(np.arange(1, 1 << r))
+        denom = np.array([s * math.log(self.n / s) for s in range(1, r + 1)])
+        obj = mean[1:] / denom[k - 1]
+        # largest objective, then fewest vertices, then smallest mask
+        tied = np.flatnonzero(obj == obj.max())
+        best = int(tied[np.argmin(k[tied])])
+        mask = best + 1
+        subset = tuple(int(community[i]) for i in range(r) if mask >> i & 1)
+        return subset, obj[best], float(mean[mask])
 
     def max_pair_within(self, subset: np.ndarray) -> tuple[float, tuple[int, int]]:
         sub = self.matrix[np.ix_(subset, subset)]
@@ -574,6 +645,32 @@ def read_edge_list(path: str | os.PathLike) -> GraphSample:
     return GraphSample(n, _pack(bits), None, "imported", sampler="file-import")
 
 
+def _format_cell(value) -> str:
+    """One CSV cell: lowercase booleans, floats at 12 significant digits,
+    None as an empty cell."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if value is None:
+        return ""
+    return str(value)
+
+
+def write_csv(columns: Sequence[str], rows: Iterable[Sequence],
+              out: str | os.PathLike | TextIO) -> None:
+    """The one CSV writer (CLI results, sweeps, boundary surfaces): a
+    "#schema=1" line, the header, then one line per row.  out is a path or
+    an open text stream; equal rows give equal bytes."""
+    own = isinstance(out, (str, os.PathLike))
+    opened = open(out, "w", newline="", encoding="utf-8") if own else contextlib.nullcontext(out)
+    with opened as fh:
+        fh.write("#schema=1\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
+
+
 def model_to_json(model: EdgeProbabilityModel,
                   matrix_path: str | os.PathLike | None = None) -> dict:
     """JSON-compatible descriptor.  General matrices are stored inline as
@@ -601,4 +698,6 @@ def model_from_json(source: dict | str | os.PathLike) -> EdgeProbabilityModel:
             return GeneralMatrix(np.asarray(source["matrix"], dtype=np.float64))
     except KeyError as exc:
         raise ValidationError(f"model descriptor missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot read the {variant!r} model descriptor: {exc}") from exc
     raise ValidationError(f"unknown model variant {variant!r}")

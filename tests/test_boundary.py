@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plantedscan import (
     BudgetError,
@@ -30,6 +31,7 @@ from plantedscan import (
     two_weight_threshold,
     write_surface_csv,
 )
+from plantedscan.boundary import _alpha_closed_form, _alpha_numeric
 from plantedscan.seeding import derive_seed, generator
 
 # (rho*, optimal fraction) per standard profile, frozen from the oracle
@@ -45,6 +47,53 @@ TABLE_QUARTER_POWER_N1E8 = {
     "uniform": 1.17553985891981,
     "exponential": 1.16087910379059,
 }
+
+
+def per_mask_search(model, c):
+    """The GeneralMatrix search as a loop over every subset's bit mask,
+    kept as the reference for the vectorised one: (subset, objective, mean)."""
+    n = model.n
+    sub = model.matrix[np.ix_(c, c)]
+    r = c.size
+    mean_of = np.zeros(1 << r)
+    best = None
+    for mask in range(1, 1 << r):
+        low = mask & -mask
+        rest = mask ^ low
+        i = low.bit_length() - 1
+        add = 0.0
+        mm = rest
+        while mm:
+            lb = mm & -mm
+            add += sub[i, lb.bit_length() - 1]
+            mm ^= lb
+        mean_of[mask] = mean_of[rest] + add
+        k = mask.bit_count()
+        obj = mean_of[mask] / (k * math.log(n / k))
+        key = (-obj, k, mask)
+        if best is None or key < best:
+            best = key
+    mask = best[2]
+    subset = tuple(int(c[i]) for i in range(r) if mask >> i & 1)
+    return subset, -best[0], float(mean_of[mask])
+
+
+@st.composite
+def general_cases(draw):
+    """A GeneralMatrix and a community of up to 12 vertices.  Half the
+    matrices are block matrices over {0, 0.1, 0.2, 0.3}, so that different
+    subsets tie exactly."""
+    r = draw(st.integers(min_value=1, max_value=12))
+    n = r + draw(st.integers(min_value=1, max_value=4))
+    rng = generator(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        blocks = rng.choice([0.0, 0.1, 0.2, 0.3], size=(3, 3))
+        labels = rng.integers(0, 3, size=n)
+        m = np.triu(blocks[labels][:, labels], 1)
+    else:
+        m = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1)
+    c = np.sort(rng.choice(n, size=r, replace=False))
+    return GeneralMatrix(m + m.T), c
 
 
 class TestOptimalSubgraph:
@@ -101,6 +150,16 @@ class TestOptimalSubgraph:
         assert opt.subset == (0, 1, 2)
         exact = math.fsum([w[0] * w[1], w[0] * w[2], w[1] * w[2]])
         assert opt.mean_edges == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(general_cases())
+    def test_general_search_matches_per_mask_loop(self, case):
+        model, c = case
+        opt = optimal_subgraph(model, c)
+        subset, objective, mean = per_mask_search(model, c)
+        assert opt.subset == subset
+        assert opt.objective.hex() == objective.hex()
+        assert opt.mean_edges.hex() == mean.hex()
 
     def test_general_budget(self):
         m = np.zeros((30, 30))
@@ -216,6 +275,19 @@ class TestQuantileBoundary:
         assert res.metadata["r"] == int(math.log(65536) ** 4)
         assert res.optimal_size == res.metadata["r"]  # degenerate keeps everything
 
+    def test_finite_n_feasibility_uses_largest_pair(self):
+        # the largest pair inside the community is 0.5 * 0.3, not 0.5^2;
+        # threshold_scaling on the same weights agrees
+        dist = Empirical(np.array([0.5] + [0.3] * 39))
+        res = quantile_boundary(dist, n=60000)
+        assert res.rho_star == pytest.approx(4.99096427944996, rel=1e-12)
+        assert res.feasible
+        w = np.full(60000, 0.01)
+        w[:40] = dist.weights
+        point = threshold_scaling(RankOne(w), range(40))
+        assert point.rho_star == res.rho_star
+        assert point.feasible
+
     def test_finite_n_empirical_size_must_match(self):
         dist = Empirical(np.array([0.3, 0.2]))
         with pytest.raises(ValidationError, match="weights but r="):
@@ -244,6 +316,36 @@ class TestQuantileBoundary:
             Empirical(np.array([0.1, 0.5]))  # ascending
         with pytest.raises(ValidationError):
             Empirical(np.array([]))
+
+
+def _profile_params(rng):
+    """One random valid instance of each weight-profile class."""
+    s = float(rng.uniform(0.0, 1.0))
+    a = float(rng.uniform(0.0, 2.0))
+    weights = np.sort(rng.uniform(0.05, 1.0, size=int(rng.integers(2, 40))))[::-1]
+    return [
+        Degenerate(s=s, value=float(rng.uniform(0.1, 3.0))),
+        ShiftedBernoulli(q=float(rng.uniform(0.05, 0.95)), t=float(rng.uniform(0.1, 4.0)), s=s),
+        ShiftedUniform(a=a, b=a + float(rng.uniform(0.1, 3.0)), s=s),
+        ShiftedExponential(lam=float(rng.uniform(0.2, 3.0)), s=s),
+        Empirical(weights),
+    ]
+
+
+class TestProfileProtocol:
+    @pytest.mark.parametrize("index", range(5), ids=[
+        "degenerate", "bernoulli", "uniform", "exponential", "empirical"])
+    def test_analytic_maximiser_matches_numeric(self, index):
+        # the tolerances of test_polylog_table_numeric_agrees: 0.01 on
+        # alpha*, 1e-3 on the lift rho* = 1 + h^{-1}(1 / J*)
+        for trial in range(8):
+            rng = generator(derive_seed(55, "profile-protocol", trial))
+            dist = _profile_params(rng)[index]
+            a_exact, j_exact = _alpha_closed_form(dist)
+            a_num, j_num = _alpha_numeric(dist, None)
+            assert a_exact == pytest.approx(a_num, abs=0.01), dist
+            assert entropy_h_inverse(1.0 / j_exact) == pytest.approx(
+                entropy_h_inverse(1.0 / j_num), abs=1e-3), dist
 
 
 class TestTwoWeightRegime:
@@ -314,6 +416,13 @@ class TestBoundarySurface:
         )
         for row in rows:
             assert row.optimal_size == sum(row.composition)
+
+    def test_feasibility_uses_classes_present(self):
+        # no weight-0.9 vertex in the community: its largest pair is 0.2^2
+        (row,) = boundary_surface(60000, [0.9, 0.2], compositions=[(0, 40)])
+        assert row.rho_star == pytest.approx(10.03, abs=0.01)
+        assert row.rho_star * 0.2**2 <= 1.0
+        assert row.feasible
 
     def test_default_grid_from_r(self):
         rows = boundary_surface(4096, [0.4, 0.1], r=10)

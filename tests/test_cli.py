@@ -159,6 +159,45 @@ class TestSampleAndScan:
         assert "no model" in err
 
 
+class TestMalformedValues:
+    """A config value of the wrong type is a validation error (exit 2), not
+    a traceback."""
+
+    def test_model_descriptor_value(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "m.json", {"variant": "homogeneous", "n": "ten", "p": 0.1})
+        err = run_err(capsys, ["sample", "--config", cfg, "--out", str(tmp_path / "g.txt")], 2)
+        assert err.startswith("error:")
+
+    def test_model_matrix_file_missing(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "m.json",
+                         {"variant": "general", "matrix_path": str(tmp_path / "none.npy")})
+        err = run_err(capsys, ["boundary", "--config", cfg, "--community", "0,1"], 2)
+        assert err.startswith("error:")
+
+    def test_scan_config_r(self, capsys, tmp_path, model_cfg):
+        graph = tmp_path / "g.txt"
+        main(["sample", "--config", model_cfg, "--seed", "1", "--out", str(graph)])
+        capsys.readouterr()
+        cfg = write_json(tmp_path / "scan.json", {"r": "abc"})
+        err = run_err(capsys, ["scan", "--graph", str(graph), "--blind", "--config", cfg], 2)
+        assert err.startswith("error:")
+
+    def test_risk_config_r(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "exp.json", {
+            "model": model_to_json(Homogeneous(12, 0.3)), "test": "lr", "r": "3",
+            "rho": 1.8, "communities": 1, "null_replications": 10, "alt_replications": 10,
+        })
+        err = run_err(capsys, ["risk", "--config", cfg], 2)
+        assert err.startswith("error:")
+
+    def test_lr_risk_config_rho(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "lr.json", {
+            "model": model_to_json(Homogeneous(10, 0.3)), "r": 3, "rho": "high",
+        })
+        err = run_err(capsys, ["lr-risk", "--config", cfg], 2)
+        assert err.startswith("error:")
+
+
 class TestBoundaryCmd:
     def test_point_matches_library(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "m.json", model_to_json(Homogeneous(1000, 0.01)))
