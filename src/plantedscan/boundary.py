@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import entropy_h, entropy_h_inverse
-from .model import EdgeProbabilityModel, _best_prefix, check_subset, write_csv
+from .model import EdgeProbabilityModel, _best_prefix, _norm, check_subset, write_csv
 
 __all__ = [
     "Degenerate",
@@ -423,7 +423,7 @@ def _prefix_threshold(w: np.ndarray, n: int, denominator: str, target: float,
     best prefix under the "per_size" ln(n/k) or "log_n" ln(n) denominator,
     rho*, the objective at rho*, and whether rho* keeps the largest pair
     probability inside the community, w[0] * w[1], at most 1."""
-    denom = ((lambda k: k * math.log(n / k)) if denominator == "per_size"
+    denom = ((lambda k: _norm(n, k)) if denominator == "per_size"
              else (lambda k: k * math.log(n)))
     k_star, multiplier, mean_edges, _ = _best_prefix(w, np.arange(w.size), denom)
     if mean_edges <= 0.0:

@@ -31,11 +31,12 @@ from .boundary import (
     write_surface_csv,
 )
 from .errors import PlantedScanError, ValidationError
-from .harness import ExperimentConfig, _number, estimate_risk, run_sweep
+from .harness import ExperimentConfig, estimate_risk, run_sweep
 from .lr import DEFAULT_EXACT_BUDGET, DEFAULT_SAMPLE_SIZE, LrProblem, bayes_risk
 from .model import (
     PlantedAlternative,
     RankOne,
+    _number,
     model_from_json,
     read_edge_list,
     sample_alternative,

@@ -31,6 +31,7 @@ from .model import (
     EdgeProbabilityModel,
     GraphSample,
     PlantedAlternative,
+    _number,
     model_from_json,
     model_to_json,
     sample_alternative,
@@ -51,15 +52,6 @@ __all__ = [
 ]
 
 TESTS = ("scan_known", "scan_unknown", "lr")
-
-
-def _number(key: str, value, kind: type):
-    """value as kind, int or float; anything else is a ValidationError."""
-    allowed = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        what = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{key} must be {what}, got {value!r}")
-    return kind(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,12 +95,17 @@ class ExperimentConfig:
             raise ValidationError(f"rho must be finite and >= 1, got {self.rho}")
         if self.null_replications < 1 or self.alt_replications < 1:
             raise ValidationError("replication counts must be >= 1")
-        if isinstance(self.communities, int):
+        if isinstance(self.communities, int) and not isinstance(self.communities, bool):
             if self.communities < 1:
                 raise ValidationError(f"community count must be >= 1, got {self.communities}")
         else:
-            comms = tuple(tuple(_number("community vertex", v, int) for v in c)
-                          for c in self.communities)
+            try:
+                comms = tuple(tuple(_number("community vertex", v, int) for v in c)
+                              for c in self.communities)
+            except TypeError as exc:  # a bool, or an int where a community belongs
+                raise ValidationError(
+                    f"communities must be a count or a list of vertex lists ({exc})"
+                ) from exc
             if not comms:
                 raise ValidationError("communities must be non-empty")
             object.__setattr__(self, "communities", comms)
@@ -313,6 +310,9 @@ def _risk_point(point: Mapping) -> dict:
 
 
 def _boundary_point(point: Mapping) -> dict:
+    for key in ("model", "community"):
+        if key not in point:
+            raise ValidationError(f"boundary point needs a {key!r} entry")
     model = model_from_json(point["model"])
     res = threshold_scaling(model, point["community"],
                             target=_number("target", point.get("target", 1.0), float))

@@ -21,7 +21,6 @@ disabled, the budget violation is raised before any work.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +29,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import BudgetError, NumericError, ValidationError
-from .model import EdgeProbabilityModel, GraphSample, _pair_index, check_subset, sample_null
+from .model import (EdgeProbabilityModel, GraphSample, _combination_tables, _number, _pair_index,
+                    check_subset, sample_null)
 from .seeding import derive_seed, generator
 
 __all__ = [
@@ -67,6 +67,11 @@ class LrProblem:
 
     def __post_init__(self) -> None:
         n = self.model.n
+        for key in ("r", "exact_budget", "community_seed"):
+            object.__setattr__(self, key, _number(key, getattr(self, key), int))
+        object.__setattr__(self, "rho", _number("rho", self.rho, float))
+        if self.sample_size is not None:
+            object.__setattr__(self, "sample_size", _number("sample_size", self.sample_size, int))
         if not 2 <= self.r < n:
             raise ValidationError(f"need 2 <= r < n, got r={self.r}, n={n}")
         if not (self.rho >= 1.0 and math.isfinite(self.rho)):
@@ -96,10 +101,8 @@ class LrProblem:
     def _bundle(self) -> dict:
         n, r = self.model.n, self.r
         if self.community_count <= self.exact_budget:
-            comms = np.fromiter(
-                itertools.chain.from_iterable(itertools.combinations(range(n), r)),
-                dtype=np.int64,
-            ).reshape(-1, r)
+            # int64 for the pair positions _log_tables computes
+            comms = next(_combination_tables(n, r, r)).astype(np.int64)
             mode = "exact"
         elif self.sample_size is not None:
             rng = generator(derive_seed(self.community_seed, "lr-communities"))

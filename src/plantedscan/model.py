@@ -58,10 +58,17 @@ _BATCH_ROWS = 1 << 15
 _PAIR_BLOCK = 1 << 20
 
 
+def _number(key: str, value, kind: type):
+    """value as kind, int or float; anything else is a ValidationError."""
+    allowed = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _check_vertex_count(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValidationError(f"vertex count must be an integer, got {n!r}")
-    n = int(n)
+    n = _number("vertex count", n, int)
     if n < 1:
         raise ValidationError(f"vertex count must be >= 1, got {n}")
     if n > MAX_VERTICES:
@@ -96,6 +103,36 @@ def _check_rows(n: int, rows: np.ndarray) -> None:
 def _check_pair(n: int, i: int, j: int) -> None:
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise ValidationError(f"invalid vertex pair ({i}, {j}) for n={n}")
+
+
+def _norm(n: int, k: int) -> float:
+    """k ln(n/k): the normaliser of the scan statistic and of the search
+    objective E0[e(D)] / (|D| ln(n/|D|))."""
+    return k * math.log(n / k)
+
+
+def _combination_tables(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The k-subsets of range(n) for k = lo..hi, one int32 (C(n, k), k)
+    array per size, rows lexicographic.
+
+    Only the first table is enumerated: C(n, k) below lo can exceed the
+    whole range by orders of magnitude.  Each (k+1)-table is extended from
+    the k-table as vertex a followed by each k-row whose first vertex
+    exceeds a."""
+    m = math.comb(n, lo)
+    rows = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), lo)),
+                       dtype=np.int32, count=m * lo).reshape(m, lo)
+    yield rows
+    for k in range(lo, hi):
+        starts = np.searchsorted(rows[:, 0], np.arange(1, n + 1)).tolist()
+        out = np.empty((sum(m - s for s in starts), k + 1), dtype=np.int32)
+        at = 0
+        for a, s in enumerate(starts):
+            out[at : at + m - s, 0] = a
+            out[at : at + m - s, 1:] = rows[s:]
+            at += m - s
+        rows, m = out, at
+        yield rows
 
 
 def _pair_index(n: int, i, j):
@@ -182,7 +219,7 @@ class Homogeneous(EdgeProbabilityModel):
         # objective p(k-1) / (2 ln(n/k)) is strictly increasing in k
         k = community.size
         mean = float(self.within_mean(community[None, :])[0])
-        return tuple(int(v) for v in community), mean / (k * math.log(self.n / k)), mean
+        return tuple(int(v) for v in community), mean / _norm(self.n, k), mean
 
     def max_pair_within(self, subset: np.ndarray) -> tuple[float, tuple[int, int]]:
         return self.p, (int(subset[0]), int(subset[1]))
@@ -244,7 +281,7 @@ class RankOne(EdgeProbabilityModel):
         # only the |C| weight-sorted prefixes compete: swapping a member for
         # a heavier outsider never lowers the numerator, nor moves |D|
         k, obj, mean, order = _best_prefix(self.weights, community,
-                                           lambda k: k * math.log(self.n / k))
+                                           lambda k: _norm(self.n, k))
         return tuple(sorted(int(v) for v in order[:k])), obj, mean
 
     def max_pair_within(self, subset: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -315,10 +352,12 @@ class GeneralMatrix(EdgeProbabilityModel):
                 f"size-{k} search over C({community.size},{k}) = {count} subsets "
                 f"exceeds the audit budget {budget}"
             )
-        combos = itertools.combinations(community.tolist(), k)
+        # positions into the community: 4k bytes per row, the only table of
+        # full size; vertex ids are gathered one slice at a time
+        table = next(_combination_tables(community.size, k, k))
         best = 0.0
-        while block := list(itertools.islice(combos, _BATCH_ROWS)):
-            best = max(best, float(self.within_mean(np.array(block)).max()))
+        for s in range(0, count, _BATCH_ROWS):
+            best = max(best, float(self.within_mean(community[table[s : s + _BATCH_ROWS]]).max()))
         return best
 
     def optimal_subgraph(self, community: np.ndarray,
@@ -342,7 +381,7 @@ class GeneralMatrix(EdgeProbabilityModel):
             rest = np.arange(sums.size) << (i + 1)
             mean[rest | 1 << i] = mean[rest] + sums
         k = np.bitwise_count(np.arange(1, 1 << r))
-        denom = np.array([s * math.log(self.n / s) for s in range(1, r + 1)])
+        denom = np.array([_norm(self.n, s) for s in range(1, r + 1)])
         obj = mean[1:] / denom[k - 1]
         # largest objective, then fewest vertices, then smallest mask
         tied = np.flatnonzero(obj == obj.max())

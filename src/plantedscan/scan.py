@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .kernels import entropy_h_vec
-from .model import _BATCH_ROWS, EdgeProbabilityModel, GraphSample, RankOne, _check_rows, check_subset
+from .model import (_BATCH_ROWS, EdgeProbabilityModel, GraphSample, RankOne, _check_rows,
+                    _combination_tables, _norm, _number, check_subset)
 
 __all__ = [
     "Exhaustive",
@@ -121,31 +122,9 @@ class Exhaustive(_SizeRange):
         return sum(math.comb(n, k) for k in range(self.min_size, min(self.max_size, n) + 1))
 
     def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
-        # the first table is enumerated directly: C(n, k) below min_size can
-        # exceed the whole family by orders of magnitude
-        lo, hi = self.size_range(n)
-        for k in range(lo, hi + 1):
-            if k == lo:
-                rows = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-                                   dtype=np.int32, count=math.comb(n, k) * k).reshape(-1, k)
-            else:
-                rows = _extend_combinations(rows, n)
+        for rows in _combination_tables(n, *self.size_range(n)):
             rows.flags.writeable = False
             yield rows
-
-
-def _extend_combinations(rows: np.ndarray, n: int) -> np.ndarray:
-    """The (k+1)-subsets of range(n) from its k-subsets, both lexicographic:
-    vertex a followed by each k-subset whose first vertex exceeds a."""
-    m, k = rows.shape
-    starts = np.searchsorted(rows[:, 0], np.arange(1, n + 1)).tolist()
-    out = np.empty((sum(m - s for s in starts), k + 1), dtype=rows.dtype)
-    at = 0
-    for a, s in enumerate(starts):
-        out[at : at + m - s, 0] = a
-        out[at : at + m - s, 1:] = rows[s:]
-        at += m - s
-    return out
 
 
 @dataclass(frozen=True)
@@ -162,6 +141,8 @@ class WeightPrefix(_SizeRange):
         return min(self.max_size, n) - self.min_size + 1
 
     def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
+        if model is None:
+            raise ValidationError("blind scan has no weight order to build prefixes from")
         if not isinstance(model, RankOne):
             raise ValidationError("WeightPrefix requires a rank-one model with known weights")
         order = np.argsort(-model.weights, kind="stable")
@@ -243,13 +224,11 @@ class ScanConfig:
     budget: int = DEFAULT_SUBSET_BUDGET
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, (int, np.integer)) or isinstance(self.r, bool):
-            raise ValidationError(f"r must be an integer, got {self.r!r}")
-        if self.r < 1:
+        if _number("r", self.r, int) < 1:
             raise ValidationError(f"r must be >= 1, got {self.r}")
-        if not self.epsilon > 0:
+        if not _number("epsilon", self.epsilon, float) > 0:
             raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.budget < 1:
+        if _number("budget", self.budget, int) < 1:
             raise ValidationError(f"budget must be >= 1, got {self.budget}")
 
 
@@ -342,10 +321,6 @@ def _scores(counts: np.ndarray, means: np.ndarray, norm: float) -> np.ndarray:
     return out
 
 
-def _norm(n: int, k: int) -> float:
-    return k * math.log(n / k)
-
-
 def _blind_floor(n: int, k: int) -> float:
     return (k * k / n) * math.log(n / k) ** 4
 
@@ -357,11 +332,10 @@ def _blind_stat_from_counts(counts: np.ndarray, cross: np.ndarray, e_total: floa
     return _scores(counts, np.maximum(root * root / 4.0, floor), norm)
 
 
-def _blind_stats(sample: GraphSample, rows: np.ndarray, e_total: float,
-                 floor: float, norm: float) -> np.ndarray:
-    """Blind statistic of every row of an (m, k) block; e_total is the
-    sample's edge count."""
-    counts = sample._edges_within_rows(rows)
+def _blind_stats(sample: GraphSample, rows: np.ndarray, counts: np.ndarray,
+                 e_total: float, floor: float, norm: float) -> np.ndarray:
+    """Blind statistic of every row of an (m, k) block, given the rows'
+    edge counts; e_total is the sample's edge count."""
     cross = sample._degrees[rows].sum(axis=1) - 2 * counts
     return _blind_stat_from_counts(counts, cross, e_total, floor, norm)
 
@@ -382,9 +356,11 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
                          _norm(sample.n, d.size))[0])
 
 
-def _run_plan(plan: tuple[_Layer, ...], stats_of: Callable[[_Layer, slice], np.ndarray],
+def _run_plan(plan: tuple[_Layer, ...], sample: GraphSample,
+              score: Callable[[_Layer, slice, np.ndarray], np.ndarray],
               keep_trace: bool) -> tuple[float, tuple[int, ...], dict | None, int]:
-    """First strict maximum of stats_of(layer, rows slice) in plan order."""
+    """First strict maximum in plan order of score(layer, rows slice, the
+    slice's edge counts on sample)."""
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
@@ -394,7 +370,7 @@ def _run_plan(plan: tuple[_Layer, ...], stats_of: Callable[[_Layer, slice], np.n
         evaluated += m
         for start in range(0, m, _BATCH_ROWS):
             sl = slice(start, start + _BATCH_ROWS)
-            stats = stats_of(layer, sl)
+            stats = score(layer, sl, sample._edges_within_rows(layer.rows[sl]))
             i = int(np.argmax(stats))
             mx = float(stats[i])
             if mx > best_stat:
@@ -405,21 +381,18 @@ def _run_plan(plan: tuple[_Layer, ...], stats_of: Callable[[_Layer, slice], np.n
     return best_stat, best_subset, (trace if keep_trace else None), evaluated
 
 
-def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanConfig,
-               keep_trace: bool = False) -> ScanOutcome:
-    """Maximise the known-probability statistic over the family; reject when
-    the maximum reaches 1 + eps/2.
-
-    The family must stay within sizes [1, r].  The enumeration size is
-    checked against config.budget before any work happens.
-    """
+def _scan(sample: GraphSample, config: ScanConfig, model: EdgeProbabilityModel | None,
+          k_min: int, threshold: float, score: Callable[[_Layer, slice, np.ndarray], np.ndarray],
+          keep_trace: bool) -> ScanOutcome:
+    """Both scans: maximise score over the family (by default every subset
+    of sizes [k_min, r]) with a plan whose null means come from model, and
+    reject at threshold.  r must be below n and the family within sizes up
+    to r; its size is checked against config.budget before any work."""
     n = sample.n
-    if model.n != n:
-        raise ValidationError(f"model has n={model.n} but sample has n={n}")
     if config.r >= n:
         raise ValidationError(f"r must be < n, got r={config.r}, n={n}")
-    family = config.family or Exhaustive(1, config.r)
-    lo, hi = family.size_range(n)
+    family = config.family or Exhaustive(k_min, config.r)
+    hi = family.size_range(n)[1]
     if hi > config.r:
         raise ValidationError(f"family reaches size {hi}, above the scan bound r={config.r}")
     count = family.count(n)
@@ -427,13 +400,12 @@ def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanCon
         raise BudgetError(
             f"family enumerates {count} subsets, over the budget {config.budget}"
         )
-    threshold = 1.0 + config.epsilon / 2.0
-    stat, subset, trace, evaluated = _run_plan(
-        _plan(family, n, model),
-        lambda layer, sl: _scores(sample._edges_within_rows(layer.rows[sl]), layer.means[sl],
-                                  layer.norm),
-        keep_trace,
-    )
+    stat, subset, trace, evaluated = _run_plan(_plan(family, n, model), sample, score, keep_trace)
+    metadata = {"subsets_evaluated": evaluated}
+    if config.r >= n / 2:
+        # the per-size normalisation ln(n/|D|) degenerates as |D| -> n;
+        # results at r >= n/2 are outside the calibrated regime
+        metadata["large_r"] = True
     return ScanOutcome(
         statistic=stat,
         subset=subset,
@@ -443,17 +415,23 @@ def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanCon
         r=config.r,
         family=family.describe(),
         size_trace=trace,
-        metadata=_metadata(n, config.r, evaluated),
+        metadata=metadata,
     )
 
 
-def _metadata(n: int, r: int, evaluated: int) -> dict:
-    md = {"subsets_evaluated": evaluated}
-    if r >= n / 2:
-        # the per-size normalisation ln(n/|D|) degenerates as |D| -> n;
-        # results at r >= n/2 are outside the calibrated regime
-        md["large_r"] = True
-    return md
+def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanConfig,
+               keep_trace: bool = False) -> ScanOutcome:
+    """Maximise the known-probability statistic over the family; reject when
+    the maximum reaches 1 + eps/2.
+
+    The family must stay within sizes [1, r].  The enumeration size is
+    checked against config.budget before any work happens.
+    """
+    if model.n != sample.n:
+        raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
+    return _scan(sample, config, model, 1, 1.0 + config.epsilon / 2.0,
+                 lambda layer, sl, counts: _scores(counts, layer.means[sl], layer.norm),
+                 keep_trace)
 
 
 def estimate_from_totals(total_edges: float, cross_edges: float) -> float:
@@ -486,6 +464,17 @@ def estimate_expected_edges(sample: GraphSample, subset: Iterable[int]) -> float
     return estimate_from_totals(sample.total_edges(), sample.edges_across(d))
 
 
+def _blind_subset(sample: GraphSample, subset: Iterable[int],
+                  n: int | None) -> tuple[np.ndarray, int]:
+    """The checked subset, and the n (default the sample's) of its floor."""
+    d = check_subset(sample.n, subset)
+    _check_scan_size(sample.n, d.size)
+    n = sample.n if n is None else int(n)
+    if n <= d.size:
+        raise ValidationError(f"floor undefined for n={n} <= |D|={d.size}")
+    return d, n
+
+
 def estimate_expected_edges_thresholded(sample: GraphSample, subset: Iterable[int],
                                         n: int | None = None) -> float:
     """The estimate floored at (|D|^2 / n) * ln(n/|D|)^4, the level below
@@ -493,11 +482,7 @@ def estimate_expected_edges_thresholded(sample: GraphSample, subset: Iterable[in
 
     n defaults to the sample's vertex count; passing another value is an
     experimentation hook and changes only the floor."""
-    d = check_subset(sample.n, subset)
-    _check_scan_size(sample.n, d.size)
-    n = sample.n if n is None else int(n)
-    if n <= d.size:
-        raise ValidationError(f"floor undefined for n={n} <= |D|={d.size}")
+    d, n = _blind_subset(sample, subset, n)
     return max(estimate_expected_edges(sample, d), _blind_floor(n, d.size))
 
 
@@ -505,13 +490,11 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
                  n: int | None = None) -> float:
     """Blind scan statistic: the known-probability form with the null mean
     replaced by its floored estimate."""
-    d = check_subset(sample.n, subset)
-    _check_scan_size(sample.n, d.size)
-    n_eff = sample.n if n is None else int(n)
-    if n_eff <= d.size:
-        raise ValidationError(f"floor undefined for n={n_eff} <= |D|={d.size}")
-    return float(_blind_stats(sample, d[None, :], float(sample.total_edges()),
-                              _blind_floor(n_eff, d.size), _norm(n_eff, d.size))[0])
+    d, n = _blind_subset(sample, subset, n)
+    rows = d[None, :]
+    return float(_blind_stats(sample, rows, sample._edges_within_rows(rows),
+                              float(sample.total_edges()), _blind_floor(n, d.size),
+                              _norm(n, d.size))[0])
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,
@@ -523,42 +506,15 @@ def scan_unknown(sample: GraphSample, config: ScanConfig,
     mean estimate is not reliable there, and admitting those sizes would
     silently change the test's calibration.
     """
-    n = sample.n
-    if config.r >= n:
-        raise ValidationError(f"r must be < n, got r={config.r}, n={n}")
     k_min = min_blind_size(config.r)
-    family = config.family or Exhaustive(k_min, config.r)
-    lo, hi = family.size_range(n)
-    if isinstance(family, WeightPrefix):
-        raise ValidationError("blind scan has no weight order to build prefixes from")
-    if lo < k_min:
+    if config.family is not None and (lo := config.family.size_range(sample.n)[0]) < k_min:
         raise ValidationError(
             f"family includes size {lo}, below the blind floor ceil(r^(1/3)) = {k_min}"
         )
-    if hi > config.r:
-        raise ValidationError(f"family reaches size {hi}, above the scan bound r={config.r}")
-    count = family.count(n)
-    if count > config.budget:
-        raise BudgetError(
-            f"family enumerates {count} subsets, over the budget {config.budget}"
-        )
-    threshold = 1.0 + config.epsilon / 3.0
     e_total = float(sample.total_edges())
-    stat, subset, trace, evaluated = _run_plan(
-        _plan(family, n, None),
-        lambda layer, sl: _blind_stats(sample, layer.rows[sl], e_total, layer.floor, layer.norm),
-        keep_trace,
-    )
-    md = _metadata(n, config.r, evaluated)
-    md["size_window"] = [k_min, config.r]
-    return ScanOutcome(
-        statistic=stat,
-        subset=subset,
-        threshold=threshold,
-        reject=stat >= threshold,
-        epsilon=config.epsilon,
-        r=config.r,
-        family=family.describe(),
-        size_trace=trace,
-        metadata=md,
-    )
+    out = _scan(sample, config, None, k_min, 1.0 + config.epsilon / 3.0,
+                lambda layer, sl, counts: _blind_stats(sample, layer.rows[sl], counts, e_total,
+                                                       layer.floor, layer.norm),
+                keep_trace)
+    out.metadata["size_window"] = [k_min, config.r]
+    return out

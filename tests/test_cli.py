@@ -272,6 +272,19 @@ class TestRiskCmd:
         err = run_err(capsys, ["risk"], 2)
         assert "needs --config" in err
 
+    @pytest.mark.parametrize("communities", [[1, 2], True])
+    def test_malformed_communities_exit_2(self, tmp_path, communities):
+        cfg = json.loads(open(self.experiment(tmp_path)).read())
+        cfg_path = write_json(tmp_path / "bad.json", {**cfg, "communities": communities})
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "plantedscan", "risk", "--config", cfg_path],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "a count or a list of vertex lists" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestLrRiskCmd:
     def test_matches_library_call(self, capsys, tmp_path):

@@ -65,6 +65,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match="community count"):
             small_config(communities=0)
 
+    def test_communities_must_be_a_count_or_vertex_lists(self):
+        # a flat list of vertices, and a bool taken for a count of 1
+        for communities in ([1, 2], True, 2.0):
+            with pytest.raises(ValidationError, match="a count or a list of vertex lists"):
+                small_config(communities=communities)
+
     def test_negative_workers(self):
         with pytest.raises(ValidationError, match="workers"):
             small_config(workers=-1)
@@ -296,6 +302,17 @@ class TestSweep:
             want = threshold_scaling(model, range(8), target=target)
             assert float(cells[1]) == pytest.approx(want.rho_star, rel=1e-10)
             assert cells[4] == ("true" if want.feasible else "false")
+
+    def test_boundary_point_without_community_is_recorded(self, tmp_path):
+        base = {"model": model_to_json(Homogeneous(64, 0.05))}
+        out = tmp_path / "s"
+        csv_path = run_sweep(base, {"target": [1.0]}, out, kind="boundary")
+        record = json.loads((out / "point-0000.json").read_text())
+        assert record["error_type"] == "ValidationError"
+        assert record["error"] == "boundary point needs a 'community' entry"
+        lines = open(csv_path, encoding="ascii").read().splitlines()
+        assert lines[2] == "1,,,,,ValidationError"
+        assert json.loads((out / "sweep-meta.json").read_text())["failures"] == 1
 
     def test_grid_axis_must_be_a_list(self, tmp_path):
         with pytest.raises(ValidationError, match="grid axis"):

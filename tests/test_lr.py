@@ -7,6 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plantedscan import (
     BudgetError,
@@ -332,6 +333,39 @@ class TestProblemValidation:
 
     def test_community_count(self):
         assert LrProblem(Homogeneous(9, 0.3), 3, 1.5).community_count == 84
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"r": 3.0}, "r must be an integer, got 3.0"),
+        ({"r": True}, "r must be an integer, got True"),
+        ({"rho": "2"}, "rho must be a number, got '2'"),
+        ({"exact_budget": 2.5}, "exact_budget must be an integer, got 2.5"),
+        ({"sample_size": 10.0}, "sample_size must be an integer, got 10.0"),
+        ({"community_seed": "0"}, "community_seed must be an integer, got '0'"),
+    ])
+    def test_types_checked_at_construction(self, overrides, message):
+        args = {"model": Homogeneous(10, 0.1), "r": 3, "rho": 2.0, **overrides}
+        with pytest.raises(ValidationError, match=message):
+            LrProblem(**args)
+
+    def test_integer_rho_is_a_float_lift(self):
+        # the per-community lift array takes rho's type: an integer array
+        # would truncate a rho_map value of 2.5 to 2
+        model = Homogeneous(6, 0.3)
+        g = sample_null(model, 1)
+        a = LrProblem(model, 3, 2, rho_map={(0, 1, 2): 2.5})
+        b = LrProblem(model, 3, 2.0, rho_map={(0, 1, 2): 2.5})
+        assert a.rho == 2.0 and type(a.rho) is float
+        assert likelihood_ratio_average(a, g) == likelihood_ratio_average(b, g)
+
+    @given(st.integers(min_value=3, max_value=16), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_exact_community_set_is_every_r_subset_in_order(self, n, data):
+        r = data.draw(st.integers(min_value=2, max_value=n - 1))
+        problem = LrProblem(Homogeneous(n, 0.3), r, 1.5, exact_budget=math.comb(n, r))
+        assert problem.mode == "exact"
+        comms = problem._bundle["communities"]
+        assert comms.dtype == np.int64
+        assert comms.tolist() == [list(c) for c in combinations(range(n), r)]
 
 
 class TestBayesRisk:

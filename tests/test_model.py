@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plantedscan import (
+    BudgetError,
     GeneralMatrix,
     GraphSample,
     Homogeneous,
@@ -48,6 +49,13 @@ def naive_within(adj, subset):
         for a in range(len(subset))
         for b in range(a + 1, len(subset))
     )
+
+
+def naive_max_within(matrix, community, k):
+    """max over the k-subsets D of the community of the pair sum of matrix
+    inside D, pairs added in lexicographic order."""
+    return max(sum(matrix[i, j] for i, j in itertools.combinations(d, 2))
+               for d in itertools.combinations(community, k))
 
 
 def naive_across(adj, subset, n):
@@ -371,6 +379,47 @@ class TestExpectations:
         want = [[model.probability(int(a), int(b)) for a, b in zip(ra, rb)]
                 for ra, rb in zip(i, j)]
         assert got.tolist() == want
+
+
+class TestSubsetSearch:
+    @given(st.integers(min_value=1, max_value=14), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_combination_tables_are_itertools_combinations(self, n, data):
+        # the first table is enumerated, every later one extended from it
+        lo = data.draw(st.integers(min_value=1, max_value=n + 1))
+        hi = data.draw(st.integers(min_value=lo, max_value=n + 1))
+        tables = list(model_module._combination_tables(n, lo, hi))
+        assert len(tables) == hi - lo + 1
+        for k, table in zip(range(lo, hi + 1), tables):
+            assert table.dtype == np.int32
+            assert table.shape == (math.comb(n, k), k)
+            assert table.tolist() == [list(d) for d in itertools.combinations(range(n), k)]
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_general_max_within_mean_is_the_brute_force_max(self, seed, ties):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 16))
+        c = np.sort(rng.choice(n, size=int(rng.integers(2, min(n, 10) + 1)), replace=False))
+        m = rng.uniform(0.0, 1.0, size=(n, n))
+        if ties:
+            m = np.round(m * 2) / 4  # entries in {0, 0.25, 0.5}: many subsets tie
+        m = np.triu(m, 1)
+        model = GeneralMatrix(m + m.T)
+        for k in range(1, c.size + 1):
+            count = math.comb(c.size, k)
+            assert model.max_within_mean(c, k, count) == naive_max_within(model.matrix, c, k)
+            with pytest.raises(BudgetError, match="audit budget"):
+                model.max_within_mean(c, k, count - 1)
+
+    def test_general_max_within_mean_across_slices(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_BATCH_ROWS", 7)
+        rng = np.random.default_rng(11)
+        m = np.triu(rng.uniform(0.0, 1.0, size=(14, 14)), 1)
+        model = GeneralMatrix(m + m.T)
+        c = np.array([0, 2, 3, 5, 7, 8, 10, 11, 12, 13])
+        for k in range(2, 9):  # C(10, k) is 10 to 252 rows: up to 36 slices
+            assert model.max_within_mean(c, k, 10**6) == naive_max_within(model.matrix, c, k)
 
 
 class TestInterchange:

@@ -159,8 +159,16 @@ class TestScanKnown:
 
     def test_r_below_n(self):
         g = graph_from_edges(10, [])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="r must be < n, got r=10, n=10"):
             scan_known(Homogeneous(10, 0.1), g, ScanConfig(r=10))
+
+    def test_config_types(self):
+        with pytest.raises(ValidationError, match="epsilon must be a number, got '0.2'"):
+            ScanConfig(r=3, epsilon="0.2")
+        with pytest.raises(ValidationError, match="budget must be an integer, got 2.5"):
+            ScanConfig(r=3, budget=2.5)
+        with pytest.raises(ValidationError, match="r must be an integer, got 3.0"):
+            ScanConfig(r=3.0)
 
     def test_tie_break_prefers_small_then_lexicographic(self):
         # two disjoint triangles tie exactly; the lexicographically first wins
@@ -405,6 +413,15 @@ class TestScanUnknown:
         g = graph_from_edges(10, [])
         with pytest.raises(ValidationError, match="no weight order"):
             scan_unknown(g, ScanConfig(r=4, family=WeightPrefix(2, 4)))
+
+    def test_size_and_budget_checks(self):
+        g = graph_from_edges(10, [])
+        with pytest.raises(ValidationError, match="r must be < n, got r=10, n=10"):
+            scan_unknown(g, ScanConfig(r=10))
+        with pytest.raises(ValidationError, match="family reaches size 5, above the scan bound r=3"):
+            scan_unknown(g, ScanConfig(r=3, family=Exhaustive(2, 5)))
+        with pytest.raises(BudgetError, match="family enumerates 837 subsets, over the budget 100"):
+            scan_unknown(g, ScanConfig(r=6, budget=100))
 
     def test_small_subsets_blind_to_any_signal_at_n_512(self):
         # at n = 512 the mean floor (k^2/n) ln^4(n/k) exceeds the largest
