@@ -88,9 +88,10 @@ class LrProblem:
                     raise ValidationError(f"rho_map key {kt} does not have size r={self.r}")
                 if kt in cleaned:
                     raise ValidationError(f"rho_map has two keys for community {kt}")
+                value = _number(f"rho_map value for {kt}", value, float)
                 if not (value >= 1.0 and math.isfinite(value)):
                     raise ValidationError(f"rho_map value for {kt} must be >= 1, got {value}")
-                cleaned[kt] = float(value)
+                cleaned[kt] = value
             object.__setattr__(self, "rho_map", cleaned)
 
     @property

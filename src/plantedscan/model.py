@@ -8,9 +8,11 @@ rho * p_ij (so rho * p_ij <= 1 is part of the alternative's validity).
 Samples store the adjacency upper triangle as packed bits in lexicographic
 pair order, one uniform variate consumed per pair in that same order; this
 makes a null sample and an alternative sample with rho = 1 bit-identical
-for equal seeds.  Vertex counts are capped at 2**16: sampling streams one
-row at a time, but edge counting unpacks the triangle (n*(n-1)/2 bytes)
-on first use, which is the practical memory ceiling of this design.
+for equal seeds.  The sampler draws its uniforms one block of pairs at a
+time, each block compared with its pair probabilities in one call.  Vertex
+counts are capped at 2**16: sampling holds one bool per pair, and edge
+counting unpacks the triangle (n*(n-1)/2 bytes) on first use, which is the
+practical memory ceiling of this design.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ _BATCH_ROWS = 1 << 15
 
 # triangle positions decoded per block by GraphSample._edges
 _PAIR_BLOCK = 1 << 20
+
+# uniforms drawn per block by the sampler; blocks of _PAIR_BLOCK (8 MB of
+# uniforms) sampled n = 8192 about 20% slower than 2^16 on a 2.1 GHz Xeon
+_SAMPLE_BLOCK = 1 << 16
+
+# characters of an edge list's body parsed per block by read_edge_list
+_READ_BLOCK = 1 << 20
 
 
 def _number(key: str, value, kind: type):
@@ -146,7 +155,9 @@ class EdgeProbabilityModel:
 
     Each model class supplies:
       pair_probability(i, j)  p_ij for integer arrays i, j (no checks);
-      row_probabilities(i)    p_ij for j > i, the sampler's row slice;
+      row_probabilities(i)    p_ij for j > i: the row segments that fill each
+                              block of pairs the sampler draws (Homogeneous
+                              compares every block with its scalar p);
       within_mean(rows)       E0[e(D)] for each row of an (m, k) array of
                               sorted subsets;
       across_mean(d)          E0[e(D, V \\ D)] for a sorted subset, 0 < |D| < n;
@@ -564,26 +575,56 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits.view(np.uint8))
 
 
+def _probability_blocks(model: EdgeProbabilityModel,
+                        pairs: int) -> Iterator[tuple[int, int, float | np.ndarray]]:
+    """(s, e, p) for each _SAMPLE_BLOCK triangle positions [s, e), with p
+    the p_ij of those positions: Homogeneous's scalar p, else one reused
+    block buffer filled row segment by row segment from row_probabilities,
+    so no array of all the pairs is ever built."""
+    if isinstance(model, Homogeneous):
+        for s in range(0, pairs, _SAMPLE_BLOCK):
+            yield s, min(s + _SAMPLE_BLOCK, pairs), model.p
+        return
+    n = model.n
+    buf = np.empty(min(_SAMPLE_BLOCK, pairs))
+    i, start = 0, 0  # the row holding position s, and the row's first position
+    for s in range(0, pairs, _SAMPLE_BLOCK):
+        e = min(s + _SAMPLE_BLOCK, pairs)
+        at = s
+        while at < e:
+            end = start + n - 1 - i
+            hi = min(e, end)
+            buf[at - s : hi - s] = model.row_probabilities(i)[at - start : hi - start]
+            at = hi
+            if hi == end:
+                i, start = i + 1, end
+        yield s, e, buf[: e - s]
+
+
 def _sample_triangle(model: EdgeProbabilityModel, seed: int,
                      alt: PlantedAlternative | None) -> np.ndarray:
+    """The sampled triangle as bools in packed pair order: pair t is an edge
+    when the t-th uniform of the seed's stream is below its p_ij, or below
+    rho * p_ij inside a planted community."""
     n = model.n
+    pairs = n * (n - 1) // 2
     rng = generator(seed)
-    rows = []
+    bits = np.empty(pairs, dtype=bool)
     if alt is not None:
         c = np.asarray(alt.community, dtype=np.int64)
-        in_c = np.zeros(n, dtype=bool)
-        in_c[c] = True
-    for i in range(n - 1):
-        p_row = np.asarray(model.row_probabilities(i), dtype=np.float64)
-        if alt is not None and in_c[i]:
-            p_row = p_row.copy()
-            later = c[c > i] - (i + 1)
-            p_row[later] = p_row[later] * alt.rho
-        u = rng.random(n - 1 - i)
-        rows.append(u < p_row)
-    if not rows:
-        return np.zeros(0, dtype=bool)
-    return np.concatenate(rows)
+        a, b = np.triu_indices(c.size, 1)
+        pos = _pair_index(n, c[a], c[b])  # ascending: c is sorted
+        lifted = model.pair_probability(c[a], c[b]) * alt.rho
+    # with PCG64, random(a) then random(b) draws what random(a + b) does, so
+    # the block size leaves the stream as it was
+    for s, e, p in _probability_blocks(model, pairs):
+        u = rng.random(e - s)
+        np.less(u, p, out=bits[s:e])
+        if alt is not None:
+            lo, hi = np.searchsorted(pos, (s, e))
+            at = pos[lo:hi]
+            bits[at] = u[at - s] < lifted[lo:hi]
+    return bits
 
 
 def sample_null(model: EdgeProbabilityModel, seed: int) -> GraphSample:
@@ -639,9 +680,51 @@ def write_edge_list(sample: GraphSample, path: str | os.PathLike) -> None:
             fh.write("".join(f"{a} {b}\n" for a, b in zip(i.tolist(), j.tolist())))
 
 
-def _edge_positions(lines: Iterable[str], n: int) -> np.ndarray:
-    """Packed-triangle positions of "i j" edge lines; a malformed line, a
-    pair out of order or a pair listed twice is a ValidationError."""
+def _edge_block(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(heads, tails) of whole lines exactly as write_edge_list writes them,
+    one "i j\\n" line of decimal digits per edge with 0 <= i < j < n, parsed
+    as arrays; None for any other text."""
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    digit = raw - np.uint8(ord("0")) < 10
+    ends = np.flatnonzero(~digit)  # one past each token
+    sep = raw[ends]
+    if sep.size % 2 or (sep[0::2] != ord(" ")).any() or (sep[1::2] != ord("\n")).any():
+        return None
+    length = np.diff(ends, prepend=-1) - 1
+    # an empty token, or more digits than int64 holds
+    if ends.size and (length.min() < 1 or length.max() > 18):
+        return None
+    v = np.zeros(ends.size, dtype=np.int64)
+    for k in range(1, int(length.max(initial=0)) + 1):
+        v += np.where(length >= k, raw[ends - k] - np.int64(ord("0")), 0) * 10 ** (k - 1)
+    heads, tails = v[0::2], v[1::2]
+    if not ((heads < tails) & (tails < n)).all():
+        return None
+    return heads, tails
+
+
+def _edge_array(fh: TextIO, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(heads, tails) of the rest of fh, parsed _READ_BLOCK characters at a
+    time by _edge_block; None unless every line is one it accepts."""
+    heads, tails = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    rest = ""
+    while text := fh.read(_READ_BLOCK):
+        text = rest + text
+        cut = text.rfind("\n") + 1
+        edges = _edge_block(text[:cut], n) if cut else None
+        if edges is None:
+            return None
+        heads.append(edges[0])
+        tails.append(edges[1])
+        rest = text[cut:]
+    if rest:  # an unterminated last line
+        return None
+    return np.concatenate(heads), np.concatenate(tails)
+
+
+def _edge_lines(lines: Iterable[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(heads, tails) of "i j" edge lines read one at a time; a malformed
+    line or a pair out of order is a ValidationError naming the first."""
     heads, tails = array("q"), array("q")
     line = ""
     try:
@@ -658,7 +741,13 @@ def _edge_positions(lines: Iterable[str], n: int) -> np.ndarray:
             tails.append(j)
     except ValueError as exc:
         raise ValidationError(f"malformed edge line {line!r}: {exc}") from exc
-    idx = _pair_index(n, np.frombuffer(heads, dtype=np.int64), np.frombuffer(tails, dtype=np.int64))
+    return np.frombuffer(heads, dtype=np.int64), np.frombuffer(tails, dtype=np.int64)
+
+
+def _edge_positions(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Packed-triangle positions of the edges; a pair listed twice is a
+    ValidationError."""
+    idx = _pair_index(n, heads, tails)
     ordered = np.sort(idx)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeated.size:
@@ -676,10 +765,19 @@ def read_edge_list(path: str | os.PathLike) -> GraphSample:
         except ValueError as exc:
             raise ValidationError(f"malformed header {header!r}; expected 'n m'") from exc
         _check_vertex_count(n)
-        bits = np.zeros(n * (n - 1) // 2, dtype=bool)
-        idx = _edge_positions(fh, n)
+        try:
+            edges = _edge_array(fh, n)
+        except UnicodeDecodeError:
+            edges = None
+        if edges is None:
+            # read again line by line, which names the first faulty line
+            fh.seek(0)
+            fh.readline()
+            edges = _edge_lines(fh, n)
+    idx = _edge_positions(n, *edges)
     if idx.size != m:
         raise ValidationError(f"header claims {m} edges, file has {idx.size}")
+    bits = np.zeros(n * (n - 1) // 2, dtype=bool)
     bits[idx] = True
     return GraphSample(n, _pack(bits), None, "imported", sampler="file-import")
 

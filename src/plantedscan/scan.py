@@ -96,6 +96,8 @@ class _SizeRange(SubsetFamily):
     max_size: int
 
     def __post_init__(self) -> None:
+        for key in ("min_size", "max_size"):
+            object.__setattr__(self, key, _number(key, getattr(self, key), int))
         if not 1 <= self.min_size <= self.max_size:
             raise ValidationError(
                 f"need 1 <= min_size <= max_size, got [{self.min_size}, {self.max_size}]"
@@ -109,7 +111,7 @@ class _SizeRange(SubsetFamily):
 
     @classmethod
     def _from_dict(cls, raw: Mapping) -> "_SizeRange":
-        return cls(int(raw["min_size"]), int(raw["max_size"]))
+        return cls(raw["min_size"], raw["max_size"])
 
 
 @dataclass(frozen=True)
@@ -163,9 +165,9 @@ class Explicit(SubsetFamily):
     def __post_init__(self) -> None:
         if not self.subsets:
             raise ValidationError("Explicit family must contain at least one subset")
-        object.__setattr__(
-            self, "subsets", tuple(tuple(int(v) for v in sorted(s)) for s in self.subsets)
-        )
+        object.__setattr__(self, "subsets", tuple(
+            tuple(sorted(_number("subset vertex", v, int) for v in s)) for s in self.subsets
+        ))
 
     def __hash__(self) -> int:
         # hashed once: the plan cache looks the family up on every scan
@@ -206,7 +208,7 @@ class Explicit(SubsetFamily):
 
     @classmethod
     def _from_dict(cls, raw: Mapping) -> "Explicit":
-        return cls(tuple(tuple(int(v) for v in s) for s in raw["subsets"]))
+        return cls(raw["subsets"])
 
 
 @dataclass(frozen=True)
@@ -469,7 +471,7 @@ def _blind_subset(sample: GraphSample, subset: Iterable[int],
     """The checked subset, and the n (default the sample's) of its floor."""
     d = check_subset(sample.n, subset)
     _check_scan_size(sample.n, d.size)
-    n = sample.n if n is None else int(n)
+    n = sample.n if n is None else _number("n", n, int)
     if n <= d.size:
         raise ValidationError(f"floor undefined for n={n} <= |D|={d.size}")
     return d, n

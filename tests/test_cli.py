@@ -190,6 +190,15 @@ class TestMalformedValues:
         err = run_err(capsys, ["risk", "--config", cfg], 2)
         assert err.startswith("error:")
 
+    def test_risk_config_family_size(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "exp.json", {
+            "model": model_to_json(Homogeneous(12, 0.3)), "test": "scan_known", "r": 3,
+            "rho": 1.8, "communities": 1, "null_replications": 10, "alt_replications": 10,
+            "family": {"kind": "exhaustive", "min_size": "x", "max_size": 3},
+        })
+        err = run_err(capsys, ["risk", "--config", cfg], 2)
+        assert "min_size must be an integer" in err
+
     def test_lr_risk_config_rho(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "lr.json", {
             "model": model_to_json(Homogeneous(10, 0.3)), "r": 3, "rho": "high",

@@ -324,6 +324,11 @@ class TestProblemValidation:
         with pytest.raises(ValidationError, match="two keys"):
             LrProblem(model, 3, 1.5, rho_map={(0, 1, 2): 1.5, (2, 1, 0): 2.0})
 
+    def test_rho_map_value_type_checked(self):
+        model = Homogeneous(10, 0.1)
+        with pytest.raises(ValidationError, match=r"rho_map value for \(0, 1, 2\) must be a number"):
+            LrProblem(model, 3, 2.0, rho_map={(0, 1, 2): "2"})
+
     def test_budget_and_sample_size_checks(self):
         model = Homogeneous(6, 0.3)
         with pytest.raises(ValidationError, match="exact_budget"):

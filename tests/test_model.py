@@ -31,6 +31,7 @@ from plantedscan import (
 )
 from plantedscan import model as model_module
 from plantedscan.model import check_subset
+from plantedscan.seeding import generator
 
 
 def random_model(kind, n, rng):
@@ -204,6 +205,60 @@ class TestSampling:
         want = expected_edges_across_null(model, alt.community)  # 4*12*0.25 = 12
         sigma = math.sqrt(48 * 0.25 * 0.75 / reps)
         assert abs(total / reps - want) <= 3 * sigma
+
+
+def row_loop_triangle(model, seed, alt):
+    """The row-at-a-time sampler the block sampler replaced: the reference
+    stream, one rng.random call per row."""
+    n = model.n
+    rng = generator(seed)
+    rows = []
+    if alt is not None:
+        c = np.asarray(alt.community, dtype=np.int64)
+        in_c = np.zeros(n, dtype=bool)
+        in_c[c] = True
+    for i in range(n - 1):
+        p_row = np.asarray(model.row_probabilities(i), dtype=np.float64)
+        if alt is not None and in_c[i]:
+            p_row = p_row.copy()
+            later = c[c > i] - (i + 1)
+            p_row[later] = p_row[later] * alt.rho
+        u = rng.random(n - 1 - i)
+        rows.append(u < p_row)
+    if not rows:
+        return np.zeros(0, dtype=bool)
+    return np.concatenate(rows)
+
+
+class TestBlockSampler:
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(["homogeneous", "rank_one", "general"]),
+           st.integers(min_value=1, max_value=70),
+           st.sampled_from([1, 3, 17, 64, 1 << 16]),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_block_sampler_matches_the_row_loop(self, seed, kind, n, block, at_cap):
+        # small blocks put rows and communities across block boundaries
+        rng = np.random.default_rng(seed)
+        model = random_model(kind, n, rng)
+        with mock.patch.object(model_module, "_SAMPLE_BLOCK", block):
+            null = sample_null(model, seed)
+            assert np.array_equal(null.packed, np.packbits(row_loop_triangle(model, seed, None)))
+            if n < 2:
+                return
+            r = int(rng.integers(2, min(n, 10) + 1))
+            c = np.sort(rng.choice(n, size=r, replace=False))
+            p_max = model.max_pair_within(c)[0]
+            rho = 1.0
+            if at_cap and p_max > 0:
+                rho = 1.0 / p_max
+                while rho * p_max > 1.0:
+                    rho = float(np.nextafter(rho, 0.0))
+                rho = max(rho, 1.0)
+            alt = PlantedAlternative(tuple(int(v) for v in c), rho, model)
+            planted = sample_alternative(model, alt, seed)
+            assert np.array_equal(planted.packed,
+                                  np.packbits(row_loop_triangle(model, seed, alt)))
 
 
 @pytest.fixture(scope="module")
@@ -432,6 +487,21 @@ class TestInterchange:
         assert loaded.hypothesis == "imported"
         assert np.array_equal(loaded.packed, original.packed)
 
+    def test_edge_list_read_in_small_blocks(self, tmp_path, monkeypatch):
+        # blocks of 7 characters cut most lines, and some tokens, in two
+        monkeypatch.setattr(model_module, "_READ_BLOCK", 7)
+        original = sample_null(RankOne(np.linspace(0.1, 0.6, 60)), 3)
+        path = tmp_path / "g.txt"
+        write_edge_list(original, path)
+        # an unterminated last line, left over after the last block, goes
+        # to the line loop, which reads it
+        path.write_text(path.read_text().rstrip("\n"))
+        assert np.array_equal(read_edge_list(path).packed, original.packed)
+        # a well-formed file is read by the array parse alone
+        write_edge_list(original, path)
+        monkeypatch.setattr(model_module, "_edge_lines", None)
+        assert np.array_equal(read_edge_list(path).packed, original.packed)
+
     def test_edge_list_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("17\n")
@@ -449,6 +519,64 @@ class TestInterchange:
         path.write_text(text)
         with pytest.raises(ValidationError, match=message):
             read_edge_list(path)
+
+    @pytest.mark.parametrize("text, message", [
+        # four tokens, two per line on average: a token count would pass it
+        ("4 2\n0 1 2\n3\n", r"malformed edge line '0 1 2\\n'$"),
+        ("4 1\n0 1\n\n2\n", r"malformed edge line '2\\n'$"),
+        ("4 1\n0 1 2 3\n", r"malformed edge line '0 1 2 3\\n'$"),
+        # a vertical tab separates tokens but does not end the line
+        ("4 3\n0 1\n0 3 \x0b 1 2\n", r"malformed edge line '0 3 \\x0b 1 2\\n'$"),
+        ("4 1\n0 99999999999999999999\n",
+         r"edge \(0, 99999999999999999999\) violates 0 <= i < j < n=4$"),
+    ], ids=["three-then-one", "one-token", "four-tokens", "vertical-tab", "over-long-integer"])
+    def test_edge_list_rejects_malformed_lines(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            read_edge_list(path)
+
+    @given(st.lists(st.one_of(
+               st.lists(st.sampled_from(["0", "1", "2", "3", "007"]), min_size=2, max_size=2),
+               st.lists(st.sampled_from(["0", "3", "+1", "1_0", "-1", "x", "1.5", "",
+                                         "99999999999999999999", "0000000000000000000003"]),
+                        max_size=4)), max_size=8),
+           st.sampled_from([" ", " ", "\t", "  ", "\x0b", "\x1c"]),
+           st.sampled_from(["\n", "\n", "\r\n", "\n\n"]),
+           st.booleans(),
+           st.sampled_from([1, 4, 9, 1 << 20]))
+    @settings(max_examples=200, deadline=None)
+    def test_edge_list_reader_matches_the_line_loop(self, lines, sep, end, unterminated, block):
+        # the array parse and the line loop accept the same files, with the
+        # same graph, and reject the others with the same message; small
+        # read blocks cut lines and tokens at block boundaries
+        text = "".join(sep.join(tokens) + end for tokens in lines)
+        if unterminated:
+            text = text.rstrip("\r\n")
+        m = sum(1 for tokens in lines if "".join(tokens))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.txt"
+            path.write_bytes(f"4 {m}\n{text}".encode("ascii"))
+            try:
+                with mock.patch.object(model_module, "_READ_BLOCK", block):
+                    got = read_edge_list(path).packed
+            except ValidationError as exc:
+                got = str(exc)
+            with open(path, encoding="ascii") as fh:
+                fh.readline()
+                try:
+                    idx = model_module._edge_positions(4, *model_module._edge_lines(fh, 4))
+                    bits = np.zeros(6, dtype=bool)
+                    bits[idx] = True
+                    want = np.packbits(bits)
+                    if idx.size != m:
+                        want = f"header claims {m} edges, file has {idx.size}"
+                except ValidationError as exc:
+                    want = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
 
     def test_edge_list_rejects_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -24,6 +24,7 @@ from plantedscan import (
     PlantedAlternative,
     RankOne,
     ScanConfig,
+    SubsetFamily,
     ValidationError,
     WeightPrefix,
     estimate_expected_edges,
@@ -215,6 +216,21 @@ class TestScanKnown:
         with pytest.raises(ValidationError, match=message):
             scan_unknown(g, cfg)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Exhaustive(1.5, 3), "min_size must be an integer, got 1.5"),
+        (lambda: Exhaustive(True, 3), "min_size must be an integer, got True"),
+        (lambda: WeightPrefix(2, 4.0), "max_size must be an integer, got 4.0"),
+        (lambda: SubsetFamily.from_dict({"kind": "exhaustive", "min_size": "x", "max_size": 3}),
+         "min_size must be an integer, got 'x'"),
+        (lambda: Explicit(((0, "a"),)), "subset vertex must be an integer, got 'a'"),
+        (lambda: SubsetFamily.from_dict({"kind": "explicit", "subsets": [[0, 1.5]]}),
+         "subset vertex must be an integer, got 1.5"),
+    ], ids=["float-size", "bool-size", "float-max", "string-size-config", "string-vertex",
+            "float-vertex-config"])
+    def test_family_entries_type_checked(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
     def test_weight_prefix_needs_weights(self):
         g = graph_from_edges(10, [])
         cfg = ScanConfig(r=4, family=WeightPrefix(2, 4))
@@ -333,6 +349,13 @@ class TestStatUnknown:
         # a K4 yields 6 edges, under the n = 1024 floor of 14.77
         g = graph_from_edges(30, itertools.combinations(range(4), 2))
         assert stat_unknown(g, (0, 1, 2, 3), n=1024) == 0.0
+
+    def test_floor_n_must_be_an_integer(self):
+        g = graph_from_edges(30, itertools.combinations(range(4), 2))
+        with pytest.raises(ValidationError, match="n must be an integer, got 1024.9"):
+            stat_unknown(g, (0, 1, 2), n=1024.9)
+        with pytest.raises(ValidationError, match="n must be an integer, got True"):
+            estimate_expected_edges_thresholded(g, (0, 1, 2), n=True)
 
     def test_agrees_with_known_mean_when_estimate_concentrates(self):
         # dense regime where the mean estimate lands within a few percent
