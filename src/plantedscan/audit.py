@@ -11,7 +11,7 @@ means the asymptotic statement has little force at this size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,14 +47,7 @@ class AuditEntry:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

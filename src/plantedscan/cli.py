@@ -100,8 +100,14 @@ def _emit_json(payload, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_row(row: Mapping, out: str | None) -> None:
-    write_csv(list(row), [list(row.values())], _output(out))
+def _emit(result, args) -> None:
+    """A single-row result: its row() as CSV with --format csv, else its
+    to_json()."""
+    if args.fmt == "csv":
+        row = result.row()
+        write_csv(list(row), [list(row.values())], _output(args.out))
+    else:
+        _emit_json(result.to_json(), args.out)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -123,18 +129,6 @@ def cmd_sample(args) -> None:
     print(f"wrote {args.out}: n={g.n} edges={g.total_edges()} seed={seed}")
 
 
-def _scan_outcome_row(outcome) -> dict:
-    return {
-        "statistic": outcome.statistic,
-        "threshold": outcome.threshold,
-        "reject": outcome.reject,
-        "subset_size": len(outcome.subset) if outcome.subset else 0,
-        "subset": " ".join(str(v) for v in outcome.subset) if outcome.subset else "",
-        "epsilon": outcome.epsilon,
-        "r": outcome.r,
-    }
-
-
 def cmd_scan(args) -> None:
     cfg = _config_dict(args)
     sample = read_edge_list(args.graph)
@@ -152,14 +146,9 @@ def cmd_scan(args) -> None:
               else _config_number(cfg, "budget", DEFAULT_SUBSET_BUDGET, int))
     scan_cfg = ScanConfig(_number("r", r, int), epsilon, family, budget)
     if args.blind:
-        outcome = scan_unknown(sample, scan_cfg)
+        _emit(scan_unknown(sample, scan_cfg), args)
     else:
-        model = _model_from_args(args, cfg)
-        outcome = scan_known(model, sample, scan_cfg)
-    if args.fmt == "csv":
-        _emit_row(_scan_outcome_row(outcome), args.out)
-    else:
-        _emit_json(outcome.to_json(), args.out)
+        _emit(scan_known(_model_from_args(args, cfg), sample, scan_cfg), args)
 
 
 def cmd_boundary(args) -> None:
@@ -186,11 +175,14 @@ def cmd_boundary(args) -> None:
         raise ValidationError("boundary needs --community i,j,k (or a config key)")
     if isinstance(community, str):
         community = _parse_community(community)
-    result = threshold_scaling(model, community, target=args.target)
-    if args.fmt == "csv":
-        _emit_row(result.row(), args.out)
-    else:
-        _emit_json(result.to_json(), args.out)
+    _emit(threshold_scaling(model, community, target=args.target), args)
+
+
+def _flag_overrides(args) -> dict:
+    """The experiment config keys that --seed, --reps and --workers set."""
+    flags = {"master_seed": args.seed, "null_replications": args.reps,
+             "alt_replications": args.reps, "workers": args.workers}
+    return {k: v for k, v in flags.items() if v is not None}
 
 
 def _experiment_config(args, cfg: Mapping) -> ExperimentConfig:
@@ -199,25 +191,14 @@ def _experiment_config(args, cfg: Mapping) -> ExperimentConfig:
         raw["master_seed"] = cfg["seed"]
     if args.test is not None:
         raw["test"] = args.test
-    if args.seed is not None:
-        raw["master_seed"] = args.seed
-    if args.reps is not None:
-        raw["null_replications"] = args.reps
-        raw["alt_replications"] = args.reps
-    if args.workers is not None:
-        raw["workers"] = args.workers
-    return ExperimentConfig.from_dict(raw)
+    return ExperimentConfig.from_dict({**raw, **_flag_overrides(args)})
 
 
 def cmd_risk(args) -> None:
     cfg = _config_dict(args)
     if not cfg:
         raise ValidationError("risk needs --config with an experiment description")
-    est = estimate_risk(_experiment_config(args, cfg))
-    if args.fmt == "csv":
-        _emit_row(est.row(), args.out)
-    else:
-        _emit_json(est.to_json(), args.out)
+    _emit(estimate_risk(_experiment_config(args, cfg)), args)
 
 
 def cmd_lr_risk(args) -> None:
@@ -237,14 +218,7 @@ def cmd_lr_risk(args) -> None:
         community_seed=seed,
     )
     reps = args.reps if args.reps is not None else _config_number(cfg, "replications", 1000, int)
-    result = bayes_risk(problem, reps, seed)
-    if args.fmt == "csv":
-        _emit_row({"risk": result.risk, "stderr": result.stderr,
-                   "replications": result.replications, "mode": result.mode,
-                   "communities": result.communities, "mean_lr": result.mean_lr,
-                   "mean_lr_stderr": result.mean_lr_stderr}, args.out)
-    else:
-        _emit_json(result.to_json(), args.out)
+    _emit(bayes_risk(problem, reps, seed), args)
 
 
 def cmd_audit(args) -> None:
@@ -301,14 +275,7 @@ def cmd_sweep(args) -> None:
     out_dir = args.out or cfg.get("out")
     if not out_dir or out_dir == "-":
         raise ValidationError("sweep needs --out DIR for per-point results")
-    base = dict(cfg["base"])
-    if args.seed is not None:
-        base["master_seed"] = args.seed
-    if args.workers is not None:
-        base["workers"] = args.workers
-    if args.reps is not None:
-        base["null_replications"] = args.reps
-        base["alt_replications"] = args.reps
+    base = dict(cfg["base"], **_flag_overrides(args))
     csv_path = run_sweep(base, cfg["grid"], out_dir, kind=cfg.get("kind", "risk"))
     print(f"wrote {csv_path}")
 

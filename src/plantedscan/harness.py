@@ -20,13 +20,13 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import PlantedScanError, ValidationError
-from .lr import LrProblem, likelihood_ratio_average
+from .lr import DEFAULT_EXACT_BUDGET, DEFAULT_SAMPLE_SIZE, LrProblem, likelihood_ratio_average
 from .model import (
     EdgeProbabilityModel,
     GraphSample,
@@ -74,8 +74,8 @@ class ExperimentConfig:
     epsilon: float = 0.2
     family: SubsetFamily | None = None
     budget: int = DEFAULT_SUBSET_BUDGET
-    lr_exact_budget: int = 200_000
-    lr_sample_size: int | None = 4096
+    lr_exact_budget: int = DEFAULT_EXACT_BUDGET
+    lr_sample_size: int | None = DEFAULT_SAMPLE_SIZE
     master_seed: int = 0
     workers: int = 0
 
@@ -165,8 +165,7 @@ class RateWithError:
     count: int
 
     def to_json(self) -> dict:
-        return {"rate": self.rate, "stderr": self.stderr,
-                "successes": self.successes, "count": self.count}
+        return asdict(self)
 
 
 def _rate(successes: int, count: int) -> RateWithError:
@@ -212,49 +211,37 @@ class RiskEstimate:
 
 
 def _make_decider(config: ExperimentConfig) -> Callable[[GraphSample], bool]:
+    if config.test == "lr":
+        problem = LrProblem(config.model, config.r, config.rho,
+                            exact_budget=config.lr_exact_budget,
+                            sample_size=config.lr_sample_size,
+                            community_seed=config.master_seed)
+        return lambda g: likelihood_ratio_average(problem, g).value > 1.0
+    scan_cfg = ScanConfig(config.r, config.epsilon, config.family, config.budget)
     if config.test == "scan_known":
-        scan_cfg = ScanConfig(config.r, config.epsilon, config.family, config.budget)
         return lambda g: scan_known(config.model, g, scan_cfg).reject
-    if config.test == "scan_unknown":
-        scan_cfg = ScanConfig(config.r, config.epsilon, config.family, config.budget)
-        return lambda g: scan_unknown(g, scan_cfg).reject
-    problem = LrProblem(config.model, config.r, config.rho,
-                        exact_budget=config.lr_exact_budget,
-                        sample_size=config.lr_sample_size,
-                        community_seed=config.master_seed)
-    return lambda g: likelihood_ratio_average(problem, g).value > 1.0
+    return lambda g: scan_unknown(g, scan_cfg).reject
 
 
-def _run_block(config: ExperimentConfig, label: str,
-               community: tuple[int, ...] | None,
-               indices: Sequence[int]) -> int:
-    """Rejections among the given replication indices of one stream."""
+def _run_job(job) -> list[int]:
+    """Rejections per stream among one job's replication indices: job w
+    of `workers` runs indices w, w + workers, ... of every stream, with one
+    decider for all of them."""
+    config, streams, w, workers = job
     decide = _make_decider(config)
-    alt = (None if community is None
-           else PlantedAlternative(community, config.rho, config.model))
-    rejections = 0
-    for i in indices:
-        seed = derive_seed(config.master_seed, label, i)
-        g = (sample_null(config.model, seed) if alt is None
-             else sample_alternative(config.model, alt, seed))
-        if decide(g):
-            rejections += 1
-    return rejections
-
-
-def _worker(args) -> int:
-    return _run_block(*args)
-
-
-def _count_rejections(config: ExperimentConfig, label: str,
-                      community: tuple[int, ...] | None, count: int,
-                      pool: ProcessPoolExecutor | None, workers: int) -> int:
-    indices = range(count)
-    if pool is None:
-        return _run_block(config, label, community, indices)
-    chunks = [indices[w::workers] for w in range(workers)]
-    jobs = [(config, label, community, chunk) for chunk in chunks if chunk]
-    return sum(pool.map(_worker, jobs))
+    counts = []
+    for label, community, count in streams:
+        alt = (None if community is None
+               else PlantedAlternative(community, config.rho, config.model))
+        rejections = 0
+        for i in range(count)[w::workers]:
+            seed = derive_seed(config.master_seed, label, i)
+            g = (sample_null(config.model, seed) if alt is None
+                 else sample_alternative(config.model, alt, seed))
+            if decide(g):
+                rejections += 1
+        counts.append(rejections)
+    return counts
 
 
 def estimate_risk(config: ExperimentConfig, test: str | None = None) -> RiskEstimate:
@@ -272,23 +259,20 @@ def estimate_risk(config: ExperimentConfig, test: str | None = None) -> RiskEsti
         if len(c) != config.r:
             raise ValidationError(f"community {c} does not have size r={config.r}")
         PlantedAlternative(c, config.rho, config.model)  # eager validity check
-    workers = config.resolved_workers()
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        null_rej = _count_rejections(config, "null", None,
-                                     config.null_replications, pool, workers)
-        type2 = {}
-        for j, c in enumerate(communities):
-            alt_rej = _count_rejections(config, f"alt-{j}", c,
-                                        config.alt_replications, pool, workers)
-            type2[c] = _rate(config.alt_replications - alt_rej,
-                             config.alt_replications)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    type1 = _rate(null_rej, config.null_replications)
+    streams = [("null", None, config.null_replications)]
+    streams += [(f"alt-{j}", c, config.alt_replications) for j, c in enumerate(communities)]
+    workers = min(config.resolved_workers(), max(count for *_, count in streams))
+    jobs = [(config, streams, w, workers) for w in range(workers)]
+    if workers == 1:
+        per_job = [_run_job(jobs[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_job = list(pool.map(_run_job, jobs))
+    null_rej, *alt_rej = (sum(counts) for counts in zip(*per_job))
+    type2 = {c: _rate(config.alt_replications - rej, config.alt_replications)
+             for c, rej in zip(communities, alt_rej)}
     return RiskEstimate(
-        type1=type1,
+        type1=_rate(null_rej, config.null_replications),
         type2=type2,
         metadata={
             "test": config.test,

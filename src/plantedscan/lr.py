@@ -239,17 +239,21 @@ class BayesRiskResult:
     mean_lr_stderr: float
     metadata: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
+    def row(self) -> dict:
+        """The columns of the CLI's lr-risk CSV."""
         return {
             "risk": self.risk,
             "stderr": self.stderr,
             "replications": self.replications,
             "mode": self.mode,
-            "M": self.communities,
+            "communities": self.communities,
             "mean_lr": self.mean_lr,
             "mean_lr_stderr": self.mean_lr_stderr,
-            "metadata": dict(self.metadata),
         }
+
+    def to_json(self) -> dict:
+        out = {("M" if k == "communities" else k): v for k, v in self.row().items()}
+        return {**out, "metadata": dict(self.metadata)}
 
 
 def bayes_risk(problem: LrProblem, replications: int, master_seed: int) -> BayesRiskResult:

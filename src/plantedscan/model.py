@@ -204,7 +204,7 @@ class Homogeneous(EdgeProbabilityModel):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_vertex_count(self.n))
-        p = float(self.p)
+        p = _number("p", self.p, float)
         if not (0.0 <= p <= 1.0):
             raise ValidationError(f"p must lie in [0, 1], got {p}")
         object.__setattr__(self, "p", p)
@@ -435,7 +435,7 @@ class PlantedAlternative:
         c = check_subset(self.model.n, self.community)
         if c.size < 2:
             raise ValidationError(f"community must have at least 2 vertices, got {c.size}")
-        rho = float(self.rho)
+        rho = _number("rho", self.rho, float)
         if not (rho >= 1.0 and math.isfinite(rho)):
             raise ValidationError(f"rho must be finite and >= 1, got {rho}")
         p_max, pair = self.model.max_pair_within(c)
@@ -826,7 +826,7 @@ def model_from_json(source: dict | str | os.PathLike) -> EdgeProbabilityModel:
     variant = source["variant"]
     try:
         if variant == "homogeneous":
-            return Homogeneous(int(source["n"]), float(source["p"]))
+            return Homogeneous(source["n"], source["p"])
         if variant == "rank_one":
             return RankOne(np.asarray(source["weights"], dtype=np.float64))
         if variant == "general":

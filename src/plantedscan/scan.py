@@ -246,6 +246,19 @@ class ScanOutcome:
     size_trace: dict[int, tuple[float, tuple[int, ...]]] | None = None
     metadata: dict = field(default_factory=dict)
 
+    def row(self) -> dict:
+        """The columns of the CLI's scan CSV."""
+        subset = self.subset or ()
+        return {
+            "statistic": self.statistic,
+            "threshold": self.threshold,
+            "reject": self.reject,
+            "subset_size": len(subset),
+            "subset": " ".join(map(str, subset)),
+            "epsilon": self.epsilon,
+            "r": self.r,
+        }
+
     def to_json(self) -> dict:
         out = {
             "statistic": self.statistic,
@@ -327,11 +340,16 @@ def _blind_floor(n: int, k: int) -> float:
     return (k * k / n) * math.log(n / k) ** 4
 
 
+def _blind_mean(e_total, cross):
+    """(sqrt(e_total) - sqrt(e_total - 2 cross))^2 / 4, the radicand clamped
+    at zero; elementwise over an array of cross counts."""
+    root = np.sqrt(e_total) - np.sqrt(np.maximum(e_total - 2.0 * cross, 0.0))
+    return root * root / 4.0
+
+
 def _blind_stat_from_counts(counts: np.ndarray, cross: np.ndarray, e_total: float,
                             floor: float, norm: float) -> np.ndarray:
-    radicand = np.maximum(e_total - 2.0 * cross, 0.0)
-    root = math.sqrt(e_total) - np.sqrt(radicand)
-    return _scores(counts, np.maximum(root * root / 4.0, floor), norm)
+    return _scores(counts, np.maximum(_blind_mean(e_total, cross), floor), norm)
 
 
 def _blind_stats(sample: GraphSample, rows: np.ndarray, counts: np.ndarray,
@@ -449,9 +467,7 @@ def estimate_from_totals(total_edges: float, cross_edges: float) -> float:
     cross_edges = float(cross_edges)
     if total_edges < 0.0 or cross_edges < 0.0:
         raise ValidationError("edge counts must be nonnegative")
-    radicand = max(total_edges - 2.0 * cross_edges, 0.0)
-    root = math.sqrt(total_edges) - math.sqrt(radicand)
-    return root * root / 4.0
+    return float(_blind_mean(total_edges, cross_edges))
 
 
 def estimate_expected_edges(sample: GraphSample, subset: Iterable[int]) -> float:

@@ -1,6 +1,7 @@
 """Command-line surface: subcommand behavior, config/flag precedence,
 output formats, and exit codes (0 ok, 2 validation, 3 budget)."""
 
+import io
 import json
 import os
 import shutil
@@ -18,10 +19,11 @@ from plantedscan import (
     bayes_risk,
     estimate_risk,
     scan_known,
+    scan_unknown,
     threshold_scaling,
 )
 from plantedscan.cli import main
-from plantedscan.model import model_to_json, read_edge_list
+from plantedscan.model import model_to_json, read_edge_list, write_csv
 
 
 def write_json(path, payload):
@@ -32,6 +34,12 @@ def write_json(path, payload):
 @pytest.fixture
 def model_cfg(tmp_path):
     return write_json(tmp_path / "model.json", model_to_json(Homogeneous(64, 0.1)))
+
+
+def csv_text(row):
+    buf = io.StringIO()
+    write_csv(list(row), [list(row.values())], buf)
+    return buf.getvalue()
 
 
 def run_ok(capsys, argv):
@@ -127,6 +135,18 @@ class TestSampleAndScan:
         assert lines[1].startswith("statistic,threshold,reject")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_scan_csv_is_the_outcome_row(self, capsys, tmp_path, model_cfg, blind):
+        graph = tmp_path / "g.txt"
+        main(["sample", "--config", model_cfg, "--seed", "2", "--out", str(graph)])
+        capsys.readouterr()
+        argv = ["scan", "--graph", str(graph), "--r", "3", "--format", "csv"]
+        out = run_ok(capsys, argv + (["--blind"] if blind else ["--config", model_cfg]))
+        sample, cfg = read_edge_list(str(graph)), ScanConfig(3, 0.2)
+        outcome = (scan_unknown(sample, cfg) if blind
+                   else scan_known(Homogeneous(64, 0.1), sample, cfg))
+        assert out == csv_text(outcome.row())
+
     def test_planted_sample_lifts_community(self, capsys, tmp_path, model_cfg):
         graph = tmp_path / "g.txt"
         run_ok(capsys, ["sample", "--config", model_cfg, "--seed", "2",
@@ -167,6 +187,12 @@ class TestMalformedValues:
         cfg = write_json(tmp_path / "m.json", {"variant": "homogeneous", "n": "ten", "p": 0.1})
         err = run_err(capsys, ["sample", "--config", cfg, "--out", str(tmp_path / "g.txt")], 2)
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n, p", [(10.7, 0.1), (True, 0.1), (10, "0.1"), (10, True)])
+    def test_model_descriptor_number_types(self, capsys, tmp_path, n, p):
+        cfg = write_json(tmp_path / "m.json", {"variant": "homogeneous", "n": n, "p": p})
+        err = run_err(capsys, ["sample", "--config", cfg, "--out", str(tmp_path / "g.txt")], 2)
+        assert "must be" in err
 
     def test_model_matrix_file_missing(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "m.json",
@@ -310,6 +336,18 @@ class TestLrRiskCmd:
         assert payload["risk"] == direct.risk
         assert payload["mode"] == "exact"
         assert payload["M"] == 120
+
+    def test_csv_is_the_result_row(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "lr.json", {
+            "model": model_to_json(Homogeneous(10, 0.3)),
+            "r": 3, "rho": 1.6, "replications": 20, "master_seed": 6,
+        })
+        out = run_ok(capsys, ["lr-risk", "--config", cfg, "--format", "csv"])
+        direct = bayes_risk(LrProblem(Homogeneous(10, 0.3), 3, 1.6,
+                                      community_seed=6), 20, 6)
+        assert out == csv_text(direct.row())
+        assert out.splitlines()[1] == ("risk,stderr,replications,mode,communities,"
+                                       "mean_lr,mean_lr_stderr")
 
     def test_missing_rho(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "lr.json", {

@@ -21,6 +21,7 @@ from plantedscan import (
     sample_null,
     threshold_scaling,
 )
+from plantedscan import lr as lr_module
 from plantedscan.harness import RateWithError
 from plantedscan.model import model_to_json
 from plantedscan.scan import Exhaustive, Explicit, SubsetFamily, WeightPrefix
@@ -187,15 +188,32 @@ class TestEstimateRisk:
         assert est.type1.successes == manual
 
     def test_worker_count_does_not_change_results(self):
-        base = dict(
-            model=Homogeneous(14, 0.3), test="lr", r=3, rho=1.7,
-            communities=((0, 1, 2), (3, 4, 5)),
-            null_replications=12, alt_replications=12, master_seed=8,
-        )
-        serial = estimate_risk(ExperimentConfig(**base, workers=1))
-        pooled = estimate_risk(ExperimentConfig(**base, workers=2))
-        assert serial.type1 == pooled.type1
-        assert serial.type2 == pooled.type2
+        # with 2 alternative replications, the third worker's slice of each
+        # alternative stream is empty
+        for test in ("lr", "scan_known"):
+            for alt_replications in (12, 2):
+                base = dict(
+                    model=Homogeneous(14, 0.3), test=test, r=3, rho=1.7,
+                    communities=((0, 1, 2), (3, 4, 5)),
+                    null_replications=12, alt_replications=alt_replications, master_seed=8,
+                )
+                serial = estimate_risk(ExperimentConfig(**base, workers=1))
+                for workers in (2, 3):
+                    pooled = estimate_risk(ExperimentConfig(**base, workers=workers))
+                    assert serial.type1 == pooled.type1
+                    assert serial.type2 == pooled.type2
+
+    def test_lr_tables_are_built_once_per_estimate(self, monkeypatch):
+        calls = []
+        build = lr_module._log_tables
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return build(*args)
+
+        monkeypatch.setattr(lr_module, "_log_tables", counting)
+        estimate_risk(small_config(test="lr", communities=4, workers=1))
+        assert calls == [(math.comb(16, 3), 3)]
 
     def test_community_size_must_match_r(self):
         cfg = small_config(communities=((0, 1),))

@@ -126,6 +126,30 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=r"p\[1,2\]"):
             PlantedAlternative((0, 1, 2, 3), 2.0, RankOne(w))
 
+    def test_descriptor_n_is_not_truncated(self):
+        with pytest.raises(ValidationError, match="must be an integer, got 10.7"):
+            model_from_json({"variant": "homogeneous", "n": 10.7, "p": 0.1})
+
+    def test_descriptor_n_is_not_a_bool(self):
+        with pytest.raises(ValidationError, match="must be an integer, got True"):
+            model_from_json({"variant": "homogeneous", "n": True, "p": 0.1})
+
+    def test_homogeneous_p_string(self):
+        with pytest.raises(ValidationError, match="p must be a number"):
+            Homogeneous(10, "0.1")
+
+    def test_homogeneous_p_bool(self):
+        with pytest.raises(ValidationError, match="p must be a number"):
+            Homogeneous(10, True)
+
+    def test_planted_alternative_rho_string(self):
+        with pytest.raises(ValidationError, match="rho must be a number"):
+            PlantedAlternative((0, 1), "2", Homogeneous(10, 0.1))
+
+    def test_numeric_types_still_accepted(self):
+        assert Homogeneous(np.int64(10), 1).p == 1.0
+        assert PlantedAlternative((0, 1), np.float64(2.0), Homogeneous(10, 0.1)).rho == 2.0
+
 
 class TestSampling:
     def test_p_zero_is_empty(self):
