@@ -6,8 +6,9 @@ Monte Carlo, run the likelihood-ratio oracle, audit the regularity
 assumptions, print the standard threshold table, and drive sweeps.
 
 Configuration comes from a JSON file (--config); flags mirror config keys
-and win on conflict.  Exit codes: 0 success, 2 validation error, 3 budget
-error, 4 numeric error.
+and win on conflict.  Exit codes: 0 success, 2 validation error (a file
+that cannot be opened, read or written included), 3 budget error, 4
+numeric error.
 """
 
 from __future__ import annotations
@@ -275,7 +276,9 @@ def cmd_sweep(args) -> None:
     out_dir = args.out or cfg.get("out")
     if not out_dir or out_dir == "-":
         raise ValidationError("sweep needs --out DIR for per-point results")
-    base = dict(cfg["base"], **_flag_overrides(args))
+    base = cfg["base"]
+    if isinstance(base, Mapping):  # run_sweep rejects anything else
+        base = {**base, **_flag_overrides(args)}
     csv_path = run_sweep(base, cfg["grid"], out_dir, kind=cfg.get("kind", "risk"))
     print(f"wrote {csv_path}")
 
@@ -380,6 +383,7 @@ def main(argv: Sequence[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except PlantedScanError as exc:
+    except (PlantedScanError, OSError) as exc:
+        # a file that cannot be opened, read or written is a bad argument
         print(f"error: {exc}", file=sys.stderr)
-        sys.exit(exc.exit_code)
+        sys.exit(getattr(exc, "exit_code", ValidationError.exit_code))

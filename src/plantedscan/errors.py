@@ -1,5 +1,7 @@
 """Exception hierarchy. Exit codes follow the CLI contract."""
 
+__all__ = ["PlantedScanError", "ValidationError", "BudgetError", "NumericError"]
+
 
 class PlantedScanError(Exception):
     """Base class for all package errors."""

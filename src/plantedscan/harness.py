@@ -324,6 +324,9 @@ def run_sweep(base: Mapping, grid: Mapping[str, Sequence], out_dir: str | os.Pat
     """
     if kind not in _POINT_KINDS:
         raise ValidationError(f"kind must be one of {sorted(_POINT_KINDS)}, got {kind!r}")
+    for key, value in (("base", base), ("grid", grid)):
+        if not isinstance(value, Mapping):
+            raise ValidationError(f"sweep {key} must be an object, got {type(value).__name__}")
     for key, values in grid.items():
         if not isinstance(values, (list, tuple)):
             raise ValidationError(f"grid axis {key!r} must be a list, got {type(values).__name__}")

@@ -23,7 +23,6 @@ from .errors import NumericError, ValidationError
 __all__ = [
     "KernelTolerance",
     "entropy_h",
-    "entropy_h_vec",
     "entropy_h_inverse",
     "kl_bernoulli",
     "bennett_upper_tail_bound",

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["derive_seed", "generator"]
+
 _MASK64 = (1 << 64) - 1
 
 

@@ -288,6 +288,43 @@ class TestQuantileBoundary:
         assert point.rho_star == res.rho_star
         assert point.feasible
 
+    @pytest.mark.parametrize("dist, quantile, top", [
+        (ShiftedBernoulli(q=0.3, t=2.0, s=0.1), lambda y: 2.0 if y < 0.3 else 0.0, 2.1),
+        (ShiftedUniform(a=0.5, b=1.5, s=0.1), lambda y: 0.5 + (1.0 - y), 1.6),
+        (ShiftedExponential(lam=1.0, s=0.1), lambda y: -math.log(y) / 1.0, None),
+    ], ids=["bernoulli", "uniform", "exponential"])
+    @pytest.mark.parametrize("denominator", ["per_size", "log_n"])
+    def test_finite_n_profiles_against_quantile_midpoints(self, dist, quantile, top,
+                                                          denominator):
+        # weights from the profile's quantile at the r upper-tail midpoints,
+        # the best prefix by brute force over every size k
+        n, r = 200_000, 40
+        w = sorted(((dist.s + quantile((a + 0.5) / r)) / math.log(n) ** 1.5
+                    for a in range(r)), reverse=True)
+        def objective(k):
+            pairs = math.fsum(w[a] * w[b] for a in range(k) for b in range(a + 1, k))
+            return pairs / (k * math.log(n / k) if denominator == "per_size"
+                            else k * math.log(n))
+        objs = [objective(k) for k in range(1, r + 1)]
+        k_star = objs.index(max(objs)) + 1
+        res = quantile_boundary(dist, r=r, n=n, denominator=denominator)
+        assert res.optimal_size == k_star
+        assert res.metadata["r"] == r
+        assert res.metadata["support_max"] == top
+        assert res.metadata["multiplier"] == pytest.approx(objs[k_star - 1], rel=1e-12)
+        assert objs[k_star - 1] * entropy_h(res.rho_star - 1.0) == pytest.approx(1.0, rel=1e-9)
+        assert res.feasible == (res.rho_star * w[0] * w[1] <= 1.0)
+
+    def test_community_size(self):
+        dist = ShiftedUniform(a=0.5, b=1.5, s=0.1)
+        assert dist.community_size(7, 10**8, "quarter_power") == 7
+        assert dist.community_size(None, 10**8, "polylog") == int((8 * math.log(10)) ** 4)
+        # (8 ln 10)^4 = 115,139.066..., times (10^8)^(1/4) = 100
+        assert dist.community_size(None, 10**8, "quarter_power") == 11_513_906
+        assert dist.community_size(None, 3, "polylog") == 2
+        res = quantile_boundary(dist, r=40, n=200_000, regime="quarter_power")
+        assert res.metadata["r"] == 40
+
     def test_finite_n_empirical_size_must_match(self):
         dist = Empirical(np.array([0.3, 0.2]))
         with pytest.raises(ValidationError, match="weights but r="):
@@ -428,6 +465,14 @@ class TestBoundarySurface:
         rows = boundary_surface(4096, [0.4, 0.1], r=10)
         assert len(rows) == 11
         assert rows[0].composition == (0, 10)
+
+    @pytest.mark.parametrize("r, step", [(10, 1), (64, 2), (100, 3)])
+    def test_default_three_class_grid_from_r(self, r, step):
+        rows = boundary_surface(4096, [0.4, 0.2, 0.1], r=r)
+        grid = [(a, b, r - a - b) for a in range(r + 1) for b in range(r + 1)
+                if a % step == 0 and b % step == 0 and a + b <= r]
+        assert [row.composition for row in rows] == grid
+        assert rows == boundary_surface(4096, [0.4, 0.2, 0.1], compositions=grid)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

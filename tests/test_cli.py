@@ -417,6 +417,16 @@ class TestSweepCmd:
         err = run_err(capsys, ["sweep", "--config", cfg2], 2)
         assert "needs --out" in err
 
+    @pytest.mark.parametrize("cfg, message", [
+        ({"base": 5, "grid": {"rho": [1.0]}}, "sweep base must be an object, got int"),
+        ({"base": {}, "grid": 5}, "sweep grid must be an object, got int"),
+    ], ids=["base", "grid"])
+    def test_base_and_grid_must_be_objects(self, capsys, tmp_path, cfg, message):
+        path = write_json(tmp_path / "sweep.json", cfg)
+        err = run_err(capsys, ["sweep", "--config", path, "--seed", "3",
+                               "--out", str(tmp_path / "o")], 2)
+        assert err == f"error: {message}\n"
+
     def test_bad_config_file(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.json")
         err = run_err(capsys, ["risk", "--config", missing], 2)
@@ -425,3 +435,39 @@ class TestSweepCmd:
         broken.write_text("{not json")
         err = run_err(capsys, ["risk", "--config", str(broken)], 2)
         assert "not valid JSON" in err
+
+
+class TestFileFaults:
+    """A file that cannot be opened, read or written, or an edge list that
+    is not ASCII text, is an argument error: exit 2 and one error line."""
+
+    @pytest.fixture
+    def files(self, tmp_path, model_cfg):
+        header = tmp_path / "header.edges"
+        header.write_bytes(b"4 \xe9\n0 1\n")
+        body = tmp_path / "body.edges"
+        lines = [f"{i} {j}\n" for i in range(200) for j in range(i + 1, 200, 7)]
+        text = "".join(lines).encode("ascii")
+        assert len(text) > 9000
+        body.write_bytes(f"200 {len(lines)}\n".encode("ascii") + text[:9000]
+                         + text[9000:].replace(b"\n", b"\xff\n", 1))
+        return {"model": model_cfg, "dir": str(tmp_path), "header": str(header),
+                "body": str(body), "nowhere": str(tmp_path / "no" / "such" / "dir")}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--graph", "{dir}/missing.edges", "--r", "3", "--blind"],
+         "No such file or directory"),
+        (["scan", "--config", "{dir}", "--graph", "{header}", "--r", "3"], "Is a directory"),
+        (["sample", "--config", "{model}", "--out", "{nowhere}/g.edges"],
+         "No such file or directory"),
+        (["table1", "--out", "{nowhere}/t.csv"], "No such file or directory"),
+        (["boundary", "--config", "{model}", "--community", "0,1,2",
+          "--out", "{nowhere}/b.json"], "No such file or directory"),
+        (["scan", "--graph", "{header}", "--r", "3", "--blind"], "is not ASCII text"),
+        (["scan", "--graph", "{body}", "--r", "3", "--blind"], "is not ASCII text"),
+    ], ids=["missing-graph", "config-directory", "sample-out", "table1-out",
+            "boundary-out", "non-ascii-header", "non-ascii-body"])
+    def test_exit_2(self, capsys, files, argv, message):
+        err = run_err(capsys, [arg.format(**files) for arg in argv], 2)
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1

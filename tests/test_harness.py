@@ -336,6 +336,17 @@ class TestSweep:
         with pytest.raises(ValidationError, match="grid axis"):
             run_sweep(risk_base(), {"rho": 1.5}, tmp_path / "s")
 
+    @pytest.mark.parametrize("base, grid, message", [
+        (5, {"rho": [1.5]}, "sweep base must be an object, got int"),
+        ([("rho", 1.5)], {}, "sweep base must be an object, got list"),
+        (risk_base(), 5, "sweep grid must be an object, got int"),
+        (risk_base(), [["rho", [1.5]]], "sweep grid must be an object, got list"),
+    ], ids=["base-int", "base-list", "grid-int", "grid-list"])
+    def test_base_and_grid_must_be_objects(self, tmp_path, base, grid, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            run_sweep(base, grid, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValidationError, match="kind must be one of"):
             run_sweep(risk_base(), {"rho": [1.5]}, tmp_path / "s", kind="power")

@@ -284,6 +284,22 @@ class TestBlockSampler:
             assert np.array_equal(planted.packed,
                                   np.packbits(row_loop_triangle(model, seed, alt)))
 
+    def test_alternative_built_on_another_model_is_rebound(self):
+        # the community is lifted against the sampled model's probabilities,
+        # and rho * p <= 1 is checked against them
+        built_on = Homogeneous(30, 0.1)
+        sampled = RankOne(np.linspace(0.05, 0.45, 30))
+        alt = PlantedAlternative((2, 9, 17, 28), 2.0, built_on)
+        own = PlantedAlternative((2, 9, 17, 28), 2.0, sampled)
+        for seed in (0, 5, 77):
+            g = sample_alternative(sampled, alt, seed)
+            assert np.array_equal(g.packed, sample_alternative(sampled, own, seed).packed)
+            assert np.array_equal(g.packed, np.packbits(row_loop_triangle(sampled, seed, own)))
+            assert g.planted_community == (2, 9, 17, 28) and g.planted_rho == 2.0
+        too_strong = PlantedAlternative((2, 9), 4.0, built_on)
+        with pytest.raises(ValidationError):
+            sample_alternative(Homogeneous(30, 0.3), too_strong, 0)
+
 
 @pytest.fixture(scope="module")
 def sample():
@@ -526,6 +542,16 @@ class TestInterchange:
         monkeypatch.setattr(model_module, "_edge_lines", None)
         assert np.array_equal(read_edge_list(path).packed, original.packed)
 
+    @pytest.mark.parametrize("kind, n", [
+        ("homogeneous", 1), ("homogeneous", 2), ("rank_one", 40), ("general", 23)])
+    def test_edge_list_bytes_are_one_line_per_edge(self, tmp_path, kind, n):
+        sample = sample_null(random_model(kind, n, generator(n)), 9)
+        path = tmp_path / "g.txt"
+        write_edge_list(sample, path)
+        adj = sample.adjacency_matrix()
+        lines = [f"{i} {j}\n" for i in range(n) for j in range(i + 1, n) if adj[i, j]]
+        assert path.read_bytes() == f"{n} {len(lines)}\n{''.join(lines)}".encode("ascii")
+
     def test_edge_list_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("17\n")
@@ -602,6 +628,32 @@ class TestInterchange:
         else:
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("where", ["header", "first-line", "past-8-KiB"])
+    @pytest.mark.parametrize("after_non_canonical", [False, True])
+    @pytest.mark.parametrize("block", [16, 1 << 20])
+    def test_edge_list_rejects_non_ascii_bytes(self, tmp_path, monkeypatch,
+                                               where, after_non_canonical, block):
+        # one message wherever the byte sits: a line-loop read past the
+        # first decoded chunk used to report it as a malformed line, and a
+        # small read block sends a non-canonical file there early
+        monkeypatch.setattr(model_module, "_READ_BLOCK", block)
+        body = [f"{i} {j}\n" for i in range(60) for j in range(i + 1, 60)]
+        if after_non_canonical:
+            body[0] = "0  1\n"
+        text = "".join(body).encode("ascii")
+        header = f"60 {len(body)}\n".encode("ascii")
+        if where == "header":
+            header = header.replace(b" ", b" \xe9")
+        elif where == "first-line":
+            text = text.replace(b"2\n", b"2\xe9\n", 1)
+        else:
+            assert len(text) > 9000
+            text = text[:9000] + text[9000:].replace(b"\n", b"\xc3\xa9\n", 1)
+        path = tmp_path / "g.txt"
+        path.write_bytes(header + text)
+        with pytest.raises(ValidationError, match="is not ASCII text$"):
+            read_edge_list(path)
+
     def test_edge_list_rejects_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("4 2\n0 1\n")
@@ -637,6 +689,14 @@ class TestInterchange:
         via_file = model_to_json(gm, matrix_path=tmp_path / "m")
         assert via_file["matrix_path"].endswith(".npy")
         assert np.array_equal(model_from_json(via_file).matrix, m)
+
+    def test_model_json_from_a_file_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"variant": "rank_one", "weights": [0.5, 0.25, 0.125]}')
+        model = model_from_json(path)
+        assert isinstance(model, RankOne)
+        assert model.weights.tolist() == [0.5, 0.25, 0.125]
+        assert model_from_json(str(path)).pair_probability(0, 2) == 0.0625
 
     def test_model_json_errors(self):
         with pytest.raises(ValidationError):
