@@ -14,7 +14,6 @@ numeric error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Mapping, Sequence
 
@@ -38,6 +37,8 @@ from .model import (
     PlantedAlternative,
     RankOne,
     _number,
+    _read_json,
+    _write_json,
     model_from_json,
     read_edge_list,
     sample_alternative,
@@ -50,21 +51,8 @@ from .scan import DEFAULT_SUBSET_BUDGET, Exhaustive, ScanConfig, scan_known, sca
 __all__ = ["main"]
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"config file {path} must hold a JSON object")
-    return raw
-
-
 def _config_dict(args) -> dict:
-    return _load_json(args.config) if args.config else {}
+    return _read_json(args.config, "config file") if args.config else {}
 
 
 def _config_number(cfg: Mapping, key: str, default, kind: type):
@@ -92,15 +80,6 @@ def _output(out: str | None):
     return sys.stdout if out in (None, "-") else out
 
 
-def _emit_json(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _emit(result, args) -> None:
     """A single-row result: its row() as CSV with --format csv, else its
     to_json()."""
@@ -108,7 +87,7 @@ def _emit(result, args) -> None:
         row = result.row()
         write_csv(list(row), [list(row.values())], _output(args.out))
     else:
-        _emit_json(result.to_json(), args.out)
+        _write_json(result.to_json(), _output(args.out))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -250,15 +229,15 @@ def cmd_audit(args) -> None:
                 for key, rep in sorted(reports.items()) for e in rep.entries]
         write_csv(columns, rows, _output(args.out))
     else:
-        _emit_json({"all_passed": all_passed,
-                    "reports": {k: rep.to_json() for k, rep in reports.items()}},
-                   args.out)
+        _write_json({"all_passed": all_passed,
+                     "reports": {k: rep.to_json() for k, rep in reports.items()}},
+                    _output(args.out))
 
 
 def cmd_table1(args) -> None:
     rows = standard_table(mode=args.mode, regime=args.regime, n=args.n)
     if args.fmt == "json":
-        _emit_json(rows, args.out)
+        _write_json(rows, _output(args.out))
     else:
         write_csv(["distribution", "rho_star", "optimal_fraction"],
                   [[r["distribution"], r["rho_star"], r["optimal_fraction"]]

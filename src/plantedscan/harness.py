@@ -14,8 +14,8 @@ a separate metadata sidecar, never into the CSV.
 
 from __future__ import annotations
 
+import io
 import itertools
-import json
 import math
 import os
 import time
@@ -32,6 +32,8 @@ from .model import (
     GraphSample,
     PlantedAlternative,
     _number,
+    _read_json,
+    _write_json,
     model_from_json,
     model_to_json,
     sample_alternative,
@@ -311,13 +313,29 @@ _POINT_KINDS = {
 }
 
 
+def _point_row(path: str, record: dict, overrides: dict, columns: Sequence[str]) -> list:
+    """The CSV row of a point file's record; a malformed or stale one is a ValidationError."""
+    try:
+        stored, wanted = io.StringIO(), io.StringIO()  # as JSON text: tuples read back as lists
+        _write_json(record["grid"], stored)
+        _write_json(overrides, wanted)
+        tail = ([record["result"][c] for c in columns] + [""] if "result" in record
+                else [""] * len(columns) + [record["error_type"]])
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"sweep point file {path} lacks a grid, result or error") from exc
+    if stored.getvalue() != wanted.getvalue():
+        raise ValidationError(f"sweep point file {path} is for grid {record['grid']}, "
+                              f"not {overrides}; use a fresh output directory")
+    return [record["grid"][k] for k in overrides] + tail
+
+
 def run_sweep(base: Mapping, grid: Mapping[str, Sequence], out_dir: str | os.PathLike,
               kind: str = "risk") -> str:
     """Cartesian sweep of grid values over the base configuration.
 
-    Each grid point is written to point-NNNN.json as soon as it finishes
-    (or fails: failures are recorded and the sweep continues).  Finished
-    points are skipped when the sweep is re-run.  Returns the path of the
+    Each grid point is written whole to point-NNNN.json once it finishes
+    (or fails: failures are recorded and the sweep continues); a re-run
+    reuses these files and rejects one of another grid.  Returns the path of the
     collected CSV, whose first line is "#schema=1" and whose bytes are a
     pure function of base, grid, and kind.  An empty grid axis produces a
     header-only CSV.
@@ -335,45 +353,31 @@ def run_sweep(base: Mapping, grid: Mapping[str, Sequence], out_dir: str | os.Pat
     keys = sorted(grid)
     run_point, columns = _POINT_KINDS[kind]
     points = list(itertools.product(*(grid[k] for k in keys)))
-    results = []
-    failures = 0
+    rows = []
     for idx, combo in enumerate(points):
         path = os.path.join(out_dir, f"point-{idx:04d}.json")
         overrides = dict(zip(keys, combo))
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
+            record = _read_json(path, "sweep point file")
         else:
-            point_cfg = {**base, **overrides}
             try:
-                row = run_point(point_cfg)
+                row = run_point({**base, **overrides})
                 record = {"grid": overrides, "result": {c: row[c] for c in columns}}
             except PlantedScanError as exc:
                 record = {"grid": overrides,
                           "error": str(exc), "error_type": type(exc).__name__}
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=1, sort_keys=True)
-        if "error" in record:
-            failures += 1
-        results.append(record)
+            _write_json(record, path + ".tmp")
+            os.replace(path + ".tmp", path)
+        rows.append(_point_row(path, record, overrides, columns))
     csv_path = os.path.join(out_dir, "sweep.csv")
-    rows = []
-    for record in results:
-        row = [record["grid"][k] for k in keys]
-        if "result" in record:
-            row += [record["result"][c] for c in columns] + [""]
-        else:
-            row += [""] * len(columns) + [record["error_type"]]
-        rows.append(row)
     write_csv(keys + columns + ["error"], rows, csv_path)
     meta = {
         "kind": kind,
         "points": len(points),
-        "failures": failures,
+        "failures": sum(row[-1] != "" for row in rows),
         "grid_keys": keys,
         "started_at": started,
         "finished_at": time.time(),
     }
-    with open(os.path.join(out_dir, "sweep-meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
+    _write_json(meta, os.path.join(out_dir, "sweep-meta.json"))
     return csv_path

@@ -694,8 +694,7 @@ def _edge_block(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     # an empty token, or more digits than int64 holds
     if ends.size and (length.min() < 1 or length.max() > 18):
         return None
-    # with count the result is allocated once rather than grown while
-    # parsing, which raised peak RSS reading a 66 MB file from 250 to 275 MB
+    # with count the result is allocated once rather than grown while parsing
     v = np.fromstring(body, dtype=np.int64, count=ends.size, sep=" ")
     heads, tails = v[0::2], v[1::2]
     if not ((heads < tails) & (tails < n)).all():
@@ -703,10 +702,10 @@ def _edge_block(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     return heads, tails
 
 
-def _edge_array(fh: TextIO, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(heads, tails) of the rest of fh, parsed _READ_BLOCK characters at a
-    time by _edge_block; None unless every line is one it accepts."""
-    heads, tails = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+def _edge_array(fh: TextIO, n: int, bits: np.ndarray) -> int | None:
+    """Set the bit of each line of the rest of fh, parsed _READ_BLOCK characters
+    at a time by _edge_block: the number of lines, or None unless it accepts all."""
+    lines = 0
     rest = ""
     while text := fh.read(_READ_BLOCK):
         text = rest + text
@@ -714,12 +713,12 @@ def _edge_array(fh: TextIO, n: int) -> tuple[np.ndarray, np.ndarray] | None:
         edges = _edge_block(text[:cut], n) if cut else None
         if edges is None:
             return None
-        heads.append(edges[0])
-        tails.append(edges[1])
+        bits[_pair_index(n, *edges)] = True
+        lines += edges[0].size
         rest = text[cut:]
     if rest:  # an unterminated last line
         return None
-    return np.concatenate(heads), np.concatenate(tails)
+    return lines
 
 
 def _edge_lines(lines: Iterable[str], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -756,7 +755,8 @@ def _edge_positions(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
 
 
 def read_edge_list(path: str | os.PathLike) -> GraphSample:
-    """Inverse of write_edge_list; the result carries hypothesis "imported"."""
+    """Inverse of write_edge_list; the result carries hypothesis "imported".
+    Any fault in reading the file is a ValidationError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().split()
@@ -765,19 +765,21 @@ def read_edge_list(path: str | os.PathLike) -> GraphSample:
             except ValueError as exc:
                 raise ValidationError(f"malformed header {header!r}; expected 'n m'") from exc
             _check_vertex_count(n)
-            edges = _edge_array(fh, n)
-            if edges is None:
-                # read again line by line, which names the first faulty line
+            bits = np.zeros(n * (n - 1) // 2, dtype=bool)
+            if (count := _edge_array(fh, n, bits)) != np.count_nonzero(bits):
+                # a line it rejects (None) or a repeated pair: read again line by
+                # line, naming the first fault; the bits set so far stay right
                 fh.seek(0)
                 fh.readline()
-                edges = _edge_lines(fh, n)
+                idx = _edge_positions(n, *_edge_lines(fh, n))
+                bits[idx] = True
+                count = idx.size
     except UnicodeDecodeError as exc:
         raise ValidationError(f"edge list {path} is not ASCII text") from exc
-    idx = _edge_positions(n, *edges)
-    if idx.size != m:
-        raise ValidationError(f"header claims {m} edges, file has {idx.size}")
-    bits = np.zeros(n * (n - 1) // 2, dtype=bool)
-    bits[idx] = True
+    except OSError as exc:
+        raise ValidationError(f"cannot read edge list {path}: {exc.strerror}") from exc
+    if count != m:
+        raise ValidationError(f"header claims {m} edges, file has {count}")
     return GraphSample(n, _pack(bits), None, "imported", sampler="file-import")
 
 
@@ -807,6 +809,32 @@ def write_csv(columns: Sequence[str], rows: Iterable[Sequence],
         writer.writerows([_format_cell(v) for v in row] for row in rows)
 
 
+def _read_json(path: str | os.PathLike, what: str) -> dict:
+    """The one JSON reader: the object in the file at path, else a ValidationError naming it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValidationError(f"{what} must be an object or a path, got {type(path).__name__}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ValidationError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object")
+    return raw
+
+
+def _write_json(payload, out: str | os.PathLike | TextIO) -> None:
+    """The one JSON writer: one space of indent, sorted keys and a final
+    newline, to a path or an open text stream."""
+    own = isinstance(out, (str, os.PathLike))
+    with open(out, "w", encoding="utf-8") if own else contextlib.nullcontext(out) as fh:
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+
+
 def model_to_json(model: EdgeProbabilityModel,
                   matrix_path: str | os.PathLike | None = None) -> dict:
     """JSON-compatible descriptor.  General matrices are stored inline as
@@ -818,9 +846,8 @@ def model_to_json(model: EdgeProbabilityModel,
 def model_from_json(source: dict | str | os.PathLike) -> EdgeProbabilityModel:
     """Rebuild a model from a descriptor dict or a path to a JSON file."""
     if not isinstance(source, dict):
-        with open(source, "r", encoding="utf-8") as fh:
-            source = json.load(fh)
-    if not isinstance(source, dict) or "variant" not in source:
+        source = _read_json(source, "model descriptor")
+    if "variant" not in source:
         raise ValidationError("model descriptor must be an object with a 'variant' key")
     variant = source["variant"]
     try:

@@ -18,6 +18,7 @@ from plantedscan import (
     ScanConfig,
     bayes_risk,
     estimate_risk,
+    run_sweep,
     scan_known,
     scan_unknown,
     threshold_scaling,
@@ -52,6 +53,15 @@ def run_err(capsys, argv, code):
         main(argv)
     assert excinfo.value.code == code
     return capsys.readouterr().err
+
+
+def run_module(argv, stdin=""):
+    """python -m plantedscan argv, in a fresh process against src/."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "plantedscan", *argv], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestTable1:
@@ -90,11 +100,7 @@ class TestTable1:
 
 
     def test_module_entry_point(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "plantedscan", "table1"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_module(["table1"])
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert "degenerate" in proc.stdout
 
@@ -282,7 +288,7 @@ class TestRiskCmd:
         cfg_path = self.experiment(tmp_path)
         payload = json.loads(run_ok(capsys, ["risk", "--config", cfg_path]))
         direct = estimate_risk(ExperimentConfig.from_dict(
-            json.loads(open(cfg_path).read())))
+            json.loads(Path(cfg_path).read_text())))
         assert payload["worst_case_risk"] == direct.worst_case_risk
         assert payload["type1"]["count"] == 10
 
@@ -309,13 +315,9 @@ class TestRiskCmd:
 
     @pytest.mark.parametrize("communities", [[1, 2], True])
     def test_malformed_communities_exit_2(self, tmp_path, communities):
-        cfg = json.loads(open(self.experiment(tmp_path)).read())
+        cfg = json.loads(Path(self.experiment(tmp_path)).read_text())
         cfg_path = write_json(tmp_path / "bad.json", {**cfg, "communities": communities})
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "plantedscan", "risk", "--config", cfg_path],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_module(["risk", "--config", cfg_path])
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert "a count or a list of vertex lists" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -471,3 +473,74 @@ class TestFileFaults:
         err = run_err(capsys, [arg.format(**files) for arg in argv], 2)
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+
+class TestInputFaults:
+    """A JSON input that cannot be read, or does not hold what it should, is
+    an argument error in a fresh process too: exit 2, one error line."""
+
+    MODEL = model_to_json(Homogeneous(12, 0.3))
+
+    def argv(self, tmp_path, case):
+        boundary = ["boundary", "--community", "0,1,2", "--config"]
+        if case == "config-not-utf8":
+            (tmp_path / "latin1.json").write_bytes(b'{"variant": "caf\xe9"}')
+            return boundary + [str(tmp_path / "latin1.json")]
+        if case == "model-path-truncated":
+            (tmp_path / "model.json").write_text(json.dumps(self.MODEL)[:-3])
+            return boundary + [write_json(tmp_path / "c.json", {"model": str(tmp_path / "model.json")})]
+        if case in ("model-list", "model-zero"):
+            model = [1] if case == "model-list" else 0
+            return boundary + [write_json(tmp_path / "c.json", {"model": model})]
+        base = {"model": self.MODEL, "community": [0, 1, 2]}
+        out = tmp_path / "out"
+        if case == "point-stale-grid":
+            run_sweep(base, {"target": [1.0, 2.0]}, out, kind="boundary")
+        else:
+            out.mkdir()
+            point = {"point-truncated": '{"grid": {"target": 3.0}, "res', "point-empty": "{}"}
+            (out / "point-0000.json").write_text(point[case])
+        cfg = {"base": base, "grid": {"target": [3.0, 4.0]}, "kind": "boundary"}
+        return ["sweep", "--config", write_json(tmp_path / "s.json", cfg), "--out", str(out)]
+
+    @pytest.mark.parametrize("case, message", [
+        ("config-not-utf8", "latin1.json is not valid JSON: 'utf-8' codec can't decode"),
+        ("model-path-truncated", "model.json is not valid JSON"),
+        ("model-list", "model descriptor must be an object or a path, got list"),
+        ("model-zero", "model descriptor must be an object or a path, got int"),
+        ("point-truncated", "point-0000.json is not valid JSON"),
+        ("point-empty", "point-0000.json lacks a grid, result or error"),
+        ("point-stale-grid", "point-0000.json is for grid {'target': 1.0}, not {'target': 3.0}"),
+    ], ids=["config-not-utf8", "model-path-truncated", "model-list", "model-zero",
+            "point-truncated", "point-empty", "point-stale-grid"])
+    def test_exit_2(self, tmp_path, case, message):
+        # a model on standard input: "model": 0 used to read it from there
+        proc = run_module(self.argv(tmp_path, case), stdin=json.dumps(self.MODEL))
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
+
+class TestJsonOutput:
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--format", "json"],
+        ["boundary", "--config", "{model}", "--community", "0,1,2"],
+        ["scan", "--config", "{model}", "--graph", "{graph}", "--r", "3"],
+        ["scan", "--graph", "{graph}", "--r", "3", "--blind"],
+        ["audit", "--config", "{model}", "--community", "0,1,2", "--gamma", "0.2"],
+        ["risk", "--config", "{experiment}", "--reps", "4"],
+        ["lr-risk", "--config", "{experiment}", "--reps", "4"],
+    ], ids=["table1", "boundary", "scan", "scan-blind", "audit", "risk", "lr-risk"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, model_cfg, argv):
+        graph = tmp_path / "g.txt"
+        main(["sample", "--config", model_cfg, "--seed", "1", "--out", str(graph)])
+        experiment = write_json(tmp_path / "exp.json", {
+            "model": model_to_json(Homogeneous(12, 0.3)), "test": "lr", "r": 3, "rho": 1.8,
+            "communities": [[0, 1, 2]], "master_seed": 14})
+        capsys.readouterr()
+        argv = [a.format(model=model_cfg, graph=graph, experiment=experiment) for a in argv]
+        stdout = run_ok(capsys, argv).encode("utf-8")
+        main(argv + ["--out", str(tmp_path / "out.json")])
+        assert (tmp_path / "out.json").read_bytes() == stdout
+        assert stdout.endswith(b"\n") and json.loads(stdout)

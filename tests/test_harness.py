@@ -4,6 +4,7 @@ worker-count invariance, resumable sweeps, byte-stable CSV output."""
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ class TestSweep:
         grid = {"rho": [1.0, 1.6]}
         first = run_sweep(risk_base(), grid, tmp_path / "a")
         second = run_sweep(risk_base(), grid, tmp_path / "b")
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert Path(first).read_bytes() == Path(second).read_bytes()
 
     def test_finished_points_are_skipped_on_resume(self, tmp_path):
         out = tmp_path / "s"
@@ -279,7 +280,7 @@ class TestSweep:
         point.write_text(json.dumps(record))
         (out / "sweep.csv").unlink()
         csv_path = run_sweep(risk_base(), {"rho": [1.5]}, out)
-        assert "0.77" in open(csv_path, encoding="ascii").read()
+        assert "0.77" in Path(csv_path).read_text(encoding="ascii")
 
     def test_failed_points_are_recorded_and_skipped_over(self, tmp_path):
         out = tmp_path / "s"
@@ -287,7 +288,7 @@ class TestSweep:
         bad = json.loads((out / "point-0001.json").read_text())
         assert bad["error_type"] == "ValidationError"
         assert "rho" in bad["error"]
-        lines = open(csv_path, encoding="ascii").read().splitlines()
+        lines = Path(csv_path).read_text(encoding="ascii").splitlines()
         assert lines[3].endswith("ValidationError")
         meta = json.loads((out / "sweep-meta.json").read_text())
         assert meta["points"] == 2
@@ -295,7 +296,7 @@ class TestSweep:
 
     def test_null_grid_value_is_an_empty_cell(self, tmp_path):
         csv_path = run_sweep(risk_base(), {"lr_sample_size": [None, 4096]}, tmp_path / "s")
-        lines = open(csv_path, encoding="ascii").read().splitlines()
+        lines = Path(csv_path).read_text(encoding="ascii").splitlines()
         first, second = (line.split(",") for line in lines[2:])
         assert first[0] == "" and second[0] == "4096"
         # C(16, 3) communities fit the exact budget, so the fallback size is moot
@@ -304,7 +305,7 @@ class TestSweep:
 
     def test_empty_grid_gives_header_only_csv(self, tmp_path):
         csv_path = run_sweep(risk_base(), {"rho": []}, tmp_path / "s")
-        lines = open(csv_path, encoding="ascii").read().splitlines()
+        lines = Path(csv_path).read_text(encoding="ascii").splitlines()
         assert len(lines) == 2
         assert lines[0] == "#schema=1"
 
@@ -313,7 +314,7 @@ class TestSweep:
         base = {"model": model_to_json(model), "community": list(range(8))}
         csv_path = run_sweep(base, {"target": [0.5, 1.0]}, tmp_path / "s",
                              kind="boundary")
-        lines = open(csv_path, encoding="ascii").read().splitlines()
+        lines = Path(csv_path).read_text(encoding="ascii").splitlines()
         assert lines[1] == "target,rho_star,optimal_size,optimal_fraction,feasible,error"
         for line, target in zip(lines[2:], (0.5, 1.0)):
             cells = line.split(",")
@@ -328,7 +329,7 @@ class TestSweep:
         record = json.loads((out / "point-0000.json").read_text())
         assert record["error_type"] == "ValidationError"
         assert record["error"] == "boundary point needs a 'community' entry"
-        lines = open(csv_path, encoding="ascii").read().splitlines()
+        lines = Path(csv_path).read_text(encoding="ascii").splitlines()
         assert lines[2] == "1,,,,,ValidationError"
         assert json.loads((out / "sweep-meta.json").read_text())["failures"] == 1
 
@@ -350,3 +351,54 @@ class TestSweep:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValidationError, match="kind must be one of"):
             run_sweep(risk_base(), {"rho": [1.5]}, tmp_path / "s", kind="power")
+
+    def test_point_and_meta_files_are_whole_json_lines(self, tmp_path):
+        out = tmp_path / "s"
+        run_sweep(risk_base(), {"rho": [1.5, 0.5]}, out)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["point-0000.json", "point-0001.json", "sweep-meta.json", "sweep.csv"]
+        for name in names[:3]:
+            text = (out / name).read_text()
+            assert text.endswith("}\n")
+            assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+    def test_point_files_from_tuple_grid_values_are_reused(self, tmp_path):
+        # a point file reads tuples back as lists; that is still its grid point
+        base = {"model": model_to_json(Homogeneous(64, 0.05))}
+        grid = {"community": [(0, 1, 2), (3, 4, 5, 6)]}
+        first = Path(run_sweep(base, grid, tmp_path / "s", kind="boundary")).read_bytes()
+        points = {p.name: p.read_bytes() for p in (tmp_path / "s").glob("point-*")}
+        run_sweep(base, grid, tmp_path / "s", kind="boundary")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "s").glob("point-*")} == points
+        assert first.count(b"\n") == 4
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"grid": {"rho": 1.5}, "res', "point-0000.json is not valid JSON"),
+        ("[]", "point-0000.json must hold a JSON object"),
+        ("{}", "point-0000.json lacks a grid, result or error"),
+        ('{"grid": {"rho": 1.5}}', "point-0000.json lacks a grid, result or error"),
+        ('{"grid": {"rho": 1.5}, "result": {"type1": 0.5}}',
+         "point-0000.json lacks a grid, result or error"),
+        ('{"grid": {"rho": 1.5}, "result": [0.5]}', "point-0000.json lacks a grid, result or error"),
+        ('{"grid": {"rho": 1.0}, "error": "e", "error_type": "ValidationError"}',
+         r"point-0000.json is for grid \{'rho': 1.0\}, not \{'rho': 1.5\}"),
+        ('{"grid": {"target": 1.5}, "error": "e", "error_type": "ValidationError"}',
+         r"point-0000.json is for grid \{'target': 1.5\}, not \{'rho': 1.5\}"),
+    ], ids=["truncated", "list", "empty-object", "no-outcome", "missing-column",
+            "result-list", "stale-value", "stale-key"])
+    def test_foreign_point_files_are_rejected(self, tmp_path, text, message):
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "point-0000.json").write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            run_sweep(risk_base(), {"rho": [1.5]}, out)
+        assert not (out / "sweep.csv").exists()
+
+    def test_stale_boundary_sweep_is_rejected(self, tmp_path):
+        # a re-run over another grid into the same directory must not collect
+        # the old points' rows
+        base = {"model": model_to_json(Homogeneous(64, 0.05)), "community": [0, 1, 2]}
+        run_sweep(base, {"target": [1.0, 2.0]}, tmp_path / "s", kind="boundary")
+        with pytest.raises(ValidationError, match=r"is for grid \{'target': 1.0\}, "
+                                                  r"not \{'target': 3.0\}"):
+            run_sweep(base, {"target": [3.0, 4.0]}, tmp_path / "s", kind="boundary")

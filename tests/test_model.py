@@ -3,6 +3,7 @@
 import itertools
 import math
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -654,6 +655,28 @@ class TestInterchange:
         with pytest.raises(ValidationError, match="is not ASCII text$"):
             read_edge_list(path)
 
+    def test_edge_list_reader_holds_one_block(self, tmp_path, monkeypatch):
+        # the array parse sets each block's bits as it goes, so nothing of
+        # the size of the file or of its edge count is held
+        monkeypatch.setattr(model_module, "_READ_BLOCK", 1 << 14)
+        sample = sample_null(Homogeneous(1500, 0.5), 0)
+        path = tmp_path / "g.txt"
+        write_edge_list(sample, path)
+        assert path.stat().st_size > 4 * 10**6
+        tracemalloc.start()
+        try:
+            got = read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.packed, sample.packed)
+        assert peak < 2 * (1500 * 1499 // 2)
+
+    def test_edge_list_missing_path(self, tmp_path):
+        with pytest.raises(ValidationError,
+                           match=r"^cannot read edge list .*nope\.txt: No such file or directory$"):
+            read_edge_list(tmp_path / "nope.txt")
+
     def test_edge_list_rejects_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("4 2\n0 1\n")
@@ -697,6 +720,24 @@ class TestInterchange:
         assert isinstance(model, RankOne)
         assert model.weights.tolist() == [0.5, 0.25, 0.125]
         assert model_from_json(str(path)).pair_probability(0, 2) == 0.0625
+
+    @pytest.mark.parametrize("source, message", [
+        ("nope.json", r"^model descriptor not found: .*nope\.json$"),
+        (".", r"^cannot read model descriptor .*: Is a directory$"),
+        ("truncated.json", r"^model descriptor .*truncated\.json is not valid JSON: "),
+        ("latin1.json", r"^model descriptor .*latin1\.json is not valid JSON: 'utf-8' codec"),
+        ("list.json", r"^model descriptor .*list\.json must hold a JSON object$"),
+        (0, r"^model descriptor must be an object or a path, got int$"),
+        ([1], r"^model descriptor must be an object or a path, got list$"),
+    ], ids=["missing", "directory", "truncated", "not-utf8", "list", "zero", "list-value"])
+    def test_model_json_read_faults(self, tmp_path, monkeypatch, source, message):
+        # 0 used to read the descriptor from standard input
+        (tmp_path / "truncated.json").write_text('{"variant": "homogeneous", "n"')
+        (tmp_path / "latin1.json").write_bytes(b'{"variant": "caf\xe9"}')
+        (tmp_path / "list.json").write_text("[1]")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError, match=message):
+            model_from_json(source)
 
     def test_model_json_errors(self):
         with pytest.raises(ValidationError):
