@@ -20,6 +20,7 @@ from .model import (
     EdgeProbabilityModel,
     PlantedAlternative,
     RankOne,
+    _number,
     check_subset,
     expected_edges_null,
 )
@@ -74,14 +75,13 @@ class AuditReport:
                 "yes" if e.passed else "NO", e.notes,
             ))
         widths = [max(len(r[i]) for r in rows) for i in range(5)]
-        lines = []
-        for r in rows:
-            cells = [r[i].ljust(widths[i]) for i in range(5)]
-            line = "  ".join(cells)
-            if r[5]:
-                line += "  " + r[5]
-            lines.append(line.rstrip())
-        return "\n".join(lines)
+        return "\n".join("  ".join([c.ljust(w) for c, w in zip(r, widths)] + [r[5]]).rstrip()
+                         for r in rows)
+
+
+def _check_threshold(threshold) -> None:
+    if not (math.isfinite(_number("threshold", threshold, float)) and threshold > 0):
+        raise ValidationError(f"threshold must be finite and > 0, got {threshold}")
 
 
 def _entry(name: str, lhs: float, rhs: float, threshold: float, notes: str = "") -> AuditEntry:
@@ -109,6 +109,7 @@ def audit_assumption_1_1(model: EdgeProbabilityModel, community, delta: float,
     how aggressively small subgraphs are excluded and is the caller's
     modelling choice.
     """
+    _check_threshold(threshold)
     c = check_subset(model.n, community)
     r, n = c.size, model.n
     if r < 2:
@@ -129,10 +130,8 @@ def audit_assumption_1_1(model: EdgeProbabilityModel, community, delta: float,
             f"vacuous: size window [2, {limit:.3g}) is empty",
         ))
     elif p_bar_c <= 0.0:
-        entries.append(AuditEntry(
-            "small-subgraph density ratio", math.inf, float(delta), 0.0, False,
-            "community mean density is zero",
-        ))
+        entries.append(_entry("small-subgraph density ratio", math.inf, float(delta),
+                              threshold, "community mean density is zero"))
     else:
         worst = 0.0
         for k in range(2, k_max + 1):
@@ -141,19 +140,16 @@ def audit_assumption_1_1(model: EdgeProbabilityModel, community, delta: float,
             worst = max(worst, ratio)
         entries.append(_entry("small-subgraph density ratio", worst, float(delta),
                               threshold, notes=f"sizes 2..{k_max}"))
-    if p_bar_c <= 0.0:
-        entries.append(AuditEntry("density floor 1/density <= r/ln(n/r)",
-                                  math.inf, r / math.log(n / r), 0.0, False,
-                                  "community mean density is zero"))
-    else:
-        entries.append(_entry("density floor 1/density <= r/ln(n/r)",
-                              1.0 / p_bar_c, r / math.log(n / r), threshold))
+    entries.append(_entry("density floor 1/density <= r/ln(n/r)",
+                          1.0 / p_bar_c if p_bar_c > 0.0 else math.inf, r / math.log(n / r),
+                          threshold, "" if p_bar_c > 0.0 else "community mean density is zero"))
     return AuditReport(tuple(entries), threshold)
 
 
 def audit_assumption_1_2(model: EdgeProbabilityModel, community,
                          threshold: float = DEFAULT_MARGIN_THRESHOLD) -> AuditReport:
     """Subpolynomial community size and slowly-vanishing density conditions."""
+    _check_threshold(threshold)
     c = check_subset(model.n, community)
     r, n = c.size, model.n
     if r < 2:
@@ -164,9 +160,8 @@ def audit_assumption_1_2(model: EdgeProbabilityModel, community,
     ]
     p_bar_c = _mean_density(model, c)
     if p_bar_c <= 0.0:
-        entries.append(AuditEntry("density log-ratio", math.inf,
-                                  math.log(n / r) / math.log(r), 0.0, False,
-                                  "community mean density is zero"))
+        entries.append(_entry("density log-ratio", math.inf, math.log(n / r) / math.log(r),
+                              threshold, "community mean density is zero"))
     else:
         lhs = math.log(1.0 / p_bar_c)
         rhs = math.log(n / r) / math.log(r)
@@ -180,6 +175,7 @@ def audit_assumption_2(alternatives: list[PlantedAlternative],
                        threshold: float = DEFAULT_MARGIN_THRESHOLD) -> AuditReport:
     """The lifted-variance condition: max over alternatives of
     rho^2 * p_ij inside the community must be well below 1."""
+    _check_threshold(threshold)
     if not alternatives:
         return AuditReport((AuditEntry(
             "lifted variance rho^2 p", 0.0, 1.0, math.inf, True,
@@ -202,6 +198,7 @@ def audit_assumption_3(model: RankOne, community,
                        threshold: float = DEFAULT_MARGIN_THRESHOLD) -> AuditReport:
     """Weight-spread condition for rank-one models:
     (w_max/w_min)^2 <= min(r^(2/3), (n/r) w_min^2) within the community."""
+    _check_threshold(threshold)
     if not isinstance(model, RankOne):
         raise ValidationError("assumption 3 applies to rank-one models only")
     c = check_subset(model.n, community)

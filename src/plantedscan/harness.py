@@ -14,8 +14,8 @@ a separate metadata sidecar, never into the CSV.
 
 from __future__ import annotations
 
-import io
 import itertools
+import json
 import math
 import os
 import time
@@ -60,9 +60,10 @@ TESTS = ("scan_known", "scan_unknown", "lr")
 class ExperimentConfig:
     """Everything one risk estimate depends on.
 
-    communities is either an explicit tuple of vertex tuples or an int,
-    in which case that many size-r communities are drawn uniformly (from
-    the master seed, so the draw is part of the experiment's identity).
+    communities is either an explicit tuple of distinct vertex sets or an
+    int, in which case that many distinct size-r communities are drawn
+    uniformly, a repeated draw skipped (from the master seed, so the draw
+    is part of the experiment's identity).
     workers = 0 means take SCAN_WORKERS from the environment, default 1.
     """
 
@@ -100,6 +101,9 @@ class ExperimentConfig:
         if isinstance(self.communities, int) and not isinstance(self.communities, bool):
             if self.communities < 1:
                 raise ValidationError(f"community count must be >= 1, got {self.communities}")
+            if self.communities > math.comb(self.model.n, self.r):
+                raise ValidationError(f"cannot draw {self.communities} distinct communities "
+                                      f"of size r={self.r} from n={self.model.n} vertices")
         else:
             try:
                 comms = tuple(tuple(_number("community vertex", v, int) for v in c)
@@ -110,6 +114,8 @@ class ExperimentConfig:
                 ) from exc
             if not comms:
                 raise ValidationError("communities must be non-empty")
+            if len({tuple(sorted(c)) for c in comms}) < len(comms):
+                raise ValidationError("communities must be distinct vertex sets")
             object.__setattr__(self, "communities", comms)
         if self.workers < 0:
             raise ValidationError(f"workers must be >= 0, got {self.workers}")
@@ -127,12 +133,13 @@ class ExperimentConfig:
     def resolved_communities(self) -> tuple[tuple[int, ...], ...]:
         if not isinstance(self.communities, int):
             return self.communities
-        out = []
-        for j in range(self.communities):
+        drawn: dict[tuple[int, ...], None] = {}  # distinct draws, in draw order
+        for j in itertools.count():
+            if len(drawn) == self.communities:
+                return tuple(drawn)
             rng = generator(derive_seed(self.master_seed, "community-draw", j))
             c = np.sort(rng.choice(self.model.n, size=self.r, replace=False))
-            out.append(tuple(int(v) for v in c))
-        return tuple(out)
+            drawn.setdefault(tuple(int(v) for v in c))
 
     @staticmethod
     def from_dict(raw: Mapping) -> "ExperimentConfig":
@@ -316,17 +323,15 @@ _POINT_KINDS = {
 def _point_row(path: str, record: dict, overrides: dict, columns: Sequence[str]) -> list:
     """The CSV row of a point file's record; a malformed or stale one is a ValidationError."""
     try:
-        stored, wanted = io.StringIO(), io.StringIO()  # as JSON text: tuples read back as lists
-        _write_json(record["grid"], stored)
-        _write_json(overrides, wanted)
+        stale = record["grid"] != overrides
         tail = ([record["result"][c] for c in columns] + [""] if "result" in record
                 else [""] * len(columns) + [record["error_type"]])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"sweep point file {path} lacks a grid, result or error") from exc
-    if stored.getvalue() != wanted.getvalue():
+    if stale:
         raise ValidationError(f"sweep point file {path} is for grid {record['grid']}, "
                               f"not {overrides}; use a fresh output directory")
-    return [record["grid"][k] for k in overrides] + tail
+    return list(overrides.values()) + tail
 
 
 def run_sweep(base: Mapping, grid: Mapping[str, Sequence], out_dir: str | os.PathLike,
@@ -345,14 +350,20 @@ def run_sweep(base: Mapping, grid: Mapping[str, Sequence], out_dir: str | os.Pat
     for key, value in (("base", base), ("grid", grid)):
         if not isinstance(value, Mapping):
             raise ValidationError(f"sweep {key} must be an object, got {type(value).__name__}")
+    as_read = {}  # each value as a point file reads it back, so resumed runs match fresh ones
     for key, values in grid.items():
         if not isinstance(values, (list, tuple)):
             raise ValidationError(f"grid axis {key!r} must be a list, got {type(values).__name__}")
+        try:
+            as_read[key] = json.loads(json.dumps(values, sort_keys=True, allow_nan=False))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"grid axis {key!r} holds a value JSON cannot hold "
+                                  f"({exc})") from exc
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()
     keys = sorted(grid)
     run_point, columns = _POINT_KINDS[kind]
-    points = list(itertools.product(*(grid[k] for k in keys)))
+    points = list(itertools.product(*(as_read[k] for k in keys)))
     rows = []
     for idx, combo in enumerate(points):
         path = os.path.join(out_dir, f"point-{idx:04d}.json")

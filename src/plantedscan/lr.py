@@ -263,6 +263,8 @@ def bayes_risk(problem: LrProblem, replications: int, master_seed: int) -> Bayes
     for a valid problem and is reported with its own standard error as a
     built-in martingale check.
     """
+    replications = _number("replications", replications, int)
+    master_seed = _number("master_seed", master_seed, int)
     if replications < 2:
         raise ValidationError(f"need at least 2 replications, got {replications}")
     devs = np.empty(replications)

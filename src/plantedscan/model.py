@@ -538,8 +538,12 @@ class GraphSample:
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self._tri[self.pair_index(i, j)])
 
-    def total_edges(self) -> int:
+    @cached_property
+    def _edge_total(self) -> int:
         return int(np.bitwise_count(self.packed).sum())
+
+    def total_edges(self) -> int:
+        return self._edge_total
 
     def edges_within(self, subset: Iterable[int]) -> int:
         """Number of edges with both endpoints in the subset."""
@@ -606,6 +610,8 @@ def _sample_triangle(model: EdgeProbabilityModel, seed: int,
     """The sampled triangle as bools in packed pair order: pair t is an edge
     when the t-th uniform of the seed's stream is below its p_ij, or below
     rho * p_ij inside a planted community."""
+    if _number("seed", seed, int) < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     n = model.n
     pairs = n * (n - 1) // 2
     rng = generator(seed)

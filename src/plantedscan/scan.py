@@ -13,20 +13,19 @@ ceil(r^(1/3)), rejecting at 1 + eps/3.
 
 Scans maximise the statistic over a subset family.  Everything but the
 edge counts is independent of the graph, so each scan runs a compiled
-plan: one layer per candidate size (ascending), holding the family's
-validated rows in lexicographic order, their null means (known-probability
-scans only), the normaliser |D| ln(n/|D|) and the blind floor.  A plan is
-built on first use for its (family, n, model) and reused by later scans
-while it is among the few most recent; models and families are immutable,
-so a cached plan cannot go stale.  Per graph, a scan counts edges and
-applies the kernel to slices of at most _BATCH_ROWS rows of each layer;
-the kernel runs only where the count exceeds a positive mean, every other
-row scoring 0.0.  The first strict maximum in plan order wins, which
-breaks ties toward the smaller subset, then the lexicographically
-smallest vertex tuple, independent of slice boundaries.  The one-subset
-statistic functions evaluate a one-row block with the scans' own
-per-block code, so a scan outcome is bit-for-bit reproducible subset by
-subset.
+plan: chunks of at most 32,768 candidates of one size, sizes ascending
+and rows lexicographic, each holding its validated rows, their null means
+(known-probability scans only), the normaliser |D| ln(n/|D|) and the
+blind floor.  A plan is built on first use for its (family, n, model) and
+reused by later scans while it is among the few most recent; models and
+families are immutable, so a cached plan cannot go stale.  Per graph,
+each chunk scores itself: it counts its rows' edges and applies the
+kernel where a count exceeds a positive mean, every other row scoring 0.0.
+The first strict maximum in plan order wins, which breaks ties toward the
+smaller subset, then the lexicographically smallest vertex tuple,
+independent of chunk boundaries.  The one-subset statistic functions score
+a one-row chunk the same way, so a scan outcome is bit-for-bit
+reproducible subset by subset.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -294,35 +293,44 @@ def _check_scan_size(n: int, k: int) -> None:
 
 @dataclass(frozen=True)
 class _Layer:
-    """The candidates of one size in a compiled plan."""
+    """A chunk of a compiled plan: at most 32,768 candidates of one size."""
 
     rows: np.ndarray          # (m, k) validated row-sorted subsets, read-only
     means: np.ndarray | None  # null mean of each row; None in a blind plan
     norm: float               # k ln(n/k)
     floor: float | None       # blind floor (k^2/n) ln(n/k)^4; None in a known plan
 
+    def stats(self, sample: GraphSample) -> np.ndarray:
+        """The statistic of every row on sample: against the null means, or
+        blind against max(_blind_mean(e(V), sum deg(D) - 2 e(D)), floor)."""
+        counts = sample._edges_within_rows(self.rows)
+        means = self.means
+        if means is None:
+            cross = sample._degrees[self.rows].sum(axis=1) - 2 * counts
+            means = np.maximum(_blind_mean(float(sample.total_edges()), cross), self.floor)
+        return _scores(counts, means, self.norm)
+
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(family: SubsetFamily, n: int,
           model: EdgeProbabilityModel | None) -> tuple[_Layer, ...]:
     """The graph-independent part of a scan over family on n vertices, with
-    null means from model (None for the blind scan), sizes ascending."""
-    layers = []
-    for rows in family._row_tables(n, model):
-        k = rows.shape[1]
+    null means from model (None for the blind scan), in plan order."""
+    chunks = []
+    for table in family._row_tables(n, model):
+        k = table.shape[1]
         _check_scan_size(n, k)
-        means = floor = None
-        if model is None:
-            floor = _blind_floor(n, k)
-        else:
-            means = np.empty(rows.shape[0])
-            for s in range(0, rows.shape[0], _BATCH_ROWS):
-                means[s : s + _BATCH_ROWS] = model.within_mean(rows[s : s + _BATCH_ROWS])
-            means.flags.writeable = False
-        layers.append(_Layer(rows, means, _norm(n, k), floor))
-    if not layers:
+        floor = _blind_floor(n, k) if model is None else None
+        for s in range(0, table.shape[0], _BATCH_ROWS):
+            rows = table[s : s + _BATCH_ROWS]
+            means = None
+            if model is not None:
+                means = model.within_mean(rows)
+                means.flags.writeable = False
+            chunks.append(_Layer(rows, means, _norm(n, k), floor))
+    if not chunks:
         raise ValidationError("subset family yielded no candidates")
-    return tuple(layers)
+    return tuple(chunks)
 
 
 def _scores(counts: np.ndarray, means: np.ndarray, norm: float) -> np.ndarray:
@@ -347,19 +355,6 @@ def _blind_mean(e_total, cross):
     return root * root / 4.0
 
 
-def _blind_stat_from_counts(counts: np.ndarray, cross: np.ndarray, e_total: float,
-                            floor: float, norm: float) -> np.ndarray:
-    return _scores(counts, np.maximum(_blind_mean(e_total, cross), floor), norm)
-
-
-def _blind_stats(sample: GraphSample, rows: np.ndarray, counts: np.ndarray,
-                 e_total: float, floor: float, norm: float) -> np.ndarray:
-    """Blind statistic of every row of an (m, k) block, given the rows'
-    edge counts; e_total is the sample's edge count."""
-    cross = sample._degrees[rows].sum(axis=1) - 2 * counts
-    return _blind_stat_from_counts(counts, cross, e_total, floor, norm)
-
-
 def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
                subset: Iterable[int]) -> float:
     """Known-probability scan statistic of one subset.
@@ -372,42 +367,37 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
     rows = d[None, :]
-    return float(_scores(sample._edges_within_rows(rows), model.within_mean(rows),
-                         _norm(sample.n, d.size))[0])
+    return float(_Layer(rows, model.within_mean(rows), _norm(sample.n, d.size),
+                        None).stats(sample)[0])
 
 
 def _run_plan(plan: tuple[_Layer, ...], sample: GraphSample,
-              score: Callable[[_Layer, slice, np.ndarray], np.ndarray],
               keep_trace: bool) -> tuple[float, tuple[int, ...], dict | None, int]:
-    """First strict maximum in plan order of score(layer, rows slice, the
-    slice's edge counts on sample)."""
+    """First strict maximum in plan order of the chunks' statistics on sample."""
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
     evaluated = 0
-    for layer in plan:
-        m, k = layer.rows.shape
+    for chunk in plan:
+        m, k = chunk.rows.shape
         evaluated += m
-        for start in range(0, m, _BATCH_ROWS):
-            sl = slice(start, start + _BATCH_ROWS)
-            stats = score(layer, sl, sample._edges_within_rows(layer.rows[sl]))
-            i = int(np.argmax(stats))
-            mx = float(stats[i])
-            if mx > best_stat:
-                best_stat = mx
-                best_subset = tuple(int(v) for v in layer.rows[start + i])
-            if keep_trace and (k not in trace or mx > trace[k][0]):
-                trace[k] = (mx, tuple(int(v) for v in layer.rows[start + i]))
+        stats = chunk.stats(sample)
+        i = int(np.argmax(stats))
+        mx = float(stats[i])
+        if mx > best_stat:
+            best_stat = mx
+            best_subset = tuple(int(v) for v in chunk.rows[i])
+        if keep_trace and (k not in trace or mx > trace[k][0]):
+            trace[k] = (mx, tuple(int(v) for v in chunk.rows[i]))
     return best_stat, best_subset, (trace if keep_trace else None), evaluated
 
 
 def _scan(sample: GraphSample, config: ScanConfig, model: EdgeProbabilityModel | None,
-          k_min: int, threshold: float, score: Callable[[_Layer, slice, np.ndarray], np.ndarray],
-          keep_trace: bool) -> ScanOutcome:
-    """Both scans: maximise score over the family (by default every subset
-    of sizes [k_min, r]) with a plan whose null means come from model, and
-    reject at threshold.  r must be below n and the family within sizes up
-    to r; its size is checked against config.budget before any work."""
+          k_min: int, threshold: float, keep_trace: bool) -> ScanOutcome:
+    """Both scans: maximise the statistic over the family (by default every
+    subset of sizes [k_min, r]) with a plan whose null means come from
+    model, and reject at threshold.  r must be below n and the family within
+    sizes up to r; its size is checked against config.budget before any work."""
     n = sample.n
     if config.r >= n:
         raise ValidationError(f"r must be < n, got r={config.r}, n={n}")
@@ -420,7 +410,7 @@ def _scan(sample: GraphSample, config: ScanConfig, model: EdgeProbabilityModel |
         raise BudgetError(
             f"family enumerates {count} subsets, over the budget {config.budget}"
         )
-    stat, subset, trace, evaluated = _run_plan(_plan(family, n, model), sample, score, keep_trace)
+    stat, subset, trace, evaluated = _run_plan(_plan(family, n, model), sample, keep_trace)
     metadata = {"subsets_evaluated": evaluated}
     if config.r >= n / 2:
         # the per-size normalisation ln(n/|D|) degenerates as |D| -> n;
@@ -449,9 +439,7 @@ def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanCon
     """
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
-    return _scan(sample, config, model, 1, 1.0 + config.epsilon / 2.0,
-                 lambda layer, sl, counts: _scores(counts, layer.means[sl], layer.norm),
-                 keep_trace)
+    return _scan(sample, config, model, 1, 1.0 + config.epsilon / 2.0, keep_trace)
 
 
 def estimate_from_totals(total_edges: float, cross_edges: float) -> float:
@@ -509,10 +497,8 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
     """Blind scan statistic: the known-probability form with the null mean
     replaced by its floored estimate."""
     d, n = _blind_subset(sample, subset, n)
-    rows = d[None, :]
-    return float(_blind_stats(sample, rows, sample._edges_within_rows(rows),
-                              float(sample.total_edges()), _blind_floor(n, d.size),
-                              _norm(n, d.size))[0])
+    return float(_Layer(d[None, :], None, _norm(n, d.size),
+                        _blind_floor(n, d.size)).stats(sample)[0])
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,
@@ -529,10 +515,6 @@ def scan_unknown(sample: GraphSample, config: ScanConfig,
         raise ValidationError(
             f"family includes size {lo}, below the blind floor ceil(r^(1/3)) = {k_min}"
         )
-    e_total = float(sample.total_edges())
-    out = _scan(sample, config, None, k_min, 1.0 + config.epsilon / 3.0,
-                lambda layer, sl, counts: _blind_stats(sample, layer.rows[sl], counts, e_total,
-                                                       layer.floor, layer.norm),
-                keep_trace)
+    out = _scan(sample, config, None, k_min, 1.0 + config.epsilon / 3.0, keep_trace)
     out.metadata["size_window"] = [k_min, config.r]
     return out

@@ -294,3 +294,49 @@ class TestReportShape:
         bad = audit_assumption_1_1(Homogeneous(256, 0.0), range(8),
                                    delta=0.3, gamma=0.1)
         assert not bad.all_passed
+
+
+class TestThreshold:
+    """A margin threshold must be finite and positive, checked before any work."""
+
+    @staticmethod
+    def audits(threshold):
+        model = RankOne(np.full(64, 0.3))
+        return [
+            lambda: audit_assumption_1_1(model, range(8), delta=0.3, gamma=0.2,
+                                         threshold=threshold),
+            lambda: audit_assumption_1_2(model, range(8), threshold=threshold),
+            lambda: audit_assumption_2([], threshold=threshold),
+            lambda: audit_assumption_3(model, range(8), threshold=threshold),
+        ]
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, -math.inf, math.inf, math.nan],
+                             ids=["negative", "zero", "-inf", "inf", "nan"])
+    def test_rejected_in_every_audit(self, threshold):
+        for audit in self.audits(threshold):
+            with pytest.raises(ValidationError, match="threshold must be finite and > 0"):
+                audit()
+
+    @pytest.mark.parametrize("threshold", ["10", True, None], ids=["str", "bool", "none"])
+    def test_non_numbers_are_rejected(self, threshold):
+        for audit in self.audits(threshold):
+            with pytest.raises(ValidationError, match="threshold must be a number"):
+                audit()
+
+    def test_checked_before_the_community(self):
+        model = Homogeneous(64, 0.1)
+        with pytest.raises(ValidationError, match="threshold"):
+            audit_assumption_1_1(model, (0,), delta=0.3, gamma=0.2, threshold=-1.0)
+        with pytest.raises(ValidationError, match="threshold"):
+            audit_assumption_3(model, (0,), threshold=-1.0)
+
+    def test_zero_density_entries_fail_with_zero_margin(self):
+        model = Homogeneous(256, 0.0)
+        for report in (audit_assumption_1_1(model, range(16), delta=0.3, gamma=0.1,
+                                            threshold=0.5),
+                       audit_assumption_1_2(model, range(16), threshold=0.5)):
+            zero = [e for e in report.entries if e.notes == "community mean density is zero"]
+            assert zero
+            for e in zero:
+                assert (e.lhs, e.margin, e.passed) == (math.inf, 0.0, False)
+                assert e.rhs > 0

@@ -544,3 +544,75 @@ class TestJsonOutput:
         main(argv + ["--out", str(tmp_path / "out.json")])
         assert (tmp_path / "out.json").read_bytes() == stdout
         assert stdout.endswith(b"\n") and json.loads(stdout)
+
+
+class TestRejectedArguments:
+    """Seeds, communities, audit thresholds and sweep grids the library
+    rejects: exit 2 with one error line."""
+
+    def one_error_line(self, capsys, argv):
+        err = run_err(capsys, argv, 2)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_negative_sample_seed(self, capsys, tmp_path, model_cfg):
+        out = str(tmp_path / "g.txt")
+        err = self.one_error_line(capsys, ["sample", "--config", model_cfg, "--seed", "-1",
+                                           "--out", out])
+        assert err == "error: seed must be >= 0, got -1\n"
+        cfg = write_json(tmp_path / "m.json", {**model_to_json(Homogeneous(8, 0.1)), "seed": -2})
+        err = self.one_error_line(capsys, ["sample", "--config", cfg, "--out", out])
+        assert err == "error: seed must be >= 0, got -2\n"
+        assert not os.path.exists(out)
+
+    def test_negative_sample_seed_in_a_fresh_process(self, tmp_path, model_cfg):
+        proc = run_module(["sample", "--config", model_cfg, "--seed", "-1",
+                           "--out", str(tmp_path / "g.txt")])
+        assert proc.returncode == 2
+        assert proc.stderr == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("communities, message", [
+        ([[0, 1, 2, 3], [3, 2, 1, 0]], "communities must be distinct vertex sets"),
+        (16, "cannot draw 16 distinct communities of size r=4 from n=6 vertices"),
+    ], ids=["repeated", "too-many"])
+    def test_risk_communities(self, capsys, tmp_path, communities, message):
+        cfg = write_json(tmp_path / "exp.json", {
+            "model": model_to_json(Homogeneous(6, 0.3)), "test": "scan_known", "r": 4,
+            "rho": 1.5, "communities": communities, "null_replications": 2,
+            "alt_replications": 2, "master_seed": 1,
+        })
+        assert self.one_error_line(capsys, ["risk", "--config", cfg]) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("threshold", ["-1", "0", "nan", "inf"])
+    def test_audit_threshold(self, capsys, tmp_path, threshold):
+        cfg = write_json(tmp_path / "m.json", model_to_json(Homogeneous(1024, 0.2)))
+        err = self.one_error_line(capsys, [
+            "audit", "--config", cfg, "--community", ",".join(map(str, range(16))),
+            "--gamma", "0.2", "--rho", "2.0", f"--threshold={threshold}"])
+        assert "threshold must be finite and > 0" in err
+
+    def test_sweep_grid_value_json_cannot_hold(self, capsys, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({
+            "base": {"model": model_to_json(Homogeneous(64, 0.05)), "community": [0, 1, 2]},
+            "kind": "boundary", "grid": {"target": [1.0, float("nan")]},
+        }))
+        out_dir = tmp_path / "o"
+        err = self.one_error_line(capsys, ["sweep", "--config", str(path),
+                                           "--out", str(out_dir)])
+        assert "grid axis 'target' holds a value JSON cannot hold" in err
+        assert not out_dir.exists()
+
+    def test_fresh_and_resumed_sweep_csv_are_identical(self, capsys, tmp_path):
+        # an object-valued axis: the point file stores its keys sorted
+        cfg = write_json(tmp_path / "sweep.json", {
+            "base": {"community": [0, 1, 2]}, "kind": "boundary",
+            "grid": {"model": [{"variant": "homogeneous", "p": 0.05, "n": 64}]},
+        })
+        out_dir = tmp_path / "o"
+        run_ok(capsys, ["sweep", "--config", cfg, "--out", str(out_dir)])
+        fresh = (out_dir / "sweep.csv").read_bytes()
+        (out_dir / "sweep.csv").unlink()
+        run_ok(capsys, ["sweep", "--config", cfg, "--out", str(out_dir)])
+        assert (out_dir / "sweep.csv").read_bytes() == fresh
+        assert b"ValidationError" not in fresh

@@ -1,6 +1,7 @@
 """Risk-estimation harness and sweep plumbing: deterministic seed streams,
 worker-count invariance, resumable sweeps, byte-stable CSV output."""
 
+import itertools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from plantedscan import lr as lr_module
 from plantedscan.harness import RateWithError
 from plantedscan.model import model_to_json
 from plantedscan.scan import Exhaustive, Explicit, SubsetFamily, WeightPrefix
+from plantedscan.seeding import generator
 
 
 def small_config(**overrides):
@@ -402,3 +404,75 @@ class TestSweep:
         with pytest.raises(ValidationError, match=r"is for grid \{'target': 1.0\}, "
                                                   r"not \{'target': 3.0\}"):
             run_sweep(base, {"target": [3.0, 4.0]}, tmp_path / "s", kind="boundary")
+
+
+class TestDistinctCommunities:
+    """Each community of a risk estimate keeps its own stream and rate."""
+
+    def config(self, communities, **overrides):
+        return ExperimentConfig(model=Homogeneous(6, 0.3), test="scan_known", r=4, rho=1.5,
+                                communities=communities, null_replications=2,
+                                alt_replications=2, master_seed=1, **overrides)
+
+    @staticmethod
+    def draw(j):
+        rng = generator(derive_seed(1, "community-draw", j))
+        return tuple(int(v) for v in np.sort(rng.choice(6, size=4, replace=False)))
+
+    def test_drawn_count_gives_that_many_distinct_communities(self):
+        assert len({self.draw(j) for j in range(8)}) == 7  # one repeat in the first 8 draws
+        distinct = list(dict.fromkeys(self.draw(j) for j in range(20)))
+        config = self.config(8)
+        assert config.resolved_communities() == tuple(distinct[:8])
+        est = estimate_risk(config)
+        assert len(est.type2) == 8
+        assert [list(c) for c in est.type2] == est.metadata["communities"]
+
+    def test_draws_without_a_repeat_are_unchanged(self):
+        assert self.config(2).resolved_communities() == (self.draw(0), self.draw(1))
+
+    def test_every_community_can_be_drawn(self):
+        # C(6, 4) = 15
+        assert sorted(self.config(15).resolved_communities()) == list(
+            itertools.combinations(range(6), 4))
+        with pytest.raises(ValidationError, match="cannot draw 16 distinct communities"):
+            self.config(16)
+
+    @pytest.mark.parametrize("communities", [
+        ((0, 1, 2, 3), (0, 1, 2, 3)),
+        ((0, 1, 2, 3), (2, 4, 3, 5), (3, 2, 1, 0)),
+    ], ids=["equal", "reordered"])
+    def test_repeated_explicit_communities_are_rejected(self, communities):
+        with pytest.raises(ValidationError, match="distinct vertex sets"):
+            self.config(communities)
+
+
+class TestSweepGridValues:
+    """Grid values enter a sweep in the form its point files read back."""
+
+    @pytest.mark.parametrize("grid", [
+        {"community": [(0, 1, 2)]},
+        {"model": [{"variant": "homogeneous", "p": 0.05, "n": 64}]},
+    ], ids=["tuple", "object"])
+    def test_fresh_and_resumed_csv_are_identical(self, tmp_path, grid):
+        base = {"model": model_to_json(Homogeneous(64, 0.05)), "community": [0, 1, 2]}
+        out = tmp_path / "s"
+        fresh = Path(run_sweep(base, grid, out, kind="boundary")).read_bytes()
+        (out / "sweep.csv").unlink()
+        resumed = Path(run_sweep(base, grid, out, kind="boundary")).read_bytes()
+        assert fresh == resumed
+        assert b"ValidationError" not in fresh
+
+    def test_tuple_value_is_written_as_a_list(self, tmp_path):
+        base = {"model": model_to_json(Homogeneous(64, 0.05))}
+        csv_path = run_sweep(base, {"community": [(0, 1, 2)]}, tmp_path / "s", kind="boundary")
+        assert Path(csv_path).read_text(encoding="ascii").splitlines()[2].startswith(
+            '"[0, 1, 2]",')
+
+    @pytest.mark.parametrize("value", [np.int64(2), float("nan"), math.inf, {1, 2}],
+                             ids=["numpy-int", "nan", "inf", "set"])
+    def test_value_json_cannot_hold_is_rejected_before_any_point(self, tmp_path, value):
+        grid = {"rho": [1.5], "r": [3, value]}
+        with pytest.raises(ValidationError, match="grid axis 'r' holds a value JSON cannot hold"):
+            run_sweep(risk_base(), grid, tmp_path / "s")
+        assert not (tmp_path / "s").exists()

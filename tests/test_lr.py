@@ -456,3 +456,23 @@ class TestBayesRisk:
             combined = est.type1.stderr + sum(stderrs) / len(stderrs)
             assert est.average_risk == 1.0
             assert est.average_risk >= oracle.risk - 3.0 * (combined + oracle.stderr)
+
+
+class TestBayesRiskArguments:
+    @pytest.mark.parametrize("replications, master_seed, message", [
+        (2.5, 0, "replications must be an integer, got 2.5"),
+        (True, 0, "replications must be an integer, got True"),
+        ("3", 0, "replications must be an integer, got '3'"),
+        (3, 1.5, "master_seed must be an integer, got 1.5"),
+        (3, None, "master_seed must be an integer, got None"),
+    ], ids=["float-reps", "bool-reps", "str-reps", "float-seed", "none-seed"])
+    def test_non_integers_are_validation_errors(self, replications, master_seed, message):
+        problem = LrProblem(Homogeneous(6, 0.4), 3, 1.5)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            bayes_risk(problem, replications, master_seed)
+
+    def test_numpy_integers_are_accepted(self):
+        problem = LrProblem(Homogeneous(6, 0.4), 3, 1.5)
+        got = bayes_risk(problem, np.int64(4), np.int64(2))
+        assert got == bayes_risk(problem, 4, 2)
+        assert type(got.metadata["master_seed"]) is int

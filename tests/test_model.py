@@ -746,3 +746,27 @@ class TestInterchange:
             model_from_json({"variant": "homogeneous", "n": 5})  # p missing
         with pytest.raises(ValidationError):
             model_from_json({"n": 5, "p": 0.5})
+
+
+class TestSamplerSeeds:
+    """Both samplers take a non-negative integer seed, and nothing else."""
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (True, "seed must be an integer, got True"),
+    ], ids=["negative", "float", "str", "bool"])
+    def test_bad_seed_is_a_validation_error(self, seed, message):
+        model = Homogeneous(8, 0.3)
+        alt = PlantedAlternative((0, 1, 2), 2.0, model)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            sample_null(model, seed)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            sample_alternative(model, alt, seed)
+
+    def test_numpy_and_large_seeds_are_accepted(self):
+        model = Homogeneous(8, 0.3)
+        assert np.array_equal(sample_null(model, np.uint64(3)).packed,
+                              sample_null(model, 3).packed)
+        assert sample_null(model, 2**64 - 1).n == 8

@@ -8,10 +8,11 @@ fixtures come from tests/oracles/frozen_values.py.
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from plantedscan import (
     BudgetError,
@@ -43,7 +44,7 @@ from plantedscan import (
     stat_unknown,
 )
 from plantedscan import scan as scan_module
-from plantedscan.scan import _blind_floor, _blind_stat_from_counts
+from plantedscan.scan import _blind_floor, _blind_mean, _scores
 from plantedscan.seeding import derive_seed, generator
 
 
@@ -339,10 +340,8 @@ class TestStatUnknown:
         # |D| = 4 carrying 30 edges is not realizable in a simple graph
         # (max 6), so this pin is applied at the formula level: mean is the
         # n = 1024 floor, overshoot 30/floor - 1
-        got = _blind_stat_from_counts(
-            np.array([30.0]), np.array([0.0]), 0.0,
-            _blind_floor(1024, 4), 4 * math.log(1024 / 4),
-        )
+        mean = np.maximum(_blind_mean(0.0, np.array([0.0])), _blind_floor(1024, 4))
+        got = _scores(np.array([30.0]), mean, 4 * math.log(1024 / 4))
         assert float(got[0]) == pytest.approx(0.271606535070808, rel=1e-12)
 
     def test_below_estimate_is_zero(self):
@@ -584,6 +583,43 @@ def scan_cases(draw):
 
 class TestScanPlan:
     """The compiled plan against subset-by-subset evaluation, and its cache."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scan_cases())
+    def test_chunk_size_changes_no_outcome(self, case):
+        model, g, r, family, candidates = case
+        assume(not isinstance(family, WeightPrefix))
+        k_min = min_blind_size(r)
+        blind = [d for d in candidates if len(d) >= k_min]
+        runs = [(family, model, lambda: scan_known(model, g, ScanConfig(r, family=family),
+                                                   keep_trace=True))]
+        if blind:
+            blind_family = (Explicit(tuple(blind)) if isinstance(family, Explicit)
+                            else Exhaustive(max(family.min_size, k_min), r))
+            runs.append((blind_family, None, lambda: scan_unknown(
+                g, ScanConfig(r, family=blind_family), keep_trace=True)))
+
+        def outcomes():
+            return [(o.statistic, o.subset, o.size_trace, o.metadata["subsets_evaluated"])
+                    for o in (run() for _, _, run in runs)]
+
+        scan_module._plan.cache_clear()
+        default = outcomes()
+        refs = [first_max_reference(candidates, lambda d: stat_known(model, g, d))]
+        if blind:
+            refs.append(first_max_reference(blind, lambda d: stat_unknown(g, d)))
+        assert default == [(*best, trace, len(cands)) for (best, trace), cands
+                           in zip(refs, (candidates, blind))]
+        for rows in (1, 2, 3, 7):
+            scan_module._plan.cache_clear()
+            try:
+                with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
+                    assert outcomes() == default
+                    for fam, mod, _ in runs:
+                        chunks = scan_module._plan(fam, g.n, mod)
+                        assert max(len(chunk.rows) for chunk in chunks) <= rows
+            finally:
+                scan_module._plan.cache_clear()
 
     @settings(max_examples=80, deadline=None)
     @given(scan_cases())
