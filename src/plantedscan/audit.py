@@ -114,6 +114,10 @@ def audit_assumption_1_1(model: EdgeProbabilityModel, community, delta: float,
     r, n = c.size, model.n
     if r < 2:
         raise ValidationError(f"community must have >= 2 vertices, got {r}")
+    if r == n:
+        raise ValidationError(
+            f"community holds all n={n} vertices: the density floor r/ln(n/r) is undefined"
+        )
     if not 0.0 < delta < 0.5:
         raise ValidationError(f"delta must lie in (0, 0.5), got {delta}")
     if not gamma > 0.0:

@@ -12,7 +12,8 @@ for equal seeds.  The sampler draws its uniforms one block of pairs at a
 time, each block compared with its pair probabilities in one call.  Vertex
 counts are capped at 2**16: sampling holds one bool per pair, and edge
 counting unpacks the triangle (n*(n-1)/2 bytes) on first use, which is the
-practical memory ceiling of this design.
+practical memory ceiling of this design.  Exhaustive scans add packed
+adjacency rows, n * ceil(n/64) uint64 words.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _combination_tables(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
                        dtype=np.int32, count=m * lo).reshape(m, lo)
     yield rows
     for k in range(lo, hi):
-        starts = np.searchsorted(rows[:, 0], np.arange(1, n + 1)).tolist()
+        starts = _head_starts(n, rows)
         out = np.empty((sum(m - s for s in starts), k + 1), dtype=np.int32)
         at = 0
         for a, s in enumerate(starts):
@@ -142,6 +143,33 @@ def _combination_tables(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
             at += m - s
         rows, m = out, at
         yield rows
+
+
+def _head_starts(n: int, rows: np.ndarray) -> tuple[int, ...]:
+    """For each vertex a, the first row of a lexicographic table whose first
+    vertex exceeds a: the rows that a heads in the next size's table."""
+    return tuple(np.searchsorted(rows[:, 0], np.arange(1, n + 1)).tolist())
+
+
+def _vertex_masks(n: int, rows: np.ndarray) -> np.ndarray:
+    """(m, ceil(n/64)) uint64 vertex sets of an (m, k) array of subsets:
+    vertex v is bit v % 64 of word v // 64, as in GraphSample's adjacency
+    rows.  The temporaries are one column of _BATCH_ROWS rows at a time."""
+    m = rows.shape[0]
+    w = -(-n // 64)
+    masks = np.zeros((m, w), dtype=np.uint64)
+    flat = masks.reshape(-1)
+    for s in range(0, m, _BATCH_ROWS):
+        block = rows[s : s + _BATCH_ROWS]
+        base = np.arange(s, s + len(block)) * w
+        for v in block.T:
+            flat[base + (v >> 6)] |= _bit(v)
+    return masks
+
+
+def _bit(v: np.ndarray) -> np.ndarray:
+    """Vertex v's bit in its uint64 word, 1 << (v % 64)."""
+    return np.uint64(1) << (v & 63).astype(np.uint64)
 
 
 def _pair_index(n: int, i, j):
@@ -515,6 +543,19 @@ class GraphSample:
             deg += np.bincount(j, minlength=self.n)
         deg.flags.writeable = False
         return deg
+
+    @cached_property
+    def _adjacency_rows(self) -> np.ndarray:
+        """(n, ceil(n/64)) uint64: row i holds the neighbours of i, vertex j
+        at bit j % 64 of word j // 64; n^2/8 bytes, set edge by edge."""
+        w = -(-self.n // 64)
+        flat = np.zeros(self.n * w, dtype=np.uint64)
+        for i, j in self._edges():
+            for a, b in ((i, j), (j, i)):
+                np.bitwise_or.at(flat, a * w + (b >> 6), _bit(b))
+        rows = flat.reshape(self.n, w)
+        rows.flags.writeable = False
+        return rows
 
     def _edges_within_rows(self, rows: np.ndarray) -> np.ndarray:
         """e(D) for every row of an (m, k) array of row-sorted subsets."""

@@ -18,9 +18,13 @@ and rows lexicographic, each holding its validated rows, their null means
 (known-probability scans only), the normaliser |D| ln(n/|D|) and the
 blind floor.  A plan is built on first use for its (family, n, model) and
 reused by later scans while it is among the few most recent; models and
-families are immutable, so a cached plan cannot go stale.  Per graph,
-each chunk scores itself: it counts its rows' edges and applies the
-kernel where a count exceeds a positive mean, every other row scoring 0.0.
+families are immutable, so a cached plan cannot go stale.  Per graph, an
+exhaustive size above the plan's first and above 2 is counted from the
+size below, one popcount of the head's adjacency row against each
+extended subset's vertex mask, and blind degree sums likewise grow by the
+head's degree; the scan keeps those arrays for at most two consecutive
+sizes.  Every other size counts its rows' pairs directly.  Each chunk
+applies the kernel where a count exceeds a positive mean, every other row scoring 0.0.
 The first strict maximum in plan order wins, which breaks ties toward the
 smaller subset, then the lexicographically smallest vertex tuple,
 independent of chunk boundaries.  The one-subset statistic functions score
@@ -41,7 +45,8 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from .kernels import entropy_h_vec
 from .model import (_BATCH_ROWS, EdgeProbabilityModel, GraphSample, RankOne, _check_rows,
-                    _combination_tables, _norm, _number, check_subset)
+                    _combination_tables, _head_starts, _norm, _number, _vertex_masks,
+                    check_subset)
 
 __all__ = [
     "Exhaustive",
@@ -64,7 +69,8 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 
 # compiled plans kept for reuse: a risk estimate runs one plan, a caller
 # alternating the known and the blind scan two; each costs about
-# (4k + 8) bytes per row of size k
+# (4k + 8) bytes per row of size k (4k blind), plus 8 ceil(n/64) bytes of
+# vertex mask per row of an exhaustive size that a larger one extends
 _PLAN_CACHE_SIZE = 2
 
 
@@ -74,8 +80,13 @@ class SubsetFamily:
     to_dict() is the full description that from_dict() reads back;
     describe() is the summary a ScanOutcome records; _row_tables(n, model)
     yields one validated, read-only (m, k) array of row-sorted subsets per
-    size, sizes ascending and rows lexicographic.
+    size, sizes ascending and rows lexicographic.  In a family that
+    extends_sizes, each size's table is vertex a followed by the rows of the
+    size below whose first vertex exceeds a, for a ascending (the layout of
+    _combination_tables).
     """
+
+    extends_sizes = False
 
     def describe(self) -> dict:
         return self.to_dict()
@@ -118,6 +129,7 @@ class Exhaustive(_SizeRange):
     """All subsets with min_size <= |D| <= max_size."""
 
     kind = "exhaustive"
+    extends_sizes = True
 
     def count(self, n: int) -> int:
         return sum(math.comb(n, k) for k in range(self.min_size, min(self.max_size, n) + 1))
@@ -300,27 +312,89 @@ class _Layer:
     norm: float               # k ln(n/k)
     floor: float | None       # blind floor (k^2/n) ln(n/k)^4; None in a known plan
 
-    def stats(self, sample: GraphSample) -> np.ndarray:
+    def stats(self, sample: GraphSample, counts: np.ndarray | None = None,
+              degree_sums: np.ndarray | None = None) -> np.ndarray:
         """The statistic of every row on sample: against the null means, or
-        blind against max(_blind_mean(e(V), sum deg(D) - 2 e(D)), floor)."""
-        counts = sample._edges_within_rows(self.rows)
+        blind against max(_blind_mean(e(V), sum deg(D) - 2 e(D)), floor).
+        e(D) and sum deg(D) are counted here unless the scan passes them."""
+        if counts is None:
+            counts = sample._edges_within_rows(self.rows)
         means = self.means
         if means is None:
-            cross = sample._degrees[self.rows].sum(axis=1) - 2 * counts
+            if degree_sums is None:
+                degree_sums = sample._degrees[self.rows].sum(axis=1)
+            cross = degree_sums - 2 * counts
             means = np.maximum(_blind_mean(float(sample.total_edges()), cross), self.floor)
         return _scores(counts, means, self.norm)
 
 
+@dataclass(frozen=True)
+class _Size:
+    """The candidates of one size in a compiled plan.
+
+    In an exhaustive plan each size above the first and above 2 extends
+    the one below: its rows headed by vertex a are a followed by the rows of
+    the size below from starts[a] on.  A scan then counts them from that
+    size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask, and
+    blind sum deg(a + D) = sum deg(D) + deg(a).
+    """
+
+    rows: np.ndarray                # (m, k) the whole table, read-only
+    chunks: tuple[_Layer, ...]      # rows in slices of at most _BATCH_ROWS
+    starts: tuple[int, ...] | None  # per head vertex; None: counted directly
+    masks: np.ndarray | None        # (m, ceil(n/64)) uint64, when the next size extends this one
+
+    def arrays(self, sample: GraphSample, below: tuple | None
+               ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """e(D) and, blind, sum deg(D) of every row for the chunks to slice;
+        (None, None) when each chunk counts its own rows.  below holds the
+        counts, degree sums and masks of the size below when this one
+        extends it."""
+        blind = self.chunks[0].means is None
+        if self.starts is None:
+            if self.masks is None:
+                return None, None
+            return (sample._edges_within_rows(self.rows),
+                    sample._degrees[self.rows].sum(axis=1) if blind else None)
+        counts_k, sums_k, masks_k = below
+        adj = sample._adjacency_rows
+        m = len(counts_k)
+        counts = np.empty(len(self.rows), dtype=np.int64)
+        sums = np.empty_like(counts) if blind else None
+        at = 0
+        for a, s in enumerate(self.starts):
+            if s == m:
+                break
+            block = slice(at, at + m - s)
+            out = counts[block]
+            # the rows from s on hold only vertices above a: no bits in the
+            # words below a + 1's
+            w0 = (a + 1) >> 6
+            np.add(counts_k[s:], np.bitwise_count(masks_k[s:, w0] & adj[a, w0]), out=out)
+            for w in range(w0 + 1, adj.shape[1]):
+                out += np.bitwise_count(masks_k[s:, w] & adj[a, w])
+            if blind:
+                np.add(sums_k[s:], sample._degrees[a], out=sums[block])
+            at = block.stop
+        return counts, sums
+
+
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(family: SubsetFamily, n: int,
-          model: EdgeProbabilityModel | None) -> tuple[_Layer, ...]:
+          model: EdgeProbabilityModel | None) -> tuple[_Size, ...]:
     """The graph-independent part of a scan over family on n vertices, with
     null means from model (None for the blind scan), in plan order."""
-    chunks = []
-    for table in family._row_tables(n, model):
+    tables = list(family._row_tables(n, model))
+    # a pair's count is one lookup, which no popcount over ceil(n/64) words
+    # beats, so sizes 1 and 2 are always counted directly
+    extended = [family.extends_sizes and t > 0 and table.shape[1] > 2
+                for t, table in enumerate(tables)] + [False]
+    sizes = []
+    for t, table in enumerate(tables):
         k = table.shape[1]
         _check_scan_size(n, k)
         floor = _blind_floor(n, k) if model is None else None
+        chunks = []
         for s in range(0, table.shape[0], _BATCH_ROWS):
             rows = table[s : s + _BATCH_ROWS]
             means = None
@@ -328,9 +402,16 @@ def _plan(family: SubsetFamily, n: int,
                 means = model.within_mean(rows)
                 means.flags.writeable = False
             chunks.append(_Layer(rows, means, _norm(n, k), floor))
-    if not chunks:
+        starts = masks = None
+        if extended[t]:
+            starts = _head_starts(n, tables[t - 1])
+        if extended[t + 1]:
+            masks = _vertex_masks(n, table)
+            masks.flags.writeable = False
+        sizes.append(_Size(table, tuple(chunks), starts, masks))
+    if not sizes:
         raise ValidationError("subset family yielded no candidates")
-    return tuple(chunks)
+    return tuple(sizes)
 
 
 def _scores(counts: np.ndarray, means: np.ndarray, norm: float) -> np.ndarray:
@@ -371,24 +452,33 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
                         None).stats(sample)[0])
 
 
-def _run_plan(plan: tuple[_Layer, ...], sample: GraphSample,
+def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
               keep_trace: bool) -> tuple[float, tuple[int, ...], dict | None, int]:
     """First strict maximum in plan order of the chunks' statistics on sample."""
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
     evaluated = 0
-    for chunk in plan:
-        m, k = chunk.rows.shape
-        evaluated += m
-        stats = chunk.stats(sample)
-        i = int(np.argmax(stats))
-        mx = float(stats[i])
-        if mx > best_stat:
-            best_stat = mx
-            best_subset = tuple(int(v) for v in chunk.rows[i])
-        if keep_trace and (k not in trace or mx > trace[k][0]):
-            trace[k] = (mx, tuple(int(v) for v in chunk.rows[i]))
+    below = None
+    for size in plan:
+        counts, sums = size.arrays(sample, below)
+        # the arrays of the size below are dropped here, once this size has them
+        below = None if size.masks is None else (counts, sums, size.masks)
+        lo = 0
+        for chunk in size.chunks:
+            m, k = chunk.rows.shape
+            hi = lo + m
+            stats = chunk.stats(sample, None if counts is None else counts[lo:hi],
+                                None if sums is None else sums[lo:hi])
+            lo = hi
+            evaluated += m
+            i = int(np.argmax(stats))
+            mx = float(stats[i])
+            if mx > best_stat:
+                best_stat = mx
+                best_subset = tuple(int(v) for v in chunk.rows[i])
+            if keep_trace and (k not in trace or mx > trace[k][0]):
+                trace[k] = (mx, tuple(int(v) for v in chunk.rows[i]))
     return best_stat, best_subset, (trace if keep_trace else None), evaluated
 
 

@@ -146,6 +146,13 @@ class TestCommunitySizeAndDensity:
         with pytest.raises(ValidationError, match=">= 2 vertices"):
             audit_assumption_1_1(model, [3], delta=0.3, gamma=0.1)
 
+    def test_community_of_every_vertex_is_rejected(self):
+        # ln(n/r) = 0 in the density floor's r / ln(n/r)
+        with pytest.raises(ValidationError, match="all n=8 vertices"):
+            audit_assumption_1_1(Homogeneous(8, 0.3), range(8), delta=0.3, gamma=0.2)
+        report = audit_assumption_1_1(Homogeneous(8, 0.3), range(7), delta=0.3, gamma=0.2)
+        assert entry(report, "density floor 1/density <= r/ln(n/r)").rhs == 7 / math.log(8 / 7)
+
 
 class TestSmallCommunityConditions:
     def test_polylog_community_size_value(self):

@@ -591,6 +591,13 @@ class TestRejectedArguments:
             "--gamma", "0.2", "--rho", "2.0", f"--threshold={threshold}"])
         assert "threshold must be finite and > 0" in err
 
+    def test_audit_community_of_every_vertex(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "m.json", model_to_json(Homogeneous(8, 0.3)))
+        err = self.one_error_line(capsys, [
+            "audit", "--config", cfg, "--community", ",".join(map(str, range(8))),
+            "--gamma", "0.2"])
+        assert "community holds all n=8 vertices" in err
+
     def test_sweep_grid_value_json_cannot_hold(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plantedscan import (
     BudgetError,
@@ -581,8 +581,76 @@ def scan_cases(draw):
     return model, g, r, family, candidates
 
 
+def random_graph(n, density, seed):
+    rng = np.random.default_rng(seed)
+    return GraphSample(n, np.packbits(rng.random(n * (n - 1) // 2) < density), None, "imported")
+
+
+@st.composite
+def exhaustive_cases(draw):
+    """A graph on n <= 64 or 65..130 vertices (one to three mask words), an
+    Exhaustive family of at most 400,000 subsets that reaches an extended
+    size wherever that fits, and a chunk size that cuts the family into at
+    most 7,000 chunks: 1, 2, 3 or 7 rows where that holds, else the
+    default."""
+    n = draw(st.integers(4, 64) | st.integers(65, 130) | st.sampled_from([64, 65, 129]))
+    lo = draw(st.integers(1, 3))
+    top = lo
+    while top < min(4, n - 1) and sum(math.comb(n, k) for k in range(lo, top + 2)) <= 400_000:
+        top += 1
+    hi = draw(st.integers(min(max(lo + 1, 3), top), top))
+    count = sum(math.comb(n, k) for k in range(lo, hi + 1))
+    rows = draw(st.sampled_from([b for b in (1, 2, 3, 7) if count <= 7000 * b]
+                                + [scan_module._BATCH_ROWS]))
+    g = random_graph(n, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
+                     draw(st.integers(0, 2**32 - 1)))
+    return g, Exhaustive(lo, hi), rows
+
+
 class TestScanPlan:
     """The compiled plan against subset-by-subset evaluation, and its cache."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(exhaustive_cases())
+    @example((random_graph(129, 0.5, 1), Exhaustive(2, 3), scan_module._BATCH_ROWS))
+    @example((random_graph(65, 0.5, 2), Exhaustive(1, 3), 7))
+    def test_extended_counts_equal_direct_counts(self, case):
+        # every size above the first and above 2 is counted from the size
+        # below; each chunk must receive exactly the direct counts of its rows
+        g, family, rows = case
+        lo, hi = family.size_range(g.n)
+        for model in (Homogeneous(g.n, 0.3), None):
+            seen = {}
+
+            def record(chunk, sample, counts=None, degree_sums=None):
+                seen.setdefault(chunk.rows.shape[1], []).append(
+                    (chunk.rows, counts, degree_sums))
+                return np.zeros(len(chunk.rows))
+
+            with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
+                plan = scan_module._plan.__wrapped__(family, g.n, model)
+            extended = [k > max(lo, 2) for k in range(lo, hi + 1)]
+            assert [size.starts is not None for size in plan] == extended
+            assert [size.masks is not None for size in plan] == extended[1:] + [False]
+            with mock.patch.object(scan_module._Layer, "stats", record):
+                scan_module._run_plan(plan, g, keep_trace=False)
+            assert sorted(seen) == list(range(lo, hi + 1))
+            for k, parts in seen.items():
+                assert max(len(p[0]) for p in parts) <= rows
+                table = np.concatenate([p[0] for p in parts])
+                size = plan[k - lo]
+                assert np.array_equal(table, size.rows)
+                if size.starts is None and size.masks is None:
+                    # neither extended nor extended from: the chunks count their rows
+                    assert all(p[1] is None and p[2] is None for p in parts)
+                    continue
+                counts = np.concatenate([p[1] for p in parts])
+                assert np.array_equal(counts, g._edges_within_rows(table))
+                if model is None:
+                    sums = np.concatenate([p[2] for p in parts])
+                    assert np.array_equal(sums, g._degrees[table].sum(axis=1))
+                else:
+                    assert all(p[2] is None for p in parts)
 
     @settings(max_examples=40, deadline=None)
     @given(scan_cases())
@@ -616,8 +684,9 @@ class TestScanPlan:
                 with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
                     assert outcomes() == default
                     for fam, mod, _ in runs:
-                        chunks = scan_module._plan(fam, g.n, mod)
-                        assert max(len(chunk.rows) for chunk in chunks) <= rows
+                        plan = scan_module._plan(fam, g.n, mod)
+                        assert max(len(chunk.rows) for size in plan
+                                   for chunk in size.chunks) <= rows
             finally:
                 scan_module._plan.cache_clear()
 
@@ -732,4 +801,7 @@ class TestScanPlan:
             tracemalloc.stop()
         held = sum(layer.rows.nbytes for layer in plan)
         assert [layer.rows.shape for layer in plan] == [(1140, 17), (190, 18)]
+        # size 18 is counted from size 17: one mask word per size-17 row
+        assert [layer.masks is not None and layer.masks.shape for layer in plan] == [
+            (1140, 1), False]
         assert peak < 2 * held
