@@ -13,6 +13,15 @@ lower-bounds the average risk of every test; estimating it needs only
 null samples.  Everything is accumulated in log space; a pair with
 rho * p = 1 observed absent forces L_C = 0 exactly.
 
+A community whose absent-pair log l0 is the same on all K = C(r, 2) of its
+pairs (every community of a Homogeneous model, with or without rho_map)
+has log L_C = e log rho + (K - e) l0, a function of its edge count e
+alone.  Such communities are evaluated from a table over e = 0..K, one per
+distinct (log rho, l0), with the forbidden-pair rule built in (-inf below
+e = K); per graph they cost one boolean gather, one count and one lookup,
+and the problem holds no per-pair float array for them.  Every other
+community sums its per-pair logs.
+
 Enumeration is exact while C(n, r) fits the budget; otherwise a fixed set
 of communities is sampled once per problem (reused across graph samples,
 which keeps the estimator unbiased for E0-averages) or, if sampling is
@@ -122,7 +131,7 @@ class LrProblem:
             for m, row in enumerate(comms):
                 rho_m[m] = self.rho_map.get(tuple(int(v) for v in row), self.rho)
         return {"mode": mode, "communities": comms,
-                "tables": _log_tables(self.model, comms, rho_m)}
+                "tables": _log_terms(_log_tables(self.model, comms, rho_m))}
 
     @property
     def mode(self) -> str:
@@ -161,11 +170,73 @@ def _log_tables(model: EdgeProbabilityModel, comms: np.ndarray,
     return _pair_index(model.n, ci, cj), np.log(rho)[:, None], noedge
 
 
-def _log_ratios(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-                sample: GraphSample) -> np.ndarray:
-    """log L_C of every community of the tables on one graph."""
-    pair_index, edge_log, noedge_log = tables
-    return np.where(sample._tri[pair_index], edge_log, noedge_log).sum(axis=1)
+@dataclass(frozen=True, eq=False)
+class _LogTerms:
+    """_log_tables' rows split by how log L_C is evaluated on a graph.
+
+    Every row keeps its pairs' positions.  A counted row (its absent-pair
+    log is one value l0 on all K pairs) looks up table[offset + e] with e
+    its edge count; table holds e log rho + (K - e) l0 for e = 0..K, one
+    block of K + 1 entries per distinct (log rho, l0).  A summed row keeps
+    its per-pair logs.  counted and summed are slices when all rows go one
+    way, so the common problems index without copying.
+    """
+
+    pair_index: np.ndarray                # (m, K) packed-triangle positions
+    counted: slice | np.ndarray
+    offsets: np.ndarray                   # per counted row
+    table: np.ndarray
+    summed: slice | np.ndarray
+    edge_log: np.ndarray                  # (summed rows, 1)
+    noedge_log: np.ndarray                # (summed rows, K)
+
+
+def _rows(mask: np.ndarray) -> slice | np.ndarray:
+    if mask.all():
+        return slice(None)
+    return np.flatnonzero(mask) if mask.any() else slice(0)
+
+
+def _log_terms(tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> _LogTerms:
+    """Count every row of _log_tables' output whose absent-pair log is
+    constant; sum the others pair by pair."""
+    pair_index, edge_log, noedge = tables
+    k = pair_index.shape[1]
+    const = (noedge == noedge[:, :1]).all(axis=1)
+    # one complex number per (log rho, l0): a 1-D unique sorts far faster
+    # than unique rows
+    lifts, group = np.unique(
+        np.column_stack([edge_log[const, 0], noedge[const, 0]]).view(np.complex128),
+        return_inverse=True)
+    log_rho, l0 = lifts.real[:, None], lifts.imag[:, None]
+    e = np.arange(k + 1)
+    forbidden = l0 == -np.inf
+    # zero stands in for -inf so that 0 * -inf never arises; the entries it
+    # fixes are set to -inf below, and at e = K it is multiplied by 0
+    table = e * log_rho + (k - e) * np.where(forbidden, 0.0, l0)
+    table[forbidden & (e < k)] = -np.inf
+    summed = _rows(~const)
+    # copies, so that no view keeps the full per-pair array alive; order "K"
+    # keeps _log_tables' memory layout, which sets the summation order
+    return _LogTerms(pair_index, _rows(const), group.reshape(-1) * (k + 1), table.reshape(-1),
+                     summed, edge_log[summed].copy(order="K"),
+                     noedge[summed].copy(order="K"))
+
+
+def _log_ratios(terms: _LogTerms, sample: GraphSample) -> np.ndarray:
+    """log L_C of every row of the terms on one graph."""
+    present = sample._tri[terms.pair_index]
+    # counted in the narrowest type that holds K: a byte wraps past K = 255
+    counts = present[terms.counted].view(np.uint8).sum(
+        axis=1, dtype=np.min_scalar_type(present.shape[1]))
+    counted = terms.table.take(terms.offsets + counts)
+    if counted.size == present.shape[0]:
+        return counted
+    logs = np.empty(present.shape[0])
+    logs[terms.counted] = counted
+    logs[terms.summed] = np.where(present[terms.summed], terms.edge_log,
+                                  terms.noedge_log).sum(axis=1)
+    return logs
 
 
 def _exp(x: float) -> float:
@@ -187,13 +258,14 @@ def likelihood_ratio_single(problem: LrProblem, community: Iterable[int],
     rho = problem.rho
     if problem.rho_map:
         rho = problem.rho_map.get(tuple(int(v) for v in c), rho)
-    tables = _log_tables(problem.model, c[None, :], np.array([rho]))
-    return _exp(float(_log_ratios(tables, sample)[0]))
+    terms = _log_terms(_log_tables(problem.model, c[None, :], np.array([rho])))
+    return _exp(float(_log_ratios(terms, sample)[0]))
 
 
 @dataclass(frozen=True)
 class LrAverage:
     value: float
+    log_value: float           # log of value, finite where value overflows to inf
     mode: str                  # "exact" | "sampled"
     communities: int
     stderr: float | None = None  # sampling error over communities; None when exact
@@ -210,8 +282,11 @@ def likelihood_ratio_average(problem: LrProblem, sample: GraphSample) -> LrAvera
     excess = 0.0  # log of a factor the values still lack
     if shift == -math.inf:
         values = np.zeros(logs.shape)
+        log_value = -math.inf
     else:
         values = np.exp(logs - shift)
+        # the mean of values is at least 1/M here, so its log is finite
+        log_value = shift + math.log(float(values.mean()))
         try:
             values = values * math.exp(shift)
         except OverflowError:
@@ -223,9 +298,9 @@ def likelihood_ratio_average(problem: LrProblem, sample: GraphSample) -> LrAvera
 
     mean = scaled(float(values.mean()))
     if bundle["mode"] == "exact":
-        return LrAverage(mean, "exact", values.size)
+        return LrAverage(mean, log_value, "exact", values.size)
     se = scaled(float(values.std(ddof=1) / math.sqrt(values.size))) if values.size > 1 else None
-    return LrAverage(mean, "sampled", values.size, se)
+    return LrAverage(mean, log_value, "sampled", values.size, se)
 
 
 @dataclass(frozen=True)

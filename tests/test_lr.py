@@ -3,6 +3,7 @@ exact and sampled modes, and the Bayes-risk estimator built on the identity
 risk = 1 - E0|L - 1|/2 (null samples only)."""
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -47,6 +48,20 @@ def relabeled(g, perm):
         if g.has_edge(i, j)
     ]
     return graph_from_edges(g.n, edges)
+
+
+def per_pair_logs(problem, g):
+    """log L_C of every community of the problem as the sum of its per-pair
+    logs: the reference for the edge-count table."""
+    comms = problem._bundle["communities"]
+    rho_map = problem.rho_map or {}
+    rho = np.array([rho_map.get(tuple(int(v) for v in row), problem.rho) for row in comms])
+    pair_index, edge_log, noedge_log = lr_module._log_tables(problem.model, comms, rho)
+    return np.where(g._tri[pair_index], edge_log, noedge_log).sum(axis=1)
+
+
+def complete_graph(n):
+    return graph_from_edges(n, combinations(range(n), 2))
 
 
 def naive_ratio(model, community, g, rho):
@@ -199,7 +214,11 @@ class TestAverage:
         prob = LrProblem(model, 2, 1.5)
         res = likelihood_ratio_average(prob, graph_from_edges(4, []))
         assert res.value == pytest.approx(0.5, rel=1e-12)
+        assert res.log_value == pytest.approx(math.log(0.5), rel=1e-12)
         assert res.communities == 6
+        # at rho * p = 1 every community misses its pair: L = 0, log L = -inf
+        res = likelihood_ratio_average(LrProblem(model, 2, 2.0), graph_from_edges(4, []))
+        assert (res.value, res.log_value) == (0.0, -math.inf)
 
     def test_average_equals_mean_of_singles(self):
         model = Homogeneous(6, 0.4)
@@ -264,6 +283,103 @@ class TestAverage:
             )
 
 
+class TestEdgeCountPath:
+    """A community whose absent-pair log is the same on all its pairs is
+    evaluated from its edge count; the per-pair sum is the reference."""
+
+    @pytest.mark.parametrize("r", [23, 24], ids=["K=253", "K=276"])
+    def test_counts_past_one_byte(self, r):
+        # a one-byte count would wrap at K = 276 on the complete graph
+        model = Homogeneous(30, 0.3)
+        prob = LrProblem(model, r, 3.0, sample_size=16)
+        planted = tuple(int(v) for v in prob._bundle["communities"][0])
+        graphs = [sample_null(model, 0), complete_graph(30),
+                  sample_alternative(model, PlantedAlternative(planted, 3.0, model), 1)]
+        for g in graphs:
+            got = lr_module._log_ratios(prob._bundle["tables"], g)
+            np.testing.assert_allclose(got, per_pair_logs(prob, g), rtol=1e-14, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["flat", "rho_map", "blocks"])
+    def test_single_is_its_row_of_the_average_bit_for_bit(self, kind):
+        model = Homogeneous(9, 0.3)
+        rho_map = None
+        if kind == "rho_map":
+            # (1, 4, 8) is lifted to rho * p = 1: forbidden unless complete
+            rho_map = {(0, 1, 2): 2.5, (2, 5, 7): 1.0, (1, 4, 8): 1.0 / 0.3}
+        if kind == "blocks":
+            # communities inside a block are counted, the others summed
+            m = np.full((9, 9), 0.3)
+            m[:5, :5], m[5:, 5:] = 0.2, 0.4
+            np.fill_diagonal(m, 0.0)
+            model = GeneralMatrix(m)
+        prob = LrProblem(model, 3, 2.0, rho_map=rho_map)
+        assert prob.mode == "exact"
+        terms = prob._bundle["tables"]
+        if kind == "blocks":
+            assert isinstance(terms.counted, np.ndarray) and isinstance(terms.summed, np.ndarray)
+        graphs = [sample_null(model, seed) for seed in range(4)]
+        graphs += [complete_graph(9), graph_from_edges(9, [(1, 4), (1, 8), (4, 8)])]
+        for g in graphs:
+            logs = lr_module._log_ratios(terms, g)
+            for row, log in zip(prob._bundle["communities"], logs):
+                assert likelihood_ratio_single(prob, row, g) == lr_module._exp(float(log))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counted_rows_match_the_per_pair_sum(self, data):
+        n = data.draw(st.integers(min_value=4, max_value=30), label="n")
+        r = data.draw(st.integers(min_value=2, max_value=min(n - 1, 8)), label="r")
+        # powers of two make rho = 1/p an exact forbidden lift
+        p = data.draw(st.sampled_from([0.5, 0.25, 0.125]) | st.floats(0.05, 0.6), label="p")
+        lifts = st.sampled_from([1.0, 1.0 / p]) | st.floats(1.0, 1.0 / p)
+        rho = data.draw(lifts, label="rho")
+        model = Homogeneous(n, p)
+        base = LrProblem(model, r, rho, exact_budget=2000, sample_size=128)
+        comms = base._bundle["communities"]
+        keys = data.draw(st.lists(st.integers(0, len(comms) - 1), max_size=4, unique=True),
+                         label="rho_map rows")
+        rho_map = {tuple(int(v) for v in comms[m]): data.draw(lifts) for m in keys}
+        prob = LrProblem(model, r, rho, rho_map=rho_map or None, exact_budget=2000,
+                         sample_size=128)
+        planted = tuple(int(v) for v in comms[keys[0] if keys else 0])
+        lift = rho_map.get(planted, rho)
+        lift = lift if lift * p <= 1.0 else 1.0
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rho_m = np.array([rho_map.get(tuple(int(v) for v in row), rho) for row in comms])
+        forbidden = rho_m * p >= 1.0
+        k = r * (r - 1) // 2
+        pair_index = prob._bundle["tables"].pair_index
+        for g in (sample_null(model, seed),
+                  sample_alternative(model, PlantedAlternative(planted, lift, model), seed)):
+            got = lr_module._log_ratios(prob._bundle["tables"], g)
+            want = per_pair_logs(prob, g)
+            assert np.array_equal(got == -np.inf, want == -np.inf)
+            finite = want > -np.inf
+            np.testing.assert_allclose(got[finite], want[finite], rtol=0.0, atol=1e-12)
+            complete = g._tri[pair_index].sum(axis=1) == k
+            assert np.all(got[forbidden & ~complete] == -np.inf)
+            assert np.all(np.isfinite(got[forbidden & complete]))
+
+    @given(st.integers(min_value=4, max_value=30), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_other_models_keep_the_per_pair_sum_bit_for_bit(self, n, data):
+        r = data.draw(st.integers(min_value=2, max_value=min(n - 1, 8)), label="r")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans(), label="rank one"):
+            model = RankOne(rng.uniform(0.1, 0.7, size=n))
+        else:
+            m = rng.uniform(0.05, 0.6, size=(n, n))
+            m = (m + m.T) / 2.0
+            np.fill_diagonal(m, 0.0)
+            model = GeneralMatrix(m)
+        rho = data.draw(st.floats(1.0, 1.6), label="rho")
+        prob = LrProblem(model, r, rho, exact_budget=2000, sample_size=128)
+        for g in (sample_null(model, seed), complete_graph(n)):
+            got = lr_module._log_ratios(prob._bundle["tables"], g)
+            assert np.array_equal(got, per_pair_logs(prob, g))
+
+
 class TestOverflow:
     def planted(self):
         # 40 vertices lifted 15-fold: log L_C of the planted community is
@@ -280,6 +396,10 @@ class TestOverflow:
         res = likelihood_ratio_average(prob, g)
         assert res.value == math.inf
         assert res.stderr == math.inf
+        logs = lr_module._log_ratios(prob._bundle["tables"], g)
+        assert math.isfinite(res.log_value) and res.log_value > math.log(sys.float_info.max)
+        assert res.log_value == pytest.approx(
+            logs.max() + math.log(np.exp(logs - logs.max()).mean()), rel=1e-15)
 
     def test_mean_stays_finite_when_only_its_largest_term_overflows(self, monkeypatch):
         model = Homogeneous(6, 0.3)
@@ -289,6 +409,7 @@ class TestOverflow:
         monkeypatch.setattr(lr_module, "_log_ratios", lambda tables, sample: logs)
         res = likelihood_ratio_average(prob, sample_null(model, 0))
         assert res.value == pytest.approx(math.exp(710.0 - math.log(15.0)), rel=1e-12)
+        assert res.log_value == pytest.approx(710.0 - math.log(15.0), rel=1e-15)
 
     def test_bayes_risk_refuses_an_infinite_ratio(self, monkeypatch):
         model = Homogeneous(6, 0.3)
