@@ -128,14 +128,25 @@ class LrProblem:
             )
         rho_m = np.full(comms.shape[0], self.rho)
         if self.rho_map:
-            for m, row in enumerate(comms):
-                rho_m[m] = self.rho_map.get(tuple(int(v) for v in row), self.rho)
+            # each row is looked up among the sorted keys as one r*8-byte value
+            keys = _byte_rows(np.array(list(self.rho_map), dtype=np.int64))
+            order = np.argsort(keys)
+            rows = _byte_rows(comms)
+            at = order[np.searchsorted(keys, rows, sorter=order).clip(max=len(keys) - 1)]
+            hit = keys[at] == rows
+            rho_m[hit] = np.array(list(self.rho_map.values()))[at[hit]]
         return {"mode": mode, "communities": comms,
                 "tables": _log_terms(_log_tables(self.model, comms, rho_m))}
 
     @property
     def mode(self) -> str:
         return self._bundle["mode"]
+
+
+def _byte_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque value, equal where the rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
 
 
 def _log_tables(model: EdgeProbabilityModel, comms: np.ndarray,
@@ -216,11 +227,10 @@ def _log_terms(tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> _LogTerms:
     table = e * log_rho + (k - e) * np.where(forbidden, 0.0, l0)
     table[forbidden & (e < k)] = -np.inf
     summed = _rows(~const)
-    # copies, so that no view keeps the full per-pair array alive; order "K"
-    # keeps _log_tables' memory layout, which sets the summation order
+    # copies, so that no view keeps the full per-pair array alive; row-major,
+    # so that the average sums each row in the order a one-row call does
     return _LogTerms(pair_index, _rows(const), group.reshape(-1) * (k + 1), table.reshape(-1),
-                     summed, edge_log[summed].copy(order="K"),
-                     noedge[summed].copy(order="K"))
+                     summed, edge_log[summed].copy(), noedge[summed].copy())
 
 
 def _log_ratios(terms: _LogTerms, sample: GraphSample) -> np.ndarray:

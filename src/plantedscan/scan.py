@@ -23,13 +23,18 @@ exhaustive size above the plan's first and above 2 is counted from the
 size below, one popcount of the head's adjacency row against each
 extended subset's vertex mask, and blind degree sums likewise grow by the
 head's degree; the scan keeps those arrays for at most two consecutive
-sizes.  Every other size counts its rows' pairs directly.  Each chunk
-applies the kernel where a count exceeds a positive mean, every other row scoring 0.0.
-The first strict maximum in plan order wins, which breaks ties toward the
-smaller subset, then the lexicographically smallest vertex tuple,
-independent of chunk boundaries.  The one-subset statistic functions score
-a one-row chunk the same way, so a scan outcome is bit-for-bit
-reproducible subset by subset.
+sizes.  Every other size counts its rows' pairs directly.  A row whose
+count exceeds a positive mean is hot and scores its kernel value, which is
+positive; every other row scores 0.0.  Each chunk returns its first strict
+maximum and that row, (0.0, 0) when no row is hot, and evaluates the
+kernel on its hot rows only.  A blind mean is at least the floor, so a
+blind chunk estimates the means of only the rows whose count exceeds the
+floor; at n = 40 the floor exceeds C(k, 2) for every k <= 5, so no row
+of those sizes does.  The first strict maximum in plan order wins, which
+breaks ties toward the smaller subset, then the lexicographically
+smallest vertex tuple, independent of chunk boundaries.  The one-subset
+statistic functions score a one-row chunk the same way, so a scan
+outcome is bit-for-bit reproducible subset by subset.
 """
 
 from __future__ import annotations
@@ -312,20 +317,30 @@ class _Layer:
     norm: float               # k ln(n/k)
     floor: float | None       # blind floor (k^2/n) ln(n/k)^4; None in a known plan
 
-    def stats(self, sample: GraphSample, counts: np.ndarray | None = None,
-              degree_sums: np.ndarray | None = None) -> np.ndarray:
-        """The statistic of every row on sample: against the null means, or
-        blind against max(_blind_mean(e(V), sum deg(D) - 2 e(D)), floor).
-        e(D) and sum deg(D) are counted here unless the scan passes them."""
+    def best(self, sample: GraphSample, counts: np.ndarray | None = None,
+             degree_sums: np.ndarray | None = None) -> tuple[float, int]:
+        """The first strict maximum of the statistic over the rows on sample
+        and its row, (0.0, 0) when no row is hot: _scores against the null
+        means or, blind, against max(_blind_mean(e(V), sum deg(D) - 2 e(D)),
+        floor).  e(D) and sum deg(D) are counted here unless the scan passes
+        them."""
         if counts is None:
             counts = sample._edges_within_rows(self.rows)
-        means = self.means
-        if means is None:
+        if self.means is None:
+            # a blind mean is at least the floor, so only a count above it can be hot
+            near = np.flatnonzero(counts > self.floor)
+            if not near.size:
+                return 0.0, 0
+            counts = counts[near]
             if degree_sums is None:
-                degree_sums = sample._degrees[self.rows].sum(axis=1)
-            cross = degree_sums - 2 * counts
-            means = np.maximum(_blind_mean(float(sample.total_edges()), cross), self.floor)
-        return _scores(counts, means, self.norm)
+                degree_sums = sample._degrees[self.rows[near]].sum(axis=1)
+            else:
+                degree_sums = degree_sums[near]
+            means = np.maximum(_blind_mean(float(sample.total_edges()), degree_sums - 2 * counts),
+                               self.floor)
+            top, i = _first_hot_max(counts, means, self.norm)
+            return (top, int(near[i])) if top > 0.0 else (0.0, 0)
+        return _first_hot_max(counts, self.means, self.norm)
 
 
 @dataclass(frozen=True)
@@ -425,6 +440,19 @@ def _scores(counts: np.ndarray, means: np.ndarray, norm: float) -> np.ndarray:
     return out
 
 
+def _first_hot_max(counts: np.ndarray, means: np.ndarray, norm: float) -> tuple[float, int]:
+    """The first maximum of _scores(counts, means, norm) and its index,
+    scoring the hot rows only; (0.0, 0) when no row is hot.  A hot row's
+    count / mean - 1 is at least one ulp of 1.0 (its count is an integer),
+    so it scores above the 0.0 of every cold row."""
+    hot = np.flatnonzero((counts > means) & (means > 0.0))
+    if not hot.size:
+        return 0.0, 0
+    scores = _scores(counts[hot], means[hot], norm)
+    i = int(scores.argmax())
+    return float(scores[i]), int(hot[i])
+
+
 def _blind_floor(n: int, k: int) -> float:
     return (k * k / n) * math.log(n / k) ** 4
 
@@ -448,13 +476,12 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
     rows = d[None, :]
-    return float(_Layer(rows, model.within_mean(rows), _norm(sample.n, d.size),
-                        None).stats(sample)[0])
+    return _Layer(rows, model.within_mean(rows), _norm(sample.n, d.size), None).best(sample)[0]
 
 
 def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
               keep_trace: bool) -> tuple[float, tuple[int, ...], dict | None, int]:
-    """First strict maximum in plan order of the chunks' statistics on sample."""
+    """First strict maximum in plan order of the chunks' best rows on sample."""
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
@@ -468,12 +495,10 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
         for chunk in size.chunks:
             m, k = chunk.rows.shape
             hi = lo + m
-            stats = chunk.stats(sample, None if counts is None else counts[lo:hi],
-                                None if sums is None else sums[lo:hi])
+            mx, i = chunk.best(sample, None if counts is None else counts[lo:hi],
+                               None if sums is None else sums[lo:hi])
             lo = hi
             evaluated += m
-            i = int(np.argmax(stats))
-            mx = float(stats[i])
             if mx > best_stat:
                 best_stat = mx
                 best_subset = tuple(int(v) for v in chunk.rows[i])
@@ -587,8 +612,7 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
     """Blind scan statistic: the known-probability form with the null mean
     replaced by its floored estimate."""
     d, n = _blind_subset(sample, subset, n)
-    return float(_Layer(d[None, :], None, _norm(n, d.size),
-                        _blind_floor(n, d.size)).stats(sample)[0])
+    return _Layer(d[None, :], None, _norm(n, d.size), _blind_floor(n, d.size)).best(sample)[0]
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,

@@ -52,12 +52,13 @@ def relabeled(g, perm):
 
 def per_pair_logs(problem, g):
     """log L_C of every community of the problem as the sum of its per-pair
-    logs: the reference for the edge-count table."""
+    logs: the reference for the edge-count table.  Row-major, so that each
+    row is summed as a one-row array is."""
     comms = problem._bundle["communities"]
     rho_map = problem.rho_map or {}
     rho = np.array([rho_map.get(tuple(int(v) for v in row), problem.rho) for row in comms])
     pair_index, edge_log, noedge_log = lr_module._log_tables(problem.model, comms, rho)
-    return np.where(g._tri[pair_index], edge_log, noedge_log).sum(axis=1)
+    return np.ascontiguousarray(np.where(g._tri[pair_index], edge_log, noedge_log)).sum(axis=1)
 
 
 def complete_graph(n):
@@ -239,6 +240,22 @@ class TestAverage:
         res = likelihood_ratio_average(prob, graph_from_edges(4, []))
         assert res.value == pytest.approx(5.0 / 6.0, rel=1e-14)
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_rho_map_lifts_exactly_its_communities(self, mode):
+        # every RankOne community keeps log rho as its present-edge log
+        model = RankOne(np.random.default_rng(2).uniform(0.1, 0.4, size=12))
+        budget = 1000 if mode == "exact" else 100
+        base = LrProblem(model, 3, 1.5, exact_budget=budget, sample_size=64)
+        comms = [tuple(int(v) for v in row) for row in base._bundle["communities"]]
+        rho_map = {comms[0]: 1.8, comms[7]: 2.0, comms[-1]: 2.2}
+        if mode == "sampled":
+            absent = next(c for c in combinations(range(12), 3) if c not in set(comms))
+            rho_map[absent] = 2.5
+        prob = LrProblem(model, 3, 1.5, rho_map=rho_map, exact_budget=budget, sample_size=64)
+        assert prob.mode == mode
+        want = np.log([rho_map.get(c, 1.5) for c in comms])
+        assert np.array_equal(prob._bundle["tables"].edge_log[:, 0], want)
+
     def test_null_mean_is_one_within_monte_carlo_error(self):
         # martingale property of the averaged ratio; 1.77 sigma observed
         # for this seed stream
@@ -299,10 +316,10 @@ class TestEdgeCountPath:
             got = lr_module._log_ratios(prob._bundle["tables"], g)
             np.testing.assert_allclose(got, per_pair_logs(prob, g), rtol=1e-14, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["flat", "rho_map", "blocks"])
+    @pytest.mark.parametrize("kind", ["flat", "rho_map", "blocks", "rank_one"])
     def test_single_is_its_row_of_the_average_bit_for_bit(self, kind):
         model = Homogeneous(9, 0.3)
-        rho_map = None
+        r, rho, rho_map = 3, 2.0, None
         if kind == "rho_map":
             # (1, 4, 8) is lifted to rho * p = 1: forbidden unless complete
             rho_map = {(0, 1, 2): 2.5, (2, 5, 7): 1.0, (1, 4, 8): 1.0 / 0.3}
@@ -312,7 +329,12 @@ class TestEdgeCountPath:
             m[:5, :5], m[5:, 5:] = 0.2, 0.4
             np.fill_diagonal(m, 0.0)
             model = GeneralMatrix(m)
-        prob = LrProblem(model, 3, 2.0, rho_map=rho_map)
+        if kind == "rank_one":
+            # every community summed, K = 10 terms: NumPy adds eight or more
+            # contiguous terms pairwise, strided ones left to right
+            model = RankOne(np.random.default_rng(0).uniform(0.1, 0.7, size=9))
+            r, rho = 5, 1.4
+        prob = LrProblem(model, r, rho, rho_map=rho_map)
         assert prob.mode == "exact"
         terms = prob._bundle["tables"]
         if kind == "blocks":

@@ -625,14 +625,14 @@ class TestScanPlan:
             def record(chunk, sample, counts=None, degree_sums=None):
                 seen.setdefault(chunk.rows.shape[1], []).append(
                     (chunk.rows, counts, degree_sums))
-                return np.zeros(len(chunk.rows))
+                return 0.0, 0
 
             with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
                 plan = scan_module._plan.__wrapped__(family, g.n, model)
             extended = [k > max(lo, 2) for k in range(lo, hi + 1)]
             assert [size.starts is not None for size in plan] == extended
             assert [size.masks is not None for size in plan] == extended[1:] + [False]
-            with mock.patch.object(scan_module._Layer, "stats", record):
+            with mock.patch.object(scan_module._Layer, "best", record):
                 scan_module._run_plan(plan, g, keep_trace=False)
             assert sorted(seen) == list(range(lo, hi + 1))
             for k, parts in seen.items():
@@ -805,3 +805,159 @@ class TestScanPlan:
         assert [layer.masks is not None and layer.masks.shape for layer in plan] == [
             (1140, 1), False]
         assert peak < 2 * held
+
+
+def dense_best(chunk, sample):
+    """np.argmax/max over _scores of every row of a plan chunk on sample,
+    from direct counts: the reference its evaluator must equal bit for bit."""
+    counts = sample._edges_within_rows(chunk.rows)
+    means = chunk.means
+    if means is None:
+        cross = sample._degrees[chunk.rows].sum(axis=1) - 2 * counts
+        means = np.maximum(_blind_mean(float(sample.total_edges()), cross), chunk.floor)
+    stats = _scores(counts, means, chunk.norm)
+    i = int(np.argmax(stats))
+    return stats[i].hex(), i
+
+
+def check_best_rows(model, g, family):
+    """Run the known and the blind plan over family on g.  Every chunk must
+    return the dense reference, from the counts the scan passes it and from
+    its own, and those counts must be the direct ones.  Returns per chunk
+    (chunk, the counts the scan passed, its direct counts, its (statistic,
+    row))."""
+    calls = []
+    best = scan_module._Layer.best
+
+    def record(chunk, sample, counts=None, degree_sums=None):
+        out = best(chunk, sample, counts, degree_sums)
+        calls.append((chunk, counts, out))
+        return out
+
+    for m in (model, None):
+        plan = scan_module._plan.__wrapped__(family, g.n, m)
+        with mock.patch.object(scan_module._Layer, "best", record):
+            scan_module._run_plan(plan, g, keep_trace=False)
+    seen = []
+    for chunk, counts, (stat, row) in calls:
+        ref = dense_best(chunk, g)
+        assert (stat.hex(), row) == ref
+        stat, row = chunk.best(g)
+        assert (stat.hex(), row) == ref
+        direct = g._edges_within_rows(chunk.rows)
+        if counts is not None:
+            assert np.array_equal(counts, direct)
+        seen.append((chunk, counts, direct, (stat, row)))
+    return seen
+
+
+def zero_block_model(n):
+    """p = 0 inside {0, 1, 2}, 0.3 elsewhere."""
+    m = np.full((n, n), 0.3)
+    m[:3, :3] = 0.0
+    np.fill_diagonal(m, 0.0)
+    return GeneralMatrix(m)
+
+
+# inputs the property test always runs, named for what each covers
+EVALUATOR_EXAMPLES = {
+    "below_floor": (Homogeneous(30, 0.3), random_graph(30, 0.3, 1), Exhaustive(2, 3)),
+    # K_6 less the edge {0, 1}: pairs and triangles pass the blind floor,
+    # but none exceeds its blind mean
+    "above_floor_cold": (Homogeneous(6, 0.7),
+                         graph_from_edges(6, [e for e in itertools.combinations(range(6), 2)
+                                              if e != (0, 1)]),
+                         Exhaustive(2, 3)),
+    "blind_hot": (Homogeneous(12, 0.6), random_graph(12, 0.6, 0), Exhaustive(3, 5)),
+    "explicit": (Homogeneous(12, 0.6), random_graph(12, 0.6, 0),
+                 Explicit(tuple(itertools.combinations(range(9), 4)))),
+    "all_cold": (RankOne(np.linspace(0.1, 0.5, 20)), graph_from_edges(20, []), Exhaustive(1, 3)),
+    # p = 1/2 gives the 4-subsets a mean of exactly 3.0, and no 4-subset
+    # holds more than the triangle's 3 edges
+    "count_at_mean": (Homogeneous(20, 0.5), graph_from_edges(20, [(17, 18), (17, 19), (18, 19)]),
+                      Exhaustive(4, 4)),
+    "zero_means": (zero_block_model(10), graph_from_edges(10, [(0, 1), (0, 2), (1, 2), (3, 4)]),
+                   Exhaustive(2, 3)),
+    # the complete graph on two mask words: every row of a size ties
+    "ties": (Homogeneous(70, 0.4), random_graph(70, 1.0, 0), Exhaustive(2, 3)),
+    # sizes 22 and 23 hold at most 231 and 253 edges, the extended size 24
+    # up to 276
+    "K=253": (Homogeneous(25, 0.9), random_graph(25, 0.9, 3), Exhaustive(22, 24)),
+    "K=276": (Homogeneous(25, 0.9), random_graph(25, 1.0, 3), Exhaustive(22, 24)),
+}
+
+
+@st.composite
+def evaluator_cases(draw):
+    """A model and a graph on n <= 40 or 65..100 vertices, and either an
+    Exhaustive window, whose sizes above the first take their counts from
+    the scan, or a few subsets of one size, whose chunk counts its own."""
+    n = draw(st.integers(4, 40) | st.integers(65, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["homogeneous", "rank_one", "general", "zero_block"]))
+    model = zero_block_model(n) if kind == "zero_block" else _random_model(kind, n, rng)
+    g = random_graph(n, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])), int(rng.integers(2**32)))
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, 3))
+        return model, g, Exhaustive(lo, draw(st.integers(lo, 3)))
+    k = draw(st.integers(1, min(n - 1, 8)))
+    count = draw(st.integers(1, 12))
+    return model, g, Explicit(tuple(tuple(int(v) for v in rng.choice(n, size=k, replace=False))
+                                    for _ in range(count)))
+
+
+class TestChunkEvaluator:
+    """A chunk's (statistic, row) is the first strict maximum of _scores over
+    its rows, (0.0, 0) when no row scores above 0: the known scan scores
+    only its hot rows, the blind scan only the rows whose count exceeds the
+    floor, which bounds every blind mean from below."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(evaluator_cases())
+    @example(EVALUATOR_EXAMPLES["below_floor"])
+    @example(EVALUATOR_EXAMPLES["above_floor_cold"])
+    @example(EVALUATOR_EXAMPLES["blind_hot"])
+    @example(EVALUATOR_EXAMPLES["explicit"])
+    @example(EVALUATOR_EXAMPLES["all_cold"])
+    @example(EVALUATOR_EXAMPLES["count_at_mean"])
+    @example(EVALUATOR_EXAMPLES["zero_means"])
+    @example(EVALUATOR_EXAMPLES["ties"])
+    @example(EVALUATOR_EXAMPLES["K=253"])
+    @example(EVALUATOR_EXAMPLES["K=276"])
+    def test_best_row_is_the_dense_first_maximum(self, case):
+        check_best_rows(*case)
+
+    def test_examples_cover_what_they_are_named_for(self):
+        def blind(name):
+            return [(chunk, counts, np.flatnonzero(direct > chunk.floor), out)
+                    for chunk, counts, direct, out in check_best_rows(*EVALUATOR_EXAMPLES[name])
+                    if chunk.means is None]
+
+        parts = blind("below_floor")
+        assert parts and all(not near.size and out == (0.0, 0) for _, _, near, out in parts)
+        parts = blind("above_floor_cold")
+        assert parts and all(near.size and out == (0.0, 0) for _, _, near, out in parts)
+        assert any(near[0] > 0 for _, _, near, _ in parts)
+        # a hot row that is not the first of those above the floor
+        parts = blind("blind_hot")
+        assert any(counts is not None and stat > 0.0 and row in near and row != near[0]
+                   for _, counts, near, (stat, row) in parts)
+        parts = blind("explicit")
+        assert parts and all(counts is None and 0 < near.size < len(chunk.rows) and stat > 0.0
+                             for chunk, counts, near, (stat, _) in parts)
+        for name in ("all_cold", "count_at_mean"):
+            outs = [out for *_, out in check_best_rows(*EVALUATOR_EXAMPLES[name])]
+            assert set(outs) == {(0.0, 0)}
+        model, g, _ = EVALUATOR_EXAMPLES["count_at_mean"]
+        assert model.within_mean(np.array([[0, 17, 18, 19]]))[0] == 3.0
+        assert g.edges_within((0, 17, 18, 19)) == 3
+        model, g, _ = EVALUATOR_EXAMPLES["zero_means"]
+        assert model.within_mean(np.array([[0, 1, 2]]))[0] == 0.0
+        assert g.edges_within((0, 1, 2)) == 3
+        known = [out for chunk, *_, out in check_best_rows(*EVALUATOR_EXAMPLES["ties"])
+                 if chunk.means is not None]
+        assert known and all(row == 0 and stat > 0.0 for stat, row in known)
+        for name, top in (("K=253", 253), ("K=276", 276)):
+            counts = [c for chunk, c, *_ in check_best_rows(*EVALUATOR_EXAMPLES[name])
+                      if chunk.rows.shape[1] == 24]
+            assert len(counts) == 2 and max(int(c.max()) for c in counts) >= top
