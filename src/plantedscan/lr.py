@@ -18,9 +18,10 @@ pairs (every community of a Homogeneous model, with or without rho_map)
 has log L_C = e log rho + (K - e) l0, a function of its edge count e
 alone.  Such communities are evaluated from a table over e = 0..K, one per
 distinct (log rho, l0), with the forbidden-pair rule built in (-inf below
-e = K); per graph they cost one boolean gather, one count and one lookup,
-and the problem holds no per-pair float array for them.  Every other
-community sums its per-pair logs.
+e = K); per graph they cost one boolean gather from the graph's triangle,
+unpacked once per call, one count and one lookup, and the problem holds no
+per-pair float array for them.  Every other community sums its per-pair
+logs.
 
 Enumeration is exact while C(n, r) fits the budget; otherwise a fixed set
 of communities is sampled once per problem (reused across graph samples,
@@ -235,7 +236,7 @@ def _log_terms(tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> _LogTerms:
 
 def _log_ratios(terms: _LogTerms, sample: GraphSample) -> np.ndarray:
     """log L_C of every row of the terms on one graph."""
-    present = sample._tri[terms.pair_index]
+    present = np.unpackbits(sample.packed, count=sample.pair_count).view(bool)[terms.pair_index]
     # counted in the narrowest type that holds K: a byte wraps past K = 255
     counts = present[terms.counted].view(np.uint8).sum(
         axis=1, dtype=np.min_scalar_type(present.shape[1]))

@@ -9,10 +9,9 @@ Samples store the adjacency upper triangle as packed bits in lexicographic
 pair order, one uniform variate consumed per pair in that same order; this
 makes a null sample and an alternative sample with rho = 1 bit-identical
 for equal seeds.  The sampler draws its uniforms one block of pairs at a
-time, each block compared with its pair probabilities in one call.  Vertex
-counts are capped at 2**16: sampling holds one bool per pair, and edge
-counting unpacks the triangle (n*(n-1)/2 bytes) on first use, which is the
-practical memory ceiling of this design.  Exhaustive scans add packed
+time, each block compared with its pair probabilities in one call and
+packed straight into the sample's bytes, its only edge store (n*(n-1)/16
+bytes).  Vertex counts are capped at 2**16.  Exhaustive scans add packed
 adjacency rows, n * ceil(n/64) uint64 words.
 """
 
@@ -176,6 +175,18 @@ def _pair_index(n: int, i, j):
     """Position of the pair (i, j), i < j, in the packed lexicographic
     triangle; scalars or integer arrays."""
     return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
+def _read_bits(packed: np.ndarray, pos):
+    """The bits (1 or 0) at triangle positions pos, an integer or an integer
+    array, of a packed triangle, which np.packbits lays out with position t
+    at bit 7 - t % 8 of byte t // 8."""
+    return packed[pos >> 3] >> (~pos & 7) & 1
+
+
+def _set_bits(packed: np.ndarray, pos: np.ndarray) -> None:
+    """Set the bits at triangle positions pos of a packed triangle in place."""
+    np.bitwise_or.at(packed, pos >> 3, (0x80 >> (pos & 7)).astype(np.uint8))
 
 
 class EdgeProbabilityModel:
@@ -484,10 +495,12 @@ class PlantedAlternative:
 class GraphSample:
     """One sampled graph: packed upper-triangle bits plus provenance.
 
-    hypothesis is "null", "planted", or "imported"; planted samples carry
-    the community and rho they were drawn under.  sampler records which
-    bitstream produced the graph ("dense-lexicographic" for the samplers
-    here, "file-import" for read_edge_list).
+    packed, the graph's only edge store, holds the n(n-1)/2 pairs in
+    lexicographic order as np.packbits lays them out, zero past the last
+    pair.  hypothesis is "null", "planted", or "imported"; planted samples
+    carry the community and rho they were drawn under.  sampler records
+    which bitstream produced the graph ("dense-lexicographic" for the
+    samplers here, "file-import" for read_edge_list).
     """
 
     n: int
@@ -499,13 +512,18 @@ class GraphSample:
     planted_rho: float | None = None
 
     def __post_init__(self) -> None:
-        packed = np.asarray(self.packed, dtype=np.uint8)
+        object.__setattr__(self, "n", _check_vertex_count(self.n))
+        raw = np.asarray(self.packed)
         expected = (self.pair_count + 7) // 8
-        if packed.size != expected:
+        if raw.shape != (expected,):
             raise ValidationError(
-                f"packed triangle has {packed.size} bytes, expected {expected} for n={self.n}"
-            )
-        packed = packed.copy()
+                f"packed triangle has shape {raw.shape}, expected ({expected},) for n={self.n}")
+        if raw.size and raw.dtype != np.uint8 and (
+                raw.dtype.kind not in "biu" or raw.min() < 0 or raw.max() > 255):
+            raise ValidationError("packed triangle must hold byte values 0..255")
+        packed = raw.astype(np.uint8)
+        if self.pair_count % 8 and packed[-1] & (0xFF >> self.pair_count % 8):
+            raise ValidationError(f"packed triangle sets bits past its {self.pair_count} pairs")
         packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)
 
@@ -514,24 +532,18 @@ class GraphSample:
         return self.n * (self.n - 1) // 2
 
     @cached_property
-    def _tri(self) -> np.ndarray:
-        # full unpacked triangle; n*(n-1)/2 bytes, the documented memory cost
-        bits = np.unpackbits(self.packed, count=self.pair_count)
-        bits = bits.view(bool)
-        bits.flags.writeable = False
-        return bits
-
-    @cached_property
     def _row_offsets(self) -> np.ndarray:
         i = np.arange(self.n, dtype=np.int64)
         return _pair_index(self.n, i, i + 1)
 
     def _edges(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(i, j) arrays of the edges, i < j, in lexicographic order; one
-        pair of arrays per _PAIR_BLOCK triangle positions."""
+        pair of arrays per _PAIR_BLOCK triangle positions, unpacked one by one."""
         off = self._row_offsets
         for start in range(0, self.pair_count, _PAIR_BLOCK):
-            pos = np.flatnonzero(self._tri[start : start + _PAIR_BLOCK]) + start
+            stop = min(start + _PAIR_BLOCK, self.pair_count)
+            bits = np.unpackbits(self.packed[start >> 3 :], count=stop - (start & ~7))
+            pos = np.flatnonzero(bits[start & 7 :].view(bool)) + start
             i = np.searchsorted(off, pos, side="right") - 1
             yield i, pos - off[i] + i + 1
 
@@ -539,8 +551,7 @@ class GraphSample:
     def _degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.int64)
         for i, j in self._edges():
-            deg += np.bincount(i, minlength=self.n)
-            deg += np.bincount(j, minlength=self.n)
+            deg += np.bincount(np.concatenate((i, j)), minlength=self.n)
         deg.flags.writeable = False
         return deg
 
@@ -558,16 +569,17 @@ class GraphSample:
         return rows
 
     def _edges_within_rows(self, rows: np.ndarray) -> np.ndarray:
-        """e(D) for every row of an (m, k) array of row-sorted subsets."""
-        tri = self._tri
-        off = self._row_offsets
-        m, k = rows.shape
-        counts = np.zeros(m, dtype=np.int64)
-        for a in range(k - 1):
-            ia = rows[:, a]
-            base = off[ia] - ia - 1
-            for b in range(a + 1, k):
-                counts += tri[base + rows[:, b]]
+        """e(D) for every row of an (m, k) array of row-sorted subsets: one
+        gather of the rows' pair bits per _PAIR_BLOCK positions (or one row)."""
+        v = np.arange(rows.shape[1])
+        a, b = np.nonzero(v[:, None] < v)  # the pairs' columns, lexicographic
+        counts = np.zeros(rows.shape[0], dtype=np.int64)
+        step = max(1, _PAIR_BLOCK // max(a.size, 1))
+        for s in range(0, rows.shape[0], step):
+            block = rows[s : s + step]
+            heads = block[:, a]
+            pos = self._row_offsets[heads] - heads - 1 + block[:, b]
+            counts[s : s + step] = _read_bits(self.packed, pos).sum(axis=1)
         return counts
 
     def pair_index(self, i: int, j: int) -> int:
@@ -577,7 +589,7 @@ class GraphSample:
         return int(_pair_index(self.n, i, j))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self._tri[self.pair_index(i, j)])
+        return bool(_read_bits(self.packed, self.pair_index(i, j)))
 
     @cached_property
     def _edge_total(self) -> int:
@@ -616,10 +628,6 @@ class GraphSample:
         return m
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    return np.packbits(bits.view(np.uint8))
-
-
 def _probability_blocks(model: EdgeProbabilityModel,
                         pairs: int) -> Iterator[tuple[int, int, float | np.ndarray]]:
     """(s, e, p) for each _SAMPLE_BLOCK triangle positions [s, e), with p
@@ -648,15 +656,18 @@ def _probability_blocks(model: EdgeProbabilityModel,
 
 def _sample_triangle(model: EdgeProbabilityModel, seed: int,
                      alt: PlantedAlternative | None) -> np.ndarray:
-    """The sampled triangle as bools in packed pair order: pair t is an edge
+    """The sampled triangle packed as GraphSample.packed: pair t is an edge
     when the t-th uniform of the seed's stream is below its p_ij, or below
-    rho * p_ij inside a planted community."""
+    rho * p_ij inside a planted community.  A reused bool buffer holds each
+    block from its first byte's start (bits the block before drew) and is
+    packed into place; the next block packs a partial last byte again."""
     if _number("seed", seed, int) < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     n = model.n
     pairs = n * (n - 1) // 2
     rng = generator(seed)
-    bits = np.empty(pairs, dtype=bool)
+    packed = np.zeros((pairs + 7) // 8, dtype=np.uint8)
+    buf = np.empty(min(_SAMPLE_BLOCK, pairs) + 7, dtype=bool)
     if alt is not None:
         c = np.asarray(alt.community, dtype=np.int64)
         a, b = np.triu_indices(c.size, 1)
@@ -666,18 +677,21 @@ def _sample_triangle(model: EdgeProbabilityModel, seed: int,
     # the block size leaves the stream as it was
     for s, e, p in _probability_blocks(model, pairs):
         u = rng.random(e - s)
-        np.less(u, p, out=bits[s:e])
+        base = s & ~7  # buf[0] is position base
+        bits = buf[s - base : e - base]
+        np.less(u, p, out=bits)
         if alt is not None:
             lo, hi = np.searchsorted(pos, (s, e))
             at = pos[lo:hi]
-            bits[at] = u[at - s] < lifted[lo:hi]
-    return bits
+            bits[at - s] = u[at - s] < lifted[lo:hi]
+        packed[base >> 3 : (e + 7) >> 3] = np.packbits(buf[: e - base])
+        buf[: e & 7] = buf[(e & ~7) - base : e - base]
+    return packed
 
 
 def sample_null(model: EdgeProbabilityModel, seed: int) -> GraphSample:
     """Draw one null graph; one uniform per pair in lexicographic order."""
-    bits = _sample_triangle(model, seed, None)
-    return GraphSample(model.n, _pack(bits), seed, "null")
+    return GraphSample(model.n, _sample_triangle(model, seed, None), seed, "null")
 
 
 def sample_alternative(model: EdgeProbabilityModel,
@@ -688,8 +702,7 @@ def sample_alternative(model: EdgeProbabilityModel,
     if alt.model is not model:
         # rebind: re-validates rho * p <= 1 against the model actually sampled
         alt = PlantedAlternative(alt.community, alt.rho, model)
-    bits = _sample_triangle(model, seed, alt)
-    return GraphSample(model.n, _pack(bits), seed, "planted",
+    return GraphSample(model.n, _sample_triangle(model, seed, alt), seed, "planted",
                        planted_community=alt.community, planted_rho=alt.rho)
 
 
@@ -749,9 +762,10 @@ def _edge_block(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     return heads, tails
 
 
-def _edge_array(fh: TextIO, n: int, bits: np.ndarray) -> int | None:
-    """Set the bit of each line of the rest of fh, parsed _READ_BLOCK characters
-    at a time by _edge_block: the number of lines, or None unless it accepts all."""
+def _edge_array(fh: TextIO, n: int, packed: np.ndarray) -> int | None:
+    """Set the packed bit of each line of the rest of fh, parsed _READ_BLOCK
+    characters at a time by _edge_block: the number of lines, or None unless
+    it accepts all."""
     lines = 0
     rest = ""
     while text := fh.read(_READ_BLOCK):
@@ -760,7 +774,7 @@ def _edge_array(fh: TextIO, n: int, bits: np.ndarray) -> int | None:
         edges = _edge_block(text[:cut], n) if cut else None
         if edges is None:
             return None
-        bits[_pair_index(n, *edges)] = True
+        _set_bits(packed, _pair_index(n, *edges))
         lines += edges[0].size
         rest = text[cut:]
     if rest:  # an unterminated last line
@@ -812,14 +826,14 @@ def read_edge_list(path: str | os.PathLike) -> GraphSample:
             except ValueError as exc:
                 raise ValidationError(f"malformed header {header!r}; expected 'n m'") from exc
             _check_vertex_count(n)
-            bits = np.zeros(n * (n - 1) // 2, dtype=bool)
-            if (count := _edge_array(fh, n, bits)) != np.count_nonzero(bits):
+            packed = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
+            if (count := _edge_array(fh, n, packed)) != np.bitwise_count(packed).sum():
                 # a line it rejects (None) or a repeated pair: read again line by
                 # line, naming the first fault; the bits set so far stay right
                 fh.seek(0)
                 fh.readline()
                 idx = _edge_positions(n, *_edge_lines(fh, n))
-                bits[idx] = True
+                _set_bits(packed, idx)
                 count = idx.size
     except UnicodeDecodeError as exc:
         raise ValidationError(f"edge list {path} is not ASCII text") from exc
@@ -827,7 +841,7 @@ def read_edge_list(path: str | os.PathLike) -> GraphSample:
         raise ValidationError(f"cannot read edge list {path}: {exc.strerror}") from exc
     if count != m:
         raise ValidationError(f"header claims {m} edges, file has {count}")
-    return GraphSample(n, _pack(bits), None, "imported", sampler="file-import")
+    return GraphSample(n, packed, None, "imported", sampler="file-import")
 
 
 def _format_cell(value) -> str:

@@ -21,20 +21,20 @@ reused by later scans while it is among the few most recent; models and
 families are immutable, so a cached plan cannot go stale.  Per graph, an
 exhaustive size above the plan's first and above 2 is counted from the
 size below, one popcount of the head's adjacency row against each
-extended subset's vertex mask, and blind degree sums likewise grow by the
-head's degree; the scan keeps those arrays for at most two consecutive
-sizes.  Every other size counts its rows' pairs directly.  A row whose
-count exceeds a positive mean is hot and scores its kernel value, which is
-positive; every other row scores 0.0.  Each chunk returns its first strict
-maximum and that row, (0.0, 0) when no row is hot, and evaluates the
-kernel on its hot rows only.  A blind mean is at least the floor, so a
-blind chunk estimates the means of only the rows whose count exceeds the
-floor; at n = 40 the floor exceeds C(k, 2) for every k <= 5, so no row
-of those sizes does.  The first strict maximum in plan order wins, which
-breaks ties toward the smaller subset, then the lexicographically
-smallest vertex tuple, independent of chunk boundaries.  The one-subset
-statistic functions score a one-row chunk the same way, so a scan
-outcome is bit-for-bit reproducible subset by subset.
+extended subset's vertex mask; the scan keeps those counts for at most
+two consecutive sizes.  Every other size counts its rows' pairs directly.
+A row whose count exceeds a positive mean is hot and scores its kernel
+value, which is positive; every other row scores 0.0.  Each chunk returns
+its first strict maximum and that row, (0.0, 0) when no row is hot, and
+evaluates the kernel on its hot rows only.  A blind mean is at least the
+floor, so a blind chunk gathers degree sums and estimates means for only
+the rows whose count exceeds the floor; at n = 40 the floor exceeds
+C(k, 2) for every k <= 5, so no row of those sizes does.  The first
+strict maximum in plan order wins, which breaks ties toward the smaller
+subset, then the lexicographically smallest vertex tuple, independent of
+chunk boundaries.  The one-subset statistic functions score a one-row
+chunk the same way, so a scan outcome is bit-for-bit reproducible subset
+by subset.
 """
 
 from __future__ import annotations
@@ -317,13 +317,12 @@ class _Layer:
     norm: float               # k ln(n/k)
     floor: float | None       # blind floor (k^2/n) ln(n/k)^4; None in a known plan
 
-    def best(self, sample: GraphSample, counts: np.ndarray | None = None,
-             degree_sums: np.ndarray | None = None) -> tuple[float, int]:
+    def best(self, sample: GraphSample, counts: np.ndarray | None = None) -> tuple[float, int]:
         """The first strict maximum of the statistic over the rows on sample
         and its row, (0.0, 0) when no row is hot: _scores against the null
         means or, blind, against max(_blind_mean(e(V), sum deg(D) - 2 e(D)),
-        floor).  e(D) and sum deg(D) are counted here unless the scan passes
-        them."""
+        floor).  e(D) is counted here unless the scan passes it; sum deg(D)
+        is gathered for the rows whose count exceeds the floor only."""
         if counts is None:
             counts = sample._edges_within_rows(self.rows)
         if self.means is None:
@@ -332,12 +331,8 @@ class _Layer:
             if not near.size:
                 return 0.0, 0
             counts = counts[near]
-            if degree_sums is None:
-                degree_sums = sample._degrees[self.rows[near]].sum(axis=1)
-            else:
-                degree_sums = degree_sums[near]
-            means = np.maximum(_blind_mean(float(sample.total_edges()), degree_sums - 2 * counts),
-                               self.floor)
+            cross = sample._degrees[self.rows[near]].sum(axis=1) - 2 * counts
+            means = np.maximum(_blind_mean(float(sample.total_edges()), cross), self.floor)
             top, i = _first_hot_max(counts, means, self.norm)
             return (top, int(near[i])) if top > 0.0 else (0.0, 0)
         return _first_hot_max(counts, self.means, self.norm)
@@ -350,8 +345,7 @@ class _Size:
     In an exhaustive plan each size above the first and above 2 extends
     the one below: its rows headed by vertex a are a followed by the rows of
     the size below from starts[a] on.  A scan then counts them from that
-    size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask, and
-    blind sum deg(a + D) = sum deg(D) + deg(a).
+    size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask.
     """
 
     rows: np.ndarray                # (m, k) the whole table, read-only
@@ -359,23 +353,16 @@ class _Size:
     starts: tuple[int, ...] | None  # per head vertex; None: counted directly
     masks: np.ndarray | None        # (m, ceil(n/64)) uint64, when the next size extends this one
 
-    def arrays(self, sample: GraphSample, below: tuple | None
-               ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """e(D) and, blind, sum deg(D) of every row for the chunks to slice;
-        (None, None) when each chunk counts its own rows.  below holds the
-        counts, degree sums and masks of the size below when this one
-        extends it."""
-        blind = self.chunks[0].means is None
+    def counts(self, sample: GraphSample, below: tuple | None) -> np.ndarray | None:
+        """e(D) of every row for the chunks to slice; None when each chunk
+        counts its own rows.  below holds the counts and masks of the size
+        below when this one extends it."""
         if self.starts is None:
-            if self.masks is None:
-                return None, None
-            return (sample._edges_within_rows(self.rows),
-                    sample._degrees[self.rows].sum(axis=1) if blind else None)
-        counts_k, sums_k, masks_k = below
+            return None if self.masks is None else sample._edges_within_rows(self.rows)
+        counts_k, masks_k = below
         adj = sample._adjacency_rows
         m = len(counts_k)
         counts = np.empty(len(self.rows), dtype=np.int64)
-        sums = np.empty_like(counts) if blind else None
         at = 0
         for a, s in enumerate(self.starts):
             if s == m:
@@ -388,10 +375,8 @@ class _Size:
             np.add(counts_k[s:], np.bitwise_count(masks_k[s:, w0] & adj[a, w0]), out=out)
             for w in range(w0 + 1, adj.shape[1]):
                 out += np.bitwise_count(masks_k[s:, w] & adj[a, w])
-            if blind:
-                np.add(sums_k[s:], sample._degrees[a], out=sums[block])
             at = block.stop
-        return counts, sums
+        return counts
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -488,15 +473,14 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
     evaluated = 0
     below = None
     for size in plan:
-        counts, sums = size.arrays(sample, below)
-        # the arrays of the size below are dropped here, once this size has them
-        below = None if size.masks is None else (counts, sums, size.masks)
+        counts = size.counts(sample, below)
+        # the counts of the size below are dropped here, once this size has its own
+        below = None if size.masks is None else (counts, size.masks)
         lo = 0
         for chunk in size.chunks:
             m, k = chunk.rows.shape
             hi = lo + m
-            mx, i = chunk.best(sample, None if counts is None else counts[lo:hi],
-                               None if sums is None else sums[lo:hi])
+            mx, i = chunk.best(sample, None if counts is None else counts[lo:hi])
             lo = hi
             evaluated += m
             if mx > best_stat:

@@ -58,7 +58,8 @@ def per_pair_logs(problem, g):
     rho_map = problem.rho_map or {}
     rho = np.array([rho_map.get(tuple(int(v) for v in row), problem.rho) for row in comms])
     pair_index, edge_log, noedge_log = lr_module._log_tables(problem.model, comms, rho)
-    return np.ascontiguousarray(np.where(g._tri[pair_index], edge_log, noedge_log)).sum(axis=1)
+    tri = np.unpackbits(g.packed, count=g.pair_count).view(bool)
+    return np.ascontiguousarray(np.where(tri[pair_index], edge_log, noedge_log)).sum(axis=1)
 
 
 def complete_graph(n):
@@ -378,7 +379,8 @@ class TestEdgeCountPath:
             assert np.array_equal(got == -np.inf, want == -np.inf)
             finite = want > -np.inf
             np.testing.assert_allclose(got[finite], want[finite], rtol=0.0, atol=1e-12)
-            complete = g._tri[pair_index].sum(axis=1) == k
+            tri = np.unpackbits(g.packed, count=g.pair_count).view(bool)
+            complete = tri[pair_index].sum(axis=1) == k
             assert np.all(got[forbidden & ~complete] == -np.inf)
             assert np.all(np.isfinite(got[forbidden & complete]))
 

@@ -14,11 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from plantedscan import (
     BudgetError,
+    Explicit,
     GeneralMatrix,
     GraphSample,
     Homogeneous,
     PlantedAlternative,
     RankOne,
+    ScanConfig,
     ValidationError,
     expected_edges_across_null,
     expected_edges_null,
@@ -28,6 +30,7 @@ from plantedscan import (
     read_edge_list,
     sample_alternative,
     sample_null,
+    scan_known,
     write_edge_list,
 )
 from plantedscan import model as model_module
@@ -384,6 +387,66 @@ class TestCounting:
     def test_packed_size_validated(self):
         with pytest.raises(ValidationError):
             GraphSample(10, np.zeros(99, dtype=np.uint8), 0, "null")
+
+    def test_negative_vertex_count_rejected(self):
+        # n = -2 would otherwise give pair_count 3 and accept one byte
+        with pytest.raises(ValidationError, match="vertex count must be >= 1"):
+            GraphSample(-2, [0], None, "imported")
+
+    def test_two_dimensional_packed_rejected(self):
+        with pytest.raises(ValidationError, match=r"has shape \(1, 1\), expected \(1,\)"):
+            GraphSample(3, np.zeros((1, 1), dtype=np.uint8), None, "imported")
+
+    def test_byte_values_outside_0_255_rejected(self):
+        # 256 would wrap to 0 (and 0x1E0 to 0xE0) in a uint8 cast
+        for value in (256, 0x1E0, -32):
+            with pytest.raises(ValidationError, match="byte values"):
+                GraphSample(3, np.array([value], dtype=np.int64), None, "imported")
+        assert GraphSample(3, np.array([0xE0], dtype=np.int64), None, "imported").total_edges() == 3
+
+    def test_padding_bits_rejected(self):
+        # 3 pairs use the top 3 bits of the one byte; a set padding bit
+        # would count as an edge in total_edges but in no subset
+        with pytest.raises(ValidationError, match="past its 3 pairs"):
+            GraphSample(3, [0xFF], None, "imported")
+        g = GraphSample(3, [0xE0], None, "imported")
+        assert g.total_edges() == g.edges_within(range(3)) == 3
+
+    def test_no_call_allocates_the_unpacked_triangle(self, tmp_path):
+        # every call reads the packed bytes (n^2/16) and at most one block
+        # of positions; a bool per pair would be pair_count bytes
+        n = 4096
+        model = Homogeneous(n, 0.002)
+        g = sample_null(model, 0)
+        path = tmp_path / "g.txt"
+        family = Explicit(tuple(tuple(range(v, v + 6)) for v in range(0, 600, 3)))
+
+        def fresh():
+            return GraphSample(n, g.packed, None, "imported")
+
+        calls = {
+            "sample_null": lambda: sample_null(model, 1),
+            "write_edge_list": lambda: write_edge_list(fresh(), path),
+            "read_edge_list": lambda: read_edge_list(path),
+            "degree": lambda: fresh().degree(7),
+            "edges_within": lambda: fresh().edges_within(range(0, 4000, 50)),
+            "has_edge": lambda: fresh().has_edge(5, 4000),
+            "scan_known": lambda: scan_known(model, fresh(), ScanConfig(6, family=family)),
+        }
+        write_edge_list(g, path)
+        scan_known(model, g, ScanConfig(6, family=family))  # builds the plan
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, call in calls.items():
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert read_edge_list(path).packed.tobytes() == g.packed.tobytes()
+        assert all(peak < g.pair_count // 2 for peak in peaks.values()), peaks
 
     def test_adjacency_matrix_size_guard(self):
         n = 8193

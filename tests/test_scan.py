@@ -622,9 +622,8 @@ class TestScanPlan:
         for model in (Homogeneous(g.n, 0.3), None):
             seen = {}
 
-            def record(chunk, sample, counts=None, degree_sums=None):
-                seen.setdefault(chunk.rows.shape[1], []).append(
-                    (chunk.rows, counts, degree_sums))
+            def record(chunk, sample, counts=None):
+                seen.setdefault(chunk.rows.shape[1], []).append((chunk.rows, counts))
                 return 0.0, 0
 
             with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
@@ -642,15 +641,10 @@ class TestScanPlan:
                 assert np.array_equal(table, size.rows)
                 if size.starts is None and size.masks is None:
                     # neither extended nor extended from: the chunks count their rows
-                    assert all(p[1] is None and p[2] is None for p in parts)
+                    assert all(p[1] is None for p in parts)
                     continue
                 counts = np.concatenate([p[1] for p in parts])
                 assert np.array_equal(counts, g._edges_within_rows(table))
-                if model is None:
-                    sums = np.concatenate([p[2] for p in parts])
-                    assert np.array_equal(sums, g._degrees[table].sum(axis=1))
-                else:
-                    assert all(p[2] is None for p in parts)
 
     @settings(max_examples=40, deadline=None)
     @given(scan_cases())
@@ -829,8 +823,8 @@ def check_best_rows(model, g, family):
     calls = []
     best = scan_module._Layer.best
 
-    def record(chunk, sample, counts=None, degree_sums=None):
-        out = best(chunk, sample, counts, degree_sums)
+    def record(chunk, sample, counts=None):
+        out = best(chunk, sample, counts)
         calls.append((chunk, counts, out))
         return out
 
