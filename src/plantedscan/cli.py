@@ -6,9 +6,10 @@ Monte Carlo, run the likelihood-ratio oracle, audit the regularity
 assumptions, print the standard threshold table, and drive sweeps.
 
 Configuration comes from a JSON file (--config); flags mirror config keys
-and win on conflict.  Exit codes: 0 success, 2 validation error (a file
-that cannot be opened, read or written included), 3 budget error, 4
-numeric error.
+and win on conflict.  Each subcommand takes only the flags it reads, so a
+flag it would ignore is an argument error.  Exit codes: 0 success, 2
+validation error (a file that cannot be opened, read or written
+included), 3 budget error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _config_number(cfg: Mapping, key: str, default, kind: type):
     return _number(key, cfg.get(key, default), kind)
 
 
-def _model_from_args(args, cfg: Mapping):
+def _model_from_args(cfg: Mapping):
     if "model" in cfg:
         return model_from_json(cfg["model"])
     if "variant" in cfg:
@@ -94,15 +95,17 @@ def _emit(result, args) -> None:
 
 
 def cmd_sample(args) -> None:
+    if args.rho is not None and not args.community:
+        raise ValidationError("--rho needs --community: a null sample has no lift")
     cfg = _config_dict(args)
-    model = _model_from_args(args, cfg)
+    model = _model_from_args(cfg)
     seed = args.seed if args.seed is not None else _config_number(cfg, "seed", 0, int)
     if args.out is None:
         raise ValidationError("sample needs --out PATH for the edge list")
     if args.community:
         community = _parse_community(args.community)
-        alt = PlantedAlternative(community, args.rho, model)
-        g = sample_alternative(model, alt, seed)
+        rho = 1.0 if args.rho is None else args.rho
+        g = sample_alternative(model, PlantedAlternative(community, rho, model), seed)
     else:
         g = sample_null(model, seed)
     write_edge_list(g, args.out)
@@ -128,10 +131,16 @@ def cmd_scan(args) -> None:
     if args.blind:
         _emit(scan_unknown(sample, scan_cfg), args)
     else:
-        _emit(scan_known(_model_from_args(args, cfg), sample, scan_cfg), args)
+        _emit(scan_known(_model_from_args(cfg), sample, scan_cfg), args)
 
 
 def cmd_boundary(args) -> None:
+    wrong = ({"--community": args.community, "--format": args.fmt} if args.surface else
+             {"--weights": args.weights, "--r": args.r, "--n": args.n,
+              "--denominator": args.denominator})
+    if given := [flag for flag, value in wrong.items() if value is not None]:
+        verb = "takes no" if args.surface else "is needed for"
+        raise ValidationError(f"--surface {verb} {', '.join(given)}")
     cfg = _config_dict(args)
     if args.surface:
         if not args.weights:
@@ -146,10 +155,10 @@ def cmd_boundary(args) -> None:
         if n is None:
             raise ValidationError("--surface needs --n (ambient vertex count)")
         rows = boundary_surface(_number("n", n, int), weights, r=args.r,
-                                denominator=args.denominator, target=args.target)
+                                denominator=args.denominator or "log_n", target=args.target)
         write_surface_csv(rows, _output(args.out))
         return
-    model = _model_from_args(args, cfg)
+    model = _model_from_args(cfg)
     community = args.community or cfg.get("community")
     if community is None:
         raise ValidationError("boundary needs --community i,j,k (or a config key)")
@@ -185,7 +194,7 @@ def cmd_lr_risk(args) -> None:
     cfg = _config_dict(args)
     if not cfg:
         raise ValidationError("lr-risk needs --config with model, r, and rho")
-    model = _model_from_args(args, cfg)
+    model = _model_from_args(cfg)
     for key in ("r", "rho"):
         if key not in cfg:
             raise ValidationError(f"lr-risk config needs {key!r}")
@@ -203,7 +212,7 @@ def cmd_lr_risk(args) -> None:
 
 def cmd_audit(args) -> None:
     cfg = _config_dict(args)
-    model = _model_from_args(args, cfg)
+    model = _model_from_args(cfg)
     community = args.community or cfg.get("community")
     if community is None:
         raise ValidationError("audit needs --community (or a config key)")
@@ -235,6 +244,8 @@ def cmd_audit(args) -> None:
 
 
 def cmd_table1(args) -> None:
+    if args.n is not None and args.regime != "quarter_power":
+        raise ValidationError("--n goes with --regime quarter_power only")
     rows = standard_table(mode=args.mode, regime=args.regime, n=args.n)
     if args.fmt == "json":
         _write_json(rows, _output(args.out))
@@ -265,35 +276,43 @@ def cmd_sweep(args) -> None:
 # -- parser --------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--seed", type=int, metavar="U64",
-                        help="master seed (overrides config)")
-    common.add_argument("--reps", type=int, metavar="N",
-                        help="replication count (overrides config)")
-    common.add_argument("--workers", type=int, metavar="N",
-                        help="worker processes (default: $SCAN_WORKERS or 1)")
-    common.add_argument("--out", metavar="PATH",
-                        help="output path; '-' or absent means stdout")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        help="output format where both make sense")
+# the flags several subcommands share; each subcommand takes the ones it reads
+_COMMON = {
+    "--config": dict(metavar="PATH", help="JSON config file"),
+    "--seed": dict(type=int, metavar="U64", help="master seed (overrides config)"),
+    "--reps": dict(type=int, metavar="N", help="replication count (overrides config)"),
+    "--workers": dict(type=int, metavar="N",
+                      help="worker processes (default: $SCAN_WORKERS or 1)"),
+    "--out": dict(metavar="PATH", help="output path; '-' or absent means stdout"),
+    "--format": dict(dest="fmt", choices=("csv", "json"), help="output format"),
+}
 
+
+def _subcommand(sub, name: str, func, common: str, help: str):
+    p = sub.add_parser(name, help=help)
+    for flag in common.split():
+        p.add_argument(flag, **_COMMON[flag])
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plantedscan",
         description="Scan tests and detection thresholds for a planted "
                     "community in an inhomogeneous random graph.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", parents=[common],
-                       help="draw a graph and write it as an edge list")
+    p = _subcommand(sub, "sample", cmd_sample, "--config --seed --out",
+                    "draw a graph and write it as an edge list")
     p.add_argument("--community", metavar="I,J,K",
                    help="plant on these vertices (comma-separated)")
-    p.add_argument("--rho", type=float, default=1.0,
-                   help="within-community probability multiplier (default 1)")
-    p.set_defaults(func=cmd_sample)
+    p.add_argument("--rho", type=float,
+                   help="within-community probability multiplier (default 1; "
+                        "needs --community)")
 
-    p = sub.add_parser("scan", parents=[common], help="run a scan test on a graph")
+    p = _subcommand(sub, "scan", cmd_scan, "--config --out --format",
+                    "run a scan test on a graph")
     p.add_argument("--graph", required=True, metavar="PATH", help="edge-list file")
     p.add_argument("--r", type=int, help="community size bound")
     p.add_argument("--epsilon", type=float, help="threshold slack (default 0.2)")
@@ -302,12 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, help="family size lower bound")
     p.add_argument("--max-size", type=int, help="family size upper bound")
     p.add_argument("--budget", type=int, help="max subsets to enumerate")
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("boundary", parents=[common],
-                       help="detection threshold for a community, or a "
-                            "composition surface (--surface)")
-    p.add_argument("--community", metavar="I,J,K", help="community vertices")
+    p = _subcommand(sub, "boundary", cmd_boundary, "--config --out --format",
+                    "detection threshold for a community, or a composition "
+                    "surface (--surface)")
+    p.add_argument("--community", metavar="I,J,K", help="community vertices (point mode)")
     p.add_argument("--target", type=float, default=1.0,
                    help="target exponent level (default 1)")
     p.add_argument("--surface", action="store_true",
@@ -316,22 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="class weights, strictly decreasing (surface mode)")
     p.add_argument("--r", type=int, help="total community size (surface mode)")
     p.add_argument("--n", type=int, help="ambient vertex count (surface mode)")
-    p.add_argument("--denominator", choices=("log_n", "per_size"), default="log_n",
-                   help="objective denominator (surface mode)")
-    p.set_defaults(func=cmd_boundary)
+    p.add_argument("--denominator", choices=("log_n", "per_size"),
+                   help="objective denominator (surface mode; default log_n)")
 
-    p = sub.add_parser("risk", parents=[common],
-                       help="Monte Carlo risk estimate for a configured test")
+    p = _subcommand(sub, "risk", cmd_risk, "--config --seed --reps --workers --out --format",
+                    "Monte Carlo risk estimate for a configured test")
     p.add_argument("--test", choices=("scan_known", "scan_unknown", "lr"),
                    help="override the configured test")
-    p.set_defaults(func=cmd_risk)
 
-    p = sub.add_parser("lr-risk", parents=[common],
-                       help="Bayes risk of the likelihood-ratio oracle")
-    p.set_defaults(func=cmd_lr_risk)
+    _subcommand(sub, "lr-risk", cmd_lr_risk, "--config --seed --reps --out --format",
+                "Bayes risk of the likelihood-ratio oracle")
 
-    p = sub.add_parser("audit", parents=[common],
-                       help="check the regularity assumptions with margins")
+    p = _subcommand(sub, "audit", cmd_audit, "--config --out --format",
+                    "check the regularity assumptions with margins")
     p.add_argument("--community", metavar="I,J,K", help="community vertices")
     p.add_argument("--delta", type=float, default=0.1,
                    help="size-exponent slack in (0, 0.5) (default 0.1)")
@@ -341,19 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also audit the signal-strength cap at this rho")
     p.add_argument("--threshold", type=float, default=DEFAULT_MARGIN_THRESHOLD,
                    help="margin required to pass (default 10)")
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("table1", parents=[common],
-                       help="print the four standard threshold rows")
+    p = _subcommand(sub, "table1", cmd_table1, "--out --format",
+                    "print the four standard threshold rows")
     p.add_argument("--mode", choices=("analytic", "numeric"), default="analytic")
     p.add_argument("--regime", choices=("polylog", "quarter_power"),
                    default="polylog")
     p.add_argument("--n", type=int, help="vertex count (quarter_power regime)")
-    p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="run a parameter grid with resumable per-point output")
-    p.set_defaults(func=cmd_sweep)
+    _subcommand(sub, "sweep", cmd_sweep, "--config --seed --reps --workers --out",
+                "run a parameter grid with resumable per-point output")
 
     return parser
 

@@ -113,7 +113,7 @@ class LrProblem:
         n, r = self.model.n, self.r
         if self.community_count <= self.exact_budget:
             # int64 for the pair positions _log_tables computes
-            comms = next(_combination_tables(n, r, r)).astype(np.int64)
+            comms = next(_combination_tables(n, r, r))[0].astype(np.int64)
             mode = "exact"
         elif self.sample_size is not None:
             rng = generator(derive_seed(self.community_seed, "lr-communities"))

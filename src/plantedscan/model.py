@@ -120,20 +120,20 @@ def _norm(n: int, k: int) -> float:
     return k * math.log(n / k)
 
 
-def _combination_tables(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+def _combination_tables(n: int, lo: int, hi: int) -> Iterator[tuple]:
     """The k-subsets of range(n) for k = lo..hi, one int32 (C(n, k), k)
-    array per size, rows lexicographic.
+    array per size, rows lexicographic, each with its head starts.
 
-    Only the first table is enumerated: C(n, k) below lo can exceed the
-    whole range by orders of magnitude.  Each (k+1)-table is extended from
-    the k-table as vertex a followed by each k-row whose first vertex
-    exceeds a."""
+    Only the first table is enumerated (its starts are None): C(n, k) below
+    lo can exceed the whole range by orders of magnitude.  Each (k+1)-table
+    is extended from the k-table as vertex a followed by the k-rows from
+    starts[a] on, the first k-row whose first vertex exceeds a."""
     m = math.comb(n, lo)
     rows = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), lo)),
                        dtype=np.int32, count=m * lo).reshape(m, lo)
-    yield rows
+    yield rows, None
     for k in range(lo, hi):
-        starts = _head_starts(n, rows)
+        starts = tuple(np.searchsorted(rows[:, 0], np.arange(1, n + 1)).tolist())
         out = np.empty((sum(m - s for s in starts), k + 1), dtype=np.int32)
         at = 0
         for a, s in enumerate(starts):
@@ -141,13 +141,7 @@ def _combination_tables(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
             out[at : at + m - s, 1:] = rows[s:]
             at += m - s
         rows, m = out, at
-        yield rows
-
-
-def _head_starts(n: int, rows: np.ndarray) -> tuple[int, ...]:
-    """For each vertex a, the first row of a lexicographic table whose first
-    vertex exceeds a: the rows that a heads in the next size's table."""
-    return tuple(np.searchsorted(rows[:, 0], np.arange(1, n + 1)).tolist())
+        yield rows, starts
 
 
 def _vertex_masks(n: int, rows: np.ndarray) -> np.ndarray:
@@ -404,7 +398,7 @@ class GeneralMatrix(EdgeProbabilityModel):
             )
         # positions into the community: 4k bytes per row, the only table of
         # full size; vertex ids are gathered one slice at a time
-        table = next(_combination_tables(community.size, k, k))
+        table = next(_combination_tables(community.size, k, k))[0]
         best = 0.0
         for s in range(0, count, _BATCH_ROWS):
             best = max(best, float(self.within_mean(community[table[s : s + _BATCH_ROWS]]).max()))
@@ -570,16 +564,22 @@ class GraphSample:
 
     def _edges_within_rows(self, rows: np.ndarray) -> np.ndarray:
         """e(D) for every row of an (m, k) array of row-sorted subsets: one
-        gather of the rows' pair bits per _PAIR_BLOCK positions (or one row)."""
-        v = np.arange(rows.shape[1])
-        a, b = np.nonzero(v[:, None] < v)  # the pairs' columns, lexicographic
-        counts = np.zeros(rows.shape[0], dtype=np.int64)
-        step = max(1, _PAIR_BLOCK // max(a.size, 1))
-        for s in range(0, rows.shape[0], step):
-            block = rows[s : s + step]
-            heads = block[:, a]
-            pos = self._row_offsets[heads] - heads - 1 + block[:, b]
-            counts[s : s + step] = _read_bits(self.packed, pos).sum(axis=1)
+        gather of the rows' pair bits per _PAIR_BLOCK positions (or one head
+        column's pairs of one row), the pair columns (a, b), a < b, taken
+        _PAIR_BLOCK // k head columns a at a time so that none grows as k^2."""
+        m, k = rows.shape
+        v = np.arange(k)
+        counts = np.zeros(m, dtype=np.int64)
+        heads_per = max(1, _PAIR_BLOCK // max(k, 1))
+        for h in range(0, k - 1, heads_per):
+            a, b = np.nonzero(v[h : h + heads_per, None] < v)  # lexicographic
+            a += h
+            step = max(1, _PAIR_BLOCK // a.size)
+            for s in range(0, m, step):
+                block = rows[s : s + step]
+                heads = block[:, a]
+                pos = self._row_offsets[heads] - heads - 1 + block[:, b]
+                counts[s : s + step] += _read_bits(self.packed, pos).sum(axis=1)
         return counts
 
     def pair_index(self, i: int, j: int) -> int:

@@ -13,28 +13,28 @@ ceil(r^(1/3)), rejecting at 1 + eps/3.
 
 Scans maximise the statistic over a subset family.  Everything but the
 edge counts is independent of the graph, so each scan runs a compiled
-plan: chunks of at most 32,768 candidates of one size, sizes ascending
-and rows lexicographic, each holding its validated rows, their null means
-(known-probability scans only), the normaliser |D| ln(n/|D|) and the
-blind floor.  A plan is built on first use for its (family, n, model) and
-reused by later scans while it is among the few most recent; models and
-families are immutable, so a cached plan cannot go stale.  Per graph, an
-exhaustive size above the plan's first and above 2 is counted from the
-size below, one popcount of the head's adjacency row against each
-extended subset's vertex mask; the scan keeps those counts for at most
-two consecutive sizes.  Every other size counts its rows' pairs directly.
-A row whose count exceeds a positive mean is hot and scores its kernel
-value, which is positive; every other row scores 0.0.  Each chunk returns
-its first strict maximum and that row, (0.0, 0) when no row is hot, and
-evaluates the kernel on its hot rows only.  A blind mean is at least the
-floor, so a blind chunk gathers degree sums and estimates means for only
-the rows whose count exceeds the floor; at n = 40 the floor exceeds
-C(k, 2) for every k <= 5, so no row of those sizes does.  The first
-strict maximum in plan order wins, which breaks ties toward the smaller
-subset, then the lexicographically smallest vertex tuple, independent of
-chunk boundaries.  The one-subset statistic functions score a one-row
-chunk the same way, so a scan outcome is bit-for-bit reproducible subset
-by subset.
+plan: one record per candidate size, sizes ascending, holding the size's
+validated rows (lexicographic), their null means (known-probability scans
+only), the normaliser |D| ln(n/|D|) and the blind floor.  A plan is built
+on first use for its (family, n, model) and reused by later scans while it
+is among the few most recent; models and families are immutable, so a
+cached plan cannot go stale.  Per graph, an exhaustive size above the
+plan's first and above 2 is counted from the size below, one popcount of
+the head's adjacency row against each extended subset's vertex mask; the
+scan keeps those counts for at most two consecutive sizes.  Every other
+size counts its rows' pairs directly, one slice at a time.  The scan
+scores each size in slices of at most 32,768 rows.  A row whose count
+exceeds a positive mean is hot and scores its kernel value, which is
+positive; every other row scores 0.0.  Each slice yields its first strict
+maximum and that row, (0.0, 0) when no row is hot, and evaluates the
+kernel on its hot rows only.  A blind mean is at least the floor, so a
+blind slice gathers degree sums and estimates means for only the rows
+whose count exceeds the floor; at n = 40 the floor exceeds C(k, 2) for
+every k <= 5, so no row of those sizes does.  The first strict maximum in
+plan order wins, which breaks ties toward the smaller subset, then the
+lexicographically smallest vertex tuple, independent of slice boundaries.
+The one-subset statistic functions score a one-row size the same way, so
+a scan outcome is bit-for-bit reproducible subset by subset.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from .kernels import entropy_h_vec
 from .model import (_BATCH_ROWS, EdgeProbabilityModel, GraphSample, RankOne, _check_rows,
-                    _combination_tables, _head_starts, _norm, _number, _vertex_masks,
-                    check_subset)
+                    _combination_tables, _norm, _number, _vertex_masks, check_subset)
 
 __all__ = [
     "Exhaustive",
@@ -84,14 +83,13 @@ class SubsetFamily:
 
     to_dict() is the full description that from_dict() reads back;
     describe() is the summary a ScanOutcome records; _row_tables(n, model)
-    yields one validated, read-only (m, k) array of row-sorted subsets per
-    size, sizes ascending and rows lexicographic.  In a family that
-    extends_sizes, each size's table is vertex a followed by the rows of the
-    size below whose first vertex exceeds a, for a ascending (the layout of
-    _combination_tables).
+    yields one (rows, starts) pair per size, sizes ascending.  rows is a
+    validated, read-only (m, k) array of row-sorted subsets, rows
+    lexicographic.  starts is None, or, when the table extends the size
+    below, for each vertex a the first row of the size below whose first
+    vertex exceeds a: the table is then vertex a followed by the rows from
+    there on, for a ascending (the layout of _combination_tables).
     """
-
-    extends_sizes = False
 
     def describe(self) -> dict:
         return self.to_dict()
@@ -134,15 +132,16 @@ class Exhaustive(_SizeRange):
     """All subsets with min_size <= |D| <= max_size."""
 
     kind = "exhaustive"
-    extends_sizes = True
 
     def count(self, n: int) -> int:
         return sum(math.comb(n, k) for k in range(self.min_size, min(self.max_size, n) + 1))
 
-    def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
-        for rows in _combination_tables(n, *self.size_range(n)):
+    def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[tuple]:
+        # a pair's count is one lookup, which no popcount over ceil(n/64) words
+        # beats, so sizes 1 and 2 are always counted directly
+        for rows, starts in _combination_tables(n, *self.size_range(n)):
             rows.flags.writeable = False
-            yield rows
+            yield rows, starts if rows.shape[1] > 2 else None
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class WeightPrefix(_SizeRange):
     def count(self, n: int) -> int:
         return min(self.max_size, n) - self.min_size + 1
 
-    def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
+    def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[tuple]:
         if model is None:
             raise ValidationError("blind scan has no weight order to build prefixes from")
         if not isinstance(model, RankOne):
@@ -168,7 +167,7 @@ class WeightPrefix(_SizeRange):
         for k in range(lo, hi + 1):
             rows = np.sort(order[:k]).astype(np.int64).reshape(1, k)
             rows.flags.writeable = False
-            yield rows
+            yield rows, None
 
 
 @dataclass(frozen=True)
@@ -217,10 +216,10 @@ class Explicit(SubsetFamily):
             rows.flags.writeable = False
         return blocks
 
-    def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[np.ndarray]:
+    def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[tuple]:
         for rows in self._size_blocks:
             _check_rows(n, rows)
-            yield rows
+            yield rows, None
 
     @classmethod
     def _from_dict(cls, raw: Mapping) -> "Explicit":
@@ -309,36 +308,6 @@ def _check_scan_size(n: int, k: int) -> None:
 
 
 @dataclass(frozen=True)
-class _Layer:
-    """A chunk of a compiled plan: at most 32,768 candidates of one size."""
-
-    rows: np.ndarray          # (m, k) validated row-sorted subsets, read-only
-    means: np.ndarray | None  # null mean of each row; None in a blind plan
-    norm: float               # k ln(n/k)
-    floor: float | None       # blind floor (k^2/n) ln(n/k)^4; None in a known plan
-
-    def best(self, sample: GraphSample, counts: np.ndarray | None = None) -> tuple[float, int]:
-        """The first strict maximum of the statistic over the rows on sample
-        and its row, (0.0, 0) when no row is hot: _scores against the null
-        means or, blind, against max(_blind_mean(e(V), sum deg(D) - 2 e(D)),
-        floor).  e(D) is counted here unless the scan passes it; sum deg(D)
-        is gathered for the rows whose count exceeds the floor only."""
-        if counts is None:
-            counts = sample._edges_within_rows(self.rows)
-        if self.means is None:
-            # a blind mean is at least the floor, so only a count above it can be hot
-            near = np.flatnonzero(counts > self.floor)
-            if not near.size:
-                return 0.0, 0
-            counts = counts[near]
-            cross = sample._degrees[self.rows[near]].sum(axis=1) - 2 * counts
-            means = np.maximum(_blind_mean(float(sample.total_edges()), cross), self.floor)
-            top, i = _first_hot_max(counts, means, self.norm)
-            return (top, int(near[i])) if top > 0.0 else (0.0, 0)
-        return _first_hot_max(counts, self.means, self.norm)
-
-
-@dataclass(frozen=True)
 class _Size:
     """The candidates of one size in a compiled plan.
 
@@ -348,15 +317,17 @@ class _Size:
     size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask.
     """
 
-    rows: np.ndarray                # (m, k) the whole table, read-only
-    chunks: tuple[_Layer, ...]      # rows in slices of at most _BATCH_ROWS
-    starts: tuple[int, ...] | None  # per head vertex; None: counted directly
-    masks: np.ndarray | None        # (m, ceil(n/64)) uint64, when the next size extends this one
+    rows: np.ndarray                       # (m, k) validated row-sorted subsets, read-only
+    means: np.ndarray | None               # null mean of each row; None in a blind plan
+    norm: float                            # k ln(n/k)
+    floor: float | None                    # blind floor (k^2/n) ln(n/k)^4; None in a known plan
+    starts: tuple[int, ...] | None = None  # per head vertex; None: not extended
+    masks: np.ndarray | None = None        # (m, ceil(n/64)) uint64 if the next size extends this
 
     def counts(self, sample: GraphSample, below: tuple | None) -> np.ndarray | None:
-        """e(D) of every row for the chunks to slice; None when each chunk
-        counts its own rows.  below holds the counts and masks of the size
-        below when this one extends it."""
+        """e(D) of every row of a size that extends the one below (whose
+        counts and masks below holds) or that the next size extends; None
+        for any other size, which the scan counts one slice at a time."""
         if self.starts is None:
             return None if self.masks is None else sample._edges_within_rows(self.rows)
         counts_k, masks_k = below
@@ -378,6 +349,25 @@ class _Size:
             at = block.stop
         return counts
 
+    def best(self, sample: GraphSample, counts: np.ndarray, lo: int) -> tuple[float, int]:
+        """The first strict maximum of the statistic over rows lo .. lo +
+        len(counts), whose e(D) on sample are counts, and its row counted
+        from lo; (0.0, 0) when no row is hot.  Rows score _scores against
+        the null means or, blind, against max(_blind_mean(e(V), sum deg(D) -
+        2 e(D)), floor), with sum deg(D) gathered for the rows whose count
+        exceeds the floor only."""
+        if self.means is None:
+            # a blind mean is at least the floor, so only a count above it can be hot
+            near = np.flatnonzero(counts > self.floor)
+            if not near.size:
+                return 0.0, 0
+            counts = counts[near]
+            cross = sample._degrees[self.rows[lo + near]].sum(axis=1) - 2 * counts
+            means = np.maximum(_blind_mean(float(sample.total_edges()), cross), self.floor)
+            top, i = _first_hot_max(counts, means, self.norm)
+            return (top, int(near[i])) if top > 0.0 else (0.0, 0)
+        return _first_hot_max(counts, self.means[lo : lo + len(counts)], self.norm)
+
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(family: SubsetFamily, n: int,
@@ -385,30 +375,21 @@ def _plan(family: SubsetFamily, n: int,
     """The graph-independent part of a scan over family on n vertices, with
     null means from model (None for the blind scan), in plan order."""
     tables = list(family._row_tables(n, model))
-    # a pair's count is one lookup, which no popcount over ceil(n/64) words
-    # beats, so sizes 1 and 2 are always counted directly
-    extended = [family.extends_sizes and t > 0 and table.shape[1] > 2
-                for t, table in enumerate(tables)] + [False]
     sizes = []
-    for t, table in enumerate(tables):
-        k = table.shape[1]
+    for (table, starts), (_, above) in zip(tables, tables[1:] + [(None, None)]):
+        m, k = table.shape
         _check_scan_size(n, k)
-        floor = _blind_floor(n, k) if model is None else None
-        chunks = []
-        for s in range(0, table.shape[0], _BATCH_ROWS):
-            rows = table[s : s + _BATCH_ROWS]
-            means = None
-            if model is not None:
-                means = model.within_mean(rows)
-                means.flags.writeable = False
-            chunks.append(_Layer(rows, means, _norm(n, k), floor))
-        starts = masks = None
-        if extended[t]:
-            starts = _head_starts(n, tables[t - 1])
-        if extended[t + 1]:
+        means = masks = None
+        if model is not None:
+            means = np.empty(m)
+            for s in range(0, m, _BATCH_ROWS):
+                means[s : s + _BATCH_ROWS] = model.within_mean(table[s : s + _BATCH_ROWS])
+            means.flags.writeable = False
+        if above is not None:
             masks = _vertex_masks(n, table)
             masks.flags.writeable = False
-        sizes.append(_Size(table, tuple(chunks), starts, masks))
+        floor = _blind_floor(n, k) if model is None else None
+        sizes.append(_Size(table, means, _norm(n, k), floor, starts, masks))
     if not sizes:
         raise ValidationError("subset family yielded no candidates")
     return tuple(sizes)
@@ -461,12 +442,14 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
     rows = d[None, :]
-    return _Layer(rows, model.within_mean(rows), _norm(sample.n, d.size), None).best(sample)[0]
+    size = _Size(rows, model.within_mean(rows), _norm(sample.n, d.size), None)
+    return size.best(sample, sample._edges_within_rows(rows), 0)[0]
 
 
 def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
               keep_trace: bool) -> tuple[float, tuple[int, ...], dict | None, int]:
-    """First strict maximum in plan order of the chunks' best rows on sample."""
+    """First strict maximum in plan order of the best rows of the sizes'
+    slices of at most _BATCH_ROWS rows on sample."""
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
@@ -476,18 +459,18 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
         counts = size.counts(sample, below)
         # the counts of the size below are dropped here, once this size has its own
         below = None if size.masks is None else (counts, size.masks)
-        lo = 0
-        for chunk in size.chunks:
-            m, k = chunk.rows.shape
-            hi = lo + m
-            mx, i = chunk.best(sample, None if counts is None else counts[lo:hi])
-            lo = hi
-            evaluated += m
+        m, k = size.rows.shape
+        evaluated += m
+        for lo in range(0, m, _BATCH_ROWS):
+            rows = size.rows[lo : lo + _BATCH_ROWS]
+            part = (sample._edges_within_rows(rows) if counts is None
+                    else counts[lo : lo + _BATCH_ROWS])
+            mx, i = size.best(sample, part, lo)
             if mx > best_stat:
                 best_stat = mx
-                best_subset = tuple(int(v) for v in chunk.rows[i])
+                best_subset = tuple(int(v) for v in rows[i])
             if keep_trace and (k not in trace or mx > trace[k][0]):
-                trace[k] = (mx, tuple(int(v) for v in chunk.rows[i]))
+                trace[k] = (mx, tuple(int(v) for v in rows[i]))
     return best_stat, best_subset, (trace if keep_trace else None), evaluated
 
 
@@ -596,7 +579,9 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
     """Blind scan statistic: the known-probability form with the null mean
     replaced by its floored estimate."""
     d, n = _blind_subset(sample, subset, n)
-    return _Layer(d[None, :], None, _norm(n, d.size), _blind_floor(n, d.size)).best(sample)[0]
+    rows = d[None, :]
+    size = _Size(rows, None, _norm(n, d.size), _blind_floor(n, d.size))
+    return size.best(sample, sample._edges_within_rows(rows), 0)[0]
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,

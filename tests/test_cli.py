@@ -623,3 +623,74 @@ class TestRejectedArguments:
         run_ok(capsys, ["sweep", "--config", cfg, "--out", str(out_dir)])
         assert (out_dir / "sweep.csv").read_bytes() == fresh
         assert b"ValidationError" not in fresh
+
+
+class TestIgnoredFlags:
+    """Each subcommand takes only the flags it reads: any other is an
+    argument error (exit 2), not a value silently dropped."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, model_cfg):
+        """A working command line per subcommand."""
+        graph = tmp_path / "g.txt"
+        main(["sample", "--config", model_cfg, "--seed", "1", "--out", str(graph)])
+        experiment = write_json(tmp_path / "exp.json", {
+            "model": model_to_json(Homogeneous(12, 0.3)), "test": "lr", "r": 3, "rho": 1.8,
+            "communities": [[0, 1, 2]], "master_seed": 14, "replications": 4,
+            "null_replications": 3, "alt_replications": 3})
+        sweep = write_json(tmp_path / "sweep.json", {
+            "base": {"community": [0, 1, 2]}, "kind": "boundary",
+            "grid": {"model": [{"variant": "homogeneous", "p": 0.05, "n": 64}]}})
+        return {
+            "sample": ["sample", "--config", model_cfg, "--out", str(tmp_path / "h.txt")],
+            "scan": ["scan", "--config", model_cfg, "--graph", str(graph), "--r", "3"],
+            "boundary": ["boundary", "--config", model_cfg, "--community", "0,1,2"],
+            "lr-risk": ["lr-risk", "--config", experiment],
+            "audit": ["audit", "--config", model_cfg, "--community", "0,1,2", "--gamma", "0.2"],
+            "table1": ["table1"],
+            "sweep": ["sweep", "--config", sweep, "--out", str(tmp_path / "o")],
+        }
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sample", "--reps", "5"), ("sample", "--workers", "2"), ("sample", "--format", "json"),
+        ("scan", "--seed", "3"), ("scan", "--reps", "5"), ("scan", "--workers", "2"),
+        ("boundary", "--seed", "3"), ("boundary", "--reps", "5"), ("boundary", "--workers", "2"),
+        ("lr-risk", "--workers", "4"),
+        ("audit", "--seed", "3"), ("audit", "--reps", "5"), ("audit", "--workers", "2"),
+        ("table1", "--config", "missing.json"), ("table1", "--seed", "3"),
+        ("table1", "--reps", "5"), ("table1", "--workers", "2"),
+        ("sweep", "--format", "csv"),
+    ])
+    def test_unread_common_flag_exits_2(self, capsys, argv, command, flag, value):
+        capsys.readouterr()
+        run_ok(capsys, argv[command])
+        err = run_err(capsys, argv[command] + [flag, value], 2)
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    def test_sample_rho_needs_community(self, capsys, tmp_path, model_cfg):
+        out = tmp_path / "g.txt"
+        err = run_err(capsys, ["sample", "--config", model_cfg, "--rho", "3",
+                               "--out", str(out)], 2)
+        assert err == "error: --rho needs --community: a null sample has no lift\n"
+        assert not out.exists()
+
+    def test_table1_n_needs_quarter_power(self, capsys):
+        err = run_err(capsys, ["table1", "--n", "100"], 2)
+        assert err == "error: --n goes with --regime quarter_power only\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--weights", "0.5,0.2", "--n", "50"], ["--r", "10"], ["--denominator", "per_size"],
+    ])
+    def test_boundary_surface_flags_need_surface(self, capsys, model_cfg, flags):
+        err = run_err(capsys, ["boundary", "--config", model_cfg, "--community", "0,1,2",
+                               *flags], 2)
+        named = ", ".join(f for f in flags if f.startswith("--"))
+        assert err == f"error: --surface is needed for {named}\n"
+
+    @pytest.mark.parametrize("flags", [["--community", "0,1,2"], ["--format", "json"]])
+    def test_boundary_surface_takes_no_point_flags(self, capsys, tmp_path, flags):
+        out = tmp_path / "s.csv"
+        err = run_err(capsys, ["boundary", "--surface", "--weights", "0.65,0.1", "--r", "10",
+                               "--n", "65536", "--out", str(out), *flags], 2)
+        assert err == f"error: --surface takes no {flags[0]}\n"
+        assert not out.exists()

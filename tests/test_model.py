@@ -448,6 +448,22 @@ class TestCounting:
         assert read_edge_list(path).packed.tobytes() == g.packed.tobytes()
         assert all(peak < g.pair_count // 2 for peak in peaks.values()), peaks
 
+    def test_large_subset_count_holds_bounded_memory(self):
+        # k = 4000 has 8.0e6 pairs: int64 temporaries for all of them at
+        # once would take several hundred MB
+        g = sample_null(Homogeneous(4096, 0.002), 0)
+        adjacency = g.adjacency_matrix()
+        for k in (2000, 4000):
+            want = int(adjacency[:k, :k].sum()) // 2
+            tracemalloc.start()
+            try:
+                got = g.edges_within(range(k))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 80 * 2**20, (k, peak)
+
     def test_adjacency_matrix_size_guard(self):
         n = 8193
         packed = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
@@ -549,10 +565,18 @@ class TestSubsetSearch:
         hi = data.draw(st.integers(min_value=lo, max_value=n + 1))
         tables = list(model_module._combination_tables(n, lo, hi))
         assert len(tables) == hi - lo + 1
-        for k, table in zip(range(lo, hi + 1), tables):
+        previous = None
+        for k, (table, starts) in zip(range(lo, hi + 1), tables):
             assert table.dtype == np.int32
             assert table.shape == (math.comb(n, k), k)
             assert table.tolist() == [list(d) for d in itertools.combinations(range(n), k)]
+            # each later table's head starts index the table below it
+            if previous is None:
+                assert starts is None
+            else:
+                assert starts == tuple(int(np.searchsorted(previous[:, 0], a + 1))
+                                       for a in range(n))
+            previous = table
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
     @settings(max_examples=40, deadline=None)

@@ -590,8 +590,8 @@ def random_graph(n, density, seed):
 def exhaustive_cases(draw):
     """A graph on n <= 64 or 65..130 vertices (one to three mask words), an
     Exhaustive family of at most 400,000 subsets that reaches an extended
-    size wherever that fits, and a chunk size that cuts the family into at
-    most 7,000 chunks: 1, 2, 3 or 7 rows where that holds, else the
+    size wherever that fits, and a slice size that cuts the family into at
+    most 7,000 slices: 1, 2, 3 or 7 rows where that holds, else the
     default."""
     n = draw(st.integers(4, 64) | st.integers(65, 130) | st.sampled_from([64, 65, 129]))
     lo = draw(st.integers(1, 3))
@@ -616,35 +616,33 @@ class TestScanPlan:
     @example((random_graph(65, 0.5, 2), Exhaustive(1, 3), 7))
     def test_extended_counts_equal_direct_counts(self, case):
         # every size above the first and above 2 is counted from the size
-        # below; each chunk must receive exactly the direct counts of its rows
+        # below; each slice must receive exactly the direct counts of its rows
         g, family, rows = case
         lo, hi = family.size_range(g.n)
         for model in (Homogeneous(g.n, 0.3), None):
             seen = {}
 
-            def record(chunk, sample, counts=None):
-                seen.setdefault(chunk.rows.shape[1], []).append((chunk.rows, counts))
+            def record(size, sample, counts, start):
+                rows_k = size.rows[start : start + len(counts)]
+                seen.setdefault(size.rows.shape[1], []).append((rows_k, counts))
                 return 0.0, 0
 
-            with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
-                plan = scan_module._plan.__wrapped__(family, g.n, model)
+            plan = scan_module._plan.__wrapped__(family, g.n, model)
             extended = [k > max(lo, 2) for k in range(lo, hi + 1)]
             assert [size.starts is not None for size in plan] == extended
             assert [size.masks is not None for size in plan] == extended[1:] + [False]
-            with mock.patch.object(scan_module._Layer, "best", record):
+            with mock.patch.object(scan_module, "_BATCH_ROWS", rows), \
+                    mock.patch.object(scan_module._Size, "best", record):
                 scan_module._run_plan(plan, g, keep_trace=False)
             assert sorted(seen) == list(range(lo, hi + 1))
             for k, parts in seen.items():
-                assert max(len(p[0]) for p in parts) <= rows
+                assert max(len(p[1]) for p in parts) <= rows
                 table = np.concatenate([p[0] for p in parts])
                 size = plan[k - lo]
                 assert np.array_equal(table, size.rows)
-                if size.starts is None and size.masks is None:
-                    # neither extended nor extended from: the chunks count their rows
-                    assert all(p[1] is None for p in parts)
-                    continue
-                counts = np.concatenate([p[1] for p in parts])
-                assert np.array_equal(counts, g._edges_within_rows(table))
+                # extended, extended from or neither: every slice gets the direct counts
+                for part_rows, counts in parts:
+                    assert np.array_equal(counts, g._edges_within_rows(part_rows))
 
     @settings(max_examples=40, deadline=None)
     @given(scan_cases())
@@ -672,17 +670,23 @@ class TestScanPlan:
             refs.append(first_max_reference(blind, lambda d: stat_unknown(g, d)))
         assert default == [(*best, trace, len(cands)) for (best, trace), cands
                            in zip(refs, (candidates, blind))]
+        best = scan_module._Size.best
         for rows in (1, 2, 3, 7):
+            sliced = []
+
+            def record(size, sample, counts, start):
+                sliced.append(len(counts))
+                return best(size, sample, counts, start)
+
             scan_module._plan.cache_clear()
             try:
-                with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
+                with mock.patch.object(scan_module, "_BATCH_ROWS", rows), \
+                        mock.patch.object(scan_module._Size, "best", record):
                     assert outcomes() == default
-                    for fam, mod, _ in runs:
-                        plan = scan_module._plan(fam, g.n, mod)
-                        assert max(len(chunk.rows) for size in plan
-                                   for chunk in size.chunks) <= rows
             finally:
                 scan_module._plan.cache_clear()
+            # no best call receives more counts than the patched slice size
+            assert sliced and max(sliced) <= rows
 
     @settings(max_examples=80, deadline=None)
     @given(scan_cases())
@@ -801,47 +805,55 @@ class TestScanPlan:
         assert peak < 2 * held
 
 
-def dense_best(chunk, sample):
-    """np.argmax/max over _scores of every row of a plan chunk on sample,
-    from direct counts: the reference its evaluator must equal bit for bit."""
-    counts = sample._edges_within_rows(chunk.rows)
-    means = chunk.means
-    if means is None:
-        cross = sample._degrees[chunk.rows].sum(axis=1) - 2 * counts
-        means = np.maximum(_blind_mean(float(sample.total_edges()), cross), chunk.floor)
-    stats = _scores(counts, means, chunk.norm)
+def dense_best(size, lo, counts, sample):
+    """np.argmax/max over _scores of the rows lo .. lo + len(counts) of a plan
+    size on sample, from direct counts: the reference its evaluator must
+    equal bit for bit."""
+    rows = size.rows[lo : lo + len(counts)]
+    counts = sample._edges_within_rows(rows)
+    if size.means is None:
+        cross = sample._degrees[rows].sum(axis=1) - 2 * counts
+        means = np.maximum(_blind_mean(float(sample.total_edges()), cross), size.floor)
+    else:
+        means = size.means[lo : lo + len(counts)]
+    stats = _scores(counts, means, size.norm)
     i = int(np.argmax(stats))
     return stats[i].hex(), i
 
 
-def check_best_rows(model, g, family):
-    """Run the known and the blind plan over family on g.  Every chunk must
-    return the dense reference, from the counts the scan passes it and from
-    its own, and those counts must be the direct ones.  Returns per chunk
-    (chunk, the counts the scan passed, its direct counts, its (statistic,
-    row))."""
-    calls = []
-    best = scan_module._Layer.best
+def counted_whole(size):
+    """Whether the scan counts the size whole (it extends the size below or
+    the next size extends it) rather than one slice at a time."""
+    return size.starts is not None or size.masks is not None
 
-    def record(chunk, sample, counts=None):
-        out = best(chunk, sample, counts)
-        calls.append((chunk, counts, out))
+
+def check_best_rows(model, g, family):
+    """Run the known and the blind plan over family on g.  Every slice must
+    return the dense reference, from the counts the scan passes it and from
+    its direct counts, and those counts must be the direct ones.  Returns
+    per slice (size, its first row lo, the counts the scan passed, its
+    direct counts, its (statistic, row))."""
+    calls = []
+    best = scan_module._Size.best
+
+    def record(size, sample, counts, lo):
+        out = best(size, sample, counts, lo)
+        calls.append((size, lo, counts, out))
         return out
 
     for m in (model, None):
         plan = scan_module._plan.__wrapped__(family, g.n, m)
-        with mock.patch.object(scan_module._Layer, "best", record):
+        with mock.patch.object(scan_module._Size, "best", record):
             scan_module._run_plan(plan, g, keep_trace=False)
     seen = []
-    for chunk, counts, (stat, row) in calls:
-        ref = dense_best(chunk, g)
+    for size, lo, counts, (stat, row) in calls:
+        ref = dense_best(size, lo, counts, g)
         assert (stat.hex(), row) == ref
-        stat, row = chunk.best(g)
+        direct = g._edges_within_rows(size.rows[lo : lo + len(counts)])
+        stat, row = size.best(g, direct, lo)
         assert (stat.hex(), row) == ref
-        direct = g._edges_within_rows(chunk.rows)
-        if counts is not None:
-            assert np.array_equal(counts, direct)
-        seen.append((chunk, counts, direct, (stat, row)))
+        assert np.array_equal(counts, direct)
+        seen.append((size, lo, counts, direct, (stat, row)))
     return seen
 
 
@@ -884,8 +896,9 @@ EVALUATOR_EXAMPLES = {
 @st.composite
 def evaluator_cases(draw):
     """A model and a graph on n <= 40 or 65..100 vertices, and either an
-    Exhaustive window, whose sizes above the first take their counts from
-    the scan, or a few subsets of one size, whose chunk counts its own."""
+    Exhaustive window, whose sizes take their counts whole from the scan
+    where they extend or are extended, or a few subsets of one size, which
+    the scan counts slice by slice."""
     n = draw(st.integers(4, 40) | st.integers(65, 100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["homogeneous", "rank_one", "general", "zero_block"]))
@@ -901,7 +914,7 @@ def evaluator_cases(draw):
 
 
 class TestChunkEvaluator:
-    """A chunk's (statistic, row) is the first strict maximum of _scores over
+    """A slice's (statistic, row) is the first strict maximum of _scores over
     its rows, (0.0, 0) when no row scores above 0: the known scan scores
     only its hot rows, the blind scan only the rows whose count exceeds the
     floor, which bounds every blind mean from below."""
@@ -923,9 +936,9 @@ class TestChunkEvaluator:
 
     def test_examples_cover_what_they_are_named_for(self):
         def blind(name):
-            return [(chunk, counts, np.flatnonzero(direct > chunk.floor), out)
-                    for chunk, counts, direct, out in check_best_rows(*EVALUATOR_EXAMPLES[name])
-                    if chunk.means is None]
+            return [(size, counts, np.flatnonzero(direct > size.floor), out)
+                    for size, _, counts, direct, out in check_best_rows(*EVALUATOR_EXAMPLES[name])
+                    if size.means is None]
 
         parts = blind("below_floor")
         assert parts and all(not near.size and out == (0.0, 0) for _, _, near, out in parts)
@@ -934,11 +947,11 @@ class TestChunkEvaluator:
         assert any(near[0] > 0 for _, _, near, _ in parts)
         # a hot row that is not the first of those above the floor
         parts = blind("blind_hot")
-        assert any(counts is not None and stat > 0.0 and row in near and row != near[0]
-                   for _, counts, near, (stat, row) in parts)
+        assert any(counted_whole(size) and stat > 0.0 and row in near and row != near[0]
+                   for size, _, near, (stat, row) in parts)
         parts = blind("explicit")
-        assert parts and all(counts is None and 0 < near.size < len(chunk.rows) and stat > 0.0
-                             for chunk, counts, near, (stat, _) in parts)
+        assert parts and all(not counted_whole(size) and 0 < near.size < len(counts)
+                             and stat > 0.0 for size, counts, near, (stat, _) in parts)
         for name in ("all_cold", "count_at_mean"):
             outs = [out for *_, out in check_best_rows(*EVALUATOR_EXAMPLES[name])]
             assert set(outs) == {(0.0, 0)}
@@ -948,10 +961,10 @@ class TestChunkEvaluator:
         model, g, _ = EVALUATOR_EXAMPLES["zero_means"]
         assert model.within_mean(np.array([[0, 1, 2]]))[0] == 0.0
         assert g.edges_within((0, 1, 2)) == 3
-        known = [out for chunk, *_, out in check_best_rows(*EVALUATOR_EXAMPLES["ties"])
-                 if chunk.means is not None]
+        known = [out for size, *_, out in check_best_rows(*EVALUATOR_EXAMPLES["ties"])
+                 if size.means is not None]
         assert known and all(row == 0 and stat > 0.0 for stat, row in known)
         for name, top in (("K=253", 253), ("K=276", 276)):
-            counts = [c for chunk, c, *_ in check_best_rows(*EVALUATOR_EXAMPLES[name])
-                      if chunk.rows.shape[1] == 24]
+            counts = [c for size, _, c, *_ in check_best_rows(*EVALUATOR_EXAMPLES[name])
+                      if size.rows.shape[1] == 24]
             assert len(counts) == 2 and max(int(c.max()) for c in counts) >= top
