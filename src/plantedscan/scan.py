@@ -25,14 +25,23 @@ scan keeps those counts for at most two consecutive sizes.  Every other
 size counts its rows' pairs directly, one slice at a time.  The scan
 scores each size in slices of at most 32,768 rows.  A row whose count
 exceeds a positive mean is hot and scores its kernel value, which is
-positive; every other row scores 0.0.  Each slice yields its first strict
-maximum and that row, (0.0, 0) when no row is hot, and evaluates the
-kernel on its hot rows only.  A blind mean is at least the floor, so a
-blind slice gathers degree sums and estimates means for only the rows
-whose count exceeds the floor; at n = 40 the floor exceeds C(k, 2) for
-every k <= 5, so no row of those sizes does.  The first strict maximum in
-plan order wins, which breaks ties toward the smaller subset, then the
-lexicographically smallest vertex tuple, independent of slice boundaries.
+positive; every other row scores 0.0.  At a fixed count the statistic
+falls as the mean rises, so each plan size holds a bound table: for each
+count c = 0..C(k, 2), the score of c at the size's least positive null
+mean or, blind, at the floor, which no blind mean is below, made
+nondecreasing in c and raised by a relative 1e-9.  No row with count c
+scores above bound[c].  A slice scores only the rows whose count reaches
+the table's first entry above the running best (at least 0.0): it yields
+their first strict maximum and its row, (0.0, 0) when none is hot,
+evaluating the kernel on their hot rows only and, blind, gathering degree
+sums and estimating means for those rows only.  A slice without such a
+row is not counted, and a size is not counted at all when its table and
+those of the sizes that extend from it stay at or below the best; at
+n = 40 the blind floor exceeds C(k, 2) for every k <= 5, so a default
+blind scan with r <= 5 counts nothing.  The rows left out cannot beat the
+best, so the first strict maximum in plan order still wins, which breaks
+ties toward the smaller subset, then the lexicographically smallest
+vertex tuple, independent of slice boundaries.
 The one-subset statistic functions score a one-row size the same way, so
 a scan outcome is bit-for-bit reproducible subset by subset.
 """
@@ -74,7 +83,9 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # compiled plans kept for reuse: a risk estimate runs one plan, a caller
 # alternating the known and the blind scan two; each costs about
 # (4k + 8) bytes per row of size k (4k blind), plus 8 ceil(n/64) bytes of
-# vertex mask per row of an exhaustive size that a larger one extends
+# vertex mask per row of an exhaustive size that a larger one extends, plus
+# a bound table of C(k, 2) + 1 floats per size (one float where that would
+# outnumber the size's k m vertex entries)
 _PLAN_CACHE_SIZE = 2
 
 
@@ -315,12 +326,16 @@ class _Size:
     the one below: its rows headed by vertex a are a followed by the rows of
     the size below from starts[a] on.  A scan then counts them from that
     size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask.
+
+    bound is nondecreasing, and on every graph no row whose count is c
+    scores above bound[min(c, len(bound) - 1)] (see _bound).
     """
 
     rows: np.ndarray                       # (m, k) validated row-sorted subsets, read-only
     means: np.ndarray | None               # null mean of each row; None in a blind plan
     norm: float                            # k ln(n/k)
     floor: float | None                    # blind floor (k^2/n) ln(n/k)^4; None in a known plan
+    bound: np.ndarray                      # read-only; _NO_BOUND rules no row out
     starts: tuple[int, ...] | None = None  # per head vertex; None: not extended
     masks: np.ndarray | None = None        # (m, ceil(n/64)) uint64 if the next size extends this
 
@@ -349,24 +364,25 @@ class _Size:
             at = block.stop
         return counts
 
-    def best(self, sample: GraphSample, counts: np.ndarray, lo: int) -> tuple[float, int]:
-        """The first strict maximum of the statistic over rows lo .. lo +
-        len(counts), whose e(D) on sample are counts, and its row counted
-        from lo; (0.0, 0) when no row is hot.  Rows score _scores against
-        the null means or, blind, against max(_blind_mean(e(V), sum deg(D) -
-        2 e(D)), floor), with sum deg(D) gathered for the rows whose count
-        exceeds the floor only."""
+    def best(self, sample: GraphSample, counts: np.ndarray, lo: int,
+             low: int = 0) -> tuple[float, int]:
+        """The first strict maximum of the statistic over the rows lo .. lo +
+        len(counts) whose e(D) on sample, counts, is at least low, and its
+        row counted from lo; (0.0, 0) when none of them is hot.  Rows score
+        _scores against the null means or, blind, against
+        max(_blind_mean(e(V), sum deg(D) - 2 e(D)), floor), with sum deg(D)
+        gathered for those rows only."""
+        near = np.flatnonzero(counts >= low)
+        if not near.size:
+            return 0.0, 0
+        counts = counts[near]
         if self.means is None:
-            # a blind mean is at least the floor, so only a count above it can be hot
-            near = np.flatnonzero(counts > self.floor)
-            if not near.size:
-                return 0.0, 0
-            counts = counts[near]
             cross = sample._degrees[self.rows[lo + near]].sum(axis=1) - 2 * counts
             means = np.maximum(_blind_mean(float(sample.total_edges()), cross), self.floor)
-            top, i = _first_hot_max(counts, means, self.norm)
-            return (top, int(near[i])) if top > 0.0 else (0.0, 0)
-        return _first_hot_max(counts, self.means[lo : lo + len(counts)], self.norm)
+        else:
+            means = self.means[lo + near]
+        top, i = _first_hot_max(counts, means, self.norm)
+        return (top, int(near[i])) if top > 0.0 else (0.0, 0)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -388,8 +404,14 @@ def _plan(family: SubsetFamily, n: int,
         if above is not None:
             masks = _vertex_masks(n, table)
             masks.flags.writeable = False
+        norm = _norm(n, k)
         floor = _blind_floor(n, k) if model is None else None
-        sizes.append(_Size(table, means, _norm(n, k), floor, starts, masks))
+        # every blind mean is at least the floor; a known row with a zero mean scores 0.0
+        low = floor if model is None else means.min(where=means > 0.0, initial=np.inf)
+        # no table may outweigh the size's own: a weight-prefix family of
+        # sizes up to r would otherwise hold about r^3 / 6 floats
+        bound = _bound(k, low, norm) if k * (k - 1) // 2 < table.size else _NO_BOUND
+        sizes.append(_Size(table, means, norm, floor, bound, starts, masks))
     if not sizes:
         raise ValidationError("subset family yielded no candidates")
     return tuple(sizes)
@@ -408,15 +430,36 @@ def _scores(counts: np.ndarray, means: np.ndarray, norm: float) -> np.ndarray:
 
 def _first_hot_max(counts: np.ndarray, means: np.ndarray, norm: float) -> tuple[float, int]:
     """The first maximum of _scores(counts, means, norm) and its index,
-    scoring the hot rows only; (0.0, 0) when no row is hot.  A hot row's
-    count / mean - 1 is at least one ulp of 1.0 (its count is an integer),
-    so it scores above the 0.0 of every cold row."""
+    scoring the hot rows only, with _scores' floats; (0.0, 0) when no row
+    is hot.  A hot row's count / mean - 1 is at least one ulp of 1.0 (its
+    count is an integer), so it scores above the 0.0 of every cold row."""
     hot = np.flatnonzero((counts > means) & (means > 0.0))
     if not hot.size:
         return 0.0, 0
-    scores = _scores(counts[hot], means[hot], norm)
+    mu = means[hot]
+    scores = mu * entropy_h_vec(counts[hot] / mu - 1.0) / norm
     i = int(scores.argmax())
     return float(scores[i]), int(hot[i])
+
+
+# the bound table of a size that keeps none: it rules no row out
+_NO_BOUND = np.array([np.inf])
+_NO_BOUND.flags.writeable = False
+
+
+def _bound(k: int, low: float, norm: float) -> np.ndarray:
+    """bound[c] for c = 0..C(k, 2): at least the statistic of every row of
+    size k with count c and a mean of at least low.  At a fixed count e
+    above the mean, mu h(e/mu - 1) = e ln(e/mu) - e + mu falls as mu rises,
+    and a count at or below the mean scores 0.0, so _scores at low bounds
+    it.  The running maximum makes the table nondecreasing, and the factor
+    1 + 1e-9 covers the kernel's float error (about 2e-12 relative at its
+    1e-4 Taylor switch)."""
+    counts = np.arange(k * (k - 1) // 2 + 1)
+    bound = np.maximum.accumulate(_scores(counts, np.full(counts.shape, low), norm))
+    bound *= 1.0 + 1e-9
+    bound.flags.writeable = False
+    return bound
 
 
 def _blind_floor(n: int, k: int) -> float:
@@ -442,30 +485,50 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
     rows = d[None, :]
-    size = _Size(rows, model.within_mean(rows), _norm(sample.n, d.size), None)
+    size = _Size(rows, model.within_mean(rows), _norm(sample.n, d.size), None, _NO_BOUND)
     return size.best(sample, sample._edges_within_rows(rows), 0)[0]
 
 
 def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
               keep_trace: bool) -> tuple[float, tuple[int, ...], dict | None, int]:
     """First strict maximum in plan order of the best rows of the sizes'
-    slices of at most _BATCH_ROWS rows on sample."""
+    slices of at most _BATCH_ROWS rows on sample.
+
+    Only a row that scores above the running best (the size's own while
+    keeping the trace; at least 0.0, which every row scores) can change
+    the outcome, so a slice scores only the rows whose count the size's
+    bound table does not rule out.  A slice that has none is neither
+    counted nor scored, and stands as (0.0, 0), which is its exact best
+    row whenever the outcome can take it.  A size is not counted at all
+    when neither it nor a size that extends from it can beat the best."""
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
     evaluated = 0
     below = None
-    for size in plan:
-        counts = size.counts(sample, below)
-        # the counts of the size below are dropped here, once this size has its own
-        below = None if size.masks is None else (counts, size.masks)
+    # the highest bound of each size and of the sizes that extend from it
+    reach = [float(size.bound[-1]) for size in plan]
+    for j in range(len(plan) - 2, -1, -1):
+        if plan[j + 1].starts is not None:
+            reach[j] = max(reach[j], reach[j + 1])
+
+    def cut(k: int) -> float:
+        return trace.get(k, (0.0,))[0] if keep_trace else max(best_stat, 0.0)
+
+    for size, top in zip(plan, reach):
         m, k = size.rows.shape
         evaluated += m
+        counts = size.counts(sample, below) if top > cut(k) else None
+        # the counts of the size below are dropped here, once this size has its own
+        below = None if size.masks is None else (counts, size.masks)
         for lo in range(0, m, _BATCH_ROWS):
             rows = size.rows[lo : lo + _BATCH_ROWS]
-            part = (sample._edges_within_rows(rows) if counts is None
-                    else counts[lo : lo + _BATCH_ROWS])
-            mx, i = size.best(sample, part, lo)
+            low = int(np.searchsorted(size.bound, cut(k), "right"))
+            mx, i = 0.0, 0
+            if low < len(size.bound):
+                part = (sample._edges_within_rows(rows) if counts is None
+                        else counts[lo : lo + _BATCH_ROWS])
+                mx, i = size.best(sample, part, lo, low)
             if mx > best_stat:
                 best_stat = mx
                 best_subset = tuple(int(v) for v in rows[i])
@@ -580,8 +643,10 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
     replaced by its floored estimate."""
     d, n = _blind_subset(sample, subset, n)
     rows = d[None, :]
-    size = _Size(rows, None, _norm(n, d.size), _blind_floor(n, d.size))
-    return size.best(sample, sample._edges_within_rows(rows), 0)[0]
+    floor = _blind_floor(n, d.size)
+    size = _Size(rows, None, _norm(n, d.size), floor, _NO_BOUND)
+    # a count at or below the floor is cold, and needs no degree sum
+    return size.best(sample, sample._edges_within_rows(rows), 0, math.floor(floor) + 1)[0]
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,

@@ -616,25 +616,47 @@ class TestScanPlan:
     @example((random_graph(65, 0.5, 2), Exhaustive(1, 3), 7))
     def test_extended_counts_equal_direct_counts(self, case):
         # every size above the first and above 2 is counted from the size
-        # below; each slice must receive exactly the direct counts of its rows
+        # below; every size the scan counts must receive exactly the direct
+        # counts of its rows, whole or slice by slice.  Each best call here
+        # returns 0.0, so the sizes left uncounted must be exactly those whose
+        # bound, and that of every size extending from them, is all zero, and
+        # the sizes scored exactly those whose own bound is not
         g, family, rows = case
         lo, hi = family.size_range(g.n)
+        counts_of = scan_module._Size.counts
         for model in (Homogeneous(g.n, 0.3), None):
-            seen = {}
+            seen, counted = {}, []
 
-            def record(size, sample, counts, start):
+            def record(size, sample, counts, start, low=0):
                 rows_k = size.rows[start : start + len(counts)]
                 seen.setdefault(size.rows.shape[1], []).append((rows_k, counts))
                 return 0.0, 0
+
+            def count(size, sample, below):
+                counts = counts_of(size, sample, below)
+                counted.append((size, counts))
+                return counts
 
             plan = scan_module._plan.__wrapped__(family, g.n, model)
             extended = [k > max(lo, 2) for k in range(lo, hi + 1)]
             assert [size.starts is not None for size in plan] == extended
             assert [size.masks is not None for size in plan] == extended[1:] + [False]
             with mock.patch.object(scan_module, "_BATCH_ROWS", rows), \
-                    mock.patch.object(scan_module._Size, "best", record):
+                    mock.patch.object(scan_module._Size, "best", record), \
+                    mock.patch.object(scan_module._Size, "counts", count):
                 scan_module._run_plan(plan, g, keep_trace=False)
-            assert sorted(seen) == list(range(lo, hi + 1))
+            live = [bool(size.bound.any()) for size in plan]
+            reach = live[:]
+            for j in reversed(range(len(plan) - 1)):
+                reach[j] = reach[j] or (extended[j + 1] and reach[j + 1])
+            sizes = range(lo, hi + 1)
+            assert [size.rows.shape[1] for size, _ in counted] == [
+                k for k, on in zip(sizes, reach) if on]
+            assert sorted(seen) == [k for k, on in zip(sizes, live) if on]
+            # a size counted whole but never scored: its counts feed the size above
+            for size, counts in counted:
+                if counts is not None and size.rows.shape[1] not in seen:
+                    assert np.array_equal(counts, g._edges_within_rows(size.rows))
             for k, parts in seen.items():
                 assert max(len(p[1]) for p in parts) <= rows
                 table = np.concatenate([p[0] for p in parts])
@@ -674,9 +696,9 @@ class TestScanPlan:
         for rows in (1, 2, 3, 7):
             sliced = []
 
-            def record(size, sample, counts, start):
+            def record(size, sample, counts, start, low=0):
                 sliced.append(len(counts))
-                return best(size, sample, counts, start)
+                return best(size, sample, counts, start, low)
 
             scan_module._plan.cache_clear()
             try:
@@ -685,8 +707,11 @@ class TestScanPlan:
                     assert outcomes() == default
             finally:
                 scan_module._plan.cache_clear()
-            # no best call receives more counts than the patched slice size
-            assert sliced and max(sliced) <= rows
+            # no best call receives more counts than the patched slice size;
+            # there is none only where every bound table is all zero
+            assert max(sliced, default=0) <= rows
+            assert sliced or not any(size.bound.any() for f, m, _ in runs
+                                     for size in scan_module._plan.__wrapped__(f, g.n, m))
 
     @settings(max_examples=80, deadline=None)
     @given(scan_cases())
@@ -805,10 +830,10 @@ class TestScanPlan:
         assert peak < 2 * held
 
 
-def dense_best(size, lo, counts, sample):
+def dense_best(size, lo, counts, sample, low=0):
     """np.argmax/max over _scores of the rows lo .. lo + len(counts) of a plan
-    size on sample, from direct counts: the reference its evaluator must
-    equal bit for bit."""
+    size on sample, from direct counts, with the rows whose count is below
+    low scoring 0.0: the reference its evaluator must equal bit for bit."""
     rows = size.rows[lo : lo + len(counts)]
     counts = sample._edges_within_rows(rows)
     if size.means is None:
@@ -816,7 +841,7 @@ def dense_best(size, lo, counts, sample):
         means = np.maximum(_blind_mean(float(sample.total_edges()), cross), size.floor)
     else:
         means = size.means[lo : lo + len(counts)]
-    stats = _scores(counts, means, size.norm)
+    stats = np.where(counts >= low, _scores(counts, means, size.norm), 0.0)
     i = int(np.argmax(stats))
     return stats[i].hex(), i
 
@@ -828,17 +853,19 @@ def counted_whole(size):
 
 
 def check_best_rows(model, g, family):
-    """Run the known and the blind plan over family on g.  Every slice must
-    return the dense reference, from the counts the scan passes it and from
-    its direct counts, and those counts must be the direct ones.  Returns
-    per slice (size, its first row lo, the counts the scan passed, its
-    direct counts, its (statistic, row))."""
+    """Run the known and the blind plan over family on g.  Every slice the
+    scan scores must return the dense reference: from the counts and the
+    least count the scan passes it, over the rows that reach that count,
+    and from its direct counts over all its rows; and those counts must be
+    the direct ones.  Returns per slice scored (size, its first row lo, the
+    counts the scan passed, its direct counts, its (statistic, row) over all
+    its rows)."""
     calls = []
     best = scan_module._Size.best
 
-    def record(size, sample, counts, lo):
-        out = best(size, sample, counts, lo)
-        calls.append((size, lo, counts, out))
+    def record(size, sample, counts, lo, low=0):
+        out = best(size, sample, counts, lo, low)
+        calls.append((size, lo, low, counts, out))
         return out
 
     for m in (model, None):
@@ -846,9 +873,9 @@ def check_best_rows(model, g, family):
         with mock.patch.object(scan_module._Size, "best", record):
             scan_module._run_plan(plan, g, keep_trace=False)
     seen = []
-    for size, lo, counts, (stat, row) in calls:
+    for size, lo, low, counts, (stat, row) in calls:
+        assert (stat.hex(), row) == dense_best(size, lo, counts, g, low)
         ref = dense_best(size, lo, counts, g)
-        assert (stat.hex(), row) == ref
         direct = g._edges_within_rows(size.rows[lo : lo + len(counts)])
         stat, row = size.best(g, direct, lo)
         assert (stat.hex(), row) == ref
@@ -915,9 +942,10 @@ def evaluator_cases(draw):
 
 class TestChunkEvaluator:
     """A slice's (statistic, row) is the first strict maximum of _scores over
-    its rows, (0.0, 0) when no row scores above 0: the known scan scores
-    only its hot rows, the blind scan only the rows whose count exceeds the
-    floor, which bounds every blind mean from below."""
+    its rows whose count its size's bound table leaves in, (0.0, 0) when
+    none scores above 0; the scan scores only their hot rows.  A blind
+    table is 0.0 up to the floor, which bounds every blind mean from below,
+    so no row at or below the floor is ever scored."""
 
     @settings(max_examples=60, deadline=None)
     @given(evaluator_cases())
@@ -940,8 +968,12 @@ class TestChunkEvaluator:
                     for size, _, counts, direct, out in check_best_rows(*EVALUATOR_EXAMPLES[name])
                     if size.means is None]
 
-        parts = blind("below_floor")
-        assert parts and all(not near.size and out == (0.0, 0) for _, _, near, out in parts)
+        # every blind size lies below its floor, so its bound is all zero:
+        # the scan neither counts nor scores it
+        assert not blind("below_floor")
+        _, g, family = EVALUATOR_EXAMPLES["below_floor"]
+        plan = scan_module._plan.__wrapped__(family, g.n, None)
+        assert all(size.floor >= len(size.bound) - 1 and not size.bound.any() for size in plan)
         parts = blind("above_floor_cold")
         assert parts and all(near.size and out == (0.0, 0) for _, _, near, out in parts)
         assert any(near[0] > 0 for _, _, near, _ in parts)
@@ -968,3 +1000,191 @@ class TestChunkEvaluator:
             counts = [c for size, _, c, *_ in check_best_rows(*EVALUATOR_EXAMPLES[name])
                       if size.rows.shape[1] == 24]
             assert len(counts) == 2 and max(int(c.max()) for c in counts) >= top
+
+
+def statistic_keys(g, candidates, model):
+    """For each candidate, what its one-subset statistic on g is a function
+    of: its size, its count, and its null mean under model or, blind
+    (model None), its degree sum."""
+    keys = {}
+    for k, group in itertools.groupby(sorted(set(candidates), key=len), key=len):
+        group = list(group)
+        rows = np.array(group)
+        other = g._degrees[rows].sum(axis=1) if model is None else model.within_mean(rows)
+        keys.update(zip(group, zip(itertools.repeat(k), g._edges_within_rows(rows).tolist(),
+                                   other.tolist())))
+    return keys
+
+
+def keyed_reference(g, candidates, model):
+    """first_max_reference over candidates of stat_known under model (or
+    stat_unknown for None), calling it once per distinct statistic key."""
+    keys, memo = statistic_keys(g, candidates, model), {}
+
+    def stat(d):
+        if keys[d] not in memo:
+            memo[keys[d]] = stat_unknown(g, d) if model is None else stat_known(model, g, d)
+        return memo[keys[d]]
+
+    return first_max_reference(candidates, stat)
+
+
+@st.composite
+def untraced_cases(draw):
+    """A model of any of the four kinds and a graph on n <= 40 or 65..100
+    vertices; an Exhaustive window of at most 6,000 subsets or up to 30
+    subsets of sizes up to 8; and a slice size of 1, 2, 3 or 7 rows where
+    that cuts the family into at most 3,000 slices, else the default."""
+    n = draw(st.integers(4, 40) | st.integers(65, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["homogeneous", "rank_one", "general", "zero_block"]))
+    model = zero_block_model(n) if kind == "zero_block" else _random_model(kind, n, rng)
+    g = random_graph(n, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])), int(rng.integers(2**32)))
+    if draw(st.booleans()):
+        lo = draw(st.integers(1, max(k for k in (1, 2, 3) if k < n and math.comb(n, k) <= 6000)))
+        top = lo
+        while top < min(5, n - 1) and Exhaustive(lo, top + 1).count(n) <= 6000:
+            top += 1
+        family = Exhaustive(lo, draw(st.integers(lo, top)))
+    else:
+        hi = draw(st.integers(1, min(n - 1, 8)))
+        family = Explicit(tuple(
+            tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, hi + 1)), replace=False))
+            for _ in range(draw(st.integers(1, 30)))))
+    count = family.count(n)
+    rows = draw(st.sampled_from([b for b in (1, 2, 3, 7) if count <= 3000 * b]
+                                + [scan_module._BATCH_ROWS]))
+    return model, g, family, rows
+
+
+def family_candidates(family, n):
+    """The family's subsets in scan order (sizes ascending, lexicographic)."""
+    if isinstance(family, Explicit):
+        return sorted(family.subsets, key=lambda d: (len(d), d))
+    lo, hi = family.size_range(n)
+    return [d for k in range(lo, hi + 1) for d in itertools.combinations(range(n), k)]
+
+
+class TestPruning:
+    """A scan scores only the rows whose count its size's bound table leaves
+    in against the running best, and counts no size that cannot beat it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(evaluator_cases(), st.integers(0, 2**32 - 1))
+    def test_bound_holds_for_every_count_and_mean(self, case, seed):
+        model, g, family = case
+        rng = np.random.default_rng(seed)
+        for m in (model, None):
+            for size in scan_module._plan.__wrapped__(family, g.n, m):
+                k = size.rows.shape[1]
+                counts = np.arange(k * (k - 1) // 2 + 1)
+                assert len(size.bound) in (1, len(counts))
+                assert (np.diff(size.bound) >= 0).all()
+                bound = size.bound[np.minimum(counts, len(size.bound) - 1)]
+                if m is None:
+                    # a blind mean is max(estimate, floor): anything from the floor up
+                    low = size.floor
+                    means = np.concatenate([[low, np.nextafter(low, np.inf)],
+                                            low * (1.0 + rng.exponential(1.0, 50))])
+                else:
+                    means = np.unique(size.means)
+                    low = means[means > 0.0].min(initial=np.inf)
+                # means just below each count, across the kernel's 1e-4 Taylor switch
+                near = counts[1:, None] / (1.0 + 10.0 ** -np.arange(1.0, 16.0))
+                near = np.concatenate([near.ravel(), np.nextafter(counts[1:], 0.0)])
+                means = np.concatenate([means, near[near >= low]])
+                shape = (len(means), len(counts))
+                scores = _scores(np.broadcast_to(counts, shape),
+                                 np.broadcast_to(means[:, None], shape), size.norm)
+                assert (scores <= bound).all()
+
+    def test_bound_tables_never_outweigh_their_rows(self):
+        # one row per size: a weight-prefix size above 2 keeps no table
+        model = RankOne(np.linspace(0.05, 0.5, 200))
+        plan = scan_module._plan.__wrapped__(WeightPrefix(1, 150), 200, model)
+        assert [len(size.bound) for size in plan[:3]] == [1, 2, 1]
+        assert all(size.bound is scan_module._NO_BOUND for size in plan[2:])
+        plan = scan_module._plan.__wrapped__(Exhaustive(1, 3), 200, model)
+        assert [len(size.bound) for size in plan] == [1, 2, 4]
+
+    @settings(max_examples=30, deadline=None)
+    @given(untraced_cases())
+    @example((*EVALUATOR_EXAMPLES["ties"], scan_module._BATCH_ROWS))
+    def test_untraced_scans_equal_first_maximum_of_one_subset_statistics(self, case):
+        # the untraced twin of TestScanPlan's traced test: without a trace
+        # the scan prunes against its overall running best
+        model, g, family, rows = case
+        r = family.size_range(g.n)[1]
+        candidates = family_candidates(family, g.n)
+        blind = [d for d in candidates if len(d) >= min_blind_size(r)]
+        runs = [(candidates, model, lambda: scan_known(model, g, ScanConfig(r, family=family)))]
+        if blind:
+            blind_family = (Explicit(tuple(blind)) if isinstance(family, Explicit)
+                            else Exhaustive(max(family.min_size, min_blind_size(r)), r))
+            runs.append((blind, None, lambda: scan_unknown(g, ScanConfig(r, family=blind_family))))
+        scan_module._plan.cache_clear()
+        try:
+            with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
+                outs = [run() for *_, run in runs]
+        finally:
+            scan_module._plan.cache_clear()
+        for out, (cands, m, _) in zip(outs, runs):
+            (stat, subset), _ = keyed_reference(g, cands, m)
+            assert (out.statistic.hex(), out.subset) == (stat.hex(), subset)
+            assert out.size_trace is None
+            assert out.metadata["subsets_evaluated"] == len(cands)
+
+    def test_dead_sizes_are_not_counted(self):
+        # at n = 40 the blind floor (k^2/n) ln(n/k)^4 is at least C(k, 2) for
+        # k = 2, 3, 4: no row of those sizes can score above 0.0 on any graph
+        plan = scan_module._plan.__wrapped__(Exhaustive(2, 4), 40, None)
+        assert all(size.floor >= len(size.bound) - 1 and not size.bound.any() for size in plan)
+
+        def fail(*args):
+            raise AssertionError("a dead size was counted")
+
+        model = RankOne(np.random.default_rng(0).uniform(0.05, 0.45, size=40))
+        for g in (sample_null(model, 1), random_graph(40, 1.0, 0)):
+            with mock.patch.object(scan_module._Size, "counts", fail), \
+                    mock.patch.object(GraphSample, "_edges_within_rows", fail):
+                traced = scan_unknown(g, ScanConfig(r=4), keep_trace=True)
+                untraced = scan_unknown(g, ScanConfig(r=4))
+            for out in (traced, untraced):
+                assert (out.statistic, out.subset) == (0.0, (0, 1))
+                assert out.metadata["subsets_evaluated"] == sum(
+                    math.comb(40, k) for k in (2, 3, 4))
+            assert traced.size_trace == {k: (0.0, tuple(range(k))) for k in (2, 3, 4)}
+
+    def test_live_size_counted_from_dead_ones(self):
+        # at n = 20 sizes 2 and 3 are dead and size 4 is not; size 4 extends
+        # 3, which extends 2, so all three are counted but only 4 is scored
+        n = 20
+        rng = np.random.default_rng(7)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < 0.2)]
+        g = graph_from_edges(n, edges + list(itertools.combinations((2, 5, 11, 17, 18), 2)))
+        plan = scan_module._plan.__wrapped__(Exhaustive(2, 4), n, None)
+        assert [bool(size.bound.any()) for size in plan] == [False, False, True]
+        assert [size.starts is not None for size in plan] == [False, True, True]
+        candidates = family_candidates(Exhaustive(2, 4), n)
+        ref, ref_trace = keyed_reference(g, candidates, None)
+        assert ref[0] > 0.0
+        best, counts_of = scan_module._Size.best, scan_module._Size.counts
+        for keep_trace in (True, False):
+            scored, counted = [], []
+
+            def record_best(size, *args):
+                scored.append(size.rows.shape[1])
+                return best(size, *args)
+
+            def record_counts(size, *args):
+                counted.append(size.rows.shape[1])
+                return counts_of(size, *args)
+
+            with mock.patch.object(scan_module._Size, "best", record_best), \
+                    mock.patch.object(scan_module._Size, "counts", record_counts):
+                out = scan_unknown(g, ScanConfig(r=4), keep_trace=keep_trace)
+            assert (out.statistic, out.subset) == ref
+            assert out.size_trace == (ref_trace if keep_trace else None)
+            assert out.metadata["subsets_evaluated"] == len(candidates)
+            assert counted == [2, 3, 4] and set(scored) == {4}
