@@ -11,8 +11,10 @@ makes a null sample and an alternative sample with rho = 1 bit-identical
 for equal seeds.  The sampler draws its uniforms one block of pairs at a
 time, each block compared with its pair probabilities in one call and
 packed straight into the sample's bytes, its only edge store (n*(n-1)/16
-bytes).  Vertex counts are capped at 2**16.  Exhaustive scans add packed
-adjacency rows, n * ceil(n/64) uint64 words.
+bytes).  A model without a scalar p whose triangle fits one block (n <= 362)
+keeps its pair probabilities, at most 512 kB, from its first sample on.
+Vertex counts are capped at 2**16.  Exhaustive scans add packed adjacency
+rows, n * ceil(n/64) uint64 words.
 """
 
 from __future__ import annotations
@@ -171,6 +173,13 @@ def _pair_index(n: int, i, j):
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
+def _pair_positions(n: int, rows: np.ndarray, a, b) -> np.ndarray:
+    """int64 triangle positions of the pairs (rows[:, a], rows[:, b]) of an
+    (m, k) array of row-sorted subsets, a and b column indices (arrays or
+    slices) with a < b, broadcast against each other."""
+    return _pair_index(n, rows[:, a].astype(np.int64, copy=False), rows[:, b])
+
+
 def _read_bits(packed: np.ndarray, pos):
     """The bits (1 or 0) at triangle positions pos, an integer or an integer
     array, of a packed triangle, which np.packbits lays out with position t
@@ -205,6 +214,16 @@ class EdgeProbabilityModel:
     def probability(self, i: int, j: int) -> float:
         _check_pair(self.n, i, j)
         return float(self.pair_probability(i, j))
+
+    @cached_property
+    def _triangle_probabilities(self) -> np.ndarray:
+        """p_ij of every pair in triangle order, read-only: kept by a model
+        whose triangle the sampler draws as one block (at most _SAMPLE_BLOCK
+        floats), so that each sample reads it rather than refilling it."""
+        pairs = self.n * (self.n - 1) // 2
+        p = next(_row_fill(self, pairs, pairs))[2]
+        p.flags.writeable = False
+        return p
 
 
 def _prefix_order(weights: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -302,14 +321,14 @@ class RankOne(EdgeProbabilityModel):
 
     def within_mean(self, rows: np.ndarray) -> np.ndarray:
         # sum over columns a of w_a * (w_0 + ... + w_{a-1}): every term is
-        # positive, so nothing cancels when one weight dominates
+        # positive, so nothing cancels when one weight dominates; both sums
+        # are accumulated left to right, one column at a time
+        if rows.shape[1] < 2:
+            return np.zeros(rows.shape[0])
         w = self.weights[rows]
-        acc = np.zeros(rows.shape[0])
-        prefix = np.zeros(rows.shape[0])
-        for a in range(1, rows.shape[1]):
-            prefix += w[:, a - 1]
-            acc += w[:, a] * prefix
-        return acc
+        terms = np.cumsum(w[:, :-1], axis=1)
+        terms *= w[:, 1:]
+        return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
 
     def across_mean(self, d: np.ndarray) -> float:
         s = float(self.weights[d].sum())
@@ -525,15 +544,11 @@ class GraphSample:
     def pair_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    @cached_property
-    def _row_offsets(self) -> np.ndarray:
-        i = np.arange(self.n, dtype=np.int64)
-        return _pair_index(self.n, i, i + 1)
-
     def _edges(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(i, j) arrays of the edges, i < j, in lexicographic order; one
         pair of arrays per _PAIR_BLOCK triangle positions, unpacked one by one."""
-        off = self._row_offsets
+        i = np.arange(self.n, dtype=np.int64)
+        off = _pair_index(self.n, i, i + 1)  # the position of each row's first pair
         for start in range(0, self.pair_count, _PAIR_BLOCK):
             stop = min(start + _PAIR_BLOCK, self.pair_count)
             bits = np.unpackbits(self.packed[start >> 3 :], count=stop - (start & ~7))
@@ -564,7 +579,7 @@ class GraphSample:
 
     def _edges_within_rows(self, rows: np.ndarray) -> np.ndarray:
         """e(D) for every row of an (m, k) array of row-sorted subsets: one
-        gather of the rows' pair bits per _PAIR_BLOCK positions (or one head
+        count of the rows' pair bits per _PAIR_BLOCK positions (or one head
         column's pairs of one row), the pair columns (a, b), a < b, taken
         _PAIR_BLOCK // k head columns a at a time so that none grows as k^2."""
         m, k = rows.shape
@@ -576,11 +591,14 @@ class GraphSample:
             a += h
             step = max(1, _PAIR_BLOCK // a.size)
             for s in range(0, m, step):
-                block = rows[s : s + step]
-                heads = block[:, a]
-                pos = self._row_offsets[heads] - heads - 1 + block[:, b]
-                counts[s : s + step] += _read_bits(self.packed, pos).sum(axis=1)
+                pos = _pair_positions(self.n, rows[s : s + step], a, b)
+                counts[s : s + step] += self._pair_counts(pos)
         return counts
+
+    def _pair_counts(self, pos: np.ndarray) -> np.ndarray:
+        """The int64 row sums of the edge bits at the triangle positions of
+        an (m, p) int64 array: one gather of packed bits and one sum."""
+        return _read_bits(self.packed, pos).sum(axis=1)
 
     def pair_index(self, i: int, j: int) -> int:
         if i > j:
@@ -631,18 +649,27 @@ class GraphSample:
 def _probability_blocks(model: EdgeProbabilityModel,
                         pairs: int) -> Iterator[tuple[int, int, float | np.ndarray]]:
     """(s, e, p) for each _SAMPLE_BLOCK triangle positions [s, e), with p
-    the p_ij of those positions: Homogeneous's scalar p, else one reused
-    block buffer filled row segment by row segment from row_probabilities,
-    so no array of all the pairs is ever built."""
+    the p_ij of those positions: Homogeneous's scalar p, the model's own
+    triangle of p_ij when one block holds it, else _row_fill's blocks."""
     if isinstance(model, Homogeneous):
         for s in range(0, pairs, _SAMPLE_BLOCK):
             yield s, min(s + _SAMPLE_BLOCK, pairs), model.p
-        return
+    elif 0 < pairs <= _SAMPLE_BLOCK:
+        yield 0, pairs, model._triangle_probabilities
+    else:
+        yield from _row_fill(model, pairs, _SAMPLE_BLOCK)
+
+
+def _row_fill(model: EdgeProbabilityModel, pairs: int,
+              block: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(s, e, p) for each block triangle positions [s, e), with p the p_ij
+    of those positions in one reused buffer filled row segment by row
+    segment from row_probabilities, so no array of all the pairs is built."""
     n = model.n
-    buf = np.empty(min(_SAMPLE_BLOCK, pairs))
+    buf = np.empty(min(block, pairs))
     i, start = 0, 0  # the row holding position s, and the row's first position
-    for s in range(0, pairs, _SAMPLE_BLOCK):
-        e = min(s + _SAMPLE_BLOCK, pairs)
+    for s in range(0, pairs, block):
+        e = min(s + block, pairs)
         at = s
         while at < e:
             end = start + n - 1 - i

@@ -22,7 +22,10 @@ cached plan cannot go stale.  Per graph, an exhaustive size above the
 plan's first and above 2 is counted from the size below, one popcount of
 the head's adjacency row against each extended subset's vertex mask; the
 scan keeps those counts for at most two consecutive sizes.  Every other
-size counts its rows' pairs directly, one slice at a time.  The scan
+size counts its rows' pairs directly: the plan holds the triangle positions
+of those pairs, sizes in plan order while they fit _PAIR_BLOCK positions in
+all, so that such a count is one gather of packed bits and one row sum per
+slice; a size past that cap computes its positions slice by slice.  The scan
 scores each size in slices of at most 32,768 rows.  A row whose count
 exceeds a positive mean is hot and scores its kernel value, which is
 positive; every other row scores 0.0.  At a fixed count the statistic
@@ -58,8 +61,9 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .kernels import entropy_h_vec
-from .model import (_BATCH_ROWS, EdgeProbabilityModel, GraphSample, RankOne, _check_rows,
-                    _combination_tables, _norm, _number, _vertex_masks, check_subset)
+from .model import (_BATCH_ROWS, _PAIR_BLOCK, EdgeProbabilityModel, GraphSample, RankOne,
+                    _check_rows, _combination_tables, _norm, _number, _pair_positions,
+                    _vertex_masks, check_subset)
 
 __all__ = [
     "Exhaustive",
@@ -85,7 +89,8 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # (4k + 8) bytes per row of size k (4k blind), plus 8 ceil(n/64) bytes of
 # vertex mask per row of an exhaustive size that a larger one extends, plus
 # a bound table of C(k, 2) + 1 floats per size (one float where that would
-# outnumber the size's k m vertex entries)
+# outnumber the size's k m vertex entries), plus 8 bytes per pair position
+# held, at most _PAIR_BLOCK positions (8 MiB) per plan
 _PLAN_CACHE_SIZE = 2
 
 
@@ -325,7 +330,9 @@ class _Size:
     In an exhaustive plan each size above the first and above 2 extends
     the one below: its rows headed by vertex a are a followed by the rows of
     the size below from starts[a] on.  A scan then counts them from that
-    size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask.
+    size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask.  Any
+    other size is counted pair by pair, at the triangle positions pairs
+    holds or, past the plan's cap, at positions computed per slice.
 
     bound is nondecreasing, and on every graph no row whose count is c
     scores above bound[min(c, len(bound) - 1)] (see _bound).
@@ -338,13 +345,21 @@ class _Size:
     bound: np.ndarray                      # read-only; _NO_BOUND rules no row out
     starts: tuple[int, ...] | None = None  # per head vertex; None: not extended
     masks: np.ndarray | None = None        # (m, ceil(n/64)) uint64 if the next size extends this
+    pairs: np.ndarray | None = None        # (m, C(k, 2)) int64 pair positions, read-only, if held
+
+    def direct(self, sample: GraphSample, lo: int, hi: int) -> np.ndarray:
+        """e(D) of the rows lo .. hi counted pair by pair: one gather at the
+        held positions, else at positions computed now."""
+        if self.pairs is None:
+            return sample._edges_within_rows(self.rows[lo:hi])
+        return sample._pair_counts(self.pairs[lo:hi])
 
     def counts(self, sample: GraphSample, below: tuple | None) -> np.ndarray | None:
         """e(D) of every row of a size that extends the one below (whose
         counts and masks below holds) or that the next size extends; None
         for any other size, which the scan counts one slice at a time."""
         if self.starts is None:
-            return None if self.masks is None else sample._edges_within_rows(self.rows)
+            return None if self.masks is None else self.direct(sample, 0, len(self.rows))
         counts_k, masks_k = below
         adj = sample._adjacency_rows
         m = len(counts_k)
@@ -392,6 +407,7 @@ def _plan(family: SubsetFamily, n: int,
     null means from model (None for the blind scan), in plan order."""
     tables = list(family._row_tables(n, model))
     sizes = []
+    room = _PAIR_BLOCK  # the pair positions the plan may still hold
     for (table, starts), (_, above) in zip(tables, tables[1:] + [(None, None)]):
         m, k = table.shape
         _check_scan_size(n, k)
@@ -411,10 +427,31 @@ def _plan(family: SubsetFamily, n: int,
         # no table may outweigh the size's own: a weight-prefix family of
         # sizes up to r would otherwise hold about r^3 / 6 floats
         bound = _bound(k, low, norm) if k * (k - 1) // 2 < table.size else _NO_BOUND
-        sizes.append(_Size(table, means, norm, floor, bound, starts, masks))
+        pairs = None
+        if starts is None and m * (k * (k - 1) // 2) <= room:
+            pairs = _held_positions(n, table)
+            room -= pairs.size
+        sizes.append(_Size(table, means, norm, floor, bound, starts, masks, pairs))
     if not sizes:
         raise ValidationError("subset family yielded no candidates")
     return tuple(sizes)
+
+
+def _held_positions(n: int, table: np.ndarray) -> np.ndarray:
+    """The read-only (m, C(k, 2)) int64 positions of the pairs of each row of
+    an (m, k) table, pairs lexicographic; the temporaries are one head
+    column of _BATCH_ROWS rows at a time."""
+    m, k = table.shape
+    pos = np.empty((m, k * (k - 1) // 2), dtype=np.int64)
+    for s in range(0, m, _BATCH_ROWS):
+        block = table[s : s + _BATCH_ROWS]
+        at = 0
+        for a in range(k - 1):
+            pos[s : s + _BATCH_ROWS, at : at + k - 1 - a] = _pair_positions(
+                n, block, slice(a, a + 1), slice(a + 1, k))
+            at += k - 1 - a
+    pos.flags.writeable = False
+    return pos
 
 
 def _scores(counts: np.ndarray, means: np.ndarray, norm: float) -> np.ndarray:
@@ -526,7 +563,7 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
             low = int(np.searchsorted(size.bound, cut(k), "right"))
             mx, i = 0.0, 0
             if low < len(size.bound):
-                part = (sample._edges_within_rows(rows) if counts is None
+                part = (size.direct(sample, lo, lo + _BATCH_ROWS) if counts is None
                         else counts[lo : lo + _BATCH_ROWS])
                 mx, i = size.best(sample, part, lo, low)
             if mx > best_stat:

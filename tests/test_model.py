@@ -266,12 +266,23 @@ class TestBlockSampler:
            st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_block_sampler_matches_the_row_loop(self, seed, kind, n, block, at_cap):
-        # small blocks put rows and communities across block boundaries
+        # small blocks put rows and communities across block boundaries; a
+        # triangle within one block is drawn from the model's own p_ij, kept
+        # from its first sample on, so each model is sampled twice
         rng = np.random.default_rng(seed)
         model = random_model(kind, n, rng)
         with mock.patch.object(model_module, "_SAMPLE_BLOCK", block):
-            null = sample_null(model, seed)
-            assert np.array_equal(null.packed, np.packbits(row_loop_triangle(model, seed, None)))
+            for again in (seed, seed ^ 1):
+                null = sample_null(model, again)
+                assert np.array_equal(null.packed,
+                                      np.packbits(row_loop_triangle(model, again, None)))
+            kept = model.__dict__.get("_triangle_probabilities")
+            if kind == "homogeneous" or not 0 < n * (n - 1) // 2 <= block:
+                assert kept is None
+            else:
+                i, j = np.triu_indices(n, 1)
+                assert not kept.flags.writeable
+                assert np.array_equal(kept, model.pair_probability(i, j))
             if n < 2:
                 return
             r = int(rng.integers(2, min(n, 10) + 1))
@@ -284,9 +295,10 @@ class TestBlockSampler:
                     rho = float(np.nextafter(rho, 0.0))
                 rho = max(rho, 1.0)
             alt = PlantedAlternative(tuple(int(v) for v in c), rho, model)
-            planted = sample_alternative(model, alt, seed)
-            assert np.array_equal(planted.packed,
-                                  np.packbits(row_loop_triangle(model, seed, alt)))
+            for again in (seed, seed ^ 1):
+                planted = sample_alternative(model, alt, again)
+                assert np.array_equal(planted.packed,
+                                      np.packbits(row_loop_triangle(model, again, alt)))
 
     def test_alternative_built_on_another_model_is_rebound(self):
         # the community is lifted against the sampled model's probabilities,
@@ -490,6 +502,23 @@ class TestExpectations:
             assert abs(Fraction(got) - exact) <= exact * 2**-51
         assert model.within_mean(np.zeros((3, 1), dtype=np.int64)).tolist() == [0.0] * 3
         assert model.within_mean(np.zeros((2, 0), dtype=np.int64)).tolist() == [0.0] * 2
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 30),
+           st.sampled_from([np.int32, np.int64]))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_one_mean_equals_the_column_loop(self, seed, k, dtype):
+        # the sums accumulate left to right, so the vectorised mean keeps the
+        # column loop's floats bit for bit
+        rng = np.random.default_rng(seed)
+        n = k + int(rng.integers(1, 40))
+        w = np.minimum(10.0 ** rng.uniform(-12.0, 0.0, size=n), 0.999)
+        rows = np.sort(np.array([rng.choice(n, size=k, replace=False) for _ in range(5)],
+                                dtype=dtype).reshape(5, k), axis=1)
+        acc, prefix = np.zeros(5), np.zeros(5)
+        for a in range(1, k):
+            prefix += w[rows[:, a - 1]]
+            acc += w[rows[:, a]] * prefix
+        assert RankOne(w).within_mean(rows).tobytes() == acc.tobytes()
 
     def test_homogeneous_closed_forms(self):
         model = Homogeneous(10, 0.3)

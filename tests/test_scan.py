@@ -44,6 +44,7 @@ from plantedscan import (
     stat_unknown,
 )
 from plantedscan import scan as scan_module
+from plantedscan.model import _pair_index
 from plantedscan.scan import _blind_floor, _blind_mean, _scores
 from plantedscan.seeding import derive_seed, generator
 
@@ -623,9 +624,9 @@ class TestScanPlan:
         # the sizes scored exactly those whose own bound is not
         g, family, rows = case
         lo, hi = family.size_range(g.n)
-        counts_of = scan_module._Size.counts
+        counts_of, direct_of = scan_module._Size.counts, scan_module._Size.direct
         for model in (Homogeneous(g.n, 0.3), None):
-            seen, counted = {}, []
+            seen, counted, direct = {}, [], []
 
             def record(size, sample, counts, start, low=0):
                 rows_k = size.rows[start : start + len(counts)]
@@ -637,14 +638,25 @@ class TestScanPlan:
                 counted.append((size, counts))
                 return counts
 
+            def count_directly(size, sample, start, stop):
+                counts = direct_of(size, sample, start, stop)
+                direct.append((size.rows[start:stop], counts))
+                return counts
+
             plan = scan_module._plan.__wrapped__(family, g.n, model)
             extended = [k > max(lo, 2) for k in range(lo, hi + 1)]
             assert [size.starts is not None for size in plan] == extended
             assert [size.masks is not None for size in plan] == extended[1:] + [False]
             with mock.patch.object(scan_module, "_BATCH_ROWS", rows), \
                     mock.patch.object(scan_module._Size, "best", record), \
-                    mock.patch.object(scan_module._Size, "counts", count):
+                    mock.patch.object(scan_module._Size, "counts", count), \
+                    mock.patch.object(scan_module._Size, "direct", count_directly):
                 scan_module._run_plan(plan, g, keep_trace=False)
+            # every size or slice counted pair by pair, from held positions or
+            # not, gets the direct counts
+            for part_rows, counts in direct:
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, g._edges_within_rows(part_rows))
             live = [bool(size.bound.any()) for size in plan]
             reach = live[:]
             for j in reversed(range(len(plan) - 1)):
@@ -814,19 +826,23 @@ class TestScanPlan:
         assert (out.statistic, out.subset) == best and out.size_trace == trace
 
     def test_plan_memory_is_its_layers(self):
-        # the tables for sizes 17 and 18 of n = 20 take 92 kB; the size-10
-        # table alone would take 7.4 MB
+        # the tables for sizes 17 and 18 of n = 20 take 92 kB and the pair
+        # positions of size 17 1.2 MB; the size-10 table alone would take 7.4 MB
         tracemalloc.start()
         try:
             plan = scan_module._plan.__wrapped__(Exhaustive(17, 18), 20, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(layer.rows.nbytes for layer in plan)
+        held = sum(array.nbytes for layer in plan
+                   for array in (layer.rows, layer.masks, layer.pairs) if array is not None)
         assert [layer.rows.shape for layer in plan] == [(1140, 17), (190, 18)]
         # size 18 is counted from size 17: one mask word per size-17 row
         assert [layer.masks is not None and layer.masks.shape for layer in plan] == [
             (1140, 1), False]
+        # size 17 is counted directly, from the positions of its 136 pairs per row
+        assert [layer.pairs is not None and layer.pairs.shape for layer in plan] == [
+            (1140, 136), False]
         assert peak < 2 * held
 
 
@@ -1146,7 +1162,8 @@ class TestPruning:
         model = RankOne(np.random.default_rng(0).uniform(0.05, 0.45, size=40))
         for g in (sample_null(model, 1), random_graph(40, 1.0, 0)):
             with mock.patch.object(scan_module._Size, "counts", fail), \
-                    mock.patch.object(GraphSample, "_edges_within_rows", fail):
+                    mock.patch.object(GraphSample, "_edges_within_rows", fail), \
+                    mock.patch.object(GraphSample, "_pair_counts", fail):
                 traced = scan_unknown(g, ScanConfig(r=4), keep_trace=True)
                 untraced = scan_unknown(g, ScanConfig(r=4))
             for out in (traced, untraced):
@@ -1188,3 +1205,127 @@ class TestPruning:
             assert out.size_trace == (ref_trace if keep_trace else None)
             assert out.metadata["subsets_evaluated"] == len(candidates)
             assert counted == [2, 3, 4] and set(scored) == {4}
+
+
+@st.composite
+def held_position_cases(draw):
+    """A rank-one model and a graph on n <= 64 or 65..130 vertices; an
+    Exhaustive family (first size up to 4, at most 100,000 subsets),
+    WeightPrefix or Explicit family; a slice size of 1, 3 or the default
+    (1 and 3 only where that makes at most 20,000 slices); and a position
+    cap of 0, a few hundred pairs or the default."""
+    n = draw(st.integers(5, 64) | st.integers(65, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = RankOne(rng.uniform(0.05, 0.8, size=n))
+    kind = draw(st.sampled_from(["exhaustive", "weight_prefix", "explicit"]))
+    if kind == "exhaustive":
+        lo = draw(st.integers(1, 4))
+        while math.comb(n, lo) > 100_000:
+            lo -= 1
+        hi = lo
+        while hi < min(lo + 2, n - 1) and sum(math.comb(n, k)
+                                              for k in range(lo, hi + 2)) <= 100_000:
+            hi += 1
+        family = Exhaustive(lo, draw(st.integers(lo, hi)))
+    elif kind == "weight_prefix":
+        lo = draw(st.integers(1, 4))
+        family = WeightPrefix(lo, draw(st.integers(lo, min(n - 1, 40))))
+    else:
+        family = Explicit(tuple(
+            tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, min(n - 1, 10) + 1)),
+                                           replace=False))
+            for _ in range(draw(st.integers(1, 40)))))
+    count = family.count(n)
+    rows = draw(st.sampled_from([b for b in (1, 3) if count <= 20_000 * b]
+                                + [scan_module._BATCH_ROWS]))
+    cap = draw(st.just(0) | st.integers(1, 300) | st.just(scan_module._PAIR_BLOCK))
+    g = random_graph(n, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])), int(rng.integers(2**32)))
+    return model, g, family, rows, cap
+
+
+class TestHeldPositions:
+    """A plan holds the pair positions of each size it counts directly, in
+    plan order while they fit its cap; the sizes past it compute theirs per
+    slice, and either way every count is the direct one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(held_position_cases())
+    @example((RankOne(np.linspace(0.1, 0.7, 70)), random_graph(70, 0.5, 1),
+              Exhaustive(3, 4), scan_module._BATCH_ROWS, 60_000))
+    @example((RankOne(np.linspace(0.1, 0.7, 40)), random_graph(40, 0.3, 2),
+              Exhaustive(3, 4), scan_module._BATCH_ROWS, scan_module._PAIR_BLOCK))
+    def test_counts_are_the_direct_counts(self, case):
+        model, g, family, rows, cap = case
+        n = g.n
+        # the position of each pair (i, j), i < j, in lexicographic order
+        where = np.full((n, n), -1, dtype=np.int64)
+        where[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+        plans = [model] + ([] if isinstance(family, WeightPrefix) else [None])
+        with mock.patch.object(scan_module, "_PAIR_BLOCK", cap):
+            plans = [(m, scan_module._plan.__wrapped__(family, n, m)) for m in plans]
+        for m, plan in plans:
+            room = cap
+            for size in plan:
+                k = size.rows.shape[1]
+                need = len(size.rows) * (k * (k - 1) // 2)
+                # held in plan order while they fit; never for an extended size
+                assert (size.pairs is not None) == (size.starts is None and need <= room)
+                if size.pairs is None:
+                    continue
+                room -= need
+                a, b = np.triu_indices(k, 1)
+                assert size.pairs.dtype == np.int64 and not size.pairs.flags.writeable
+                assert np.array_equal(size.pairs, where[size.rows[:, a], size.rows[:, b]])
+            assert sum(s.pairs.size for s in plan if s.pairs is not None) <= cap
+            with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
+                for size in plan:
+                    if size.starts is not None:
+                        continue
+                    for lo in range(0, len(size.rows), rows):
+                        counts = size.direct(g, lo, lo + rows)
+                        assert counts.dtype == np.int64
+                        assert np.array_equal(counts, g._edges_within_rows(size.rows[lo:lo + rows]))
+            # and every count the scan scores, held or not, is the direct one
+            best = scan_module._Size.best
+            scored = []
+
+            def record(size, sample, counts, lo, low=0):
+                scored.append((size.rows[lo : lo + len(counts)], counts))
+                return best(size, sample, counts, lo, low)
+
+            with mock.patch.object(scan_module, "_BATCH_ROWS", rows), \
+                    mock.patch.object(scan_module._Size, "best", record):
+                outcome = scan_module._run_plan(plan, g, keep_trace=True)
+            for part_rows, counts in scored:
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, g._edges_within_rows(part_rows))
+            # the positions held change no outcome
+            default = scan_module._plan.__wrapped__(family, n, m)
+            assert scan_module._run_plan(default, g, keep_trace=True) == outcome
+
+    def test_positions_at_the_vertex_cap(self):
+        # at n = 2^16 the last pairs' positions pass 2^31; no graph is sampled
+        n = 1 << 16
+        top = (n - 3, n - 2, n - 1)
+        family = Explicit(((0, n - 1), (1, 2, n - 1), top))
+        model = RankOne(np.linspace(0.01, 0.5, n))  # the last vertices are the heaviest
+        for fam, m in ((family, model), (family, None), (WeightPrefix(2, 3), model)):
+            plan = scan_module._plan.__wrapped__(fam, n, m)
+            rows = plan[-1].rows
+            assert rows[-1].tolist() == list(top)
+            expected = [[int(_pair_index(n, np.int64(i), np.int64(j)))
+                         for i, j in itertools.combinations(row, 2)] for row in rows.tolist()]
+            assert plan[-1].pairs.tolist() == expected
+            assert expected[-1][-1] == n * (n - 1) // 2 - 1
+        # an int32 table, as exhaustive sizes come, is widened before its arithmetic
+        table = np.array([top], dtype=np.int32)
+        assert scan_module._held_positions(n, table).tolist() == expected[-1:]
+
+    def test_weight_prefix_plan_holds_at_most_the_cap(self):
+        # sizes 1 .. 2000 have about 1.3e9 pairs in all: the plan holds those
+        # of sizes 1 .. 184, C(185, 3) positions, and no more
+        model = RankOne(np.linspace(0.01, 0.5, 4000))
+        plan = scan_module._plan.__wrapped__(WeightPrefix(1, 2000), 4000, model)
+        held = [size.pairs.size for size in plan if size.pairs is not None]
+        assert sum(held) == math.comb(185, 3) <= scan_module._PAIR_BLOCK
+        assert len(held) == 184 and all(size.pairs is None for size in plan[184:])
