@@ -183,8 +183,9 @@ def _pair_positions(n: int, rows: np.ndarray, a, b) -> np.ndarray:
 def _read_bits(packed: np.ndarray, pos):
     """The bits (1 or 0) at triangle positions pos, an integer or an integer
     array, of a packed triangle, which np.packbits lays out with position t
-    at bit 7 - t % 8 of byte t // 8."""
-    return packed[pos >> 3] >> (~pos & 7) & 1
+    at bit 7 - t % 8 of byte t // 8; uint8, the shift taken from the low
+    byte of pos."""
+    return packed[pos >> 3] >> (~np.asarray(pos).astype(np.uint8) & 7) & 1
 
 
 def _set_bits(packed: np.ndarray, pos: np.ndarray) -> None:
@@ -199,7 +200,9 @@ class EdgeProbabilityModel:
       pair_probability(i, j)  p_ij for integer arrays i, j (no checks);
       row_probabilities(i)    p_ij for j > i: the row segments that fill each
                               block of pairs the sampler draws (Homogeneous
-                              compares every block with its scalar p);
+                              compares every block with its scalar p), through
+                              _fill_row, which a model may override to write
+                              a segment without building the row;
       within_mean(rows)       E0[e(D)] for each row of an (m, k) array of
                               sorted subsets;
       across_mean(d)          E0[e(D, V \\ D)] for a sorted subset, 0 < |D| < n;
@@ -214,6 +217,10 @@ class EdgeProbabilityModel:
     def probability(self, i: int, j: int) -> float:
         _check_pair(self.n, i, j)
         return float(self.pair_probability(i, j))
+
+    def _fill_row(self, i: int, lo: int, hi: int, out: np.ndarray) -> None:
+        """Write row_probabilities(i)[lo:hi] into out."""
+        out[...] = self.row_probabilities(i)[lo:hi]
 
     @cached_property
     def _triangle_probabilities(self) -> np.ndarray:
@@ -318,6 +325,9 @@ class RankOne(EdgeProbabilityModel):
 
     def row_probabilities(self, i: int) -> np.ndarray:
         return self.weights[i] * self.weights[i + 1 :]
+
+    def _fill_row(self, i: int, lo: int, hi: int, out: np.ndarray) -> None:
+        np.multiply(self.weights[i], self.weights[i + 1 + lo : i + 1 + hi], out=out)
 
     def within_mean(self, rows: np.ndarray) -> np.ndarray:
         # sum over columns a of w_a * (w_0 + ... + w_{a-1}): every term is
@@ -598,7 +608,7 @@ class GraphSample:
     def _pair_counts(self, pos: np.ndarray) -> np.ndarray:
         """The int64 row sums of the edge bits at the triangle positions of
         an (m, p) int64 array: one gather of packed bits and one sum."""
-        return _read_bits(self.packed, pos).sum(axis=1)
+        return _read_bits(self.packed, pos).sum(axis=1, dtype=np.int64)
 
     def pair_index(self, i: int, j: int) -> int:
         if i > j:
@@ -664,7 +674,7 @@ def _row_fill(model: EdgeProbabilityModel, pairs: int,
               block: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """(s, e, p) for each block triangle positions [s, e), with p the p_ij
     of those positions in one reused buffer filled row segment by row
-    segment from row_probabilities, so no array of all the pairs is built."""
+    segment by the model's _fill_row, so no array of all the pairs is built."""
     n = model.n
     buf = np.empty(min(block, pairs))
     i, start = 0, 0  # the row holding position s, and the row's first position
@@ -674,7 +684,7 @@ def _row_fill(model: EdgeProbabilityModel, pairs: int,
         while at < e:
             end = start + n - 1 - i
             hi = min(e, end)
-            buf[at - s : hi - s] = model.row_probabilities(i)[at - start : hi - start]
+            model._fill_row(i, at - start, hi - start, buf[at - s : hi - s])
             at = hi
             if hi == end:
                 i, start = i + 1, end
@@ -685,9 +695,10 @@ def _sample_triangle(model: EdgeProbabilityModel, seed: int,
                      alt: PlantedAlternative | None) -> np.ndarray:
     """The sampled triangle packed as GraphSample.packed: pair t is an edge
     when the t-th uniform of the seed's stream is below its p_ij, or below
-    rho * p_ij inside a planted community.  A reused bool buffer holds each
-    block from its first byte's start (bits the block before drew) and is
-    packed into place; the next block packs a partial last byte again."""
+    rho * p_ij inside a planted community.  Each block after the first draws
+    its uniforms into the first block's array.  A reused bool buffer holds
+    each block from its first byte's start (bits the block before drew) and
+    is packed into place; the next block packs a partial last byte again."""
     if _number("seed", seed, int) < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     n = model.n
@@ -703,7 +714,7 @@ def _sample_triangle(model: EdgeProbabilityModel, seed: int,
     # with PCG64, random(a) then random(b) draws what random(a + b) does, so
     # the block size leaves the stream as it was
     for s, e, p in _probability_blocks(model, pairs):
-        u = rng.random(e - s)
+        u = rng.random(e - s) if s == 0 else rng.random(out=u[: e - s])
         base = s & ~7  # buf[0] is position base
         bits = buf[s - base : e - base]
         np.less(u, p, out=bits)
@@ -758,13 +769,34 @@ def expected_total_null(model: EdgeProbabilityModel) -> float:
 # -- interchange formats ------------------------------------------------------
 
 
+def _digit_table(n: int) -> np.ndarray:
+    """(n, W) uint8: row v holds the ASCII decimal digits of v, W those of
+    n - 1, right-aligned behind zero bytes."""
+    width = len(str(n - 1))
+    v = np.arange(n)[:, None]
+    scale = 10 ** np.arange(width - 1, -1, -1)
+    table = (v // scale % 10 + ord("0")).astype(np.uint8)
+    table[(v < scale) & (scale > 1)] = 0  # leading zeros; 0 itself keeps its digit
+    return table
+
+
 def write_edge_list(sample: GraphSample, path: str | os.PathLike) -> None:
     """Text format: first line "n m", then one "i j" line per edge with
-    0 <= i < j < n in lexicographic order."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{sample.n} {sample.total_edges()}\n")
+    0 <= i < j < n in lexicographic order.  Each block of edges is written
+    as one byte array: the digit-table rows of i and j around a space and a
+    newline, with the table's zero padding dropped."""
+    table = _digit_table(sample.n)
+    width = table.shape[1]
+    with open(path, "wb") as fh:
+        fh.write(f"{sample.n} {sample.total_edges()}\n".encode("ascii"))
         for i, j in sample._edges():
-            fh.write(("%d %d\n" * i.size) % tuple(np.stack((i, j), axis=1).ravel().tolist()))
+            lines = np.empty((i.size, 2 * width + 2), dtype=np.uint8)
+            lines[:, :width] = table[i]
+            lines[:, width] = ord(" ")
+            lines[:, width + 1 : -1] = table[j]
+            lines[:, -1] = ord("\n")
+            flat = lines.reshape(-1)
+            fh.write(flat[flat != 0])
 
 
 def _edge_block(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -789,11 +821,11 @@ def _edge_block(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     return heads, tails
 
 
-def _edge_array(fh: TextIO, n: int, packed: np.ndarray) -> int | None:
+def _edge_array(fh: TextIO, n: int, packed: np.ndarray) -> np.ndarray | None:
     """Set the packed bit of each line of the rest of fh, parsed _READ_BLOCK
-    characters at a time by _edge_block: the number of lines, or None unless
-    it accepts all."""
-    lines = 0
+    characters at a time by _edge_block: the int64 vertex degrees the lines
+    give, or None unless it accepts all."""
+    deg = np.zeros(n, dtype=np.int64)
     rest = ""
     while text := fh.read(_READ_BLOCK):
         text = rest + text
@@ -802,11 +834,12 @@ def _edge_array(fh: TextIO, n: int, packed: np.ndarray) -> int | None:
         if edges is None:
             return None
         _set_bits(packed, _pair_index(n, *edges))
-        lines += edges[0].size
+        for ends in edges:
+            deg += np.bincount(ends, minlength=n)
         rest = text[cut:]
     if rest:  # an unterminated last line
         return None
-    return lines
+    return deg
 
 
 def _edge_lines(lines: Iterable[str], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -844,7 +877,8 @@ def _edge_positions(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
 
 def read_edge_list(path: str | os.PathLike) -> GraphSample:
     """Inverse of write_edge_list; the result carries hypothesis "imported".
-    Any fault in reading the file is a ValidationError."""
+    Any fault in reading the file is a ValidationError.  A file the array
+    parse reads whole also gives the graph its degrees."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().split()
@@ -854,21 +888,28 @@ def read_edge_list(path: str | os.PathLike) -> GraphSample:
                 raise ValidationError(f"malformed header {header!r}; expected 'n m'") from exc
             _check_vertex_count(n)
             packed = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
-            if (count := _edge_array(fh, n, packed)) != np.bitwise_count(packed).sum():
+            deg = _edge_array(fh, n, packed)
+            count = None if deg is None else int(deg.sum()) // 2
+            if count != np.bitwise_count(packed).sum():
                 # a line it rejects (None) or a repeated pair: read again line by
                 # line, naming the first fault; the bits set so far stay right
                 fh.seek(0)
                 fh.readline()
                 idx = _edge_positions(n, *_edge_lines(fh, n))
                 _set_bits(packed, idx)
-                count = idx.size
+                count, deg = idx.size, None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"edge list {path} is not ASCII text") from exc
     except OSError as exc:
         raise ValidationError(f"cannot read edge list {path}: {exc.strerror}") from exc
     if count != m:
         raise ValidationError(f"header claims {m} edges, file has {count}")
-    return GraphSample(n, packed, None, "imported", sampler="file-import")
+    graph = GraphSample(n, packed, None, "imported", sampler="file-import")
+    if deg is not None:
+        # stored where the cached property keeps its value
+        deg.flags.writeable = False
+        graph.__dict__["_degrees"] = deg
+    return graph
 
 
 def _format_cell(value) -> str:

@@ -300,6 +300,22 @@ class TestBlockSampler:
                 assert np.array_equal(planted.packed,
                                       np.packbits(row_loop_triangle(model, again, alt)))
 
+    @pytest.mark.parametrize("kind", ["rank_one", "general"])
+    def test_two_block_triangle_matches_the_row_loop(self, kind):
+        # n = 400 has 79,800 pairs: two blocks at the default block size, so
+        # rows are filled in place, cut between the blocks, and the second
+        # block's uniforms are drawn into the first block's array
+        assert 400 * 399 // 2 > model_module._SAMPLE_BLOCK
+        model = random_model(kind, 400, np.random.default_rng(4))
+        c = (0, 17, 180, 181, 399)
+        alt = PlantedAlternative(c, 1.0 / model.max_pair_within(np.array(c))[0], model)
+        for seed in (0, 11):
+            assert np.array_equal(sample_null(model, seed).packed,
+                                  np.packbits(row_loop_triangle(model, seed, None)))
+            assert np.array_equal(sample_alternative(model, alt, seed).packed,
+                                  np.packbits(row_loop_triangle(model, seed, alt)))
+        assert "_triangle_probabilities" not in model.__dict__
+
     def test_alternative_built_on_another_model_is_rebound(self):
         # the community is lifted against the sampled model's probabilities,
         # and rho * p <= 1 is checked against them
@@ -660,9 +676,26 @@ class TestInterchange:
         assert np.array_equal(read_edge_list(path).packed, original.packed)
 
     @pytest.mark.parametrize("kind, n", [
-        ("homogeneous", 1), ("homogeneous", 2), ("rank_one", 40), ("general", 23)])
-    def test_edge_list_bytes_are_one_line_per_edge(self, tmp_path, kind, n):
-        sample = sample_null(random_model(kind, n, generator(n)), 9)
+        ("homogeneous", 1), ("homogeneous", 2), ("rank_one", 40), ("general", 23),
+        ("homogeneous", 10), ("rank_one", 11), ("general", 101), ("rank_one", 1001),
+        ("dense", 60)])
+    def test_edge_list_bytes_are_one_line_per_edge(self, tmp_path, monkeypatch, kind, n):
+        # n = 11, 101 and 1001 each add a digit to the widest vertex; from
+        # n = 10 on, edges among vertices 0, 9, 10, 99, 100 and n - 1 put
+        # numbers of every width at both ends of a line.  The dense graph is
+        # unpacked in blocks of 7 triangle positions, which split rows.
+        if kind == "dense":
+            monkeypatch.setattr(model_module, "_PAIR_BLOCK", 7)
+            model = Homogeneous(n, 0.9)
+        else:
+            model = random_model(kind, n, generator(n))
+        sample = sample_null(model, 9)
+        if n >= 10:
+            bits = np.unpackbits(sample.packed, count=sample.pair_count)
+            ends = sorted({v for v in (0, 9, 10, 99, 100, n - 1) if v < n})
+            for i, j in itertools.combinations(ends, 2):
+                bits[sample.pair_index(i, j)] = 1
+            sample = GraphSample(n, np.packbits(bits), 9, "null")
         path = tmp_path / "g.txt"
         write_edge_list(sample, path)
         adj = sample.adjacency_matrix()
@@ -787,6 +820,45 @@ class TestInterchange:
             tracemalloc.stop()
         assert np.array_equal(got.packed, sample.packed)
         assert peak < 2 * (1500 * 1499 // 2)
+
+    def test_edge_list_writer_holds_one_block(self, tmp_path, monkeypatch):
+        # each block of 2^14 triangle positions is written as it is formatted,
+        # so nothing of the size of the file or of its edge count is held
+        monkeypatch.setattr(model_module, "_PAIR_BLOCK", 1 << 14)
+        sample = sample_null(Homogeneous(1500, 0.5), 0)
+        path = tmp_path / "g.txt"
+        tracemalloc.start()
+        try:
+            write_edge_list(sample, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4 * 10**6
+        # one block: at most 2^14 lines of 10 bytes, and 8-byte arrays of its
+        # positions and edges
+        assert peak < 1 << 20
+        assert np.array_equal(read_edge_list(path).packed, sample.packed)
+
+    @pytest.mark.parametrize("block", [7, 1 << 20])
+    def test_read_degrees_are_the_graph_degrees(self, tmp_path, monkeypatch, block):
+        # the array parse counts each line's ends as it reads them; a file
+        # it does not read whole (an unterminated last line) goes to the
+        # line loop, and its graph counts its degrees when first asked
+        monkeypatch.setattr(model_module, "_READ_BLOCK", block)
+        original = sample_null(RankOne(np.linspace(0.1, 0.6, 60)), 3)
+        path = tmp_path / "g.txt"
+        write_edge_list(original, path)
+        want = original.adjacency_matrix().sum(axis=1)
+        got = read_edge_list(path)
+        kept = got.__dict__["_degrees"]
+        assert kept.dtype == np.int64 and not kept.flags.writeable
+        assert np.array_equal(kept, want)
+        path.write_text(path.read_text().rstrip("\n"))
+        got = read_edge_list(path)
+        assert "_degrees" not in got.__dict__
+        assert got._degrees.dtype == np.int64
+        assert np.array_equal(got._degrees, want)
+        assert [got.degree(v) for v in range(60)] == want.tolist()
 
     def test_edge_list_missing_path(self, tmp_path):
         with pytest.raises(ValidationError,
