@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import entropy_h, entropy_h_inverse
-from .model import EdgeProbabilityModel, _best_prefix, _norm, check_subset, write_csv
+from .model import EdgeProbabilityModel, _best_prefix, _norm, _number, check_subset, write_csv
 
 __all__ = [
     "Degenerate",
@@ -332,6 +332,14 @@ def optimal_subgraph(model: EdgeProbabilityModel, community: Iterable[int],
     return OptimalSubgraph(*model.optimal_subgraph(c, budget))
 
 
+def _check_target(target: float) -> float:
+    """target as a float, finite and >= 0; ValidationError otherwise."""
+    target = float(target)
+    if target < 0 or not math.isfinite(target):
+        raise ValidationError(f"target must be finite and >= 0, got {target}")
+    return target
+
+
 def threshold_scaling(model: EdgeProbabilityModel, community: Iterable[int],
                       target: float = 1.0,
                       budget: int = DEFAULT_SUBSET_BUDGET) -> BoundaryResult:
@@ -342,9 +350,7 @@ def threshold_scaling(model: EdgeProbabilityModel, community: Iterable[int],
     probability inside C at most 1; an infeasible rho* means the community
     cannot reach the boundary inside the model's probability range.
     """
-    target = float(target)
-    if target < 0 or not math.isfinite(target):
-        raise ValidationError(f"target must be finite and >= 0, got {target}")
+    target = _check_target(target)
     opt = optimal_subgraph(model, community, budget)
     if opt.mean_edges <= 0.0:
         raise ValidationError(
@@ -466,6 +472,10 @@ def quantile_boundary(dist: WeightDistribution, *, r: int | None = None,
     target = float(target)
     if target <= 0 or not math.isfinite(target):
         raise ValidationError(f"target must be finite and > 0, got {target}")
+    if n is not None:
+        n = _number("n", n, int)
+        if n < 1:
+            raise ValidationError(f"n must be >= 1, got {n}")
     if denominator is None:
         denominator = "alpha" if n is None else "per_size"
     if denominator == "alpha":
@@ -607,6 +617,7 @@ def boundary_surface(n: int, class_weights: Sequence[float],
         raise ValidationError(f"class weights must be strictly decreasing, got {ws}")
     if denominator not in ("log_n", "per_size"):
         raise ValidationError(f"denominator must be 'log_n' or 'per_size', got {denominator!r}")
+    target = _check_target(target)
     if compositions is None:
         if r is None:
             raise ValidationError("either compositions or r must be given")

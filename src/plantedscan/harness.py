@@ -345,7 +345,7 @@ def run_sweep(base: Mapping, grid: Mapping[str, Sequence], out_dir: str | os.Pat
     pure function of base, grid, and kind.  An empty grid axis produces a
     header-only CSV.
     """
-    if kind not in _POINT_KINDS:
+    if not isinstance(kind, str) or kind not in _POINT_KINDS:
         raise ValidationError(f"kind must be one of {sorted(_POINT_KINDS)}, got {kind!r}")
     for key, value in (("base", base), ("grid", grid)):
         if not isinstance(value, Mapping):

@@ -88,8 +88,21 @@ def _check_vertex_count(n: int) -> int:
 
 
 def check_subset(n: int, subset: Iterable[int]) -> np.ndarray:
-    """Sorted int64 array of distinct vertex ids in [0, n); ValidationError otherwise."""
-    d = np.asarray(sorted(subset), dtype=np.int64)
+    """Sorted int64 array of distinct vertex ids in [0, n); ValidationError otherwise.
+
+    A one-dimensional integer array is taken as it is; any other iterable
+    vertex by vertex, each an integer (not a bool, a float or a string)."""
+    if isinstance(subset, np.ndarray) and subset.ndim == 1 and subset.dtype.kind in "iu":
+        d = np.sort(subset.astype(np.int64))
+    else:
+        try:
+            d = np.array(sorted(_number("subset vertex", v, int) for v in subset), np.int64)
+        except TypeError:
+            msg = f"subset must be an iterable of vertex ids, got {subset!r}"
+            raise ValidationError(msg) from None
+        except OverflowError:
+            msg = f"subset {subset!r} has a vertex out of range for n={n}"
+            raise ValidationError(msg) from None
     _check_rows(n, d[None, :])
     return d
 
@@ -589,9 +602,10 @@ class GraphSample:
 
     def _edges_within_rows(self, rows: np.ndarray) -> np.ndarray:
         """e(D) for every row of an (m, k) array of row-sorted subsets: one
-        count of the rows' pair bits per _PAIR_BLOCK positions (or one head
-        column's pairs of one row), the pair columns (a, b), a < b, taken
-        _PAIR_BLOCK // k head columns a at a time so that none grows as k^2."""
+        count of the rows' pair bits per _PAIR_BLOCK positions and at most
+        _BATCH_ROWS rows (or one head column's pairs of one row), the pair
+        columns (a, b), a < b, taken _PAIR_BLOCK // k head columns a at a
+        time so that none grows as k^2."""
         m, k = rows.shape
         v = np.arange(k)
         counts = np.zeros(m, dtype=np.int64)
@@ -599,7 +613,7 @@ class GraphSample:
         for h in range(0, k - 1, heads_per):
             a, b = np.nonzero(v[h : h + heads_per, None] < v)  # lexicographic
             a += h
-            step = max(1, _PAIR_BLOCK // a.size)
+            step = max(1, min(_BATCH_ROWS, _PAIR_BLOCK // a.size))
             for s in range(0, m, step):
                 pos = _pair_positions(self.n, rows[s : s + step], a, b)
                 counts[s : s + step] += self._pair_counts(pos)

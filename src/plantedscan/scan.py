@@ -18,33 +18,32 @@ validated rows (lexicographic), their null means (known-probability scans
 only), the normaliser |D| ln(n/|D|) and the blind floor.  A plan is built
 on first use for its (family, n, model) and reused by later scans while it
 is among the few most recent; models and families are immutable, so a
-cached plan cannot go stale.  Per graph, an exhaustive size above the
-plan's first and above 2 is counted from the size below, one popcount of
-the head's adjacency row against each extended subset's vertex mask; the
-scan keeps those counts for at most two consecutive sizes.  Every other
+cached plan cannot go stale.  Per graph, the scan takes each size once: it
+counts all of the size's rows, then scores them.  An exhaustive size above
+the plan's first and above 2 is counted from the size below, one popcount
+of the head's adjacency row against each extended subset's vertex mask;
+the scan keeps those counts for at most two consecutive sizes.  Every other
 size counts its rows' pairs directly: the plan holds the triangle positions
 of those pairs, sizes in plan order while they fit _PAIR_BLOCK positions in
-all, so that such a count is one gather of packed bits and one row sum per
-slice; a size past that cap computes its positions slice by slice.  The scan
-scores each size in slices of at most 32,768 rows.  A row whose count
-exceeds a positive mean is hot and scores its kernel value, which is
-positive; every other row scores 0.0.  At a fixed count the statistic
-falls as the mean rises, so each plan size holds a bound table: for each
-count c = 0..C(k, 2), the score of c at the size's least positive null
-mean or, blind, at the floor, which no blind mean is below, made
-nondecreasing in c and raised by a relative 1e-9.  No row with count c
-scores above bound[c].  A slice scores only the rows whose count reaches
-the table's first entry above the running best (at least 0.0): it yields
-their first strict maximum and its row, (0.0, 0) when none is hot,
+all, so that such a count is one gather of packed bits and one row sum; a
+size past that cap computes its positions, at most _BATCH_ROWS rows per
+gather.  A row whose count exceeds a positive mean is hot and scores its
+kernel value, which is positive; every other row scores 0.0.  At a fixed
+count the statistic falls as the mean rises, so each plan size holds a
+bound table: for each count c = 0..C(k, 2), the score of c at the size's
+least positive null mean or, blind, at the floor, which no blind mean is
+below, made nondecreasing in c and raised by a relative 1e-9.  No row with
+count c scores above bound[c].  A size scores only the rows whose count
+reaches the table's first entry above the running best (at least 0.0): it
+yields their first maximum and its row, (0.0, 0) when none is hot,
 evaluating the kernel on their hot rows only and, blind, gathering degree
-sums and estimating means for those rows only.  A slice without such a
-row is not counted, and a size is not counted at all when its table and
-those of the sizes that extend from it stay at or below the best; at
-n = 40 the blind floor exceeds C(k, 2) for every k <= 5, so a default
-blind scan with r <= 5 counts nothing.  The rows left out cannot beat the
-best, so the first strict maximum in plan order still wins, which breaks
-ties toward the smaller subset, then the lexicographically smallest
-vertex tuple, independent of slice boundaries.
+sums and estimating means for those rows only.  A size whose table stays at
+or below the best is not scored, and not counted either unless a size that
+extends from it can beat the best; at n = 40 the blind floor exceeds
+C(k, 2) for every k <= 5, so a default blind scan with r <= 5 counts
+nothing.  The rows left out cannot beat the best, so the first strict
+maximum in plan order still wins, which breaks ties toward the smaller
+subset, then the lexicographically smallest vertex tuple.
 The one-subset statistic functions score a one-row size the same way, so
 a scan outcome is bit-for-bit reproducible subset by subset.
 """
@@ -90,7 +89,9 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # vertex mask per row of an exhaustive size that a larger one extends, plus
 # a bound table of C(k, 2) + 1 floats per size (one float where that would
 # outnumber the size's k m vertex entries), plus 8 bytes per pair position
-# held, at most _PAIR_BLOCK positions (8 MiB) per plan
+# held, at most _PAIR_BLOCK positions (8 MiB) per plan.  A scan holds besides
+# 8 bytes of count per row of the size it scores (and of the size below
+# while it extends that size) and the kernel's temporaries for its hot rows
 _PLAN_CACHE_SIZE = 2
 
 
@@ -332,7 +333,7 @@ class _Size:
     the size below from starts[a] on.  A scan then counts them from that
     size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask.  Any
     other size is counted pair by pair, at the triangle positions pairs
-    holds or, past the plan's cap, at positions computed per slice.
+    holds or, past the plan's cap, at positions computed when counted.
 
     bound is nondecreasing, and on every graph no row whose count is c
     scores above bound[min(c, len(bound) - 1)] (see _bound).
@@ -347,19 +348,14 @@ class _Size:
     masks: np.ndarray | None = None        # (m, ceil(n/64)) uint64 if the next size extends this
     pairs: np.ndarray | None = None        # (m, C(k, 2)) int64 pair positions, read-only, if held
 
-    def direct(self, sample: GraphSample, lo: int, hi: int) -> np.ndarray:
-        """e(D) of the rows lo .. hi counted pair by pair: one gather at the
-        held positions, else at positions computed now."""
-        if self.pairs is None:
-            return sample._edges_within_rows(self.rows[lo:hi])
-        return sample._pair_counts(self.pairs[lo:hi])
-
-    def counts(self, sample: GraphSample, below: tuple | None) -> np.ndarray | None:
-        """e(D) of every row of a size that extends the one below (whose
-        counts and masks below holds) or that the next size extends; None
-        for any other size, which the scan counts one slice at a time."""
+    def counts(self, sample: GraphSample, below: tuple | None) -> np.ndarray:
+        """e(D) of every row on sample: from the counts and masks of the size
+        below, which below holds, where this size extends it; else pair by
+        pair, one gather at the held positions or at positions computed now."""
         if self.starts is None:
-            return None if self.masks is None else self.direct(sample, 0, len(self.rows))
+            if self.pairs is None:
+                return sample._edges_within_rows(self.rows)
+            return sample._pair_counts(self.pairs)
         counts_k, masks_k = below
         adj = sample._adjacency_rows
         m = len(counts_k)
@@ -379,25 +375,26 @@ class _Size:
             at = block.stop
         return counts
 
-    def best(self, sample: GraphSample, counts: np.ndarray, lo: int,
-             low: int = 0) -> tuple[float, int]:
-        """The first strict maximum of the statistic over the rows lo .. lo +
-        len(counts) whose e(D) on sample, counts, is at least low, and its
-        row counted from lo; (0.0, 0) when none of them is hot.  Rows score
-        _scores against the null means or, blind, against
-        max(_blind_mean(e(V), sum deg(D) - 2 e(D)), floor), with sum deg(D)
-        gathered for those rows only."""
+    def best(self, sample: GraphSample, counts: np.ndarray, low: int = 0) -> tuple[float, int]:
+        """The first maximum of the statistic over the rows whose e(D) on
+        sample, counts, is at least low, and its row; (0.0, 0) when none of
+        them is hot.  Rows score _scores against the null means or, blind,
+        against max(_blind_mean(e(V), sum deg(D) - 2 e(D)), floor), with
+        sum deg(D) gathered for those rows only."""
         near = np.flatnonzero(counts >= low)
         if not near.size:
             return 0.0, 0
         counts = counts[near]
         if self.means is None:
-            cross = sample._degrees[self.rows[lo + near]].sum(axis=1) - 2 * counts
+            cross = sample._degrees[self.rows[near]].sum(axis=1) - 2 * counts
             means = np.maximum(_blind_mean(float(sample.total_edges()), cross), self.floor)
         else:
-            means = self.means[lo + near]
-        top, i = _first_hot_max(counts, means, self.norm)
-        return (top, int(near[i])) if top > 0.0 else (0.0, 0)
+            means = self.means[near]
+        # a hot row's count / mean - 1 is at least one ulp of 1.0 (its count
+        # is an integer), so it scores above the 0.0 of every cold row
+        scores = _scores(counts, means, self.norm)
+        i = int(scores.argmax())
+        return (float(scores[i]), int(near[i])) if scores[i] > 0.0 else (0.0, 0)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -465,20 +462,6 @@ def _scores(counts: np.ndarray, means: np.ndarray, norm: float) -> np.ndarray:
     return out
 
 
-def _first_hot_max(counts: np.ndarray, means: np.ndarray, norm: float) -> tuple[float, int]:
-    """The first maximum of _scores(counts, means, norm) and its index,
-    scoring the hot rows only, with _scores' floats; (0.0, 0) when no row
-    is hot.  A hot row's count / mean - 1 is at least one ulp of 1.0 (its
-    count is an integer), so it scores above the 0.0 of every cold row."""
-    hot = np.flatnonzero((counts > means) & (means > 0.0))
-    if not hot.size:
-        return 0.0, 0
-    mu = means[hot]
-    scores = mu * entropy_h_vec(counts[hot] / mu - 1.0) / norm
-    i = int(scores.argmax())
-    return float(scores[i]), int(hot[i])
-
-
 # the bound table of a size that keeps none: it rules no row out
 _NO_BOUND = np.array([np.inf])
 _NO_BOUND.flags.writeable = False
@@ -523,21 +506,21 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
     rows = d[None, :]
     size = _Size(rows, model.within_mean(rows), _norm(sample.n, d.size), None, _NO_BOUND)
-    return size.best(sample, sample._edges_within_rows(rows), 0)[0]
+    return size.best(sample, sample._edges_within_rows(rows))[0]
 
 
 def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
               keep_trace: bool) -> tuple[float, tuple[int, ...], dict | None, int]:
-    """First strict maximum in plan order of the best rows of the sizes'
-    slices of at most _BATCH_ROWS rows on sample.
+    """First strict maximum in plan order of the sizes' best rows on sample,
+    each size counted and scored once.
 
-    Only a row that scores above the running best (the size's own while
-    keeping the trace; at least 0.0, which every row scores) can change
-    the outcome, so a slice scores only the rows whose count the size's
-    bound table does not rule out.  A slice that has none is neither
-    counted nor scored, and stands as (0.0, 0), which is its exact best
-    row whenever the outcome can take it.  A size is not counted at all
-    when neither it nor a size that extends from it can beat the best."""
+    Only a row that scores above the running best (0.0 while keeping the
+    trace, which records each size's own best; else the overall best, at
+    least 0.0, which every row scores) can change the outcome, so a size
+    scores only the rows whose count its bound table does not rule out.  A
+    size that has none is not scored, and stands as (0.0, 0), which is its
+    exact best row whenever the outcome can take it; it is not counted
+    either unless a size that extends from it can beat the best."""
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
@@ -548,29 +531,19 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
     for j in range(len(plan) - 2, -1, -1):
         if plan[j + 1].starts is not None:
             reach[j] = max(reach[j], reach[j + 1])
-
-    def cut(k: int) -> float:
-        return trace.get(k, (0.0,))[0] if keep_trace else max(best_stat, 0.0)
-
     for size, top in zip(plan, reach):
-        m, k = size.rows.shape
-        evaluated += m
-        counts = size.counts(sample, below) if top > cut(k) else None
+        evaluated += len(size.rows)
+        cut = 0.0 if keep_trace else max(best_stat, 0.0)
+        counts = size.counts(sample, below) if top > cut else None
         # the counts of the size below are dropped here, once this size has its own
         below = None if size.masks is None else (counts, size.masks)
-        for lo in range(0, m, _BATCH_ROWS):
-            rows = size.rows[lo : lo + _BATCH_ROWS]
-            low = int(np.searchsorted(size.bound, cut(k), "right"))
-            mx, i = 0.0, 0
-            if low < len(size.bound):
-                part = (size.direct(sample, lo, lo + _BATCH_ROWS) if counts is None
-                        else counts[lo : lo + _BATCH_ROWS])
-                mx, i = size.best(sample, part, lo, low)
-            if mx > best_stat:
-                best_stat = mx
-                best_subset = tuple(int(v) for v in rows[i])
-            if keep_trace and (k not in trace or mx > trace[k][0]):
-                trace[k] = (mx, tuple(int(v) for v in rows[i]))
+        low = int(np.searchsorted(size.bound, cut, "right"))
+        mx, i = size.best(sample, counts, low) if low < len(size.bound) else (0.0, 0)
+        subset = tuple(int(v) for v in size.rows[i])
+        if mx > best_stat:
+            best_stat, best_subset = mx, subset
+        if keep_trace:
+            trace[size.rows.shape[1]] = (mx, subset)
     return best_stat, best_subset, (trace if keep_trace else None), evaluated
 
 
@@ -683,7 +656,7 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
     floor = _blind_floor(n, d.size)
     size = _Size(rows, None, _norm(n, d.size), floor, _NO_BOUND)
     # a count at or below the floor is cold, and needs no degree sum
-    return size.best(sample, sample._edges_within_rows(rows), 0, math.floor(floor) + 1)[0]
+    return size.best(sample, sample._edges_within_rows(rows), math.floor(floor) + 1)[0]
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,

@@ -340,6 +340,14 @@ class TestQuantileBoundary:
         with pytest.raises(ValidationError):
             quantile_boundary(Degenerate(s=0.1), target=0.0)
 
+    @pytest.mark.parametrize("regime", ["polylog", "quarter_power"])
+    @pytest.mark.parametrize("n", [0, -5, 2.0, "100", True])
+    def test_n_must_be_a_positive_integer(self, n, regime):
+        with pytest.raises(ValidationError, match="^n must be"):
+            quantile_boundary(Degenerate(s=0.1), n=n, regime=regime, denominator="alpha")
+        with pytest.raises(ValidationError, match="^n must be"):
+            quantile_boundary(Degenerate(s=0.1), n=n, regime=regime)
+
     def test_distribution_validation(self):
         with pytest.raises(ValidationError):
             Degenerate(s=-0.1)
@@ -430,6 +438,11 @@ class TestBoundarySurface:
         assert flips == 1
         assert labels[4] == "all classes"
         assert labels[5] == "largest only"
+
+    @pytest.mark.parametrize("target", [-1.0, float("nan"), float("inf")])
+    def test_target_is_checked_up_front(self, target):
+        with pytest.raises(ValidationError, match="^target must be finite and >= 0, got"):
+            boundary_surface(100, [0.5, 0.2], r=4, target=target)
 
     def test_three_weight_sweep_realizes_three_regimes(self):
         comps = [

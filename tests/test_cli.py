@@ -598,6 +598,40 @@ class TestRejectedArguments:
             "--gamma", "0.2"])
         assert "community holds all n=8 vertices" in err
 
+    @pytest.mark.parametrize("command", [["boundary"], ["audit", "--gamma", "0.2"]])
+    @pytest.mark.parametrize("community, message", [
+        (5, "subset must be an iterable of vertex ids, got 5"),
+        ([[0, 1], 2], "subset vertex must be an integer, got [0, 1]"),
+        ([0.5, 2], "subset vertex must be an integer, got 0.5"),
+    ], ids=["int", "nested", "float"])
+    def test_config_community_not_vertex_ids(self, capsys, tmp_path, command, community,
+                                             message):
+        cfg = write_json(tmp_path / "m.json", {**model_to_json(Homogeneous(10, 0.3)),
+                                               "community": community})
+        err = self.one_error_line(capsys, [command[0], "--config", cfg, *command[1:]])
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_table1_vertex_count(self, n):
+        proc = run_module(["table1", "--regime", "quarter_power", "--n", n])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: n must be >= 1, got {n}\n"
+
+    def test_surface_target_below_zero(self, capsys):
+        err = self.one_error_line(capsys, ["boundary", "--surface", "--weights", "0.5,0.2",
+                                           "--r", "4", "--n", "100", "--target", "-1"])
+        assert err == "error: target must be finite and >= 0, got -1.0\n"
+
+    def test_sweep_kind_not_a_name(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "sweep.json", {
+            "base": {"community": [0, 1, 2]}, "kind": ["boundary"],
+            "grid": {"model": [model_to_json(Homogeneous(64, 0.05))]},
+        })
+        out_dir = tmp_path / "o"
+        err = self.one_error_line(capsys, ["sweep", "--config", cfg, "--out", str(out_dir)])
+        assert err == "error: kind must be one of ['boundary', 'risk'], got ['boundary']\n"
+        assert not out_dir.exists()
+
     def test_sweep_grid_value_json_cannot_hold(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({

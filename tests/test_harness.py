@@ -354,6 +354,12 @@ class TestSweep:
         with pytest.raises(ValidationError, match="kind must be one of"):
             run_sweep(risk_base(), {"rho": [1.5]}, tmp_path / "s", kind="power")
 
+    @pytest.mark.parametrize("kind", [["risk"], {"risk": 1}, 3, None])
+    def test_kind_must_be_a_name(self, tmp_path, kind):
+        with pytest.raises(ValidationError, match="kind must be one of"):
+            run_sweep(risk_base(), {"rho": [1.5]}, tmp_path / "s", kind=kind)
+        assert not (tmp_path / "s").exists()
+
     def test_point_and_meta_files_are_whole_json_lines(self, tmp_path):
         out = tmp_path / "s"
         run_sweep(risk_base(), {"rho": [1.5, 0.5]}, out)

@@ -116,6 +116,27 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             check_subset(5, [1, 1, 2])
 
+    @pytest.mark.parametrize("subset", [
+        (0.9, 2.1, 3), "12", [True, 2], [1.5, 2], [1, 2.0], np.array([1.0, 2.0]), 5, None,
+        [2**70], np.array(3), np.array([[1, 2]]),
+    ], ids=["floats", "string", "bool", "float", "integral-float", "float-array", "int",
+            "none", "past-int64", "0-d-array", "2-d-array"])
+    def test_check_subset_rejects_what_it_would_rewrite(self, subset):
+        with pytest.raises(ValidationError):
+            check_subset(10, subset)
+
+    def test_check_subset_takes_integer_vertices(self):
+        for subset in ([4, 1], (np.int32(4), 1), range(1, 5, 3), {4, 1},
+                       np.array([4, 1], dtype=np.uint8), np.array([4, 1], dtype=np.int16)):
+            d = check_subset(10, subset)
+            assert d.dtype == np.int64 and d.tolist() == [1, 4]
+        # cast before sorting: a uint64 vertex past int64 is out of range, not first
+        with pytest.raises(ValidationError, match="out of range"):
+            check_subset(10, np.array([1, 2**63], dtype=np.uint64))
+        # a planted community is not rounded to other vertices
+        with pytest.raises(ValidationError, match="subset vertex must be an integer"):
+            PlantedAlternative((0.9, 2.1, 3), 2.0, Homogeneous(10, 0.3))
+
     def test_planted_alternative_validity(self):
         model = Homogeneous(10, 0.3)
         with pytest.raises(ValidationError, match="exceeds 1"):

@@ -5,6 +5,7 @@ scan is checked against something that shares none of its code.  Decimal
 fixtures come from tests/oracles/frozen_values.py.
 """
 
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -43,6 +44,7 @@ from plantedscan import (
     stat_known,
     stat_unknown,
 )
+from plantedscan import model as model_module
 from plantedscan import scan as scan_module
 from plantedscan.model import _pair_index
 from plantedscan.scan import _blind_floor, _blind_mean, _scores
@@ -587,13 +589,21 @@ def random_graph(n, density, seed):
     return GraphSample(n, np.packbits(rng.random(n * (n - 1) // 2) < density), None, "imported")
 
 
+@contextlib.contextmanager
+def batch_rows(rows):
+    """_BATCH_ROWS set to rows wherever the scan reads it: the rows per
+    gather of a count at computed positions, and per batch of a plan build."""
+    with mock.patch.object(model_module, "_BATCH_ROWS", rows), \
+            mock.patch.object(scan_module, "_BATCH_ROWS", rows):
+        yield
+
+
 @st.composite
 def exhaustive_cases(draw):
     """A graph on n <= 64 or 65..130 vertices (one to three mask words), an
     Exhaustive family of at most 400,000 subsets that reaches an extended
-    size wherever that fits, and a slice size that cuts the family into at
-    most 7,000 slices: 1, 2, 3 or 7 rows where that holds, else the
-    default."""
+    size wherever that fits, and the rows per gather: 1, 2, 3 or 7 where
+    that cuts the family into at most 7,000 gathers, else the default."""
     n = draw(st.integers(4, 64) | st.integers(65, 130) | st.sampled_from([64, 65, 129]))
     lo = draw(st.integers(1, 3))
     top = lo
@@ -618,19 +628,18 @@ class TestScanPlan:
     def test_extended_counts_equal_direct_counts(self, case):
         # every size above the first and above 2 is counted from the size
         # below; every size the scan counts must receive exactly the direct
-        # counts of its rows, whole or slice by slice.  Each best call here
-        # returns 0.0, so the sizes left uncounted must be exactly those whose
-        # bound, and that of every size extending from them, is all zero, and
-        # the sizes scored exactly those whose own bound is not
+        # counts of all its rows, whatever the rows per gather.  Each best
+        # call here returns 0.0, so the sizes left uncounted must be exactly
+        # those whose bound, and that of every size extending from them, is
+        # all zero, and the sizes scored exactly those whose own bound is not
         g, family, rows = case
         lo, hi = family.size_range(g.n)
-        counts_of, direct_of = scan_module._Size.counts, scan_module._Size.direct
+        counts_of = scan_module._Size.counts
         for model in (Homogeneous(g.n, 0.3), None):
-            seen, counted, direct = {}, [], []
+            scored, counted = [], []
 
-            def record(size, sample, counts, start, low=0):
-                rows_k = size.rows[start : start + len(counts)]
-                seen.setdefault(size.rows.shape[1], []).append((rows_k, counts))
+            def record(size, sample, counts, low=0):
+                scored.append((size, counts))
                 return 0.0, 0
 
             def count(size, sample, below):
@@ -638,25 +647,14 @@ class TestScanPlan:
                 counted.append((size, counts))
                 return counts
 
-            def count_directly(size, sample, start, stop):
-                counts = direct_of(size, sample, start, stop)
-                direct.append((size.rows[start:stop], counts))
-                return counts
-
             plan = scan_module._plan.__wrapped__(family, g.n, model)
             extended = [k > max(lo, 2) for k in range(lo, hi + 1)]
             assert [size.starts is not None for size in plan] == extended
             assert [size.masks is not None for size in plan] == extended[1:] + [False]
-            with mock.patch.object(scan_module, "_BATCH_ROWS", rows), \
+            with batch_rows(rows), \
                     mock.patch.object(scan_module._Size, "best", record), \
-                    mock.patch.object(scan_module._Size, "counts", count), \
-                    mock.patch.object(scan_module._Size, "direct", count_directly):
+                    mock.patch.object(scan_module._Size, "counts", count):
                 scan_module._run_plan(plan, g, keep_trace=False)
-            # every size or slice counted pair by pair, from held positions or
-            # not, gets the direct counts
-            for part_rows, counts in direct:
-                assert counts.dtype == np.int64
-                assert np.array_equal(counts, g._edges_within_rows(part_rows))
             live = [bool(size.bound.any()) for size in plan]
             reach = live[:]
             for j in reversed(range(len(plan) - 1)):
@@ -664,19 +662,13 @@ class TestScanPlan:
             sizes = range(lo, hi + 1)
             assert [size.rows.shape[1] for size, _ in counted] == [
                 k for k, on in zip(sizes, reach) if on]
-            assert sorted(seen) == [k for k, on in zip(sizes, live) if on]
-            # a size counted whole but never scored: its counts feed the size above
-            for size, counts in counted:
-                if counts is not None and size.rows.shape[1] not in seen:
-                    assert np.array_equal(counts, g._edges_within_rows(size.rows))
-            for k, parts in seen.items():
-                assert max(len(p[1]) for p in parts) <= rows
-                table = np.concatenate([p[0] for p in parts])
-                size = plan[k - lo]
-                assert np.array_equal(table, size.rows)
-                # extended, extended from or neither: every slice gets the direct counts
-                for part_rows, counts in parts:
-                    assert np.array_equal(counts, g._edges_within_rows(part_rows))
+            assert [size.rows.shape[1] for size, _ in scored] == [
+                k for k, on in zip(sizes, live) if on]
+            # extended, extended from or neither, scored or only feeding the
+            # size above: each size gets the direct counts of all its rows
+            for size, counts in counted + scored:
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, g._edges_within_rows(size.rows))
 
     @settings(max_examples=40, deadline=None)
     @given(scan_cases())
@@ -706,23 +698,23 @@ class TestScanPlan:
                            in zip(refs, (candidates, blind))]
         best = scan_module._Size.best
         for rows in (1, 2, 3, 7):
-            sliced = []
+            scored = []
 
-            def record(size, sample, counts, start, low=0):
-                sliced.append(len(counts))
-                return best(size, sample, counts, start, low)
+            def record(size, sample, counts, low=0):
+                scored.append((size, len(counts)))
+                return best(size, sample, counts, low)
 
             scan_module._plan.cache_clear()
             try:
-                with mock.patch.object(scan_module, "_BATCH_ROWS", rows), \
-                        mock.patch.object(scan_module._Size, "best", record):
+                with batch_rows(rows), mock.patch.object(scan_module._Size, "best", record):
                     assert outcomes() == default
             finally:
                 scan_module._plan.cache_clear()
-            # no best call receives more counts than the patched slice size;
-            # there is none only where every bound table is all zero
-            assert max(sliced, default=0) <= rows
-            assert sliced or not any(size.bound.any() for f, m, _ in runs
+            # each best call scores the counts of all of one size's rows, and
+            # no size twice; there is none only where every bound table is all zero
+            assert all(length == len(size.rows) for size, length in scored)
+            assert len({id(size) for size, _ in scored}) == len(scored)
+            assert scored or not any(size.bound.any() for f, m, _ in runs
                                      for size in scan_module._plan.__wrapped__(f, g.n, m))
 
     @settings(max_examples=80, deadline=None)
@@ -784,7 +776,7 @@ class TestScanPlan:
             assert (out.statistic, out.subset) == (0.0, (0, 1, 2))
             assert out.size_trace == {3: (0.0, (0, 1, 2))}
             assert out.metadata["subsets_evaluated"] == math.comb(n, 3)
-        # the maximum is the layer's last row, in its last slice
+        # the maximum is the layer's last row, past its first _BATCH_ROWS rows
         g = graph_from_edges(n, [(57, 58), (57, 59), (58, 59)])
         out = scan_known(model, g, cfg, keep_trace=True)
         assert out.subset == (57, 58, 59)
@@ -846,57 +838,58 @@ class TestScanPlan:
         assert peak < 2 * held
 
 
-def dense_best(size, lo, counts, sample, low=0):
-    """np.argmax/max over _scores of the rows lo .. lo + len(counts) of a plan
-    size on sample, from direct counts, with the rows whose count is below
-    low scoring 0.0: the reference its evaluator must equal bit for bit."""
-    rows = size.rows[lo : lo + len(counts)]
-    counts = sample._edges_within_rows(rows)
+def dense_best(size, sample, low=0):
+    """np.argmax/max over _scores of a plan size's rows on sample, from
+    direct counts, with the rows whose count is below low scoring 0.0: the
+    reference its evaluator must equal bit for bit."""
+    counts = sample._edges_within_rows(size.rows)
     if size.means is None:
-        cross = sample._degrees[rows].sum(axis=1) - 2 * counts
+        cross = sample._degrees[size.rows].sum(axis=1) - 2 * counts
         means = np.maximum(_blind_mean(float(sample.total_edges()), cross), size.floor)
     else:
-        means = size.means[lo : lo + len(counts)]
+        means = size.means
     stats = np.where(counts >= low, _scores(counts, means, size.norm), 0.0)
     i = int(np.argmax(stats))
     return stats[i].hex(), i
 
 
-def counted_whole(size):
-    """Whether the scan counts the size whole (it extends the size below or
-    the next size extends it) rather than one slice at a time."""
+def popcount_path(size):
+    """Whether the size's counts come from, or feed, a popcount: it extends
+    the size below or the next size extends it.  Any other size is counted
+    pair by pair alone."""
     return size.starts is not None or size.masks is not None
 
 
 def check_best_rows(model, g, family):
-    """Run the known and the blind plan over family on g.  Every slice the
-    scan scores must return the dense reference: from the counts and the
-    least count the scan passes it, over the rows that reach that count,
-    and from its direct counts over all its rows; and those counts must be
-    the direct ones.  Returns per slice scored (size, its first row lo, the
+    """Run the known and the blind plan over family on g.  Each size the
+    scan scores, once at most, must return the dense reference: from the
+    counts and the least count the scan passes it, over the rows that reach
+    that count, and from its direct counts over all its rows; and those
+    counts must be the direct ones.  Returns per size scored (size, the
     counts the scan passed, its direct counts, its (statistic, row) over all
     its rows)."""
     calls = []
     best = scan_module._Size.best
 
-    def record(size, sample, counts, lo, low=0):
-        out = best(size, sample, counts, lo, low)
-        calls.append((size, lo, low, counts, out))
+    def record(size, sample, counts, low=0):
+        out = best(size, sample, counts, low)
+        calls.append((size, low, counts, out))
         return out
 
     for m in (model, None):
         plan = scan_module._plan.__wrapped__(family, g.n, m)
         with mock.patch.object(scan_module._Size, "best", record):
             scan_module._run_plan(plan, g, keep_trace=False)
+    assert len({id(size) for size, *_ in calls}) == len(calls)
     seen = []
-    for size, lo, low, counts, (stat, row) in calls:
-        assert (stat.hex(), row) == dense_best(size, lo, counts, g, low)
-        ref = dense_best(size, lo, counts, g)
-        direct = g._edges_within_rows(size.rows[lo : lo + len(counts)])
-        stat, row = size.best(g, direct, lo)
+    for size, low, counts, (stat, row) in calls:
+        assert (stat.hex(), row) == dense_best(size, g, low)
+        ref = dense_best(size, g)
+        direct = g._edges_within_rows(size.rows)
+        stat, row = size.best(g, direct)
         assert (stat.hex(), row) == ref
         assert np.array_equal(counts, direct)
-        seen.append((size, lo, counts, direct, (stat, row)))
+        seen.append((size, counts, direct, (stat, row)))
     return seen
 
 
@@ -939,9 +932,8 @@ EVALUATOR_EXAMPLES = {
 @st.composite
 def evaluator_cases(draw):
     """A model and a graph on n <= 40 or 65..100 vertices, and either an
-    Exhaustive window, whose sizes take their counts whole from the scan
-    where they extend or are extended, or a few subsets of one size, which
-    the scan counts slice by slice."""
+    Exhaustive window, whose sizes extend or are extended where they can,
+    or a few subsets of one size, which the scan counts pair by pair."""
     n = draw(st.integers(4, 40) | st.integers(65, 100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["homogeneous", "rank_one", "general", "zero_block"]))
@@ -957,9 +949,9 @@ def evaluator_cases(draw):
 
 
 class TestChunkEvaluator:
-    """A slice's (statistic, row) is the first strict maximum of _scores over
-    its rows whose count its size's bound table leaves in, (0.0, 0) when
-    none scores above 0; the scan scores only their hot rows.  A blind
+    """A size's (statistic, row) is the first maximum of _scores over its
+    rows whose count its bound table leaves in, (0.0, 0) when none scores
+    above 0; the scan scores only their hot rows.  A blind
     table is 0.0 up to the floor, which bounds every blind mean from below,
     so no row at or below the floor is ever scored."""
 
@@ -981,7 +973,7 @@ class TestChunkEvaluator:
     def test_examples_cover_what_they_are_named_for(self):
         def blind(name):
             return [(size, counts, np.flatnonzero(direct > size.floor), out)
-                    for size, _, counts, direct, out in check_best_rows(*EVALUATOR_EXAMPLES[name])
+                    for size, counts, direct, out in check_best_rows(*EVALUATOR_EXAMPLES[name])
                     if size.means is None]
 
         # every blind size lies below its floor, so its bound is all zero:
@@ -995,10 +987,10 @@ class TestChunkEvaluator:
         assert any(near[0] > 0 for _, _, near, _ in parts)
         # a hot row that is not the first of those above the floor
         parts = blind("blind_hot")
-        assert any(counted_whole(size) and stat > 0.0 and row in near and row != near[0]
+        assert any(popcount_path(size) and stat > 0.0 and row in near and row != near[0]
                    for size, _, near, (stat, row) in parts)
         parts = blind("explicit")
-        assert parts and all(not counted_whole(size) and 0 < near.size < len(counts)
+        assert parts and all(not popcount_path(size) and 0 < near.size < len(counts)
                              and stat > 0.0 for size, counts, near, (stat, _) in parts)
         for name in ("all_cold", "count_at_mean"):
             outs = [out for *_, out in check_best_rows(*EVALUATOR_EXAMPLES[name])]
@@ -1013,7 +1005,7 @@ class TestChunkEvaluator:
                  if size.means is not None]
         assert known and all(row == 0 and stat > 0.0 for stat, row in known)
         for name, top in (("K=253", 253), ("K=276", 276)):
-            counts = [c for size, _, c, *_ in check_best_rows(*EVALUATOR_EXAMPLES[name])
+            counts = [c for size, c, *_ in check_best_rows(*EVALUATOR_EXAMPLES[name])
                       if size.rows.shape[1] == 24]
             assert len(counts) == 2 and max(int(c.max()) for c in counts) >= top
 
@@ -1049,8 +1041,8 @@ def keyed_reference(g, candidates, model):
 def untraced_cases(draw):
     """A model of any of the four kinds and a graph on n <= 40 or 65..100
     vertices; an Exhaustive window of at most 6,000 subsets or up to 30
-    subsets of sizes up to 8; and a slice size of 1, 2, 3 or 7 rows where
-    that cuts the family into at most 3,000 slices, else the default."""
+    subsets of sizes up to 8; and the rows per gather: 1, 2, 3 or 7 where
+    that cuts the family into at most 3,000 gathers, else the default."""
     n = draw(st.integers(4, 40) | st.integers(65, 100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["homogeneous", "rank_one", "general", "zero_block"]))
@@ -1140,7 +1132,7 @@ class TestPruning:
             runs.append((blind, None, lambda: scan_unknown(g, ScanConfig(r, family=blind_family))))
         scan_module._plan.cache_clear()
         try:
-            with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
+            with batch_rows(rows):
                 outs = [run() for *_, run in runs]
         finally:
             scan_module._plan.cache_clear()
@@ -1211,9 +1203,9 @@ class TestPruning:
 def held_position_cases(draw):
     """A rank-one model and a graph on n <= 64 or 65..130 vertices; an
     Exhaustive family (first size up to 4, at most 100,000 subsets),
-    WeightPrefix or Explicit family; a slice size of 1, 3 or the default
-    (1 and 3 only where that makes at most 20,000 slices); and a position
-    cap of 0, a few hundred pairs or the default."""
+    WeightPrefix or Explicit family; the rows per gather, 1, 3 or the
+    default (1 and 3 only where that makes at most 20,000 gathers); and a
+    position cap of 0, a few hundred pairs or the default."""
     n = draw(st.integers(5, 64) | st.integers(65, 130))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = RankOne(rng.uniform(0.05, 0.8, size=n))
@@ -1245,8 +1237,9 @@ def held_position_cases(draw):
 
 class TestHeldPositions:
     """A plan holds the pair positions of each size it counts directly, in
-    plan order while they fit its cap; the sizes past it compute theirs per
-    slice, and either way every count is the direct one."""
+    plan order while they fit its cap, and counts such a size in one gather;
+    the sizes past it compute theirs in gathers of at most _BATCH_ROWS rows,
+    and either way every count is the direct one."""
 
     @settings(max_examples=60, deadline=None)
     @given(held_position_cases())
@@ -1277,29 +1270,39 @@ class TestHeldPositions:
                 assert size.pairs.dtype == np.int64 and not size.pairs.flags.writeable
                 assert np.array_equal(size.pairs, where[size.rows[:, a], size.rows[:, b]])
             assert sum(s.pairs.size for s in plan if s.pairs is not None) <= cap
-            with mock.patch.object(scan_module, "_BATCH_ROWS", rows):
-                for size in plan:
-                    if size.starts is not None:
-                        continue
-                    for lo in range(0, len(size.rows), rows):
-                        counts = size.direct(g, lo, lo + rows)
-                        assert counts.dtype == np.int64
-                        assert np.array_equal(counts, g._edges_within_rows(size.rows[lo:lo + rows]))
+            pair_counts, gathers = GraphSample._pair_counts, []
+
+            def gather(sample, pos):
+                gathers.append(len(pos))
+                return pair_counts(sample, pos)
+
+            for size in plan:
+                if size.starts is not None:
+                    continue
+                direct = g._edges_within_rows(size.rows)
+                gathers.clear()
+                with batch_rows(rows), mock.patch.object(GraphSample, "_pair_counts", gather):
+                    counts = size.counts(g, None)
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, direct)
+                if size.pairs is not None:
+                    assert gathers == [len(size.rows)]
+                else:
+                    assert max(gathers, default=0) <= rows
             # and every count the scan scores, held or not, is the direct one
             best = scan_module._Size.best
             scored = []
 
-            def record(size, sample, counts, lo, low=0):
-                scored.append((size.rows[lo : lo + len(counts)], counts))
-                return best(size, sample, counts, lo, low)
+            def record(size, sample, counts, low=0):
+                scored.append((size, counts))
+                return best(size, sample, counts, low)
 
-            with mock.patch.object(scan_module, "_BATCH_ROWS", rows), \
-                    mock.patch.object(scan_module._Size, "best", record):
+            with batch_rows(rows), mock.patch.object(scan_module._Size, "best", record):
                 outcome = scan_module._run_plan(plan, g, keep_trace=True)
-            for part_rows, counts in scored:
+            for size, counts in scored:
                 assert counts.dtype == np.int64
-                assert np.array_equal(counts, g._edges_within_rows(part_rows))
-            # the positions held change no outcome
+                assert np.array_equal(counts, g._edges_within_rows(size.rows))
+            # neither the positions held nor the rows per gather change the outcome
             default = scan_module._plan.__wrapped__(family, n, m)
             assert scan_module._run_plan(default, g, keep_trace=True) == outcome
 
