@@ -73,11 +73,11 @@ cfg2 = ScanConfig(r=r2, epsilon=0.5, family=Explicit(chain))
 hits = 0
 for i in range(20):
     g = sample_alternative(model2, alt2, derive_seed(99, "demo-alt", i))
-    hits += scan_unknown(g, cfg2).reject
+    hits += scan_unknown(g, cfg2, decide=True).reject
 false_alarms = 0
 for i in range(20):
     g = sample_null(model2, derive_seed(99, "demo-null", i))
-    false_alarms += scan_unknown(g, cfg2).reject
+    false_alarms += scan_unknown(g, cfg2, decide=True).reject
 
 print(f"  planted rho=5 on 64 vertices: detected {hits}/20 draws")
 print(f"  null draws flagged          : {false_alarms}/20")

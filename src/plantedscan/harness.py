@@ -228,8 +228,8 @@ def _make_decider(config: ExperimentConfig) -> Callable[[GraphSample], bool]:
         return lambda g: likelihood_ratio_average(problem, g).value > 1.0
     scan_cfg = ScanConfig(config.r, config.epsilon, config.family, config.budget)
     if config.test == "scan_known":
-        return lambda g: scan_known(config.model, g, scan_cfg).reject
-    return lambda g: scan_unknown(g, scan_cfg).reject
+        return lambda g: scan_known(config.model, g, scan_cfg, decide=True).reject
+    return lambda g: scan_unknown(g, scan_cfg, decide=True).reject
 
 
 def _run_job(job) -> list[int]:

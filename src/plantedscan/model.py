@@ -193,6 +193,12 @@ def _pair_positions(n: int, rows: np.ndarray, a, b) -> np.ndarray:
     return _pair_index(n, rows[:, a].astype(np.int64, copy=False), rows[:, b])
 
 
+def _count_dtype(pairs: int) -> np.dtype:
+    """The dtype of edge counts over at most pairs pairs: the narrowest
+    unsigned one that holds pairs (uint8 up to 255, uint16 up to 65,535)."""
+    return np.min_scalar_type(pairs)
+
+
 def _read_bits(packed: np.ndarray, pos):
     """The bits (1 or 0) at triangle positions pos, an integer or an integer
     array, of a packed triangle, which np.packbits lays out with position t
@@ -601,14 +607,16 @@ class GraphSample:
         return rows
 
     def _edges_within_rows(self, rows: np.ndarray) -> np.ndarray:
-        """e(D) for every row of an (m, k) array of row-sorted subsets: one
-        count of the rows' pair bits per _PAIR_BLOCK positions and at most
-        _BATCH_ROWS rows (or one head column's pairs of one row), the pair
-        columns (a, b), a < b, taken _PAIR_BLOCK // k head columns a at a
-        time so that none grows as k^2."""
+        """e(D) for every row of an (m, k) array of row-sorted subsets, in
+        dtype _count_dtype(C(k, 2)): one count of the rows' pair bits per
+        _PAIR_BLOCK positions and at most _BATCH_ROWS rows (or one head
+        column's pairs of one row), the pair columns (a, b), a < b, taken
+        _PAIR_BLOCK // k head columns a at a time so that none grows as k^2.
+        The blocks' counts of a row add up to at most C(k, 2), so they sum
+        in that dtype without wrapping."""
         m, k = rows.shape
         v = np.arange(k)
-        counts = np.zeros(m, dtype=np.int64)
+        counts = np.zeros(m, dtype=_count_dtype(k * (k - 1) // 2))
         heads_per = max(1, _PAIR_BLOCK // max(k, 1))
         for h in range(0, k - 1, heads_per):
             a, b = np.nonzero(v[h : h + heads_per, None] < v)  # lexicographic
@@ -620,9 +628,10 @@ class GraphSample:
         return counts
 
     def _pair_counts(self, pos: np.ndarray) -> np.ndarray:
-        """The int64 row sums of the edge bits at the triangle positions of
-        an (m, p) int64 array: one gather of packed bits and one sum."""
-        return _read_bits(self.packed, pos).sum(axis=1, dtype=np.int64)
+        """The row sums, in dtype _count_dtype(p), of the edge bits at the
+        triangle positions of an (m, p) int64 array: one gather of packed
+        bits and one sum."""
+        return _read_bits(self.packed, pos).sum(axis=1, dtype=_count_dtype(pos.shape[1]))
 
     def pair_index(self, i: int, j: int) -> int:
         if i > j:

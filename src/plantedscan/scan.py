@@ -27,7 +27,10 @@ size counts its rows' pairs directly: the plan holds the triangle positions
 of those pairs, sizes in plan order while they fit _PAIR_BLOCK positions in
 all, so that such a count is one gather of packed bits and one row sum; a
 size past that cap computes its positions, at most _BATCH_ROWS rows per
-gather.  A row whose count exceeds a positive mean is hot and scores its
+gather.  A size-k count is held in the narrowest unsigned dtype that holds
+C(k, 2) (uint8 up to k = 23, uint16 up to k = 362): an extended size adds
+in its own dtype, and the blind cross count widens to int64 before its
+arithmetic.  A row whose count exceeds a positive mean is hot and scores its
 kernel value, which is positive; every other row scores 0.0.  At a fixed
 count the statistic falls as the mean rises, so each plan size holds a
 bound table: for each count c = 0..C(k, 2), the score of c at the size's
@@ -43,7 +46,12 @@ extends from it can beat the best; at n = 40 the blind floor exceeds
 C(k, 2) for every k <= 5, so a default blind scan with r <= 5 counts
 nothing.  The rows left out cannot beat the best, so the first strict
 maximum in plan order still wins, which breaks ties toward the smaller
-subset, then the lexicographically smallest vertex tuple.
+subset, then the lexicographically smallest vertex tuple.  A scan that only
+decides (decide=True) also cuts at the threshold: each size scores only
+the rows whose table entry reaches it, and a size is counted only if its
+table, or that of a size extending from it, does.  Every row that reaches
+the threshold is still scored, so wherever the full scan rejects the
+outcome is the same; elsewhere the statistic is a lower bound.
 The one-subset statistic functions score a one-row size the same way, so
 a scan outcome is bit-for-bit reproducible subset by subset.
 """
@@ -61,8 +69,8 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from .kernels import entropy_h_vec
 from .model import (_BATCH_ROWS, _PAIR_BLOCK, EdgeProbabilityModel, GraphSample, RankOne,
-                    _check_rows, _combination_tables, _norm, _number, _pair_positions,
-                    _vertex_masks, check_subset)
+                    _check_rows, _combination_tables, _count_dtype, _norm, _number,
+                    _pair_positions, _vertex_masks, check_subset)
 
 __all__ = [
     "Exhaustive",
@@ -90,8 +98,9 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # a bound table of C(k, 2) + 1 floats per size (one float where that would
 # outnumber the size's k m vertex entries), plus 8 bytes per pair position
 # held, at most _PAIR_BLOCK positions (8 MiB) per plan.  A scan holds besides
-# 8 bytes of count per row of the size it scores (and of the size below
-# while it extends that size) and the kernel's temporaries for its hot rows
+# one count per row of the size it scores (and of the size below while it
+# extends that size), 1 byte for k <= 23 and 2 for k <= 362, and the
+# kernel's temporaries for its hot rows
 _PLAN_CACHE_SIZE = 2
 
 
@@ -349,17 +358,19 @@ class _Size:
     pairs: np.ndarray | None = None        # (m, C(k, 2)) int64 pair positions, read-only, if held
 
     def counts(self, sample: GraphSample, below: tuple | None) -> np.ndarray:
-        """e(D) of every row on sample: from the counts and masks of the size
-        below, which below holds, where this size extends it; else pair by
-        pair, one gather at the held positions or at positions computed now."""
+        """e(D) of every row on sample, in dtype _count_dtype(C(k, 2)): from
+        the counts and masks of the size below, which below holds, where this
+        size extends it; else pair by pair, one gather at the held positions
+        or at positions computed now."""
         if self.starts is None:
             if self.pairs is None:
                 return sample._edges_within_rows(self.rows)
             return sample._pair_counts(self.pairs)
         counts_k, masks_k = below
         adj = sample._adjacency_rows
+        k = self.rows.shape[1]
+        counts = np.empty(len(self.rows), dtype=_count_dtype(k * (k - 1) // 2))
         m = len(counts_k)
-        counts = np.empty(len(self.rows), dtype=np.int64)
         at = 0
         for a, s in enumerate(self.starts):
             if s == m:
@@ -367,9 +378,11 @@ class _Size:
             block = slice(at, at + m - s)
             out = counts[block]
             # the rows from s on hold only vertices above a: no bits in the
-            # words below a + 1's
+            # words below a + 1's.  The sum is taken in this size's dtype,
+            # which may be wider than the size below's
             w0 = (a + 1) >> 6
-            np.add(counts_k[s:], np.bitwise_count(masks_k[s:, w0] & adj[a, w0]), out=out)
+            np.add(counts_k[s:], np.bitwise_count(masks_k[s:, w0] & adj[a, w0]),
+                   out=out, dtype=out.dtype)
             for w in range(w0 + 1, adj.shape[1]):
                 out += np.bitwise_count(masks_k[s:, w] & adj[a, w])
             at = block.stop
@@ -386,7 +399,7 @@ class _Size:
             return 0.0, 0
         counts = counts[near]
         if self.means is None:
-            cross = sample._degrees[self.rows[near]].sum(axis=1) - 2 * counts
+            cross = sample._degrees[self.rows[near]].sum(axis=1) - 2 * counts.astype(np.int64)
             means = np.maximum(_blind_mean(float(sample.total_edges()), cross), self.floor)
         else:
             means = self.means[near]
@@ -509,18 +522,22 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
     return size.best(sample, sample._edges_within_rows(rows))[0]
 
 
-def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
-              keep_trace: bool) -> tuple[float, tuple[int, ...], dict | None, int]:
+def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
+              floor: float = 0.0) -> tuple[float, tuple[int, ...], dict | None, int]:
     """First strict maximum in plan order of the sizes' best rows on sample,
-    each size counted and scored once.
+    each size counted and scored once, among the rows that score at least
+    floor; the result is the full scan's wherever that maximum reaches floor.
 
     Only a row that scores above the running best (0.0 while keeping the
     trace, which records each size's own best; else the overall best, at
-    least 0.0, which every row scores) can change the outcome, so a size
-    scores only the rows whose count its bound table does not rule out.  A
-    size that has none is not scored, and stands as (0.0, 0), which is its
-    exact best row whenever the outcome can take it; it is not counted
-    either unless a size that extends from it can beat the best."""
+    least 0.0, which every row scores) and at least floor can change the
+    outcome, so a size scores only the rows whose count its bound table
+    does not rule out.  A size that has none is not scored, and stands as
+    (0.0, 0), which is its exact best row whenever the outcome can take it;
+    it is not counted either unless a size that extends from it can beat
+    the best and reach floor.  A floor above 0.0 leaves out rows the full
+    scan scores, so where no row reaches it the maximum returned is a lower
+    bound on the full scan's, not the maximum itself."""
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
@@ -534,10 +551,13 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
     for size, top in zip(plan, reach):
         evaluated += len(size.rows)
         cut = 0.0 if keep_trace else max(best_stat, 0.0)
-        counts = size.counts(sample, below) if top > cut else None
+        counts = size.counts(sample, below) if top > cut and top >= floor else None
         # the counts of the size below are dropped here, once this size has its own
         below = None if size.masks is None else (counts, size.masks)
-        low = int(np.searchsorted(size.bound, cut, "right"))
+        # the first count whose bound is above cut and at least floor: a row
+        # that scores exactly floor has a bound of at least floor
+        low = int(np.searchsorted(size.bound, floor, "left") if floor > cut
+                  else np.searchsorted(size.bound, cut, "right"))
         mx, i = size.best(sample, counts, low) if low < len(size.bound) else (0.0, 0)
         subset = tuple(int(v) for v in size.rows[i])
         if mx > best_stat:
@@ -548,11 +568,15 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample,
 
 
 def _scan(sample: GraphSample, config: ScanConfig, model: EdgeProbabilityModel | None,
-          k_min: int, threshold: float, keep_trace: bool) -> ScanOutcome:
+          k_min: int, threshold: float, keep_trace: bool, decide: bool) -> ScanOutcome:
     """Both scans: maximise the statistic over the family (by default every
     subset of sizes [k_min, r]) with a plan whose null means come from
-    model, and reject at threshold.  r must be below n and the family within
-    sizes up to r; its size is checked against config.budget before any work."""
+    model, and reject at threshold; with decide, among the rows that reach
+    the threshold only.  r must be below n and the family within sizes up
+    to r; its size is checked against config.budget before any work."""
+    if decide and keep_trace:
+        raise ValidationError("decide=True scores only rows that can reach the threshold, "
+                              "so it keeps no size trace")
     n = sample.n
     if config.r >= n:
         raise ValidationError(f"r must be < n, got r={config.r}, n={n}")
@@ -565,7 +589,8 @@ def _scan(sample: GraphSample, config: ScanConfig, model: EdgeProbabilityModel |
         raise BudgetError(
             f"family enumerates {count} subsets, over the budget {config.budget}"
         )
-    stat, subset, trace, evaluated = _run_plan(_plan(family, n, model), sample, keep_trace)
+    stat, subset, trace, evaluated = _run_plan(_plan(family, n, model), sample, keep_trace,
+                                               threshold if decide else 0.0)
     metadata = {"subsets_evaluated": evaluated}
     if config.r >= n / 2:
         # the per-size normalisation ln(n/|D|) degenerates as |D| -> n;
@@ -585,16 +610,23 @@ def _scan(sample: GraphSample, config: ScanConfig, model: EdgeProbabilityModel |
 
 
 def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanConfig,
-               keep_trace: bool = False) -> ScanOutcome:
+               keep_trace: bool = False, *, decide: bool = False) -> ScanOutcome:
     """Maximise the known-probability statistic over the family; reject when
     the maximum reaches 1 + eps/2.
 
     The family must stay within sizes [1, r].  The enumeration size is
     checked against config.budget before any work happens.
+
+    decide=True scores only the rows that can reach the threshold, for a
+    caller that reads only reject, which is then the full scan's.  Where
+    the scan rejects, the whole outcome is the full scan's bit for bit;
+    where it does not, statistic and subset are a lower bound on the
+    maximum and a row scoring it, not the maximum.  It keeps no size trace
+    (keep_trace=True raises ValidationError).
     """
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
-    return _scan(sample, config, model, 1, 1.0 + config.epsilon / 2.0, keep_trace)
+    return _scan(sample, config, model, 1, 1.0 + config.epsilon / 2.0, keep_trace, decide)
 
 
 def estimate_from_totals(total_edges: float, cross_edges: float) -> float:
@@ -660,19 +692,19 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,
-                 keep_trace: bool = False) -> ScanOutcome:
+                 keep_trace: bool = False, *, decide: bool = False) -> ScanOutcome:
     """Maximise the blind statistic over sizes in [ceil(r^(1/3)), r];
     reject when the maximum reaches 1 + eps/3.
 
     Families reaching below the cube-root size floor are rejected: the
     mean estimate is not reliable there, and admitting those sizes would
-    silently change the test's calibration.
+    silently change the test's calibration.  decide is as for scan_known.
     """
     k_min = min_blind_size(config.r)
     if config.family is not None and (lo := config.family.size_range(sample.n)[0]) < k_min:
         raise ValidationError(
             f"family includes size {lo}, below the blind floor ceil(r^(1/3)) = {k_min}"
         )
-    out = _scan(sample, config, None, k_min, 1.0 + config.epsilon / 3.0, keep_trace)
+    out = _scan(sample, config, None, k_min, 1.0 + config.epsilon / 3.0, keep_trace, decide)
     out.metadata["size_window"] = [k_min, config.r]
     return out

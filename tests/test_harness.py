@@ -23,6 +23,7 @@ from plantedscan import (
     sample_null,
     threshold_scaling,
 )
+from plantedscan import harness as harness_module
 from plantedscan import lr as lr_module
 from plantedscan.harness import RateWithError
 from plantedscan.model import model_to_json
@@ -232,6 +233,32 @@ class TestEstimateRisk:
         est = estimate_risk(small_config(communities=2))
         assert len(est.metadata["communities"]) == 2
         assert est.metadata["master_seed"] == 9
+
+    @pytest.mark.parametrize("test", ["scan_known", "scan_unknown"])
+    def test_deciding_scans_give_the_full_scans_bytes(self, test, monkeypatch):
+        # the decider scans with decide=True; a plant both scans detect on
+        # some graphs (rho = 8 on 32 of 256 vertices), against full scans
+        n, r = 256, 32
+        rng = np.random.default_rng(0)
+        communities = (tuple(range(r)), tuple(range(40, 40 + r)))
+        subsets = [c[:k] for c in communities for k in range(4, r + 1)]
+        subsets += [tuple(int(v) for v in rng.choice(n, size=int(rng.integers(4, r + 1)),
+                                                     replace=False)) for _ in range(40)]
+        cfg = small_config(model=Homogeneous(n, 0.05), test=test, r=r, rho=8.0, epsilon=0.5,
+                           communities=communities, family=Explicit(tuple(subsets)),
+                           null_replications=10, alt_replications=10, workers=1)
+        decided = estimate_risk(cfg)
+        flags = []
+        for name in ("scan_known", "scan_unknown"):
+            def full_scan(*args, decide, _scan=getattr(harness_module, name), **kwargs):
+                flags.append(decide)
+                return _scan(*args, **kwargs)
+
+            monkeypatch.setattr(harness_module, name, full_scan)
+        full = estimate_risk(cfg)
+        assert len(flags) == 30 and all(flags)
+        assert min(rate.rate for rate in decided.type2.values()) < 1.0
+        assert json.dumps(decided.to_json()) == json.dumps(full.to_json())
 
     def test_json_shape(self):
         est = estimate_risk(small_config())

@@ -6,6 +6,7 @@ fixtures come from tests/oracles/frozen_values.py.
 """
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -570,8 +571,7 @@ def scan_cases(draw):
         candidates = [d for k in range(lo, r + 1) for d in itertools.combinations(range(n), k)]
     elif family_kind == "weight_prefix":
         family = WeightPrefix(lo, r)
-        order = np.argsort(-model.weights, kind="stable")
-        candidates = [tuple(sorted(int(v) for v in order[:k])) for k in range(lo, r + 1)]
+        candidates = family_candidates(family, n, model)
     else:
         subsets = [tuple(int(v) for v in rng.choice(n, size=int(rng.integers(lo, r + 1)),
                                                     replace=False))
@@ -582,6 +582,13 @@ def scan_cases(draw):
     bits = rng.random(n * (n - 1) // 2) < density
     g = GraphSample(n, np.packbits(bits), None, "imported")
     return model, g, r, family, candidates
+
+
+def count_dtype(size):
+    """The dtype a scan counts a plan size in: the narrowest unsigned one
+    that holds C(k, 2), uint8 up to k = 23 and uint16 up to k = 362."""
+    k = size.rows.shape[1]
+    return np.uint8 if k <= 23 else np.uint16 if k <= 362 else np.uint32
 
 
 def random_graph(n, density, seed):
@@ -667,7 +674,7 @@ class TestScanPlan:
             # extended, extended from or neither, scored or only feeding the
             # size above: each size gets the direct counts of all its rows
             for size, counts in counted + scored:
-                assert counts.dtype == np.int64
+                assert counts.dtype == count_dtype(size)
                 assert np.array_equal(counts, g._edges_within_rows(size.rows))
 
     @settings(max_examples=40, deadline=None)
@@ -841,8 +848,8 @@ class TestScanPlan:
 def dense_best(size, sample, low=0):
     """np.argmax/max over _scores of a plan size's rows on sample, from
     direct counts, with the rows whose count is below low scoring 0.0: the
-    reference its evaluator must equal bit for bit."""
-    counts = sample._edges_within_rows(size.rows)
+    reference its evaluator must equal bit for bit, in int64 arithmetic."""
+    counts = sample._edges_within_rows(size.rows).astype(np.int64)
     if size.means is None:
         cross = sample._degrees[size.rows].sum(axis=1) - 2 * counts
         means = np.maximum(_blind_mean(float(sample.total_edges()), cross), size.floor)
@@ -1065,10 +1072,15 @@ def untraced_cases(draw):
     return model, g, family, rows
 
 
-def family_candidates(family, n):
-    """The family's subsets in scan order (sizes ascending, lexicographic)."""
+def family_candidates(family, n, model=None):
+    """The family's subsets in scan order (sizes ascending, lexicographic);
+    a weight-prefix family's from model's weight order."""
     if isinstance(family, Explicit):
         return sorted(family.subsets, key=lambda d: (len(d), d))
+    if isinstance(family, WeightPrefix):
+        order = np.argsort(-model.weights, kind="stable")
+        lo, hi = family.size_range(n)
+        return [tuple(sorted(int(v) for v in order[:k])) for k in range(lo, hi + 1)]
     lo, hi = family.size_range(n)
     return [d for k in range(lo, hi + 1) for d in itertools.combinations(range(n), k)]
 
@@ -1283,7 +1295,7 @@ class TestHeldPositions:
                 gathers.clear()
                 with batch_rows(rows), mock.patch.object(GraphSample, "_pair_counts", gather):
                     counts = size.counts(g, None)
-                assert counts.dtype == np.int64
+                assert counts.dtype == count_dtype(size)
                 assert np.array_equal(counts, direct)
                 if size.pairs is not None:
                     assert gathers == [len(size.rows)]
@@ -1300,7 +1312,7 @@ class TestHeldPositions:
             with batch_rows(rows), mock.patch.object(scan_module._Size, "best", record):
                 outcome = scan_module._run_plan(plan, g, keep_trace=True)
             for size, counts in scored:
-                assert counts.dtype == np.int64
+                assert counts.dtype == count_dtype(size)
                 assert np.array_equal(counts, g._edges_within_rows(size.rows))
             # neither the positions held nor the rows per gather change the outcome
             default = scan_module._plan.__wrapped__(family, n, m)
@@ -1332,3 +1344,184 @@ class TestHeldPositions:
         held = [size.pairs.size for size in plan if size.pairs is not None]
         assert sum(held) == math.comb(185, 3) <= scan_module._PAIR_BLOCK
         assert len(held) == 184 and all(size.pairs is None for size in plan[184:])
+
+
+def planted_graph(n, density, block, seed):
+    """A graph of the given density with each pair inside block present
+    with probability 0.9 instead."""
+    rng = np.random.default_rng(seed)
+    bits = rng.random(n * (n - 1) // 2) < density
+    block = np.sort(np.asarray(block))
+    a, b = np.triu_indices(len(block), 1)
+    pos = _pair_index(n, block[a], block[b])
+    bits[pos] = rng.random(len(pos)) < 0.9
+    return GraphSample(n, np.packbits(bits), None, "imported")
+
+
+@st.composite
+def decide_cases(draw):
+    """A model of each kind and a graph with a planted dense block on
+    n <= 40 or 65..100 vertices; an Exhaustive window of at most 6,000
+    subsets, up to 30 Explicit subsets (the block's among them), or for a
+    rank-one model a WeightPrefix window; and epsilon."""
+    n = draw(st.integers(4, 40) | st.integers(65, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["homogeneous", "rank_one", "general"]))
+    model = _random_model(kind, n, rng)
+    block = tuple(int(v) for v in rng.choice(n, size=draw(st.integers(2, min(n - 1, 8))),
+                                             replace=False))
+    g = planted_graph(n, draw(st.sampled_from([0.0, 0.1, 0.3])), block, int(rng.integers(2**32)))
+    kinds = ["exhaustive", "explicit"] + (["weight_prefix"] if kind == "rank_one" else [])
+    family_kind = draw(st.sampled_from(kinds))
+    if family_kind == "exhaustive":
+        lo = draw(st.integers(1, max(k for k in (1, 2, 3) if k < n and math.comb(n, k) <= 6000)))
+        top = lo
+        while top < min(5, n - 1) and Exhaustive(lo, top + 1).count(n) <= 6000:
+            top += 1
+        family = Exhaustive(lo, draw(st.integers(lo, top)))
+    elif family_kind == "weight_prefix":
+        lo = draw(st.integers(1, 3))
+        family = WeightPrefix(lo, draw(st.integers(lo, min(n - 1, 12))))
+    else:
+        hi = draw(st.integers(1, min(n - 1, 8)))
+        family = Explicit((block,) + tuple(
+            tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, hi + 1)), replace=False))
+            for _ in range(draw(st.integers(0, 29)))))
+    return model, g, family, draw(st.sampled_from([0.05, 0.5, 2.0, 8.0]))
+
+
+def decide_runs(model, g, family):
+    """(model, family, scan) for the known scan over family and, where it has
+    sizes at or above the blind floor, the blind scan over those; scan takes
+    epsilon and the keyword arguments of scan_known and scan_unknown."""
+    r = family.size_range(g.n)[1]
+    runs = [(model, family, lambda eps, **kw: scan_known(model, g, ScanConfig(r, eps, family),
+                                                        **kw))]
+    k_min = min_blind_size(r)
+    if isinstance(family, Exhaustive):
+        blind = Exhaustive(max(family.min_size, k_min), r)
+    else:
+        subsets = [d for d in family_candidates(family, g.n, model) if len(d) >= k_min]
+        blind = Explicit(tuple(subsets)) if subsets else None
+    if blind is not None:
+        runs.append((None, blind,
+                     lambda eps, **kw: scan_unknown(g, ScanConfig(r, eps, blind), **kw)))
+    return runs
+
+
+# inputs the decide property always runs: each scan rejects on some and
+# not on others, on one and two mask words, and a weight-prefix plan's
+# sizes above 2 keep the one-entry table that rules no row out
+DECIDE_EXAMPLES = {
+    "small": (Homogeneous(12, 0.1), planted_graph(12, 0.1, range(6), 0), Exhaustive(1, 4), 0.5),
+    "two_words": (Homogeneous(70, 0.05), planted_graph(70, 0.05, range(60, 66), 1),
+                  Exhaustive(2, 3), 0.2),
+    "blind": (Homogeneous(30, 0.05), planted_graph(30, 0.05, range(8), 2),
+              Explicit(tuple(tuple(range(k)) for k in range(2, 9))), 0.5),
+    "weight_prefix": (RankOne(np.linspace(0.3, 0.05, 20)), planted_graph(20, 0.1, range(6), 3),
+                      WeightPrefix(1, 8), 0.2),
+    "null": (GeneralMatrix(np.full((80, 80), 0.1) - 0.1 * np.eye(80)),
+             random_graph(80, 0.1, 4), Exhaustive(1, 2), 0.2),
+}
+
+
+class TestDecide:
+    """scan_known and scan_unknown with decide=True score only the rows
+    that can reach the threshold: the decision is the full scan's, and where
+    it rejects so is the whole outcome."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(decide_cases())
+    @example(DECIDE_EXAMPLES["small"])
+    @example(DECIDE_EXAMPLES["two_words"])
+    @example(DECIDE_EXAMPLES["blind"])
+    @example(DECIDE_EXAMPLES["weight_prefix"])
+    @example(DECIDE_EXAMPLES["null"])
+    def test_decisions_are_the_full_scans(self, case):
+        model, g, family, epsilon = case
+        for m, sizes, scan in decide_runs(model, g, family):
+            full = scan(epsilon)
+            # besides epsilon, thresholds within an ulp or so of the maximum,
+            # on either side (1 + eps/2 known, 1 + eps/3 blind)
+            near = (2.0 if m is not None else 3.0) * (full.statistic - 1.0)
+            near = [near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)] if near > 0 else []
+            for eps in [epsilon] + near:
+                full, decided = scan(eps), scan(eps, decide=True)
+                assert decided.reject == full.reject
+                assert decided.statistic <= full.statistic
+                assert decided.metadata == full.metadata and decided.size_trace is None
+                if full.reject:
+                    assert (decided.statistic.hex(), decided.subset) == (
+                        full.statistic.hex(), full.subset)
+            # the tie: a floor at the exact maximum keeps the full outcome,
+            # and one an ulp above it leaves a lower bound below the floor
+            plan = scan_module._plan(sizes, g.n, m)
+            stat, subset, _, evaluated = scan_module._run_plan(plan, g, False)
+            if stat > 0.0:
+                assert scan_module._run_plan(plan, g, False, stat) == (
+                    stat, subset, None, evaluated)
+                above = np.nextafter(stat, np.inf)
+                low, _, _, count = scan_module._run_plan(plan, g, False, above)
+                assert low < above and count == evaluated
+
+    def test_a_row_scoring_exactly_its_bound_reaches_an_equal_floor(self):
+        # the plan's tables carry a 1e-9 margin, so no row scores exactly its
+        # bound; a one-row size whose table is its own score from its count
+        # up is still a valid bound, and a floor at that score keeps the row
+        model, g = Homogeneous(12, 0.1), random_graph(12, 0.9, 0)
+        row = (0, 1, 2, 3, 4)
+        stat, count = stat_known(model, g, row), g.edges_within(row)
+        size = scan_module._plan(Explicit((row,)), g.n, model)[0]
+        table = np.where(np.arange(math.comb(len(row), 2) + 1) >= count, stat, 0.0)
+        plan = (dataclasses.replace(size, bound=table),)
+        assert stat > 0.0
+        assert scan_module._run_plan(plan, g, False, stat) == (stat, row, None, 1)
+        assert scan_module._run_plan(plan, g, False, np.nextafter(stat, np.inf))[0] == 0.0
+
+    def test_examples_cover_both_decisions(self):
+        decisions = {}
+        for model, g, family, eps in DECIDE_EXAMPLES.values():
+            for m, _, scan in decide_runs(model, g, family):
+                decisions.setdefault(m is None, set()).add(scan(eps, decide=True).reject)
+        assert decisions == {False: {True, False}, True: {True, False}}
+        model, g, family, _ = DECIDE_EXAMPLES["weight_prefix"]
+        plan = scan_module._plan(family, g.n, model)
+        assert all(size.bound is scan_module._NO_BOUND for size in plan[2:])
+        assert DECIDE_EXAMPLES["two_words"][1].n > 64
+
+    def test_infinite_epsilon_never_rejects(self):
+        for model, g, family, _ in DECIDE_EXAMPLES.values():
+            for _, _, scan in decide_runs(model, g, family):
+                out = scan(math.inf, decide=True)
+                assert not out.reject and out.threshold == math.inf
+
+    def test_decide_keeps_no_trace(self):
+        model, g, family, eps = DECIDE_EXAMPLES["small"]
+        for _, _, scan in decide_runs(model, g, family):
+            with pytest.raises(ValidationError, match="trace"):
+                scan(eps, keep_trace=True, decide=True)
+
+
+class TestNarrowCounts:
+    """Counts are kept in the narrowest unsigned dtype that holds C(k, 2);
+    wherever they meet arithmetic they must not wrap."""
+
+    def test_counts_past_two_bytes(self):
+        # C(363, 2) = 65,703 does not fit uint16: on a graph of density 0.999
+        # a 363-subset holds about 65,637 edges.  Sixteen such rows pass the
+        # plan's cap on held positions, and are counted at computed ones
+        n = 400
+        model = Homogeneous(n, 0.5)
+        g = random_graph(n, 0.999, 0)
+        rng = np.random.default_rng(1)
+        rows = tuple(tuple(int(v) for v in rng.choice(n, size=k, replace=False))
+                     for k in [362] + [363] * 16)
+        for family, held in ((Explicit(rows), [True, False]), (Explicit(rows[:3]), [True, True])):
+            seen = check_best_rows(model, g, family)
+            assert [(size.means is None, size.rows.shape[1]) for size, *_ in seen] == [
+                (False, 362), (False, 363), (True, 362), (True, 363)]
+            assert [size.pairs is not None for size, *_ in seen] == held + held
+            for size, counts, _, (stat, _) in seen:
+                assert counts.dtype == count_dtype(size) and stat > 0.0
+                if size.rows.shape[1] == 363:
+                    assert int(counts.max()) > np.iinfo(np.uint16).max
