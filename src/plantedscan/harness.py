@@ -40,7 +40,8 @@ from .model import (
     sample_null,
     write_csv,
 )
-from .scan import DEFAULT_SUBSET_BUDGET, ScanConfig, SubsetFamily, scan_known, scan_unknown
+from .scan import (DEFAULT_SUBSET_BUDGET, ScanConfig, SubsetFamily, _batch, _batch_graphs,
+                   scan_known, scan_unknown)
 from .boundary import threshold_scaling
 from .seeding import derive_seed, generator
 
@@ -219,37 +220,46 @@ class RiskEstimate:
         }
 
 
-def _make_decider(config: ExperimentConfig) -> Callable[[GraphSample], bool]:
+def _make_decider(config: ExperimentConfig) -> tuple[Callable[[GraphSample], bool], int]:
+    """The test's decision on one graph, and how many graphs _run_job
+    decides in one batch scope: as many as scan._batch_graphs allows for a
+    scan, one for the likelihood ratio, which counts nothing."""
     if config.test == "lr":
         problem = LrProblem(config.model, config.r, config.rho,
                             exact_budget=config.lr_exact_budget,
                             sample_size=config.lr_sample_size,
                             community_seed=config.master_seed)
-        return lambda g: likelihood_ratio_average(problem, g).value > 1.0
+        return (lambda g: likelihood_ratio_average(problem, g).value > 1.0), 1
     scan_cfg = ScanConfig(config.r, config.epsilon, config.family, config.budget)
+    graphs = _batch_graphs(scan_cfg, config.model.n)
     if config.test == "scan_known":
-        return lambda g: scan_known(config.model, g, scan_cfg, decide=True).reject
-    return lambda g: scan_unknown(g, scan_cfg, decide=True).reject
+        return (lambda g: scan_known(config.model, g, scan_cfg, decide=True).reject), graphs
+    return (lambda g: scan_unknown(g, scan_cfg, decide=True).reject), graphs
 
 
 def _run_job(job) -> list[int]:
-    """Rejections per stream among one job's replication indices: job w
-    of `workers` runs indices w, w + workers, ... of every stream, with one
-    decider for all of them."""
+    """Rejections per stream among one job's replications: job w of
+    `workers` takes indices w, w + workers, ... of every stream, lists them
+    in stream order, and samples and decides them a batch at a time, each
+    batch in one batch scope.  A batch may span streams: each decision
+    depends on its own graph alone."""
     config, streams, w, workers = job
-    decide = _make_decider(config)
-    counts = []
-    for label, community, count in streams:
+    decide, graphs = _make_decider(config)
+    replications = []  # (stream, alternative or None, seed) in stream order
+    for t, (label, community, count) in enumerate(streams):
         alt = (None if community is None
                else PlantedAlternative(community, config.rho, config.model))
-        rejections = 0
-        for i in range(count)[w::workers]:
-            seed = derive_seed(config.master_seed, label, i)
-            g = (sample_null(config.model, seed) if alt is None
-                 else sample_alternative(config.model, alt, seed))
-            if decide(g):
-                rejections += 1
-        counts.append(rejections)
+        replications += [(t, alt, derive_seed(config.master_seed, label, i))
+                         for i in range(count)[w::workers]]
+    counts = [0] * len(streams)
+    for start in range(0, len(replications), graphs):
+        batch = replications[start : start + graphs]
+        samples = [sample_null(config.model, seed) if alt is None
+                   else sample_alternative(config.model, alt, seed) for _, alt, seed in batch]
+        with _batch(samples):
+            for (t, _, _), g in zip(batch, samples):
+                if decide(g):
+                    counts[t] += 1
     return counts
 
 

@@ -575,13 +575,23 @@ class GraphSample:
 
     def _edges(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(i, j) arrays of the edges, i < j, in lexicographic order; one
-        pair of arrays per _PAIR_BLOCK triangle positions, unpacked one by one."""
+        pair of arrays per _PAIR_BLOCK triangle positions, unpacked one by
+        one, each only in its nonzero 64-bit words."""
         i = np.arange(self.n, dtype=np.int64)
         off = _pair_index(self.n, i, i + 1)  # the position of each row's first pair
         for start in range(0, self.pair_count, _PAIR_BLOCK):
             stop = min(start + _PAIR_BLOCK, self.pair_count)
-            bits = np.unpackbits(self.packed[start >> 3 :], count=stop - (start & ~7))
-            pos = np.flatnonzero(bits[start & 7 :].view(bool)) + start
+            raw = self.packed[start >> 3 : (stop + 7) >> 3]
+            if raw.size % 8:  # zero padding to whole words
+                raw = np.concatenate((raw, np.zeros(-raw.size % 8, dtype=np.uint8)))
+            words = raw.view(np.uint64)
+            nz = np.flatnonzero(words)
+            hit = np.flatnonzero(np.unpackbits(words[nz].view(np.uint8)).view(bool))
+            pos = nz[hit >> 6] * 64 + (hit & 63) + (start & ~7)
+            # the bytes hold bits of the blocks beside this one only where a
+            # block edge is not on a byte; past the last pair every bit is 0
+            if start & 7 or (stop & 7 and stop < self.pair_count):
+                pos = pos[(pos >= start) & (pos < stop)]
             i = np.searchsorted(off, pos, side="right") - 1
             yield i, pos - off[i] + i + 1
 

@@ -19,11 +19,18 @@ only), the normaliser |D| ln(n/|D|) and the blind floor.  A plan is built
 on first use for its (family, n, model) and reused by later scans while it
 is among the few most recent; models and families are immutable, so a
 cached plan cannot go stale.  Per graph, the scan takes each size once: it
-counts all of the size's rows, then scores them.  An exhaustive size above
-the plan's first and above 2 is counted from the size below, one popcount
-of the head's adjacency row against each extended subset's vertex mask;
-the scan keeps those counts for at most two consecutive sizes.  Every other
-size counts its rows' pairs directly: the plan holds the triangle positions
+reads the counts of all of the size's rows, then scores them.  Counts come
+from count tables, one (B, m) table per plan size over a batch of B
+graphs, each computed on first use: a scan alone is a batch of one, and
+inside a batch scope (_batch, which estimate_risk opens over the graphs it
+has sampled) the first scan that needs a size counts it for every graph of
+the scope, and the others read their rows.  A scope is sized by
+_batch_graphs to hold at most _BATCH_BYTES of tables; they are dropped when
+it closes, or with the scan when there is none.  An exhaustive size above
+the plan's first and above 2 is counted from the size below's table, one
+popcount of each head's adjacency rows, stacked over the batch, against
+each extended subset's vertex mask.  Every other size counts its rows'
+pairs directly, graph by graph: the plan holds the triangle positions
 of those pairs, sizes in plan order while they fit _PAIR_BLOCK positions in
 all, so that such a count is one gather of packed bits and one row sum; a
 size past that cap computes its positions, at most _BATCH_ROWS rows per
@@ -41,8 +48,9 @@ reaches the table's first entry above the running best (at least 0.0): it
 yields their first maximum and its row, (0.0, 0) when none is hot,
 evaluating the kernel on their hot rows only and, blind, gathering degree
 sums and estimating means for those rows only.  A size whose table stays at
-or below the best is not scored, and not counted either unless a size that
-extends from it can beat the best; at n = 40 the blind floor exceeds
+or below the best is not scored, and its counts are not read unless a size
+that extends from it is scored (in a batch scope another graph's scan may
+still have needed the table); at n = 40 the blind floor exceeds
 C(k, 2) for every k <= 5, so a default blind scan with r <= 5 counts
 nothing.  The rows left out cannot beat the best, so the first strict
 maximum in plan order still wins, which breaks ties toward the smaller
@@ -60,6 +68,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -97,11 +107,20 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # vertex mask per row of an exhaustive size that a larger one extends, plus
 # a bound table of C(k, 2) + 1 floats per size (one float where that would
 # outnumber the size's k m vertex entries), plus 8 bytes per pair position
-# held, at most _PAIR_BLOCK positions (8 MiB) per plan.  A scan holds besides
-# one count per row of the size it scores (and of the size below while it
-# extends that size), 1 byte for k <= 23 and 2 for k <= 362, and the
-# kernel's temporaries for its hot rows
+# held, at most _PAIR_BLOCK positions (8 MiB) per plan.  Count tables are
+# held besides: per graph one count per row of each size counted, 1 byte for
+# k <= 23 and 2 for k <= 362, with the kernel's temporaries for the hot rows
+# of the size being scored; a scan alone holds its graph's until it returns,
+# a batch scope about _BATCH_BYTES until it closes
 _PLAN_CACHE_SIZE = 2
+
+# the bytes of count tables (and stacked adjacency rows) a batch scope is
+# sized to hold.  Known scans of RankOne(40) null graphs at r = 4, deciding
+# at eps = 0.2 (about 102 kB of tables per graph), took 0.36 ms per graph
+# unbatched and 0.29/0.24/0.21/0.21/0.20/0.20/0.20/0.23 ms at B = 2, 5, 10,
+# 15, 20, 30, 50 and 100 (timed in-process, 400 graphs): past about 2 MB
+# the tables outgrow the cache and the gain stops
+_BATCH_BYTES = 2 << 20
 
 
 class SubsetFamily:
@@ -357,35 +376,36 @@ class _Size:
     masks: np.ndarray | None = None        # (m, ceil(n/64)) uint64 if the next size extends this
     pairs: np.ndarray | None = None        # (m, C(k, 2)) int64 pair positions, read-only, if held
 
-    def counts(self, sample: GraphSample, below: tuple | None) -> np.ndarray:
-        """e(D) of every row on sample, in dtype _count_dtype(C(k, 2)): from
-        the counts and masks of the size below, which below holds, where this
-        size extends it; else pair by pair, one gather at the held positions
-        or at positions computed now."""
-        if self.starts is None:
-            if self.pairs is None:
-                return sample._edges_within_rows(self.rows)
-            return sample._pair_counts(self.pairs)
-        counts_k, masks_k = below
-        adj = sample._adjacency_rows
+    def counts(self, samples: list[GraphSample], below: tuple | None = None) -> np.ndarray:
+        """The (B, m) table of e(D) of every row on each of B samples, in
+        dtype _count_dtype(C(k, 2)): where this size extends the size below,
+        from that size's (B, m') table and masks, which below holds, and the
+        samples' stacked adjacency rows; else sample by sample, pair by pair,
+        one gather at the held positions or at positions computed now."""
         k = self.rows.shape[1]
-        counts = np.empty(len(self.rows), dtype=_count_dtype(k * (k - 1) // 2))
-        m = len(counts_k)
+        counts = np.empty((len(samples), len(self.rows)), dtype=_count_dtype(k * (k - 1) // 2))
+        if self.starts is None:
+            for b, sample in enumerate(samples):
+                counts[b] = (sample._edges_within_rows(self.rows) if self.pairs is None
+                             else sample._pair_counts(self.pairs))
+            return counts
+        counts_k, masks_k = below
+        adj = np.stack([sample._adjacency_rows for sample in samples])
+        m = counts_k.shape[1]
         at = 0
         for a, s in enumerate(self.starts):
             if s == m:
                 break
-            block = slice(at, at + m - s)
-            out = counts[block]
+            out = counts[:, at : at + m - s]
             # the rows from s on hold only vertices above a: no bits in the
             # words below a + 1's.  The sum is taken in this size's dtype,
             # which may be wider than the size below's
             w0 = (a + 1) >> 6
-            np.add(counts_k[s:], np.bitwise_count(masks_k[s:, w0] & adj[a, w0]),
+            np.add(counts_k[:, s:], np.bitwise_count(masks_k[s:, w0] & adj[:, a, w0, None]),
                    out=out, dtype=out.dtype)
-            for w in range(w0 + 1, adj.shape[1]):
-                out += np.bitwise_count(masks_k[s:, w] & adj[a, w])
-            at = block.stop
+            for w in range(w0 + 1, adj.shape[2]):
+                out += np.bitwise_count(masks_k[s:, w] & adj[:, a, w, None])
+            at += m - s
         return counts
 
     def best(self, sample: GraphSample, counts: np.ndarray, low: int = 0) -> tuple[float, int]:
@@ -522,6 +542,76 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
     return size.best(sample, sample._edges_within_rows(rows))[0]
 
 
+class _Tables:
+    """The count tables of one plan over a batch of samples: table j is the
+    (B, m) counts of plan size j's rows on each sample (_Size.counts),
+    computed on first use, the size below first where size j extends it."""
+
+    def __init__(self, plan: tuple[_Size, ...], samples: list[GraphSample]) -> None:
+        self.plan = plan
+        self.samples = samples
+        self.row = {sample: b for b, sample in enumerate(samples)}
+        self.tables: list[np.ndarray | None] = [None] * len(plan)
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        table = self.tables[j]
+        if table is None:
+            size = self.plan[j]
+            below = None if size.starts is None else (self[j - 1], self.plan[j - 1].masks)
+            table = self.tables[j] = size.counts(self.samples, below)
+        return table
+
+
+# the enclosing batch scope: its samples, and the count tables computed for
+# them so far, one _Tables per plan keyed by the plan's id (the _Tables
+# holds the plan, so the id is not reused while the scope lives)
+_BATCH: ContextVar[tuple[list[GraphSample], dict[int, _Tables]] | None] = ContextVar(
+    "_BATCH", default=None)
+
+
+@contextmanager
+def _batch(samples: Iterable[GraphSample]) -> Iterator[dict[int, _Tables]]:
+    """A scope in which the scans of a sample in samples, graphs on one n,
+    share count tables: each plan size's table is computed once, for all
+    of them, by the first scan in the scope that needs it, and each scan
+    reads its sample's row.  Counts are exact, so every outcome is the one
+    the scan gives alone.  Yields the scope's tables, which are dropped on
+    exit."""
+    tables: dict[int, _Tables] = {}
+    token = _BATCH.set((list(samples), tables))
+    try:
+        yield tables
+    finally:
+        _BATCH.reset(token)
+        tables.clear()
+
+
+def _batch_graphs(config: ScanConfig, n: int) -> int:
+    """The graphs per batch scope for scans by config on n vertices: as many
+    as keep their count tables, at most one entry per subset of the family
+    in the dtype of its largest size, and their adjacency rows, which an
+    extended size stacks, within _BATCH_BYTES; at least one."""
+    family = config.family or Exhaustive(1, config.r)
+    k = family.size_range(n)[1]
+    per_graph = (family.count(n) * _count_dtype(k * (k - 1) // 2).itemsize
+                 + 8 * n * -(-n // 64))
+    return max(1, _BATCH_BYTES // per_graph)
+
+
+def _tables(plan: tuple[_Size, ...], sample: GraphSample) -> tuple[_Tables, int]:
+    """The count tables a scan of sample by plan reads, and sample's row in
+    them: the enclosing batch scope's where sample is one of its samples,
+    else those of a batch of one."""
+    scope = _BATCH.get()
+    if scope is None or sample not in scope[0]:
+        return _Tables(plan, [sample]), 0
+    samples, held = scope
+    tables = held.get(id(plan))
+    if tables is None:
+        tables = held[id(plan)] = _Tables(plan, samples)
+    return tables, tables.row[sample]
+
+
 def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
               floor: float = 0.0) -> tuple[float, tuple[int, ...], dict | None, int]:
     """First strict maximum in plan order of the sizes' best rows on sample,
@@ -534,36 +624,29 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
     outcome, so a size scores only the rows whose count its bound table
     does not rule out.  A size that has none is not scored, and stands as
     (0.0, 0), which is its exact best row whenever the outcome can take it;
-    it is not counted either unless a size that extends from it can beat
-    the best and reach floor.  A floor above 0.0 leaves out rows the full
-    scan scores, so where no row reaches it the maximum returned is a lower
-    bound on the full scan's, not the maximum itself."""
+    its counts are read only if a size that extends from it is scored.  A
+    floor above 0.0 leaves out rows the full scan scores, so where no row
+    reaches it the maximum returned is a lower bound on the full scan's,
+    not the maximum itself."""
+    tables, b = _tables(plan, sample)
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
     evaluated = 0
-    below = None
-    # the highest bound of each size and of the sizes that extend from it
-    reach = [float(size.bound[-1]) for size in plan]
-    for j in range(len(plan) - 2, -1, -1):
-        if plan[j + 1].starts is not None:
-            reach[j] = max(reach[j], reach[j + 1])
-    for size, top in zip(plan, reach):
+    for j, size in enumerate(plan):
         evaluated += len(size.rows)
         cut = 0.0 if keep_trace else max(best_stat, 0.0)
-        counts = size.counts(sample, below) if top > cut and top >= floor else None
-        # the counts of the size below are dropped here, once this size has its own
-        below = None if size.masks is None else (counts, size.masks)
         # the first count whose bound is above cut and at least floor: a row
         # that scores exactly floor has a bound of at least floor
         low = int(np.searchsorted(size.bound, floor, "left") if floor > cut
                   else np.searchsorted(size.bound, cut, "right"))
-        mx, i = size.best(sample, counts, low) if low < len(size.bound) else (0.0, 0)
-        subset = tuple(int(v) for v in size.rows[i])
-        if mx > best_stat:
-            best_stat, best_subset = mx, subset
-        if keep_trace:
-            trace[size.rows.shape[1]] = (mx, subset)
+        mx, i = size.best(sample, tables[j][b], low) if low < len(size.bound) else (0.0, 0)
+        if mx > best_stat or keep_trace:
+            subset = tuple(int(v) for v in size.rows[i])
+            if mx > best_stat:
+                best_stat, best_subset = mx, subset
+            if keep_trace:
+                trace[size.rows.shape[1]] = (mx, subset)
     return best_stat, best_subset, (trace if keep_trace else None), evaluated
 
 

@@ -14,16 +14,22 @@ from plantedscan import (
     ExperimentConfig,
     Homogeneous,
     LrProblem,
+    PlantedAlternative,
     RankOne,
+    ScanConfig,
     ValidationError,
     derive_seed,
     estimate_risk,
     likelihood_ratio_average,
     run_sweep,
+    sample_alternative,
     sample_null,
+    scan_known,
+    scan_unknown,
     threshold_scaling,
 )
 from plantedscan import harness as harness_module
+from plantedscan import scan as scan_module
 from plantedscan import lr as lr_module
 from plantedscan.harness import RateWithError
 from plantedscan.model import model_to_json
@@ -259,6 +265,45 @@ class TestEstimateRisk:
         assert len(flags) == 30 and all(flags)
         assert min(rate.rate for rate in decided.type2.values()) < 1.0
         assert json.dumps(decided.to_json()) == json.dumps(full.to_json())
+
+    @pytest.mark.parametrize("test", ["scan_known", "scan_unknown"])
+    def test_batches_change_no_byte(self, test, monkeypatch):
+        # a job decides its graphs a batch scope at a time; RankOne(20) at
+        # r = 4 has 6,195 subsets, so a cap of three graphs' tables cuts the
+        # 15 graphs of one job into five batches, two of which span streams
+        model = RankOne(np.linspace(0.45, 0.05, 20))
+        communities = ((12, 13, 14, 15), (16, 17, 18, 19))
+        base = dict(model=model, test=test, r=4, rho=25.0, epsilon=0.5, communities=communities,
+                    null_replications=7, alt_replications=4, master_seed=3)
+        serial = estimate_risk(ExperimentConfig(**base, workers=1))
+        pooled = estimate_risk(ExperimentConfig(**base, workers=2))
+        assert json.dumps(serial.to_json()) == json.dumps(pooled.to_json())
+        batches = []
+
+        def record(samples, _batch=harness_module._batch):
+            batches.append([g.planted_community for g in samples])
+            return _batch(samples)
+
+        monkeypatch.setattr(harness_module, "_batch", record)
+        monkeypatch.setattr(scan_module, "_BATCH_BYTES", 3 * (6_195 + 8 * 20))
+        capped = estimate_risk(ExperimentConfig(**base, workers=1))
+        assert [len(b) for b in batches] == [3] * 5
+        assert sum(len(set(b)) > 1 for b in batches) == 2
+        assert json.dumps(capped.to_json()) == json.dumps(serial.to_json())
+        # and every decision is the full scan's on its own graph
+        scan_cfg = ScanConfig(4, 0.5)
+        rejections = []
+        for label, community, count in [("null", None, 7), ("alt-0", communities[0], 4),
+                                         ("alt-1", communities[1], 4)]:
+            alt = None if community is None else PlantedAlternative(community, 25.0, model)
+            graphs = [sample_null(model, derive_seed(3, label, i)) if alt is None
+                      else sample_alternative(model, alt, derive_seed(3, label, i))
+                      for i in range(count)]
+            rejections.append(sum((scan_known(model, g, scan_cfg) if test == "scan_known"
+                                   else scan_unknown(g, scan_cfg)).reject for g in graphs))
+        assert rejections == [serial.type1.successes] + [
+            4 - rate.successes for rate in serial.type2.values()]
+        assert 0 < sum(rejections) < 15 or test == "scan_unknown"
 
     def test_json_shape(self):
         est = estimate_risk(small_config())

@@ -8,6 +8,7 @@ fixtures come from tests/oracles/frozen_values.py.
 import contextlib
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -649,9 +650,11 @@ class TestScanPlan:
                 scored.append((size, counts))
                 return 0.0, 0
 
-            def count(size, sample, below):
-                counts = counts_of(size, sample, below)
-                counted.append((size, counts))
+            def count(size, samples, below=None):
+                # outside a batch scope a scan counts a batch of one
+                counts = counts_of(size, samples, below)
+                assert samples == [g] and counts.shape == (1, len(size.rows))
+                counted.append((size, counts[0]))
                 return counts
 
             plan = scan_module._plan.__wrapped__(family, g.n, model)
@@ -1294,7 +1297,7 @@ class TestHeldPositions:
                 direct = g._edges_within_rows(size.rows)
                 gathers.clear()
                 with batch_rows(rows), mock.patch.object(GraphSample, "_pair_counts", gather):
-                    counts = size.counts(g, None)
+                    counts, = size.counts([g])
                 assert counts.dtype == count_dtype(size)
                 assert np.array_equal(counts, direct)
                 if size.pairs is not None:
@@ -1500,6 +1503,105 @@ class TestDecide:
         for _, _, scan in decide_runs(model, g, family):
             with pytest.raises(ValidationError, match="trace"):
                 scan(eps, keep_trace=True, decide=True)
+
+
+@st.composite
+def batch_cases(draw):
+    """decide_cases' model, family and epsilon with one to seven graphs on
+    its n: its planted graph and others, planted or not, of drawn densities;
+    and a cap on a batch scope's tables of 1 B to 40 kB, so that a scope of
+    the graphs the cap allows holds anything from one graph to all of them."""
+    model, g, family, epsilon = draw(decide_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graphs = [g]
+    for _ in range(draw(st.integers(0, 6))):
+        density, seed = draw(st.sampled_from([0.0, 0.1, 0.3, 0.9])), int(rng.integers(2**32))
+        graphs.append(planted_graph(g.n, density, rng.choice(g.n, size=min(g.n - 1, 6),
+                                                             replace=False), seed)
+                      if draw(st.booleans()) else random_graph(g.n, density, seed))
+    return model, graphs, family, epsilon, draw(st.integers(1, 40_000))
+
+
+def table_bytes(scope):
+    """The bytes of the count tables a batch scope holds."""
+    return sum(table.nbytes for tables in scope.values()
+               for table in tables.tables if table is not None)
+
+
+class TestBatchScope:
+    """Inside a batch scope the scans of its samples share count tables,
+    each plan size counted once for all of them; every outcome is still the
+    one the scan gives alone, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch_cases())
+    @example((DECIDE_EXAMPLES["two_words"][0],
+              [planted_graph(70, 0.05, range(60, 66), seed) for seed in range(4)],
+              Exhaustive(2, 3), 0.2, 1))
+    @example((DECIDE_EXAMPLES["weight_prefix"][0],
+              [planted_graph(20, 0.1, range(6), seed) for seed in range(3)],
+              WeightPrefix(1, 8), 0.2, 40_000))
+    def test_outcomes_are_the_standalone_scans(self, case):
+        model, graphs, family, epsilon, cap = case
+        n = graphs[0].n
+        # an equal graph that is not one of the scopes' samples
+        outside = GraphSample(n, graphs[0].packed, None, "imported")
+        runs = {id(g): [scan for *_, scan in decide_runs(model, g, family)]
+                for g in graphs + [outside]}
+
+        def outcomes(gs, **kw):
+            return [json.dumps(scan(epsilon, **kw).to_json()) for g in gs for scan in runs[id(g)]]
+
+        with mock.patch.object(scan_module, "_BATCH_BYTES", cap):
+            per_scope = scan_module._batch_graphs(
+                ScanConfig(family.size_range(n)[1], family=family), n)
+        assert per_scope >= 1
+        # the scopes a risk estimate would open, then one of every graph,
+        # above the cap wherever the cap allows fewer
+        scopes = [graphs[s : s + per_scope] for s in range(0, len(graphs), per_scope)] + [graphs]
+        counts_of = scan_module._Size.counts
+        counted = []
+
+        def count(size, samples, below=None):
+            counted.append((size, len(samples)))
+            return counts_of(size, samples, below)
+
+        for kw in ({}, {"keep_trace": True}, {"decide": True}):
+            alone = outcomes(graphs, **kw)
+            for scope_graphs in scopes:
+                counted.clear()
+                with mock.patch.object(scan_module._Size, "counts", count), \
+                        scan_module._batch(scope_graphs) as scope:
+                    batched = outcomes(scope_graphs, **kw)
+                    # a graph scanned twice counts nothing more
+                    assert outcomes(scope_graphs[:1], **kw) == batched[: len(runs[id(graphs[0])])]
+                    assert len({id(size) for size, _ in counted}) == len(counted)
+                    assert all(b == len(scope_graphs) for _, b in counted)
+                    if 1 < len(scope_graphs) <= per_scope:
+                        assert table_bytes(scope) <= cap
+                    held, counted[:] = table_bytes(scope), []
+                    # a graph outside the scope counts alone, and adds no table
+                    assert outcomes([outside], **kw) == alone[: len(runs[id(graphs[0])])]
+                    assert all(b == 1 for _, b in counted) and table_bytes(scope) == held
+                assert not scope
+                start = graphs.index(scope_graphs[0]) * len(runs[id(graphs[0])])
+                assert batched == alone[start : start + len(batched)]
+
+    def test_tables_are_dropped_when_a_scan_raises(self):
+        model, g, family, eps = DECIDE_EXAMPLES["small"]
+        graphs = [g, planted_graph(12, 0.3, range(6), 1)]
+        with pytest.raises(ValidationError, match="trace"):
+            with scan_module._batch(graphs) as scope:
+                scan_known(model, g, ScanConfig(4, eps, family), decide=True)
+                assert table_bytes(scope) > 0
+                scan_known(model, g, ScanConfig(4, eps, family), keep_trace=True, decide=True)
+        assert not scope and scan_module._BATCH.get() is None
+        # and a scope is left on any exception, its tables dropped
+        with pytest.raises(KeyError):
+            with scan_module._batch(graphs) as scope:
+                scan_unknown(g, ScanConfig(4, eps))
+                raise KeyError
+        assert not scope and scan_module._BATCH.get() is None
 
 
 class TestNarrowCounts:
