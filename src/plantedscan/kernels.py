@@ -54,12 +54,15 @@ _DEFAULT_TOL = KernelTolerance()
 def entropy_h(x: float) -> float:
     """(1 + x) * ln(1 + x) - x, evaluated without cancellation for small x.
 
-    Defined for x > -1; values in (-1, 0) arise for lower tails and are
-    accepted.  Raises ValidationError at or below the pole x = -1.
+    Defined for x > -1, with h(inf) = inf; values in (-1, 0) arise for
+    lower tails and are accepted.  Raises ValidationError at or below the
+    pole x = -1.
     """
     x = float(x)
     if math.isnan(x) or x <= -1.0:
         raise ValidationError(f"entropy_h requires x > -1, got {x}")
+    if x == math.inf:  # where the formula gives inf - inf
+        return x
     if abs(x) < 1e-4:
         # Taylor series x^2/2 - x^3/6 + x^4/12 - x^5/20; the direct formula
         # loses half its digits to cancellation once x is this small.
@@ -76,11 +79,13 @@ def entropy_h_vec(x: np.ndarray) -> np.ndarray:
     if x.size and not bool((x > -1.0).all()):
         raise ValidationError("entropy_h_vec requires every entry > -1")
     small = np.abs(x) < 1e-4
-    xs = np.where(small, x, 0.0)
-    xl = np.where(small, 0.0, x)
-    taylor = xs * xs * (0.5 + xs * (-1.0 / 6.0 + xs * (1.0 / 12.0 - xs / 20.0)))
-    exact = (1.0 + xl) * np.log1p(xl) - xl
-    return np.where(small, taylor, exact)
+    top = x == np.inf  # h(inf) = inf, where the formula gives inf - inf
+    xl = np.where(small | top, 0.0, x)
+    out = np.where(top, x, (1.0 + xl) * np.log1p(xl) - xl)
+    if small.any():  # the series of entropy_h, on those entries only
+        xs = x[small]
+        out[small] = xs * xs * (0.5 + xs * (-1.0 / 6.0 + xs * (1.0 / 12.0 - xs / 20.0)))
+    return out
 
 
 def entropy_h_inverse(y: float, tol: KernelTolerance | None = None) -> float:
@@ -144,7 +149,10 @@ def kl_bernoulli(p: float, q: float) -> float:
         raise ValidationError(f"kl_bernoulli requires 0 < p < 1, got p={p}")
     if not 0.0 < q < 1.0:
         raise ValidationError(f"kl_bernoulli requires 0 < q < 1, got q={q}")
-    return q * math.log(q / p) + (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
+    # q / p overflows where p is subnormal; the difference of logs does not
+    ratio = q / p
+    lead = math.log(ratio) if ratio < math.inf else math.log(q) - math.log(p)
+    return q * lead + (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
 
 
 def bennett_upper_tail_bound(mean: float, t: float) -> float:

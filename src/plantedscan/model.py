@@ -161,8 +161,8 @@ def _combination_tables(n: int, lo: int, hi: int) -> Iterator[tuple]:
 
 def _vertex_masks(n: int, rows: np.ndarray) -> np.ndarray:
     """(m, ceil(n/64)) uint64 vertex sets of an (m, k) array of subsets:
-    vertex v is bit v % 64 of word v // 64, as in GraphSample's adjacency
-    rows.  The temporaries are one column of _BATCH_ROWS rows at a time."""
+    vertex v is bit v % 64 of word v // 64, as in _adjacency_stack's rows.
+    The temporaries are one column of _BATCH_ROWS rows at a time."""
     m = rows.shape[0]
     w = -(-n // 64)
     masks = np.zeros((m, w), dtype=np.uint64)
@@ -199,12 +199,12 @@ def _count_dtype(pairs: int) -> np.dtype:
     return np.min_scalar_type(pairs)
 
 
-def _read_bits(packed: np.ndarray, pos):
-    """The bits (1 or 0) at triangle positions pos, an integer or an integer
-    array, of a packed triangle, which np.packbits lays out with position t
-    at bit 7 - t % 8 of byte t // 8; uint8, the shift taken from the low
-    byte of pos."""
-    return packed[pos >> 3] >> (~np.asarray(pos).astype(np.uint8) & 7) & 1
+def _bit_address(pos):
+    """(byte, shift) of triangle positions pos, an integer or an integer
+    array, in a packed triangle, which np.packbits lays out with position t
+    at bit 7 - t % 8 of byte t // 8: the bit is packed[byte] >> shift & 1,
+    the uint8 shift taken from the low byte of pos."""
+    return pos >> 3, ~np.asarray(pos).astype(np.uint8) & 7
 
 
 def _set_bits(packed: np.ndarray, pos: np.ndarray) -> None:
@@ -603,46 +603,6 @@ class GraphSample:
         deg.flags.writeable = False
         return deg
 
-    @cached_property
-    def _adjacency_rows(self) -> np.ndarray:
-        """(n, ceil(n/64)) uint64: row i holds the neighbours of i, vertex j
-        at bit j % 64 of word j // 64; n^2/8 bytes, set edge by edge."""
-        w = -(-self.n // 64)
-        flat = np.zeros(self.n * w, dtype=np.uint64)
-        for i, j in self._edges():
-            for a, b in ((i, j), (j, i)):
-                np.bitwise_or.at(flat, a * w + (b >> 6), _bit(b))
-        rows = flat.reshape(self.n, w)
-        rows.flags.writeable = False
-        return rows
-
-    def _edges_within_rows(self, rows: np.ndarray) -> np.ndarray:
-        """e(D) for every row of an (m, k) array of row-sorted subsets, in
-        dtype _count_dtype(C(k, 2)): one count of the rows' pair bits per
-        _PAIR_BLOCK positions and at most _BATCH_ROWS rows (or one head
-        column's pairs of one row), the pair columns (a, b), a < b, taken
-        _PAIR_BLOCK // k head columns a at a time so that none grows as k^2.
-        The blocks' counts of a row add up to at most C(k, 2), so they sum
-        in that dtype without wrapping."""
-        m, k = rows.shape
-        v = np.arange(k)
-        counts = np.zeros(m, dtype=_count_dtype(k * (k - 1) // 2))
-        heads_per = max(1, _PAIR_BLOCK // max(k, 1))
-        for h in range(0, k - 1, heads_per):
-            a, b = np.nonzero(v[h : h + heads_per, None] < v)  # lexicographic
-            a += h
-            step = max(1, min(_BATCH_ROWS, _PAIR_BLOCK // a.size))
-            for s in range(0, m, step):
-                pos = _pair_positions(self.n, rows[s : s + step], a, b)
-                counts[s : s + step] += self._pair_counts(pos)
-        return counts
-
-    def _pair_counts(self, pos: np.ndarray) -> np.ndarray:
-        """The row sums, in dtype _count_dtype(p), of the edge bits at the
-        triangle positions of an (m, p) int64 array: one gather of packed
-        bits and one sum."""
-        return _read_bits(self.packed, pos).sum(axis=1, dtype=_count_dtype(pos.shape[1]))
-
     def pair_index(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i
@@ -650,7 +610,8 @@ class GraphSample:
         return int(_pair_index(self.n, i, j))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(_read_bits(self.packed, self.pair_index(i, j)))
+        byte, shift = _bit_address(self.pair_index(i, j))
+        return bool(self.packed[byte] >> shift & 1)
 
     @cached_property
     def _edge_total(self) -> int:
@@ -662,7 +623,7 @@ class GraphSample:
     def edges_within(self, subset: Iterable[int]) -> int:
         """Number of edges with both endpoints in the subset."""
         d = check_subset(self.n, subset)
-        return int(self._edges_within_rows(d[None, :])[0])
+        return int(_edge_counts([self], d[None, :])[0, 0])
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -672,7 +633,7 @@ class GraphSample:
     def edges_across(self, subset: Iterable[int]) -> int:
         """Number of edges with exactly one endpoint in the subset."""
         d = check_subset(self.n, subset)
-        return int(self._degrees[d].sum()) - 2 * int(self._edges_within_rows(d[None, :])[0])
+        return int(self._degrees[d].sum()) - 2 * int(_edge_counts([self], d[None, :])[0, 0])
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric boolean adjacency; refuses n > 8192 (use the
@@ -687,6 +648,46 @@ class GraphSample:
             m[i, j] = True
             m[j, i] = True
         return m
+
+
+def _edge_counts(samples: list[GraphSample], rows: np.ndarray) -> np.ndarray:
+    """The (B, m) table of e(D) of every row of an (m, k) array of row-sorted
+    subsets on each of B samples on one n, in dtype _count_dtype(C(k, 2)).
+    The rows' pairs are read in blocks of at most _PAIR_BLOCK positions: at
+    most _BATCH_ROWS rows (or one row) at a time, the pair columns (a, b),
+    a < b, _PAIR_BLOCK // k head columns a at a time so that no block grows
+    as k^2.  Each block's positions, byte indices and bit shifts are computed
+    once and gathered from every sample.  The blocks' counts of a row add up
+    to at most C(k, 2), so they sum in that dtype without wrapping."""
+    m, k = rows.shape
+    dtype = _count_dtype(k * (k - 1) // 2)
+    counts = np.zeros((len(samples), m), dtype=dtype)
+    v = np.arange(k)
+    heads_per = max(1, _PAIR_BLOCK // max(k, 1))
+    for h in range(0, k - 1, heads_per):
+        a, b = np.nonzero(v[h : h + heads_per, None] < v)  # lexicographic
+        a += h
+        step = max(1, min(_BATCH_ROWS, _PAIR_BLOCK // a.size))
+        for s in range(0, m, step):
+            pos = _pair_positions(samples[0].n, rows[s : s + step], a, b)
+            byte, shift = _bit_address(pos)
+            for out, sample in zip(counts, samples):
+                out[s : s + step] += (sample.packed[byte] >> shift & 1).sum(axis=1, dtype=dtype)
+    return counts
+
+
+def _adjacency_stack(samples: list[GraphSample]) -> np.ndarray:
+    """(B, n, ceil(n/64)) uint64 adjacency rows of B samples on one n: row i
+    of sample b holds the neighbours of i, vertex j at bit j % 64 of word
+    j // 64; B n^2/8 bytes, set edge by edge."""
+    n = samples[0].n
+    w = -(-n // 64)
+    flat = np.zeros(len(samples) * n * w, dtype=np.uint64)
+    for b, sample in enumerate(samples):
+        for i, j in sample._edges():
+            for x, y in ((i, j), (j, i)):
+                np.bitwise_or.at(flat, (b * n + x) * w + (y >> 6), _bit(y))
+    return flat.reshape(len(samples), n, w)
 
 
 def _probability_blocks(model: EdgeProbabilityModel,

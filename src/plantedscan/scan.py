@@ -20,21 +20,18 @@ on first use for its (family, n, model) and reused by later scans while it
 is among the few most recent; models and families are immutable, so a
 cached plan cannot go stale.  Per graph, the scan takes each size once: it
 reads the counts of all of the size's rows, then scores them.  Counts come
-from count tables, one (B, m) table per plan size over a batch of B
-graphs, each computed on first use: a scan alone is a batch of one, and
-inside a batch scope (_batch, which estimate_risk opens over the graphs it
-has sampled) the first scan that needs a size counts it for every graph of
-the scope, and the others read their rows.  A scope is sized by
-_batch_graphs to hold at most _BATCH_BYTES of tables; they are dropped when
-it closes, or with the scan when there is none.  An exhaustive size above
-the plan's first and above 2 is counted from the size below's table, one
-popcount of each head's adjacency rows, stacked over the batch, against
-each extended subset's vertex mask.  Every other size counts its rows'
-pairs directly, graph by graph: the plan holds the triangle positions
-of those pairs, sizes in plan order while they fit _PAIR_BLOCK positions in
-all, so that such a count is one gather of packed bits and one row sum; a
-size past that cap computes its positions, at most _BATCH_ROWS rows per
-gather.  A size-k count is held in the narrowest unsigned dtype that holds
+from a batch of B graphs (_Batch), one (B, m) table per plan size, each
+computed on first use: a scan alone is a batch of one, and inside a batch
+scope (_batch, which estimate_risk opens over the graphs it has sampled)
+the first scan that needs a size counts it for every graph of the scope,
+and the others read their rows.  A scope is sized by _batch_graphs to hold
+at most _BATCH_BYTES, and drops what it holds when it closes.  An
+exhaustive size above the plan's first and above 2 is counted from the size
+below's table, one popcount of each head's adjacency rows, which the batch
+stacks the first time such a size needs them, against each extended
+subset's vertex mask.  Every other size counts its rows' pairs directly
+(_edge_counts), each block of pair positions computed once for the whole
+batch.  A size-k count is held in the narrowest unsigned dtype that holds
 C(k, 2) (uint8 up to k = 23, uint16 up to k = 362): an extended size adds
 in its own dtype, and the blind cross count widens to int64 before its
 arithmetic.  A row whose count exceeds a positive mean is hot and scores its
@@ -78,9 +75,9 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .kernels import entropy_h_vec
-from .model import (_BATCH_ROWS, _PAIR_BLOCK, EdgeProbabilityModel, GraphSample, RankOne,
-                    _check_rows, _combination_tables, _count_dtype, _norm, _number,
-                    _pair_positions, _vertex_masks, check_subset)
+from .model import (_BATCH_ROWS, EdgeProbabilityModel, GraphSample, RankOne, _adjacency_stack,
+                    _check_rows, _combination_tables, _count_dtype, _edge_counts, _norm,
+                    _number, _vertex_masks, check_subset)
 
 __all__ = [
     "Exhaustive",
@@ -106,16 +103,15 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # (4k + 8) bytes per row of size k (4k blind), plus 8 ceil(n/64) bytes of
 # vertex mask per row of an exhaustive size that a larger one extends, plus
 # a bound table of C(k, 2) + 1 floats per size (one float where that would
-# outnumber the size's k m vertex entries), plus 8 bytes per pair position
-# held, at most _PAIR_BLOCK positions (8 MiB) per plan.  Count tables are
-# held besides: per graph one count per row of each size counted, 1 byte for
-# k <= 23 and 2 for k <= 362, with the kernel's temporaries for the hot rows
-# of the size being scored; a scan alone holds its graph's until it returns,
-# a batch scope about _BATCH_BYTES until it closes
+# outnumber the size's k m vertex entries).  A batch holds besides, per
+# graph, one count per row of each size counted, 1 byte for k <= 23 and 2
+# for k <= 362, and n^2/8 bytes of adjacency rows once an extended size is
+# counted: a scan alone until it returns, a batch scope about _BATCH_BYTES
+# until it closes
 _PLAN_CACHE_SIZE = 2
 
-# the bytes of count tables (and stacked adjacency rows) a batch scope is
-# sized to hold.  Known scans of RankOne(40) null graphs at r = 4, deciding
+# the bytes of count tables and adjacency rows a batch scope is sized to
+# hold.  Known scans of RankOne(40) null graphs at r = 4, deciding
 # at eps = 0.2 (about 102 kB of tables per graph), took 0.36 ms per graph
 # unbatched and 0.29/0.24/0.21/0.21/0.20/0.20/0.20/0.23 ms at B = 2, 5, 10,
 # 15, 20, 30, 50 and 100 (timed in-process, 400 graphs): past about 2 MB
@@ -360,8 +356,7 @@ class _Size:
     the one below: its rows headed by vertex a are a followed by the rows of
     the size below from starts[a] on.  A scan then counts them from that
     size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask.  Any
-    other size is counted pair by pair, at the triangle positions pairs
-    holds or, past the plan's cap, at positions computed when counted.
+    other size is counted pair by pair (_edge_counts).
 
     bound is nondecreasing, and on every graph no row whose count is c
     scores above bound[min(c, len(bound) - 1)] (see _bound).
@@ -374,23 +369,17 @@ class _Size:
     bound: np.ndarray                      # read-only; _NO_BOUND rules no row out
     starts: tuple[int, ...] | None = None  # per head vertex; None: not extended
     masks: np.ndarray | None = None        # (m, ceil(n/64)) uint64 if the next size extends this
-    pairs: np.ndarray | None = None        # (m, C(k, 2)) int64 pair positions, read-only, if held
 
     def counts(self, samples: list[GraphSample], below: tuple | None = None) -> np.ndarray:
         """The (B, m) table of e(D) of every row on each of B samples, in
         dtype _count_dtype(C(k, 2)): where this size extends the size below,
-        from that size's (B, m') table and masks, which below holds, and the
-        samples' stacked adjacency rows; else sample by sample, pair by pair,
-        one gather at the held positions or at positions computed now."""
+        from below, that size's (B, m') table and masks and the samples'
+        (B, n, ceil(n/64)) adjacency rows; else by _edge_counts."""
+        if self.starts is None:
+            return _edge_counts(samples, self.rows)
         k = self.rows.shape[1]
         counts = np.empty((len(samples), len(self.rows)), dtype=_count_dtype(k * (k - 1) // 2))
-        if self.starts is None:
-            for b, sample in enumerate(samples):
-                counts[b] = (sample._edges_within_rows(self.rows) if self.pairs is None
-                             else sample._pair_counts(self.pairs))
-            return counts
-        counts_k, masks_k = below
-        adj = np.stack([sample._adjacency_rows for sample in samples])
+        counts_k, masks_k, adj = below
         m = counts_k.shape[1]
         at = 0
         for a, s in enumerate(self.starts):
@@ -437,7 +426,6 @@ def _plan(family: SubsetFamily, n: int,
     null means from model (None for the blind scan), in plan order."""
     tables = list(family._row_tables(n, model))
     sizes = []
-    room = _PAIR_BLOCK  # the pair positions the plan may still hold
     for (table, starts), (_, above) in zip(tables, tables[1:] + [(None, None)]):
         m, k = table.shape
         _check_scan_size(n, k)
@@ -457,41 +445,27 @@ def _plan(family: SubsetFamily, n: int,
         # no table may outweigh the size's own: a weight-prefix family of
         # sizes up to r would otherwise hold about r^3 / 6 floats
         bound = _bound(k, low, norm) if k * (k - 1) // 2 < table.size else _NO_BOUND
-        pairs = None
-        if starts is None and m * (k * (k - 1) // 2) <= room:
-            pairs = _held_positions(n, table)
-            room -= pairs.size
-        sizes.append(_Size(table, means, norm, floor, bound, starts, masks, pairs))
+        sizes.append(_Size(table, means, norm, floor, bound, starts, masks))
     if not sizes:
         raise ValidationError("subset family yielded no candidates")
     return tuple(sizes)
 
 
-def _held_positions(n: int, table: np.ndarray) -> np.ndarray:
-    """The read-only (m, C(k, 2)) int64 positions of the pairs of each row of
-    an (m, k) table, pairs lexicographic; the temporaries are one head
-    column of _BATCH_ROWS rows at a time."""
-    m, k = table.shape
-    pos = np.empty((m, k * (k - 1) // 2), dtype=np.int64)
-    for s in range(0, m, _BATCH_ROWS):
-        block = table[s : s + _BATCH_ROWS]
-        at = 0
-        for a in range(k - 1):
-            pos[s : s + _BATCH_ROWS, at : at + k - 1 - a] = _pair_positions(
-                n, block, slice(a, a + 1), slice(a + 1, k))
-            at += k - 1 - a
-    pos.flags.writeable = False
-    return pos
-
-
 def _scores(counts: np.ndarray, means: np.ndarray, norm: float) -> np.ndarray:
     """means * h(counts / means - 1) / norm where a count exceeds its
     positive mean; 0.0 elsewhere, which is that formula's value at no
-    overshoot and the convention at a zero mean."""
+    overshoot and the convention at a zero mean.  A mean so small that the
+    formula overflows scores its equal log form (c ln(c/mu) - c + mu) / norm."""
     hot = (counts > means) & (means > 0.0)
     mu = means[hot]
     out = np.zeros(means.shape)
-    out[hot] = mu * entropy_h_vec(counts[hot] / mu - 1.0) / norm
+    with np.errstate(over="ignore"):
+        score = mu * entropy_h_vec(counts[hot] / mu - 1.0) / norm
+    far = np.isinf(score)
+    if far.any():
+        c, mu = counts[hot][far].astype(np.float64), mu[far]
+        score[far] = (c * (np.log(c) - np.log(mu)) - c + mu) / norm
+    out[hot] = score
     return out
 
 
@@ -539,58 +513,63 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
     rows = d[None, :]
     size = _Size(rows, model.within_mean(rows), _norm(sample.n, d.size), None, _NO_BOUND)
-    return size.best(sample, sample._edges_within_rows(rows))[0]
+    return size.best(sample, _edge_counts([sample], rows)[0])[0]
 
 
-class _Tables:
-    """The count tables of one plan over a batch of samples: table j is the
-    (B, m) counts of plan size j's rows on each sample (_Size.counts),
-    computed on first use, the size below first where size j extends it."""
+class _Batch:
+    """Samples on one n whose scans share what is counted for them: for each
+    plan, keyed by its id, the (B, m) count table of each plan size
+    (_Size.counts), computed on first use, the size below first where size
+    j extends it; and the samples' adjacency rows (_adjacency_stack), built
+    the first time an extended size is counted.  The batch holds each plan
+    it keys, so no id is reused while it lives."""
 
-    def __init__(self, plan: tuple[_Size, ...], samples: list[GraphSample]) -> None:
-        self.plan = plan
-        self.samples = samples
-        self.row = {sample: b for b, sample in enumerate(samples)}
-        self.tables: list[np.ndarray | None] = [None] * len(plan)
+    def __init__(self, samples: Iterable[GraphSample]) -> None:
+        self.samples = list(samples)
+        self.row = {sample: b for b, sample in enumerate(self.samples)}
+        self.tables: dict[int, tuple[tuple[_Size, ...], list]] = {}
 
-    def __getitem__(self, j: int) -> np.ndarray:
-        table = self.tables[j]
-        if table is None:
-            size = self.plan[j]
-            below = None if size.starts is None else (self[j - 1], self.plan[j - 1].masks)
-            table = self.tables[j] = size.counts(self.samples, below)
-        return table
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        return _adjacency_stack(self.samples)
+
+    def table(self, plan: tuple[_Size, ...], j: int) -> np.ndarray:
+        tables = self.tables.setdefault(id(plan), (plan, [None] * len(plan)))[1]
+        if tables[j] is None:
+            size = plan[j]
+            below = None if size.starts is None else (
+                self.table(plan, j - 1), plan[j - 1].masks, self.adjacency)
+            tables[j] = size.counts(self.samples, below)
+        return tables[j]
 
 
-# the enclosing batch scope: its samples, and the count tables computed for
-# them so far, one _Tables per plan keyed by the plan's id (the _Tables
-# holds the plan, so the id is not reused while the scope lives)
-_BATCH: ContextVar[tuple[list[GraphSample], dict[int, _Tables]] | None] = ContextVar(
-    "_BATCH", default=None)
+# the enclosing batch scope
+_BATCH: ContextVar[_Batch | None] = ContextVar("_BATCH", default=None)
 
 
 @contextmanager
-def _batch(samples: Iterable[GraphSample]) -> Iterator[dict[int, _Tables]]:
+def _batch(samples: Iterable[GraphSample]) -> Iterator[_Batch]:
     """A scope in which the scans of a sample in samples, graphs on one n,
-    share count tables: each plan size's table is computed once, for all
-    of them, by the first scan in the scope that needs it, and each scan
-    reads its sample's row.  Counts are exact, so every outcome is the one
-    the scan gives alone.  Yields the scope's tables, which are dropped on
-    exit."""
-    tables: dict[int, _Tables] = {}
-    token = _BATCH.set((list(samples), tables))
+    share one _Batch: each plan size's table is computed once, for all of
+    them, by the first scan in the scope that needs it, and each scan reads
+    its sample's row.  Counts are exact, so every outcome is the one the
+    scan gives alone.  Yields the batch, whose tables and adjacency rows
+    are dropped on exit."""
+    batch = _Batch(samples)
+    token = _BATCH.set(batch)
     try:
-        yield tables
+        yield batch
     finally:
         _BATCH.reset(token)
-        tables.clear()
+        batch.tables.clear()
+        vars(batch).pop("adjacency", None)
 
 
 def _batch_graphs(config: ScanConfig, n: int) -> int:
     """The graphs per batch scope for scans by config on n vertices: as many
     as keep their count tables, at most one entry per subset of the family
-    in the dtype of its largest size, and their adjacency rows, which an
-    extended size stacks, within _BATCH_BYTES; at least one."""
+    in the dtype of its largest size, and their adjacency rows within
+    _BATCH_BYTES; at least one."""
     family = config.family or Exhaustive(1, config.r)
     k = family.size_range(n)[1]
     per_graph = (family.count(n) * _count_dtype(k * (k - 1) // 2).itemsize
@@ -598,18 +577,14 @@ def _batch_graphs(config: ScanConfig, n: int) -> int:
     return max(1, _BATCH_BYTES // per_graph)
 
 
-def _tables(plan: tuple[_Size, ...], sample: GraphSample) -> tuple[_Tables, int]:
-    """The count tables a scan of sample by plan reads, and sample's row in
-    them: the enclosing batch scope's where sample is one of its samples,
-    else those of a batch of one."""
-    scope = _BATCH.get()
-    if scope is None or sample not in scope[0]:
-        return _Tables(plan, [sample]), 0
-    samples, held = scope
-    tables = held.get(id(plan))
-    if tables is None:
-        tables = held[id(plan)] = _Tables(plan, samples)
-    return tables, tables.row[sample]
+def _batch_of(sample: GraphSample) -> tuple[_Batch, int]:
+    """The batch a scan of sample reads its counts from, and sample's row in
+    it: the enclosing batch scope's where sample is one of its samples,
+    else a batch of one."""
+    batch = _BATCH.get()
+    if batch is None or sample not in batch.row:
+        return _Batch([sample]), 0
+    return batch, batch.row[sample]
 
 
 def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
@@ -628,7 +603,7 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
     floor above 0.0 leaves out rows the full scan scores, so where no row
     reaches it the maximum returned is a lower bound on the full scan's,
     not the maximum itself."""
-    tables, b = _tables(plan, sample)
+    batch, b = _batch_of(sample)
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
@@ -640,7 +615,8 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
         # that scores exactly floor has a bound of at least floor
         low = int(np.searchsorted(size.bound, floor, "left") if floor > cut
                   else np.searchsorted(size.bound, cut, "right"))
-        mx, i = size.best(sample, tables[j][b], low) if low < len(size.bound) else (0.0, 0)
+        mx, i = (size.best(sample, batch.table(plan, j)[b], low) if low < len(size.bound)
+                 else (0.0, 0))
         if mx > best_stat or keep_trace:
             subset = tuple(int(v) for v in size.rows[i])
             if mx > best_stat:
@@ -771,7 +747,7 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
     floor = _blind_floor(n, d.size)
     size = _Size(rows, None, _norm(n, d.size), floor, _NO_BOUND)
     # a count at or below the floor is cold, and needs no degree sum
-    return size.best(sample, sample._edges_within_rows(rows), math.floor(floor) + 1)[0]
+    return size.best(sample, _edge_counts([sample], rows)[0], math.floor(floor) + 1)[0]
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,

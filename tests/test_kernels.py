@@ -46,6 +46,11 @@ class TestEntropyH:
         with pytest.raises(ValidationError):
             entropy_h(bad)
 
+    def test_infinity(self):
+        # the formula gives inf - inf there; h grows without bound
+        assert entropy_h(math.inf) == math.inf
+        assert entropy_h_vec(np.array([math.inf, 1.0])).tolist() == [math.inf, entropy_h(1.0)]
+
     def test_series_seam_is_smooth(self):
         # the Taylor branch hands over at |x| = 1e-4; both sides must agree
         for x in (9.9e-5, 1.01e-4, -9.9e-5, -1.01e-4):
@@ -133,6 +138,13 @@ class TestKlBernoulli:
     def test_frozen_value(self):
         assert math.isclose(kl_bernoulli(0.1, 0.2), 0.0444030075868823, rel_tol=1e-12)
 
+    def test_subnormal_p(self):
+        # q / p overflows; q ln(q/p) is q (ln q - ln p), about 368.07
+        p = 1e-320
+        expected = 0.5 * (math.log(0.5) - math.log(p)) + 0.5 * math.log(0.5 / (1.0 - p))
+        assert math.isclose(kl_bernoulli(p, 0.5), expected, rel_tol=1e-12)
+        assert kl_bernoulli(p, 0.5) == pytest.approx(367.72, abs=0.01)
+
     def test_nonnegative(self):
         for p, q in [(0.01, 0.9), (0.5, 0.499), (0.7, 0.2)]:
             assert kl_bernoulli(p, q) >= 0.0
@@ -165,6 +177,10 @@ class TestBennettBound:
         assert math.isclose(
             bennett_upper_tail_bound(0.6, 2.4), 0.0881854110451328, rel_tol=1e-12
         )
+
+    def test_subnormal_mean(self):
+        # t / mean overflows to inf, where h is inf: the bound is exp(-inf)
+        assert bennett_upper_tail_bound(1e-310, 1.0) == 0.0
 
     def test_in_unit_interval(self):
         for mean, t in [(0.1, 0.01), (5.0, 1.0), (100.0, 500.0)]:

@@ -11,6 +11,8 @@ import itertools
 import json
 import math
 import tracemalloc
+import types
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -106,6 +108,43 @@ class TestStatKnown:
             stat_known(Homogeneous(10, 0.5), g, [])
         with pytest.raises(ValidationError):
             stat_known(Homogeneous(10, 0.5), g, range(10))  # |D| = n
+
+
+# null means so small that m h(e/m - 1) overflows on a complete graph
+TINY_MEAN_MODELS = {
+    "homogeneous": Homogeneous(6, 1e-310),
+    "rank_one": RankOne(np.full(6, 1e-160)),  # subnormal p_ij
+    "general": GeneralMatrix(np.full((6, 6), 1e-306) * (1.0 - np.eye(6))),
+}
+
+
+class TestTinyMeans:
+    """At a positive null mean mu too small for m h(c/mu - 1) in floating
+    point, a subset scores the equal log form (c ln(c/mu) - c + mu) /
+    (k ln(n/k)): finite, and with no warning."""
+
+    @pytest.mark.parametrize("kind", sorted(TINY_MEAN_MODELS))
+    def test_statistics_are_the_log_form(self, kind):
+        model, n = TINY_MEAN_MODELS[kind], 6
+        g = graph_from_edges(n, itertools.combinations(range(n), 2))
+
+        def reference(d):
+            k = len(d)
+            c, mu = math.comb(k, 2), float(model.within_mean(np.array([d]))[0])
+            return 0.0 if c == 0 else (c * (math.log(c) - math.log(mu)) - c + mu) / (
+                k * math.log(n / k))
+
+        assert 320.0 < reference((0, 1)) < 335.0
+        for family, r in ((Exhaustive(1, 2), 2), (Explicit(((0, 1), (2, 4), (1, 3, 5))), 3)):
+            candidates = family_candidates(family, n)
+            for d in candidates:
+                assert math.isclose(stat_known(model, g, d), reference(d), rel_tol=1e-12)
+            (stat, subset), trace = first_max_reference(candidates, reference)
+            for kw in ({"keep_trace": True}, {"decide": True}):
+                out = scan_known(model, g, ScanConfig(r, 0.2, family), **kw)
+                assert out.reject and out.subset == subset
+                assert math.isclose(out.statistic, stat, rel_tol=1e-12)
+            assert out.statistic == stat_known(model, g, subset)
 
 
 class TestScanKnown:
@@ -585,11 +624,16 @@ def scan_cases(draw):
     return model, g, r, family, candidates
 
 
-def count_dtype(size):
-    """The dtype a scan counts a plan size in: the narrowest unsigned one
-    that holds C(k, 2), uint8 up to k = 23 and uint16 up to k = 362."""
-    k = size.rows.shape[1]
+def count_dtype(k):
+    """The dtype a scan counts size k in: the narrowest unsigned one that
+    holds C(k, 2), uint8 up to k = 23 and uint16 up to k = 362."""
     return np.uint8 if k <= 23 else np.uint16 if k <= 362 else np.uint32
+
+
+def direct_counts(g, rows):
+    """e(D) of every row of an (m, k) array on g alone, as the one-subset
+    statistics count them."""
+    return model_module._edge_counts([g], rows)[0]
 
 
 def random_graph(n, density, seed):
@@ -677,8 +721,8 @@ class TestScanPlan:
             # extended, extended from or neither, scored or only feeding the
             # size above: each size gets the direct counts of all its rows
             for size, counts in counted + scored:
-                assert counts.dtype == count_dtype(size)
-                assert np.array_equal(counts, g._edges_within_rows(size.rows))
+                assert counts.dtype == count_dtype(size.rows.shape[1])
+                assert np.array_equal(counts, direct_counts(g, size.rows))
 
     @settings(max_examples=40, deadline=None)
     @given(scan_cases())
@@ -828,8 +872,8 @@ class TestScanPlan:
         assert (out.statistic, out.subset) == best and out.size_trace == trace
 
     def test_plan_memory_is_its_layers(self):
-        # the tables for sizes 17 and 18 of n = 20 take 92 kB and the pair
-        # positions of size 17 1.2 MB; the size-10 table alone would take 7.4 MB
+        # the tables for sizes 17 and 18 of n = 20 take 92 kB; the size-10
+        # table alone would take 7.4 MB
         tracemalloc.start()
         try:
             plan = scan_module._plan.__wrapped__(Exhaustive(17, 18), 20, None)
@@ -837,14 +881,11 @@ class TestScanPlan:
         finally:
             tracemalloc.stop()
         held = sum(array.nbytes for layer in plan
-                   for array in (layer.rows, layer.masks, layer.pairs) if array is not None)
+                   for array in (layer.rows, layer.masks) if array is not None)
         assert [layer.rows.shape for layer in plan] == [(1140, 17), (190, 18)]
         # size 18 is counted from size 17: one mask word per size-17 row
         assert [layer.masks is not None and layer.masks.shape for layer in plan] == [
             (1140, 1), False]
-        # size 17 is counted directly, from the positions of its 136 pairs per row
-        assert [layer.pairs is not None and layer.pairs.shape for layer in plan] == [
-            (1140, 136), False]
         assert peak < 2 * held
 
 
@@ -852,7 +893,7 @@ def dense_best(size, sample, low=0):
     """np.argmax/max over _scores of a plan size's rows on sample, from
     direct counts, with the rows whose count is below low scoring 0.0: the
     reference its evaluator must equal bit for bit, in int64 arithmetic."""
-    counts = sample._edges_within_rows(size.rows).astype(np.int64)
+    counts = direct_counts(sample, size.rows).astype(np.int64)
     if size.means is None:
         cross = sample._degrees[size.rows].sum(axis=1) - 2 * counts
         means = np.maximum(_blind_mean(float(sample.total_edges()), cross), size.floor)
@@ -895,7 +936,7 @@ def check_best_rows(model, g, family):
     for size, low, counts, (stat, row) in calls:
         assert (stat.hex(), row) == dense_best(size, g, low)
         ref = dense_best(size, g)
-        direct = g._edges_within_rows(size.rows)
+        direct = direct_counts(g, size.rows)
         stat, row = size.best(g, direct)
         assert (stat.hex(), row) == ref
         assert np.array_equal(counts, direct)
@@ -1029,7 +1070,7 @@ def statistic_keys(g, candidates, model):
         group = list(group)
         rows = np.array(group)
         other = g._degrees[rows].sum(axis=1) if model is None else model.within_mean(rows)
-        keys.update(zip(group, zip(itertools.repeat(k), g._edges_within_rows(rows).tolist(),
+        keys.update(zip(group, zip(itertools.repeat(k), direct_counts(g, rows).tolist(),
                                    other.tolist())))
     return keys
 
@@ -1169,8 +1210,8 @@ class TestPruning:
         model = RankOne(np.random.default_rng(0).uniform(0.05, 0.45, size=40))
         for g in (sample_null(model, 1), random_graph(40, 1.0, 0)):
             with mock.patch.object(scan_module._Size, "counts", fail), \
-                    mock.patch.object(GraphSample, "_edges_within_rows", fail), \
-                    mock.patch.object(GraphSample, "_pair_counts", fail):
+                    mock.patch.object(scan_module, "_edge_counts", fail), \
+                    mock.patch.object(scan_module, "_adjacency_stack", fail):
                 traced = scan_unknown(g, ScanConfig(r=4), keep_trace=True)
                 untraced = scan_unknown(g, ScanConfig(r=4))
             for out in (traced, untraced):
@@ -1214,139 +1255,131 @@ class TestPruning:
             assert counted == [2, 3, 4] and set(scored) == {4}
 
 
+def naive_counts(g, rows):
+    """e(D) of every row on g from a dense adjacency matrix unpacked from
+    its bits, pair by pair."""
+    adj = np.zeros((g.n, g.n), dtype=np.int64)
+    adj[np.triu_indices(g.n, 1)] = np.unpackbits(g.packed)[: g.pair_count]
+    return [int(adj[np.ix_(row, row)].sum()) for row in rows]
+
+
+def dense_graph_rows(seed, k, m):
+    """Four graphs of density 0.999 on 400 vertices and m random k-subsets:
+    a 363-subset holds about 65,637 edges, past uint16."""
+    rng = np.random.default_rng(seed)
+    rows = np.sort([rng.choice(400, size=k, replace=False) for _ in range(m)], axis=1)
+    return [random_graph(400, 0.999, s) for s in range(4)], rows
+
+
 @st.composite
-def held_position_cases(draw):
-    """A rank-one model and a graph on n <= 64 or 65..130 vertices; an
-    Exhaustive family (first size up to 4, at most 100,000 subsets),
-    WeightPrefix or Explicit family; the rows per gather, 1, 3 or the
-    default (1 and 3 only where that makes at most 20,000 gathers); and a
-    position cap of 0, a few hundred pairs or the default."""
-    n = draw(st.integers(5, 64) | st.integers(65, 130))
+def direct_count_cases(draw):
+    """One to four graphs on n <= 64 or 65..130 vertices, up to 40 random
+    row-sorted k-subsets (int32 or int64, k <= 14), the rows per block (1,
+    2, 3, 7 or the default) and the positions per block (1 to 300 or the
+    default): small blocks cut the rows into several row blocks and their
+    pair columns into several head-column blocks."""
+    n = draw(st.integers(2, 64) | st.integers(65, 130))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    model = RankOne(rng.uniform(0.05, 0.8, size=n))
-    kind = draw(st.sampled_from(["exhaustive", "weight_prefix", "explicit"]))
-    if kind == "exhaustive":
-        lo = draw(st.integers(1, 4))
-        while math.comb(n, lo) > 100_000:
-            lo -= 1
-        hi = lo
-        while hi < min(lo + 2, n - 1) and sum(math.comb(n, k)
-                                              for k in range(lo, hi + 2)) <= 100_000:
-            hi += 1
-        family = Exhaustive(lo, draw(st.integers(lo, hi)))
-    elif kind == "weight_prefix":
-        lo = draw(st.integers(1, 4))
-        family = WeightPrefix(lo, draw(st.integers(lo, min(n - 1, 40))))
-    else:
-        family = Explicit(tuple(
-            tuple(int(v) for v in rng.choice(n, size=int(rng.integers(1, min(n - 1, 10) + 1)),
-                                           replace=False))
-            for _ in range(draw(st.integers(1, 40)))))
-    count = family.count(n)
-    rows = draw(st.sampled_from([b for b in (1, 3) if count <= 20_000 * b]
-                                + [scan_module._BATCH_ROWS]))
-    cap = draw(st.just(0) | st.integers(1, 300) | st.just(scan_module._PAIR_BLOCK))
-    g = random_graph(n, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])), int(rng.integers(2**32)))
-    return model, g, family, rows, cap
+    k, m = draw(st.integers(1, min(n, 14))), draw(st.integers(1, 40))
+    rows = np.sort([rng.choice(n, size=k, replace=False) for _ in range(m)], axis=1)
+    graphs = [random_graph(n, draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])), int(rng.integers(2**32)))
+              for _ in range(draw(st.integers(1, 4)))]
+    return (graphs, rows.astype(draw(st.sampled_from([np.int32, np.int64]))),
+            draw(st.sampled_from([1, 2, 3, 7, scan_module._BATCH_ROWS])),
+            draw(st.integers(1, 300) | st.just(model_module._PAIR_BLOCK)))
 
 
-class TestHeldPositions:
-    """A plan holds the pair positions of each size it counts directly, in
-    plan order while they fit its cap, and counts such a size in one gather;
-    the sizes past it compute theirs in gathers of at most _BATCH_ROWS rows,
-    and either way every count is the direct one."""
+class TestDirectCounts:
+    """Every size that does not extend the one below, and every one-subset
+    statistic, counts its rows' pairs with _edge_counts over a list of
+    samples: each block's pair positions computed once and gathered from
+    every sample."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(held_position_cases())
-    @example((RankOne(np.linspace(0.1, 0.7, 70)), random_graph(70, 0.5, 1),
-              Exhaustive(3, 4), scan_module._BATCH_ROWS, 60_000))
-    @example((RankOne(np.linspace(0.1, 0.7, 40)), random_graph(40, 0.3, 2),
-              Exhaustive(3, 4), scan_module._BATCH_ROWS, scan_module._PAIR_BLOCK))
-    def test_counts_are_the_direct_counts(self, case):
-        model, g, family, rows, cap = case
-        n = g.n
-        # the position of each pair (i, j), i < j, in lexicographic order
-        where = np.full((n, n), -1, dtype=np.int64)
-        where[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
-        plans = [model] + ([] if isinstance(family, WeightPrefix) else [None])
-        with mock.patch.object(scan_module, "_PAIR_BLOCK", cap):
-            plans = [(m, scan_module._plan.__wrapped__(family, n, m)) for m in plans]
-        for m, plan in plans:
-            room = cap
-            for size in plan:
-                k = size.rows.shape[1]
-                need = len(size.rows) * (k * (k - 1) // 2)
-                # held in plan order while they fit; never for an extended size
-                assert (size.pairs is not None) == (size.starts is None and need <= room)
-                if size.pairs is None:
-                    continue
-                room -= need
-                a, b = np.triu_indices(k, 1)
-                assert size.pairs.dtype == np.int64 and not size.pairs.flags.writeable
-                assert np.array_equal(size.pairs, where[size.rows[:, a], size.rows[:, b]])
-            assert sum(s.pairs.size for s in plan if s.pairs is not None) <= cap
-            pair_counts, gathers = GraphSample._pair_counts, []
+    @settings(max_examples=80, deadline=None)
+    @given(direct_count_cases())
+    @example((*dense_graph_rows(1, 362, 1), scan_module._BATCH_ROWS, model_module._PAIR_BLOCK))
+    @example((*dense_graph_rows(1, 363, 16), scan_module._BATCH_ROWS, model_module._PAIR_BLOCK))
+    @example((*dense_graph_rows(2, 363, 3), 2, 300))
+    @example(([random_graph(70, 0.5, s) for s in range(3)],
+              np.array([range(0, 70, 5), range(1, 70, 5)]), 1, 20))
+    def test_batched_counts_are_the_naive_counts(self, case):
+        graphs, rows, batch_rows_, block = case
+        m, k = rows.shape
+        naive = [naive_counts(g, rows) for g in graphs]
+        positions = model_module._pair_positions
+        calls = []
 
-            def gather(sample, pos):
-                gathers.append(len(pos))
-                return pair_counts(sample, pos)
+        def record(n, block_rows, a, b):
+            pos = positions(n, block_rows, a, b)
+            calls.append(pos.shape)
+            return pos
 
-            for size in plan:
-                if size.starts is not None:
-                    continue
-                direct = g._edges_within_rows(size.rows)
-                gathers.clear()
-                with batch_rows(rows), mock.patch.object(GraphSample, "_pair_counts", gather):
-                    counts, = size.counts([g])
-                assert counts.dtype == count_dtype(size)
-                assert np.array_equal(counts, direct)
-                if size.pairs is not None:
-                    assert gathers == [len(size.rows)]
-                else:
-                    assert max(gathers, default=0) <= rows
-            # and every count the scan scores, held or not, is the direct one
-            best = scan_module._Size.best
-            scored = []
+        with batch_rows(batch_rows_), mock.patch.object(model_module, "_PAIR_BLOCK", block), \
+                mock.patch.object(model_module, "_pair_positions", record):
+            counts = model_module._edge_counts(graphs, rows)
+            batched = calls[:]
+            for b, g in enumerate(graphs):
+                calls.clear()
+                assert model_module._edge_counts([g], rows).tolist() == counts[b : b + 1].tolist()
+                assert calls == batched
+        assert counts.shape == (len(graphs), m) and counts.dtype == count_dtype(k)
+        assert counts.tolist() == naive
+        # one call per block, whatever the samples: at most _BATCH_ROWS rows,
+        # and at most _PAIR_BLOCK positions or one row's pairs of one head
+        assert all(r <= batch_rows_ and (r * p <= block or r == 1 and p <= k - 1)
+                   for r, p in batched)
+        assert sum(r * p for r, p in batched) == m * (k * (k - 1) // 2)
+        if k == 363:
+            assert max(max(c) for c in naive) > np.iinfo(np.uint16).max
 
-            def record(size, sample, counts, low=0):
-                scored.append((size, counts))
-                return best(size, sample, counts, low)
+    def test_small_blocks_cut_rows_and_heads(self):
+        # the small-block examples above run blocks of fewer than all rows
+        # and of several head-column widths
+        for graphs, rows, batch_rows_, block in (
+                (*dense_graph_rows(2, 363, 3), 2, 300),
+                ([random_graph(70, 0.5, 0)], np.array([range(0, 70, 5), range(1, 70, 5)]), 1, 20)):
+            positions, shapes = model_module._pair_positions, []
 
-            with batch_rows(rows), mock.patch.object(scan_module._Size, "best", record):
-                outcome = scan_module._run_plan(plan, g, keep_trace=True)
-            for size, counts in scored:
-                assert counts.dtype == count_dtype(size)
-                assert np.array_equal(counts, g._edges_within_rows(size.rows))
-            # neither the positions held nor the rows per gather change the outcome
-            default = scan_module._plan.__wrapped__(family, n, m)
-            assert scan_module._run_plan(default, g, keep_trace=True) == outcome
+            def record(n, block_rows, a, b):
+                shapes.append((len(block_rows), np.size(a)))
+                return positions(n, block_rows, a, b)
+
+            with batch_rows(batch_rows_), mock.patch.object(model_module, "_PAIR_BLOCK", block), \
+                    mock.patch.object(model_module, "_pair_positions", record):
+                model_module._edge_counts(graphs, rows)
+            assert min(r for r, _ in shapes) < len(rows) and len({p for _, p in shapes}) > 1
 
     def test_positions_at_the_vertex_cap(self):
-        # at n = 2^16 the last pairs' positions pass 2^31; no graph is sampled
+        # at n = 2^16 the last pairs' positions pass 2^31; no graph is
+        # sampled: the counts read a complete triangle that takes no memory
         n = 1 << 16
         top = (n - 3, n - 2, n - 1)
+        complete = types.SimpleNamespace(
+            n=n, packed=np.broadcast_to(np.uint8(0xFF), (n * (n - 1) // 16,)))
         family = Explicit(((0, n - 1), (1, 2, n - 1), top))
         model = RankOne(np.linspace(0.01, 0.5, n))  # the last vertices are the heaviest
+        positions, seen = model_module._pair_positions, []
+
+        def record(*args):
+            seen.append(positions(*args))
+            return seen[-1]
+
         for fam, m in ((family, model), (family, None), (WeightPrefix(2, 3), model)):
             plan = scan_module._plan.__wrapped__(fam, n, m)
             rows = plan[-1].rows
             assert rows[-1].tolist() == list(top)
             expected = [[int(_pair_index(n, np.int64(i), np.int64(j)))
                          for i, j in itertools.combinations(row, 2)] for row in rows.tolist()]
-            assert plan[-1].pairs.tolist() == expected
+            seen.clear()
+            with mock.patch.object(model_module, "_pair_positions", record):
+                assert plan[-1].counts([complete]).tolist() == [[3] * len(rows)]
+            assert [pos.tolist() for pos in seen] == [expected]
             assert expected[-1][-1] == n * (n - 1) // 2 - 1
         # an int32 table, as exhaustive sizes come, is widened before its arithmetic
-        table = np.array([top], dtype=np.int32)
-        assert scan_module._held_positions(n, table).tolist() == expected[-1:]
-
-    def test_weight_prefix_plan_holds_at_most_the_cap(self):
-        # sizes 1 .. 2000 have about 1.3e9 pairs in all: the plan holds those
-        # of sizes 1 .. 184, C(185, 3) positions, and no more
-        model = RankOne(np.linspace(0.01, 0.5, 4000))
-        plan = scan_module._plan.__wrapped__(WeightPrefix(1, 2000), 4000, model)
-        held = [size.pairs.size for size in plan if size.pairs is not None]
-        assert sum(held) == math.comb(185, 3) <= scan_module._PAIR_BLOCK
-        assert len(held) == 184 and all(size.pairs is None for size in plan[184:])
+        seen.clear()
+        with mock.patch.object(model_module, "_pair_positions", record):
+            model_module._edge_counts([complete], np.array([top], dtype=np.int32))
+        assert [pos.tolist() for pos in seen] == [expected[-1:]]
 
 
 def planted_graph(n, density, block, seed):
@@ -1523,9 +1556,15 @@ def batch_cases(draw):
 
 
 def table_bytes(scope):
-    """The bytes of the count tables a batch scope holds."""
-    return sum(table.nbytes for tables in scope.values()
-               for table in tables.tables if table is not None)
+    """The bytes of the count tables and adjacency rows a batch scope holds."""
+    adjacency = vars(scope).get("adjacency")
+    return sum(table.nbytes for _, tables in scope.tables.values()
+               for table in tables if table is not None) + getattr(adjacency, "nbytes", 0)
+
+
+def dropped(scope):
+    """Whether a batch scope holds no count table and no adjacency rows."""
+    return not scope.tables and "adjacency" not in vars(scope)
 
 
 class TestBatchScope:
@@ -1583,9 +1622,46 @@ class TestBatchScope:
                     # a graph outside the scope counts alone, and adds no table
                     assert outcomes([outside], **kw) == alone[: len(runs[id(graphs[0])])]
                     assert all(b == 1 for _, b in counted) and table_bytes(scope) == held
-                assert not scope
+                assert dropped(scope)
                 start = graphs.index(scope_graphs[0]) * len(runs[id(graphs[0])])
                 assert batched == alone[start : start + len(batched)]
+
+    def test_adjacency_rows_are_built_once_per_scope(self):
+        # two known plans with an extended size read one stack of the
+        # scope's three graphs; a scan alone builds its own
+        n, cfg = 70, ScanConfig(3, family=Exhaustive(2, 3))
+        graphs = [planted_graph(n, 0.1, range(60, 66), seed) for seed in range(3)]
+        attributes = [set(vars(g)) for g in graphs]
+        models = (Homogeneous(n, 0.1), RankOne(np.linspace(0.05, 0.3, n)))
+        stack, built = scan_module._adjacency_stack, []
+
+        def build(samples):
+            rows = stack(samples)
+            built.append((len(samples), weakref.ref(rows)))
+            return rows
+
+        with mock.patch.object(scan_module, "_adjacency_stack", build):
+            with scan_module._batch(graphs) as scope:
+                for g in graphs:
+                    for model in models:
+                        scan_known(model, g, cfg, keep_trace=True)
+                assert len(scope.tables) == 2 and [b for b, _ in built] == [3]
+                j = np.arange(n)
+                for b, g in enumerate(graphs):
+                    bits = built[0][1]()[b][:, j >> 6] >> (j & 63).astype(np.uint64) & 1
+                    assert np.array_equal(bits.astype(bool), g.adjacency_matrix())
+            assert dropped(scope) and built[0][1]() is None
+            scan_known(models[0], graphs[0], cfg)
+            assert [b for b, _ in built] == [3, 1] and built[1][1]() is None
+            with pytest.raises(ValidationError, match="trace"):
+                with scan_module._batch(graphs) as scope:
+                    scan_known(models[0], graphs[0], cfg)
+                    scan_known(models[0], graphs[0], cfg, keep_trace=True, decide=True)
+            assert [b for b, _ in built] == [3, 1, 3] and built[2][1]() is None
+        assert dropped(scope)
+        # no sample keeps adjacency rows of its own
+        for g, before in zip(graphs, attributes):
+            assert set(vars(g)) - before <= {"_degrees", "_edge_total"}
 
     def test_tables_are_dropped_when_a_scan_raises(self):
         model, g, family, eps = DECIDE_EXAMPLES["small"]
@@ -1595,13 +1671,13 @@ class TestBatchScope:
                 scan_known(model, g, ScanConfig(4, eps, family), decide=True)
                 assert table_bytes(scope) > 0
                 scan_known(model, g, ScanConfig(4, eps, family), keep_trace=True, decide=True)
-        assert not scope and scan_module._BATCH.get() is None
+        assert dropped(scope) and scan_module._BATCH.get() is None
         # and a scope is left on any exception, its tables dropped
         with pytest.raises(KeyError):
             with scan_module._batch(graphs) as scope:
                 scan_unknown(g, ScanConfig(4, eps))
                 raise KeyError
-        assert not scope and scan_module._BATCH.get() is None
+        assert dropped(scope) and scan_module._BATCH.get() is None
 
 
 class TestNarrowCounts:
@@ -1610,20 +1686,19 @@ class TestNarrowCounts:
 
     def test_counts_past_two_bytes(self):
         # C(363, 2) = 65,703 does not fit uint16: on a graph of density 0.999
-        # a 363-subset holds about 65,637 edges.  Sixteen such rows pass the
-        # plan's cap on held positions, and are counted at computed ones
+        # a 363-subset holds about 65,637 edges.  Sixteen such rows pass
+        # _PAIR_BLOCK positions, and are counted in two row blocks
         n = 400
         model = Homogeneous(n, 0.5)
         g = random_graph(n, 0.999, 0)
         rng = np.random.default_rng(1)
         rows = tuple(tuple(int(v) for v in rng.choice(n, size=k, replace=False))
                      for k in [362] + [363] * 16)
-        for family, held in ((Explicit(rows), [True, False]), (Explicit(rows[:3]), [True, True])):
+        for family in (Explicit(rows), Explicit(rows[:3])):
             seen = check_best_rows(model, g, family)
             assert [(size.means is None, size.rows.shape[1]) for size, *_ in seen] == [
                 (False, 362), (False, 363), (True, 362), (True, 363)]
-            assert [size.pairs is not None for size, *_ in seen] == held + held
             for size, counts, _, (stat, _) in seen:
-                assert counts.dtype == count_dtype(size) and stat > 0.0
+                assert counts.dtype == count_dtype(size.rows.shape[1]) and stat > 0.0
                 if size.rows.shape[1] == 363:
                     assert int(counts.max()) > np.iinfo(np.uint16).max
