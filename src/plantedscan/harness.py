@@ -246,9 +246,7 @@ def _run_job(job) -> list[int]:
     config, streams, w, workers = job
     decide, graphs = _make_decider(config)
     replications = []  # (stream, alternative or None, seed) in stream order
-    for t, (label, community, count) in enumerate(streams):
-        alt = (None if community is None
-               else PlantedAlternative(community, config.rho, config.model))
+    for t, (label, alt, count) in enumerate(streams):
         replications += [(t, alt, derive_seed(config.master_seed, label, i))
                          for i in range(count)[w::workers]]
     counts = [0] * len(streams)
@@ -277,9 +275,10 @@ def estimate_risk(config: ExperimentConfig, test: str | None = None) -> RiskEsti
     for c in communities:
         if len(c) != config.r:
             raise ValidationError(f"community {c} does not have size r={config.r}")
-        PlantedAlternative(c, config.rho, config.model)  # eager validity check
+    # validated here, before any replication, and sampled from as they are
+    alts = [PlantedAlternative(c, config.rho, config.model) for c in communities]
     streams = [("null", None, config.null_replications)]
-    streams += [(f"alt-{j}", c, config.alt_replications) for j, c in enumerate(communities)]
+    streams += [(f"alt-{j}", alt, config.alt_replications) for j, alt in enumerate(alts)]
     workers = min(config.resolved_workers(), max(count for *_, count in streams))
     jobs = [(config, streams, w, workers) for w in range(workers)]
     if workers == 1:

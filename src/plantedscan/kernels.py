@@ -81,7 +81,10 @@ def entropy_h_vec(x: np.ndarray) -> np.ndarray:
     small = np.abs(x) < 1e-4
     top = x == np.inf  # h(inf) = inf, where the formula gives inf - inf
     xl = np.where(small | top, 0.0, x)
-    out = np.where(top, x, (1.0 + xl) * np.log1p(xl) - xl)
+    # (1 + x) ln(1 + x) passes the largest double past about 2.5e305, where
+    # h is inf, as entropy_h returns it
+    with np.errstate(over="ignore"):
+        out = np.where(top, x, (1.0 + xl) * np.log1p(xl) - xl)
     if small.any():  # the series of entropy_h, on those entries only
         xs = x[small]
         out[small] = xs * xs * (0.5 + xs * (-1.0 / 6.0 + xs * (1.0 / 12.0 - xs / 20.0)))

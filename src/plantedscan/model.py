@@ -27,7 +27,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -157,6 +157,37 @@ def _combination_tables(n: int, lo: int, hi: int) -> Iterator[tuple]:
             at += m - s
         rows, m = out, at
         yield rows, starts
+
+
+@lru_cache(maxsize=8)
+def _binomials(n: int, k: int) -> np.ndarray:
+    """C(n - 1 - x, j) at j n + x for j = 0..k and vertices x = 0..n-1, as
+    int64, read-only: the terms of the lexicographic rank of a k-subset."""
+    table = np.array([math.comb(n - 1 - x, j) for j in range(k + 1) for x in range(n)],
+                     dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _insertion_ranks(n: int, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The row index, in _combination_tables' table of (k+1)-subsets of
+    range(n), of each row of a (K, k) array of row-sorted subsets with the
+    vertex v[i], which it does not hold, inserted: the lexicographic rank
+    C(n, k+1) - 1 - sum over positions t of C(n - 1 - x_t, k + 1 - t) of the
+    grown row x.  A vertex above v moves up one position, and v's position
+    is the number of vertices below it; one 1-D gather per column."""
+    k = rows.shape[1]
+    table = _binomials(n, k + 1)
+    v = v.astype(np.int64, copy=False)
+    total = np.zeros(len(v), dtype=np.int64)
+    at = np.full(len(v), k + 1, dtype=np.int64)  # k + 1 - v's position
+    for t in range(k):
+        x = rows[:, t]
+        above = x > v
+        total += table[(k + 1 - t - above) * n + x]
+        at -= ~above
+    total += table[at * n + v]
+    return math.comb(n, k + 1) - 1 - total
 
 
 def _vertex_masks(n: int, rows: np.ndarray) -> np.ndarray:
@@ -532,6 +563,18 @@ class PlantedAlternative:
     def r(self) -> int:
         return len(self.community)
 
+    @cached_property
+    def _lifted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The triangle positions of the community's pairs, ascending, and
+        their lifted probabilities rho p_ij, computed once for every graph
+        sampled under this alternative."""
+        c = np.asarray(self.community, dtype=np.int64)
+        a, b = np.triu_indices(c.size, 1)
+        pos = _pair_index(self.model.n, c[a], c[b])  # ascending: c is sorted
+        lifted = self.model.pair_probability(c[a], c[b]) * self.rho
+        pos.flags.writeable = lifted.flags.writeable = False
+        return pos, lifted
+
 
 @dataclass(frozen=True, eq=False)
 class GraphSample:
@@ -584,10 +627,7 @@ class GraphSample:
             raw = self.packed[start >> 3 : (stop + 7) >> 3]
             if raw.size % 8:  # zero padding to whole words
                 raw = np.concatenate((raw, np.zeros(-raw.size % 8, dtype=np.uint8)))
-            words = raw.view(np.uint64)
-            nz = np.flatnonzero(words)
-            hit = np.flatnonzero(np.unpackbits(words[nz].view(np.uint8)).view(bool))
-            pos = nz[hit >> 6] * 64 + (hit & 63) + (start & ~7)
+            pos = _bit_positions(raw) + (start & ~7)
             # the bytes hold bits of the blocks beside this one only where a
             # block edge is not on a byte; past the last pair every bit is 0
             if start & 7 or (stop & 7 and stop < self.pair_count):
@@ -676,18 +716,41 @@ def _edge_counts(samples: list[GraphSample], rows: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _bit_positions(raw: np.ndarray) -> np.ndarray:
+    """The positions of the set bits of packed bytes raw, numbered as
+    np.unpackbits numbers them; raw's size is a multiple of 8, and it is
+    read a 64-bit word at a time, only nonzero words unpacked."""
+    words = raw.view(np.uint64)
+    nz = np.flatnonzero(words)
+    hit = np.flatnonzero(np.unpackbits(words[nz].view(np.uint8)).view(bool))
+    return nz[hit >> 6] * 64 + (hit & 63)
+
+
 def _adjacency_stack(samples: list[GraphSample]) -> np.ndarray:
     """(B, n, ceil(n/64)) uint64 adjacency rows of B samples on one n: row i
     of sample b holds the neighbours of i, vertex j at bit j % 64 of word
-    j // 64; B n^2/8 bytes, set edge by edge."""
+    j // 64; B n^2/8 bytes.  The edges of all B packed triangles are found
+    in one pass, scattered into a bool array 8 times that size and packed
+    in one call, little-endian bit and byte order."""
     n = samples[0].n
     w = -(-n // 64)
-    flat = np.zeros(len(samples) * n * w, dtype=np.uint64)
+    # each triangle padded to a power of two of at least one word, so that a
+    # position splits into sample and pair by a shift and a mask
+    shift = max(6, (samples[0].pair_count - 1).bit_length())
+    raw = np.zeros((len(samples), 1 << (shift - 3)), dtype=np.uint8)
     for b, sample in enumerate(samples):
-        for i, j in sample._edges():
-            for x, y in ((i, j), (j, i)):
-                np.bitwise_or.at(flat, (b * n + x) * w + (y >> 6), _bit(y))
-    return flat.reshape(len(samples), n, w)
+        raw[b, : sample.packed.size] = sample.packed
+    hit = _bit_positions(raw.reshape(-1))
+    b, pos = hit >> shift, hit & ((1 << shift) - 1)
+    v = np.arange(n, dtype=np.int64)
+    off = _pair_index(n, v, v + 1)  # the position of each row's first pair
+    i = np.searchsorted(off, pos, side="right") - 1
+    j = pos - off[i] + i + 1
+    bits = np.zeros(len(samples) * n * 64 * w, dtype=bool)
+    for x, y in ((i, j), (j, i)):
+        bits[(b * n + x) * (64 * w) + y] = True
+    bits = bits.reshape(len(samples), n, 64 * w)
+    return np.packbits(bits, axis=2, bitorder="little").view("<u8").astype(np.uint64, copy=False)
 
 
 def _probability_blocks(model: EdgeProbabilityModel,
@@ -741,10 +804,7 @@ def _sample_triangle(model: EdgeProbabilityModel, seed: int,
     packed = np.zeros((pairs + 7) // 8, dtype=np.uint8)
     buf = np.empty(min(_SAMPLE_BLOCK, pairs) + 7, dtype=bool)
     if alt is not None:
-        c = np.asarray(alt.community, dtype=np.int64)
-        a, b = np.triu_indices(c.size, 1)
-        pos = _pair_index(n, c[a], c[b])  # ascending: c is sorted
-        lifted = model.pair_probability(c[a], c[b]) * alt.rho
+        pos, lifted = alt._lifted
     # with PCG64, random(a) then random(b) draws what random(a + b) does, so
     # the block size leaves the stream as it was
     for s, e, p in _probability_blocks(model, pairs):

@@ -57,6 +57,19 @@ the rows whose table entry reaches it, and a size is counted only if its
 table, or that of a size extending from it, does.  Every row that reaches
 the threshold is still scored, so wherever the full scan rejects the
 outcome is the same; elsewhere the statistic is a lower bound.
+A deciding known scan takes each extended size from the batch's hot record
+for the size and c, the least count whose table entry reaches the
+threshold: the rows of every graph of the batch whose count reaches c
+and their scores, found in one pass over the batch and scored in one
+_scores call.  A scan reads its graph's slice and takes its first
+maximum, ties to the smallest row.  The plan's largest size, where it
+extends the size below, is grown rather than counted (_grown): by the
+peeling step of greedy densest subgraph, a k-set with at least c edges
+holds a (k-1)-set with at least c - floor(2c/k), so its rows are those
+rows of the size below's table, each grown by every vertex outside it,
+counted by a popcount against that vertex's adjacency row and indexed by
+lexicographic rank (_insertion_ranks).  No table of that size is built,
+unless the candidates would outnumber it.
 The one-subset statistic functions score a one-row size the same way, so
 a scan outcome is bit-for-bit reproducible subset by subset.
 """
@@ -76,8 +89,8 @@ import numpy as np
 from .errors import BudgetError, ValidationError
 from .kernels import entropy_h_vec
 from .model import (_BATCH_ROWS, EdgeProbabilityModel, GraphSample, RankOne, _adjacency_stack,
-                    _check_rows, _combination_tables, _count_dtype, _edge_counts, _norm,
-                    _number, _vertex_masks, check_subset)
+                    _check_rows, _combination_tables, _count_dtype, _edge_counts,
+                    _insertion_ranks, _norm, _number, _vertex_masks, check_subset)
 
 __all__ = [
     "Exhaustive",
@@ -105,13 +118,14 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # a bound table of C(k, 2) + 1 floats per size (one float where that would
 # outnumber the size's k m vertex entries).  A batch holds besides, per
 # graph, one count per row of each size counted, 1 byte for k <= 23 and 2
-# for k <= 362, and n^2/8 bytes of adjacency rows once an extended size is
-# counted: a scan alone until it returns, a batch scope about _BATCH_BYTES
-# until it closes
+# for k <= 362, n^2/8 bytes of adjacency rows once an extended size is
+# counted or grown, and for deciding known scans about 16 bytes per row
+# whose count reaches the threshold's: a scan alone until it returns, a
+# batch scope about _BATCH_BYTES until it closes
 _PLAN_CACHE_SIZE = 2
 
-# the bytes of count tables and adjacency rows a batch scope is sized to
-# hold.  Known scans of RankOne(40) null graphs at r = 4, deciding
+# the bytes of count tables, packed triangles and adjacency rows a batch
+# scope is sized to hold.  Known scans of RankOne(40) null graphs at r = 4, deciding
 # at eps = 0.2 (about 102 kB of tables per graph), took 0.36 ms per graph
 # unbatched and 0.29/0.24/0.21/0.21/0.20/0.20/0.20/0.23 ms at B = 2, 5, 10,
 # 15, 20, 30, 50 and 100 (timed in-process, 400 graphs): past about 2 MB
@@ -126,14 +140,20 @@ class SubsetFamily:
     describe() is the summary a ScanOutcome records; _row_tables(n, model)
     yields one (rows, starts) pair per size, sizes ascending.  rows is a
     validated, read-only (m, k) array of row-sorted subsets, rows
-    lexicographic.  starts is None, or, when the table extends the size
-    below, for each vertex a the first row of the size below whose first
-    vertex exceeds a: the table is then vertex a followed by the rows from
-    there on, for a ascending (the layout of _combination_tables).
+    lexicographic.  starts is None, or, when the table is every k-subset of
+    range(n) and extends the size below, which is then every (k-1)-subset,
+    for each vertex a the first row of the size below whose first vertex
+    exceeds a: the table is then vertex a followed by the rows from there
+    on, for a ascending (the layout of _combination_tables, whose row
+    indices _insertion_ranks computes).
     """
 
     def describe(self) -> dict:
         return self.to_dict()
+
+    def _extends(self, n: int) -> bool:
+        """Whether some table _row_tables(n, ...) yields extends the size below."""
+        return False
 
     @staticmethod
     def from_dict(raw: Mapping) -> "SubsetFamily":
@@ -183,6 +203,10 @@ class Exhaustive(_SizeRange):
         for rows, starts in _combination_tables(n, *self.size_range(n)):
             rows.flags.writeable = False
             yield rows, starts if rows.shape[1] > 2 else None
+
+    def _extends(self, n: int) -> bool:
+        lo, hi = self.size_range(n)
+        return hi > max(lo, 2)
 
 
 @dataclass(frozen=True)
@@ -355,8 +379,10 @@ class _Size:
     In an exhaustive plan each size above the first and above 2 extends
     the one below: its rows headed by vertex a are a followed by the rows of
     the size below from starts[a] on.  A scan then counts them from that
-    size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask.  Any
-    other size is counted pair by pair (_edge_counts).
+    size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask, or,
+    deciding the plan's largest size, grows the rows that can reach the
+    threshold from that size's (_grown).  Any other size is counted pair
+    by pair (_edge_counts).
 
     bound is nondecreasing, and on every graph no row whose count is c
     scores above bound[min(c, len(bound) - 1)] (see _bound).
@@ -520,14 +546,17 @@ class _Batch:
     """Samples on one n whose scans share what is counted for them: for each
     plan, keyed by its id, the (B, m) count table of each plan size
     (_Size.counts), computed on first use, the size below first where size
-    j extends it; and the samples' adjacency rows (_adjacency_stack), built
-    the first time an extended size is counted.  The batch holds each plan
-    it keys, so no id is reused while it lives."""
+    j extends it; the samples' adjacency rows (_adjacency_stack), built the
+    first time an extended size is counted or grown; and, for deciding
+    known scans, the hot record of each extended size at each least count c
+    (hot).  The batch holds each plan it keys, so no id is reused while it
+    lives."""
 
     def __init__(self, samples: Iterable[GraphSample]) -> None:
         self.samples = list(samples)
         self.row = {sample: b for b, sample in enumerate(self.samples)}
         self.tables: dict[int, tuple[tuple[_Size, ...], list]] = {}
+        self.records: dict[tuple[int, int, int], tuple] = {}
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -542,6 +571,73 @@ class _Batch:
             tables[j] = size.counts(self.samples, below)
         return tables[j]
 
+    def hot(self, plan: tuple[_Size, ...], j: int, c: int) -> tuple:
+        """The rows of known plan size j, an extended size, whose count
+        reaches c on each graph of the batch and their scores: (ends, rows,
+        scores), graph b's entries at ends[b]:ends[b + 1], scored in one
+        _scores call for the whole batch.  The plan's last size with c >= 1
+        is grown (_grown) from the size below's table, duplicates and all,
+        where that takes no more entries than its own table; every other
+        size is read from its table, rows ascending."""
+        key = (id(plan), j, c)
+        if key not in self.records:
+            size = plan[j]
+            m = len(size.rows)
+            found = None
+            if j == len(plan) - 1 and c >= 1:
+                found = _grown(plan[j - 1], self.table(plan, j - 1), self.adjacency, c,
+                               len(self.samples) * m)
+            if found is None:
+                table = self.table(plan, j)
+                flat = np.flatnonzero(table >= c)
+                graph, rows = np.divmod(flat, m)
+                found = graph, rows, table.reshape(-1)[flat]
+            graph, rows, counts = found
+            ends = np.searchsorted(graph, np.arange(len(self.samples) + 1)).tolist()
+            self.records[key] = ends, rows, _scores(counts, size.means[rows], size.norm)
+        return self.records[key]
+
+    def best(self, plan: tuple[_Size, ...], j: int, c: int, b: int) -> tuple[float, int]:
+        """_Size.best of plan size j on graph b over the rows whose count is
+        at least c, from the hot record at c: the first maximum, ties to the
+        smallest row index, and (0.0, 0) when none of them is hot."""
+        ends, rows, scores = self.hot(plan, j, c)
+        rows, scores = rows[ends[b] : ends[b + 1]], scores[ends[b] : ends[b + 1]]
+        mx = scores.max(initial=0.0)
+        return (float(mx), int(rows[scores == mx].min())) if mx > 0.0 else (0.0, 0)
+
+
+def _grown(below: _Size, table: np.ndarray, adj: np.ndarray, c: int,
+           limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(graph, row, count) of every k-subset, k one above below's size,
+    with at least c >= 1 edges on each graph of a batch whose size-(k-1)
+    counts are table (B, m) and whose adjacency rows are adj.  A k-set with
+    e edges has a vertex of internal degree at most floor(2e/k) (the
+    peeling step of greedy densest subgraph), so it is a row D of below
+    with at least c - floor(2c/k) edges plus a vertex v outside D, and
+    e(D + v) = e(D) + |N(v) & D|, a popcount of D's mask against v's row.
+    Rows come from _insertion_ranks.  A k-set grows from each of its light
+    (k-1)-sets, so it may appear more than once, always with the same
+    count.  Entries are in graph order.  None where the candidates D + v
+    would number more than limit."""
+    k = below.rows.shape[1] + 1
+    n = adj.shape[1]
+    flat = np.flatnonzero(table >= c - 2 * c // k)
+    if flat.size * n > limit:
+        return None
+    graph, parent = np.divmod(flat, table.shape[1])
+    masks = below.masks[parent]
+    counts = np.add(table.reshape(-1)[flat][:, None],
+                    np.bitwise_count(masks[:, 0, None] & adj[graph, :, 0]),
+                    dtype=_count_dtype(k * (k - 1) // 2))
+    for w in range(1, adj.shape[2]):
+        counts += np.bitwise_count(masks[:, w, None] & adj[graph, :, w])
+    rows = below.rows[parent]
+    counts[np.arange(len(rows))[:, None], rows] = 0  # v in D: not a k-set
+    flat = np.flatnonzero(counts >= c)
+    at, v = np.divmod(flat, n)
+    return graph[at], _insertion_ranks(n, rows[at], v), counts.reshape(-1)[flat]
+
 
 # the enclosing batch scope
 _BATCH: ContextVar[_Batch | None] = ContextVar("_BATCH", default=None)
@@ -553,8 +649,8 @@ def _batch(samples: Iterable[GraphSample]) -> Iterator[_Batch]:
     share one _Batch: each plan size's table is computed once, for all of
     them, by the first scan in the scope that needs it, and each scan reads
     its sample's row.  Counts are exact, so every outcome is the one the
-    scan gives alone.  Yields the batch, whose tables and adjacency rows
-    are dropped on exit."""
+    scan gives alone.  Yields the batch, whose tables, hot records and
+    adjacency rows are dropped on exit."""
     batch = _Batch(samples)
     token = _BATCH.set(batch)
     try:
@@ -562,18 +658,22 @@ def _batch(samples: Iterable[GraphSample]) -> Iterator[_Batch]:
     finally:
         _BATCH.reset(token)
         batch.tables.clear()
+        batch.records.clear()
         vars(batch).pop("adjacency", None)
 
 
 def _batch_graphs(config: ScanConfig, n: int) -> int:
     """The graphs per batch scope for scans by config on n vertices: as many
-    as keep their count tables, at most one entry per subset of the family
-    in the dtype of its largest size, and their adjacency rows within
-    _BATCH_BYTES; at least one."""
+    as keep within _BATCH_BYTES their count tables, at most one entry per
+    subset of the family in the dtype of its largest size, their packed
+    triangles, which the scope's caller holds while it lasts, and, where
+    the family has an extended size, their adjacency rows; at least one."""
     family = config.family or Exhaustive(1, config.r)
     k = family.size_range(n)[1]
     per_graph = (family.count(n) * _count_dtype(k * (k - 1) // 2).itemsize
-                 + 8 * n * -(-n // 64))
+                 + (n * (n - 1) // 2 + 7) // 8)
+    if family._extends(n):
+        per_graph += 8 * n * -(-n // 64)
     return max(1, _BATCH_BYTES // per_graph)
 
 
@@ -602,7 +702,10 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
     its counts are read only if a size that extends from it is scored.  A
     floor above 0.0 leaves out rows the full scan scores, so where no row
     reaches it the maximum returned is a lower bound on the full scan's,
-    not the maximum itself."""
+    not the maximum itself.  With a floor, a known plan's extended sizes
+    are read from the batch's hot records at the floor's least count
+    (_Batch.best), which differ from _Size.best at low only where neither
+    beats the running best."""
     batch, b = _batch_of(sample)
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
@@ -613,10 +716,16 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
         cut = 0.0 if keep_trace else max(best_stat, 0.0)
         # the first count whose bound is above cut and at least floor: a row
         # that scores exactly floor has a bound of at least floor
-        low = int(np.searchsorted(size.bound, floor, "left") if floor > cut
-                  else np.searchsorted(size.bound, cut, "right"))
-        mx, i = (size.best(sample, batch.table(plan, j)[b], low) if low < len(size.bound)
-                 else (0.0, 0))
+        reach = int(np.searchsorted(size.bound, floor, "left"))
+        low = reach if floor > cut else int(np.searchsorted(size.bound, cut, "right"))
+        if low >= len(size.bound):
+            mx, i = 0.0, 0
+        elif floor > 0.0 and size.means is not None and size.starts is not None:
+            # the rows between reach and low score at most the running best,
+            # so the maximum over the record at reach changes no outcome
+            mx, i = batch.best(plan, j, reach, b)
+        else:
+            mx, i = size.best(sample, batch.table(plan, j)[b], low)
         if mx > best_stat or keep_trace:
             subset = tuple(int(v) for v in size.rows[i])
             if mx > best_stat:

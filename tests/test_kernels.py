@@ -51,6 +51,15 @@ class TestEntropyH:
         assert entropy_h(math.inf) == math.inf
         assert entropy_h_vec(np.array([math.inf, 1.0])).tolist() == [math.inf, entropy_h(1.0)]
 
+    def test_overflow_is_infinity_without_a_warning(self):
+        # (1 + x) ln(1 + x) passes the largest double for finite x above
+        # about 2.5e305; the scalar gives inf there, and so must the vector,
+        # silently (a warning fails this test under filterwarnings = error)
+        xs = np.array([1e308, 2.6e305, 2.4e305, 1e300])
+        assert entropy_h_vec(xs).tolist() == [entropy_h(x) for x in xs]
+        assert entropy_h_vec(xs)[:2].tolist() == [math.inf, math.inf]
+        assert math.isfinite(entropy_h_vec(xs)[2])
+
     def test_series_seam_is_smooth(self):
         # the Taylor branch hands over at |x| = 1e-4; both sides must agree
         for x in (9.9e-5, 1.01e-4, -9.9e-5, -1.01e-4):

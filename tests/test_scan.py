@@ -7,6 +7,7 @@ fixtures come from tests/oracles/frozen_values.py.
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -1562,6 +1563,16 @@ def table_bytes(scope):
                for table in tables if table is not None) + getattr(adjacency, "nbytes", 0)
 
 
+def plan_bytes(scope):
+    """The most bytes of count tables one plan holds in a batch scope, plus
+    its adjacency rows: what _batch_graphs sizes a scope of one config's
+    scans by."""
+    adjacency = vars(scope).get("adjacency")
+    return max((sum(table.nbytes for table in tables if table is not None)
+                for _, tables in scope.tables.values()), default=0) + getattr(
+        adjacency, "nbytes", 0)
+
+
 def dropped(scope):
     """Whether a batch scope holds no count table and no adjacency rows."""
     return not scope.tables and "adjacency" not in vars(scope)
@@ -1617,7 +1628,8 @@ class TestBatchScope:
                     assert len({id(size) for size, _ in counted}) == len(counted)
                     assert all(b == len(scope_graphs) for _, b in counted)
                     if 1 < len(scope_graphs) <= per_scope:
-                        assert table_bytes(scope) <= cap
+                        # the known and the blind plan each keep within it
+                        assert plan_bytes(scope) <= cap
                     held, counted[:] = table_bytes(scope), []
                     # a graph outside the scope counts alone, and adds no table
                     assert outcomes([outside], **kw) == alone[: len(runs[id(graphs[0])])]
@@ -1678,6 +1690,202 @@ class TestBatchScope:
                 scan_unknown(g, ScanConfig(4, eps))
                 raise KeyError
         assert dropped(scope) and scan_module._BATCH.get() is None
+
+
+@functools.lru_cache(maxsize=4)
+def all_subsets(n, k):
+    """Every k-subset of range(n), lexicographic, as an (C(n, k), k) array."""
+    return np.array(list(itertools.combinations(range(n), k))).reshape(-1, k)
+
+
+def hot_reference(model, g, family, threshold):
+    """The deciding known scan's (statistic, subset) on g, brute force: for
+    each size k of the Exhaustive family, every k-subset in lexicographic
+    order, counted on the dense adjacency matrix; the ones whose count
+    reaches c, the least count whose plan bound entry reaches threshold,
+    scored elementwise by _scores (stat_known's values, one subset at a
+    time); the first strict maximum over the sizes ascending, and (0.0, the
+    family's first subset) when no such subset is hot."""
+    adj = g.adjacency_matrix()
+    best = (0.0, tuple(range(family.size_range(g.n)[0])))
+    for size in scan_module._plan(family, g.n, model):
+        k = size.rows.shape[1]
+        rows = all_subsets(g.n, k)
+        counts = np.zeros(len(rows), dtype=np.int64)
+        for a, b in itertools.combinations(range(k), 2):
+            counts += adj[rows[:, a], rows[:, b]]
+        near = np.flatnonzero(counts >= np.searchsorted(size.bound, threshold, "left"))
+        if near.size:
+            scores = _scores(counts[near], model.within_mean(rows[near]), size.norm)
+            i = int(np.argmax(scores))
+            if scores[i] > best[0]:
+                best = (float(scores[i]), tuple(int(v) for v in rows[near[i]]))
+    return best
+
+
+@st.composite
+def grown_cases(draw):
+    """A model of each kind; one to six graphs on 5..40 or 65..100 vertices
+    (one or two mask words), planted with a dense block or not, of drawn
+    densities; an Exhaustive(lo, hi) window with hi from 3 to 5 of at most
+    200,000 subsets; and epsilon."""
+    n = draw(st.integers(5, 40) | st.integers(65, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = _random_model(draw(st.sampled_from(["homogeneous", "rank_one", "general"])), n, rng)
+    hi = draw(st.integers(3, max(k for k in (3, 4, 5)
+                                 if k < n and Exhaustive(1, k).count(n) <= 200_000)))
+    family = Exhaustive(draw(st.integers(1, hi)), hi)
+    graphs = []
+    for _ in range(draw(st.integers(1, 6))):
+        density, seed = draw(st.sampled_from([0.0, 0.05, 0.1, 0.3])), int(rng.integers(2**32))
+        block = rng.choice(n, size=int(rng.integers(2, min(n - 1, 8) + 1)), replace=False)
+        graphs.append(planted_graph(n, density, block, seed) if draw(st.booleans())
+                      else random_graph(n, density, seed))
+    return model, graphs, family, draw(st.sampled_from([0.05, 0.2, 0.5, 2.0]))
+
+
+# cases the grown-size property always runs: the largest size grown on one
+# and on two mask words, planted or not, and grown past the candidate limit
+# (a complete graph), where the size's own table is counted instead
+GROWN_EXAMPLES = {
+    "one_word": (RankOne(np.linspace(0.05, 0.45, 40)),
+                 [sample_null(RankOne(np.linspace(0.05, 0.45, 40)), s) for s in range(3)]
+                 + [planted_graph(40, 0.05, range(10, 16), 5)], Exhaustive(1, 4), 0.2),
+    "two_words": (Homogeneous(70, 0.005), [planted_graph(70, 0.005, range(60, 66), 0),
+                                           random_graph(70, 0.005, 1)], Exhaustive(2, 3), 0.2),
+    "past_the_limit": (Homogeneous(12, 0.05), [random_graph(12, 1.0, 0), random_graph(12, 0.0, 1)],
+                       Exhaustive(1, 5), 0.5),
+    # 4-sets with three edges tie; (0, 1, 6, 8) grows from (0, 1, 6) before
+    # (0, 1, 3, 8) grows from (0, 1, 8), and the smaller row must win
+    "tie": (Homogeneous(11, 0.02), [graph_from_edges(11, [(0, 1), (0, 6), (1, 8), (2, 7), (2, 9),
+                                                         (3, 8), (4, 8), (5, 8), (7, 8)])],
+            Exhaustive(1, 4), 0.2),
+}
+
+
+class TestGrownSizes:
+    """A deciding known scan in a batch scope scores each extended size once
+    for the whole batch, and grows the largest size from the size below by
+    the peeling bound instead of counting it; every outcome is still the
+    brute-force one, bit for bit."""
+
+    def test_insertion_ranks_are_the_table_rows(self):
+        for n, hi in ((5, 4), (9, 5), (24, 4), (66, 3)):
+            tables = [rows for rows, _ in model_module._combination_tables(n, 1, hi)]
+            for rows, grown in zip(tables, tables[1:]):
+                index = {tuple(row): i for i, row in enumerate(grown.tolist())}
+                pairs = [(row, v) for row in rows.tolist() for v in range(n) if v not in row]
+                ranks = model_module._insertion_ranks(
+                    n, np.array([row for row, _ in pairs], dtype=rows.dtype),
+                    np.array([v for _, v in pairs]))
+                assert ranks.tolist() == [index[tuple(sorted(row + [v]))] for row, v in pairs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(grown_cases())
+    @example(GROWN_EXAMPLES["one_word"])
+    @example(GROWN_EXAMPLES["two_words"])
+    @example(GROWN_EXAMPLES["past_the_limit"])
+    @example(GROWN_EXAMPLES["tie"])
+    def test_outcomes_are_the_brute_force_ones(self, case):
+        model, graphs, family, epsilon = case
+        n, r = graphs[0].n, family.size_range(graphs[0].n)[1]
+        # an equal graph outside the scope is scanned in it as a batch of one
+        outside = GraphSample(n, graphs[0].packed, None, "imported")
+        full = max(scan_known(model, g, ScanConfig(r, epsilon, family)).statistic
+                   for g in graphs)
+        # besides epsilon, thresholds within an ulp or so of the largest maximum
+        near = 2.0 * (full - 1.0)
+        for eps in [epsilon] + ([near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)]
+                                if near > 0.0 else []):
+            cfg = ScanConfig(r, eps, family)
+            with scan_module._batch(graphs):
+                outs = [scan_known(model, g, cfg, decide=True) for g in graphs + [outside]]
+            metadata = {"subsets_evaluated": family.count(n)}
+            if r >= n / 2:
+                metadata["large_r"] = True
+            for g, out in zip(graphs + [outside], outs):
+                stat, subset = hot_reference(model, g, family, out.threshold)
+                assert (out.statistic.hex(), out.subset) == (stat.hex(), subset)
+                assert out.reject == (stat >= out.threshold) and out.metadata == metadata
+                if stat > 0.0:
+                    assert stat_known(model, g, subset) == stat
+
+    def test_examples_cover_what_they_are_named_for(self):
+        grown_of = scan_module._grown
+        for name, (model, graphs, family, eps) in GROWN_EXAMPLES.items():
+            calls = []
+
+            def grown(below, table, adj, c, limit):
+                out = grown_of(below, table, adj, c, limit)
+                calls.append((adj.shape[2], out is None))
+                return out
+
+            cfg = ScanConfig(family.size_range(graphs[0].n)[1], eps, family)
+            with mock.patch.object(scan_module, "_grown", grown), \
+                    scan_module._batch(graphs) as scope:
+                outs = [scan_known(model, g, cfg, decide=True) for g in graphs]
+                # the grown size's record: the plan's last size
+                top = max(scope.records.items(), key=lambda item: item[0][1])[1]
+            words, past = {w for w, _ in calls}, {p for _, p in calls}
+            assert len(calls) == 1, name
+            assert (words, past) == {"one_word": ({1}, {False}), "two_words": ({2}, {False}),
+                                     "past_the_limit": ({1}, {True}), "tie": ({1}, {False})}[name]
+            if name == "tie":
+                assert outs[0].subset == (0, 1, 3, 8) and outs[0].reject
+                _, rows, scores = top
+                first = scan_module._plan(family, 11, model)[-1].rows[rows[np.argmax(scores)]]
+                assert tuple(first) == (0, 1, 6, 8)
+            else:
+                assert {out.reject for out in outs} == {True, False}, name
+
+    def test_one_scoring_pass_per_batch_and_no_table_for_the_grown_size(self):
+        model, graphs, family, eps = GROWN_EXAMPLES["one_word"]
+        cfg = ScanConfig(4, eps, family)
+        scan_known(model, graphs[0], cfg)  # the plan, and its bound tables, built before
+        counts_of, counted, scored = scan_module._Size.counts, [], []
+
+        def count(size, samples, below=None):
+            counted.append(size.rows.shape[1])
+            return counts_of(size, samples, below)
+
+        def scores(counts, means, norm):
+            scored.append(len(counts))
+            return _scores(counts, means, norm)
+
+        with mock.patch.object(scan_module._Size, "counts", count), \
+                mock.patch.object(scan_module, "_scores", scores), \
+                scan_module._batch(graphs) as scope:
+            for g in graphs:
+                scan_known(model, g, cfg, decide=True)
+        # sizes 1 and 2 cannot reach 1.1 at these means; 2 is counted as the
+        # base of 3, whose table is the base of the grown size 4
+        assert counted == [2, 3] and len(scored) == 2
+        assert dropped(scope) and not scope.records
+        # a full scan in the scope counts size 4 as before
+        with mock.patch.object(scan_module._Size, "counts", count), \
+                scan_module._batch(graphs):
+            counted.clear()
+            scan_known(model, graphs[0], cfg)
+        assert counted == [2, 3, 4]
+
+    def test_a_batch_scope_is_sized_by_what_it_holds(self):
+        # count tables, packed triangles, and adjacency rows only where the
+        # family has an extended size
+        rng = np.random.default_rng(0)
+        explicit = Explicit(tuple(tuple(int(v) for v in rng.choice(512, size=5, replace=False))
+                                  for _ in range(300)))
+        cap = scan_module._BATCH_BYTES
+        for n, per_graph in ((512, 300 + 16_352), (2048, 300 + 262_016),
+                             (8192, 300 + 4_193_280)):
+            assert scan_module._batch_graphs(ScanConfig(12, family=explicit), n) == max(
+                1, cap // per_graph)
+        # the adjacency charge alone gave 63 graphs at n = 512 and 3 at 2048
+        assert scan_module._batch_graphs(ScanConfig(12, family=explicit), 2048) == 7
+        exhaustive = Exhaustive(1, 3)
+        assert scan_module._batch_graphs(ScanConfig(3, family=exhaustive), 100) == cap // (
+            exhaustive.count(100) + 619 + 8 * 100 * 2)
+        assert scan_module._batch_graphs(ScanConfig(3, family=Exhaustive(3, 3)), 100) == cap // (
+            math.comb(100, 3) + 619)
 
 
 class TestNarrowCounts:
