@@ -57,19 +57,20 @@ the rows whose table entry reaches it, and a size is counted only if its
 table, or that of a size extending from it, does.  Every row that reaches
 the threshold is still scored, so wherever the full scan rejects the
 outcome is the same; elsewhere the statistic is a lower bound.
-A deciding known scan takes each extended size from the batch's hot record
+A deciding known scan takes each size's best row from the batch's record
 for the size and c, the least count whose table entry reaches the
-threshold: the rows of every graph of the batch whose count reaches c
-and their scores, found in one pass over the batch and scored in one
-_scores call.  A scan reads its graph's slice and takes its first
-maximum, ties to the smallest row.  The plan's largest size, where it
-extends the size below, is grown rather than counted (_grown): by the
-peeling step of greedy densest subgraph, a k-set with at least c edges
-holds a (k-1)-set with at least c - floor(2c/k), so its rows are those
-rows of the size below's table, each grown by every vertex outside it,
-counted by a popcount against that vertex's adjacency row and indexed by
-lexicographic rank (_insertion_ranks).  No table of that size is built,
-unless the candidates would outnumber it.
+threshold: each graph's first maximum over its rows whose count reaches
+c, ties to the smallest row, found for every graph of the batch at once,
+its hot rows scored a block at a time, each block in one _scores call.
+The plan's largest size, where it extends the size below, is grown
+rather than counted (_grown): by the peeling step of greedy densest
+subgraph, a k-set with at least c edges holds a (k-1)-set with at least
+c - floor(2c/k), so its rows are those rows of the size below's table,
+each grown by every vertex outside it, counted by a popcount against that
+vertex's adjacency row and indexed by lexicographic rank
+(_insertion_ranks).  No table of that size is built, unless the
+candidates number more than 2^(1-k) of its entries, where counting it
+was measured faster.
 The one-subset statistic functions score a one-row size the same way, so
 a scan outcome is bit-for-bit reproducible subset by subset.
 """
@@ -119,9 +120,10 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # outnumber the size's k m vertex entries).  A batch holds besides, per
 # graph, one count per row of each size counted, 1 byte for k <= 23 and 2
 # for k <= 362, n^2/8 bytes of adjacency rows once an extended size is
-# counted or grown, and for deciding known scans about 16 bytes per row
-# whose count reaches the threshold's: a scan alone until it returns, a
-# batch scope about _BATCH_BYTES until it closes
+# counted or grown, and for deciding known scans 16 bytes of best row per
+# size scored: a scan alone until it returns, a batch scope about
+# _BATCH_BYTES until it closes.  A deciding scan's scoring passes hold
+# besides a block at a time (_hot_rows, _grown)
 _PLAN_CACHE_SIZE = 2
 
 # the bytes of count tables, packed triangles and adjacency rows a batch
@@ -151,9 +153,9 @@ class SubsetFamily:
     def describe(self) -> dict:
         return self.to_dict()
 
-    def _extends(self, n: int) -> bool:
-        """Whether some table _row_tables(n, ...) yields extends the size below."""
-        return False
+    def _extended_sizes(self, n: int) -> range:
+        """The sizes whose table _row_tables(n, ...) yields with starts."""
+        return range(0)
 
     @staticmethod
     def from_dict(raw: Mapping) -> "SubsetFamily":
@@ -197,16 +199,18 @@ class Exhaustive(_SizeRange):
     def count(self, n: int) -> int:
         return sum(math.comb(n, k) for k in range(self.min_size, min(self.max_size, n) + 1))
 
+    def _extended_sizes(self, n: int) -> range:
+        # every size above the first extends the one below, but a pair's
+        # count is one lookup, which no popcount over ceil(n/64) words beats,
+        # so sizes 1 and 2 are always counted directly
+        lo, hi = self.size_range(n)
+        return range(max(lo + 1, 3), hi + 1)
+
     def _row_tables(self, n: int, model: EdgeProbabilityModel | None) -> Iterator[tuple]:
-        # a pair's count is one lookup, which no popcount over ceil(n/64) words
-        # beats, so sizes 1 and 2 are always counted directly
+        extended = self._extended_sizes(n)
         for rows, starts in _combination_tables(n, *self.size_range(n)):
             rows.flags.writeable = False
-            yield rows, starts if rows.shape[1] > 2 else None
-
-    def _extends(self, n: int) -> bool:
-        lo, hi = self.size_range(n)
-        return hi > max(lo, 2)
+            yield rows, starts if rows.shape[1] in extended else None
 
 
 @dataclass(frozen=True)
@@ -548,15 +552,15 @@ class _Batch:
     (_Size.counts), computed on first use, the size below first where size
     j extends it; the samples' adjacency rows (_adjacency_stack), built the
     first time an extended size is counted or grown; and, for deciding
-    known scans, the hot record of each extended size at each least count c
-    (hot).  The batch holds each plan it keys, so no id is reused while it
-    lives."""
+    known scans, each graph's best row of a plan size among the rows whose
+    count reaches a least count c (best).  The batch holds each plan it
+    keys, so no id is reused while it lives."""
 
     def __init__(self, samples: Iterable[GraphSample]) -> None:
         self.samples = list(samples)
         self.row = {sample: b for b, sample in enumerate(self.samples)}
         self.tables: dict[int, tuple[tuple[_Size, ...], list]] = {}
-        self.records: dict[tuple[int, int, int], tuple] = {}
+        self.records: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -571,74 +575,110 @@ class _Batch:
             tables[j] = size.counts(self.samples, below)
         return tables[j]
 
-    def hot(self, plan: tuple[_Size, ...], j: int, c: int) -> tuple:
-        """The rows of known plan size j, an extended size, whose count
-        reaches c on each graph of the batch and their scores: (ends, rows,
-        scores), graph b's entries at ends[b]:ends[b + 1], scored in one
-        _scores call for the whole batch.  The plan's last size with c >= 1
-        is grown (_grown) from the size below's table, duplicates and all,
-        where that takes no more entries than its own table; every other
-        size is read from its table, rows ascending."""
+    def best(self, plan: tuple[_Size, ...], j: int, c: int, b: int) -> tuple[float, int]:
+        """_Size.best of known plan size j on graph b over the rows whose
+        count is at least c: the first maximum, ties to the smallest row
+        index, and (0.0, 0) when none of them is hot.  The first call for
+        (plan, j, c) finds it for every graph of the batch, scoring the hot
+        blocks of the whole batch (hot); later calls read it."""
         key = (id(plan), j, c)
         if key not in self.records:
             size = plan[j]
-            m = len(size.rows)
-            found = None
-            if j == len(plan) - 1 and c >= 1:
-                found = _grown(plan[j - 1], self.table(plan, j - 1), self.adjacency, c,
-                               len(self.samples) * m)
-            if found is None:
-                table = self.table(plan, j)
-                flat = np.flatnonzero(table >= c)
-                graph, rows = np.divmod(flat, m)
-                found = graph, rows, table.reshape(-1)[flat]
-            graph, rows, counts = found
-            ends = np.searchsorted(graph, np.arange(len(self.samples) + 1)).tolist()
-            self.records[key] = ends, rows, _scores(counts, size.means[rows], size.norm)
-        return self.records[key]
+            stats = np.zeros(len(self.samples))
+            rows = np.zeros(len(self.samples), dtype=np.int64)
+            for graph, row, counts in self.hot(plan, j, c):
+                _fold(stats, rows, graph, row, _scores(counts, size.means[row], size.norm))
+            self.records[key] = stats, rows
+        stats, rows = self.records[key]
+        return float(stats[b]), int(rows[b])
 
-    def best(self, plan: tuple[_Size, ...], j: int, c: int, b: int) -> tuple[float, int]:
-        """_Size.best of plan size j on graph b over the rows whose count is
-        at least c, from the hot record at c: the first maximum, ties to the
-        smallest row index, and (0.0, 0) when none of them is hot."""
-        ends, rows, scores = self.hot(plan, j, c)
-        rows, scores = rows[ends[b] : ends[b + 1]], scores[ends[b] : ends[b + 1]]
-        mx = scores.max(initial=0.0)
-        return (float(mx), int(rows[scores == mx].min())) if mx > 0.0 else (0.0, 0)
+    def hot(self, plan: tuple[_Size, ...], j: int, c: int) -> Iterator[tuple]:
+        """(graph, row, count) blocks of the rows of plan size j whose count
+        reaches c on each graph of the batch, graphs ascending.  The plan's
+        last size k, where it extends the size below, is grown (_grown)
+        where its candidates number at most 2^(1-k) of its table's entries:
+        a k-set with e edges has a vertex of internal degree at most
+        floor(2e/k) (the peeling step of greedy densest subgraph), so each
+        of its rows that reaches c is a row of the size below with at least
+        c - floor(2c/k) edges plus one vertex.  Any other size is read from
+        its table (_hot_rows).  Growing beat counting the table up to about
+        0.3-0.6 of the entries at k = 3, 0.2-0.3 at k = 4, 0.07-0.15 at
+        k = 5 and 0.1 at k = 6 (n = 20-100, dense graphs against sparse
+        means), the more hot rows a candidate yields the less."""
+        size = plan[j]
+        if j == len(plan) - 1 and size.starts is not None:
+            k = size.rows.shape[1]
+            table = self.table(plan, j - 1)
+            light = table >= c - 2 * c // k
+            if np.count_nonzero(light) * self.samples[0].n << (k - 1) <= table.shape[0] * len(
+                    size.rows):
+                return _grown(plan[j - 1], table, np.flatnonzero(light), self.adjacency, c)
+        return _hot_rows(self.table(plan, j), c)
 
 
-def _grown(below: _Size, table: np.ndarray, adj: np.ndarray, c: int,
-           limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(graph, row, count) of every k-subset, k one above below's size,
-    with at least c >= 1 edges on each graph of a batch whose size-(k-1)
-    counts are table (B, m) and whose adjacency rows are adj.  A k-set with
-    e edges has a vertex of internal degree at most floor(2e/k) (the
-    peeling step of greedy densest subgraph), so it is a row D of below
-    with at least c - floor(2c/k) edges plus a vertex v outside D, and
-    e(D + v) = e(D) + |N(v) & D|, a popcount of D's mask against v's row.
-    Rows come from _insertion_ranks.  A k-set grows from each of its light
-    (k-1)-sets, so it may appear more than once, always with the same
-    count.  Entries are in graph order.  None where the candidates D + v
-    would number more than limit."""
+def _hot_rows(table: np.ndarray, c: int) -> Iterator[tuple]:
+    """(graph, row, count) of the entries of a (B, m) count table that reach
+    c, graphs ascending and rows ascending within a graph, in blocks of
+    whole graphs holding at most _BATCH_ROWS entries (or one graph)."""
+    hot = table >= c
+    ends = np.count_nonzero(hot, axis=1).cumsum()
+    g = 0
+    while g < len(ends):
+        h = max(g + 1, int(np.searchsorted(ends, (ends[g - 1] if g else 0) + _BATCH_ROWS,
+                                           "right")))
+        flat = np.flatnonzero(hot[g:h])
+        if flat.size:
+            graph, rows = np.divmod(flat, table.shape[1])
+            yield graph + g, rows, table[g:h].reshape(-1)[flat]
+        g = h
+
+
+def _grown(below: _Size, table: np.ndarray, parents: np.ndarray, adj: np.ndarray,
+           c: int) -> Iterator[tuple]:
+    """(graph, row, count) blocks of the k-sets, k one above below's size,
+    with at least c edges that grow from parents, the flat indices of
+    entries of below's (B, m) count table on a batch whose adjacency rows
+    are adj: the parent row D of graph b grown by each vertex v outside it,
+    counted e(D + v) = e(D) + |N(v) & D|, a popcount of D's mask against
+    v's row, at the row _insertion_ranks gives.  Graphs ascend.  A block
+    grows at most max(1, _BATCH_BYTES // 16n) parents, so that the words it
+    gathers from adj and their intersections with the masks take at most
+    _BATCH_BYTES.  A k-set grows from each of its parents, so it may appear
+    more than once, always with the same count."""
     k = below.rows.shape[1] + 1
     n = adj.shape[1]
-    flat = np.flatnonzero(table >= c - 2 * c // k)
-    if flat.size * n > limit:
-        return None
-    graph, parent = np.divmod(flat, table.shape[1])
-    masks = below.masks[parent]
-    counts = np.add(table.reshape(-1)[flat][:, None],
-                    np.bitwise_count(masks[:, 0, None] & adj[graph, :, 0]),
-                    dtype=_count_dtype(k * (k - 1) // 2))
-    for w in range(1, adj.shape[2]):
-        counts += np.bitwise_count(masks[:, w, None] & adj[graph, :, w])
-    rows = below.rows[parent]
-    counts[np.arange(len(rows))[:, None], rows] = 0  # v in D: not a k-set
-    flat = np.flatnonzero(counts >= c)
-    at, v = np.divmod(flat, n)
-    return graph[at], _insertion_ranks(n, rows[at], v), counts.reshape(-1)[flat]
+    step = max(1, _BATCH_BYTES // (16 * n))
+    for s in range(0, parents.size, step):
+        graph, parent = np.divmod(parents[s : s + step], table.shape[1])
+        masks = below.masks[parent]
+        counts = np.add(table[graph, parent][:, None],
+                        np.bitwise_count(masks[:, 0, None] & adj[graph, :, 0]),
+                        dtype=_count_dtype(k * (k - 1) // 2))
+        for w in range(1, adj.shape[2]):
+            counts += np.bitwise_count(masks[:, w, None] & adj[graph, :, w])
+        rows = below.rows[parent]
+        counts[np.arange(len(rows))[:, None], rows] = 0  # v in D: not a k-set
+        flat = np.flatnonzero(counts >= c)
+        if flat.size:
+            at, v = np.divmod(flat, n)
+            yield graph[at], _insertion_ranks(n, rows[at], v), counts.reshape(-1)[flat]
 
 
+def _fold(stats: np.ndarray, rows: np.ndarray, graph: np.ndarray, row: np.ndarray,
+          scores: np.ndarray) -> None:
+    """Folds a block of scores of rows row on graphs graph, ascending, into
+    each graph's best, stats, and the smallest row scoring it, rows: a
+    block's maximum replaces a smaller best, or an equal one held by a
+    larger row.  A best of 0.0 keeps row 0."""
+    ends = np.searchsorted(graph, np.arange(len(stats) + 1))
+    at = ends[:-1][ends[:-1] < ends[1:]]  # the first entry of each graph in the block
+    g = graph[at]
+    top = np.zeros(len(stats))
+    top[g] = np.maximum.reduceat(scores, at)
+    first = np.minimum.reduceat(np.where(scores == top[graph], row, np.iinfo(np.int64).max), at)
+    top = top[g]
+    new = (top > stats[g]) | ((top == stats[g]) & (first < rows[g]))
+    stats[g[new]], rows[g[new]] = top[new], first[new]
 # the enclosing batch scope
 _BATCH: ContextVar[_Batch | None] = ContextVar("_BATCH", default=None)
 
@@ -649,7 +689,7 @@ def _batch(samples: Iterable[GraphSample]) -> Iterator[_Batch]:
     share one _Batch: each plan size's table is computed once, for all of
     them, by the first scan in the scope that needs it, and each scan reads
     its sample's row.  Counts are exact, so every outcome is the one the
-    scan gives alone.  Yields the batch, whose tables, hot records and
+    scan gives alone.  Yields the batch, whose tables, best rows and
     adjacency rows are dropped on exit."""
     batch = _Batch(samples)
     token = _BATCH.set(batch)
@@ -666,13 +706,14 @@ def _batch_graphs(config: ScanConfig, n: int) -> int:
     """The graphs per batch scope for scans by config on n vertices: as many
     as keep within _BATCH_BYTES their count tables, at most one entry per
     subset of the family in the dtype of its largest size, their packed
-    triangles, which the scope's caller holds while it lasts, and, where
-    the family has an extended size, their adjacency rows; at least one."""
+    triangles, which the scope's caller holds while it lasts, 16 bytes per
+    size for a deciding known scan's best row (_Batch.best) and, where the
+    family has an extended size, their adjacency rows; at least one."""
     family = config.family or Exhaustive(1, config.r)
-    k = family.size_range(n)[1]
-    per_graph = (family.count(n) * _count_dtype(k * (k - 1) // 2).itemsize
-                 + (n * (n - 1) // 2 + 7) // 8)
-    if family._extends(n):
+    lo, hi = family.size_range(n)
+    per_graph = (family.count(n) * _count_dtype(hi * (hi - 1) // 2).itemsize
+                 + (n * (n - 1) // 2 + 7) // 8 + 16 * (hi - lo + 1))
+    if family._extended_sizes(n):
         per_graph += 8 * n * -(-n // 64)
     return max(1, _BATCH_BYTES // per_graph)
 
@@ -702,10 +743,10 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
     its counts are read only if a size that extends from it is scored.  A
     floor above 0.0 leaves out rows the full scan scores, so where no row
     reaches it the maximum returned is a lower bound on the full scan's,
-    not the maximum itself.  With a floor, a known plan's extended sizes
-    are read from the batch's hot records at the floor's least count
-    (_Batch.best), which differ from _Size.best at low only where neither
-    beats the running best."""
+    not the maximum itself.  With a floor, a known plan's sizes take the
+    batch's best rows at the floor's least count (_Batch.best), which
+    differ from _Size.best at low only where neither beats the running
+    best."""
     batch, b = _batch_of(sample)
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
@@ -720,7 +761,7 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
         low = reach if floor > cut else int(np.searchsorted(size.bound, cut, "right"))
         if low >= len(size.bound):
             mx, i = 0.0, 0
-        elif floor > 0.0 and size.means is not None and size.starts is not None:
+        elif floor > 0.0 and size.means is not None:
             # the rows between reach and low score at most the running best,
             # so the maximum over the record at reach changes no outcome
             mx, i = batch.best(plan, j, reach, b)

@@ -270,8 +270,9 @@ class TestEstimateRisk:
     def test_batches_change_no_byte(self, test, monkeypatch):
         # a job decides its graphs a batch scope at a time; RankOne(20) at
         # r = 4 has 6,195 subsets, so a cap of three graphs' tables, packed
-        # triangles (24 bytes) and adjacency rows cuts the 15 graphs of one
-        # job into five batches, two of which span streams
+        # triangles (24 bytes), best rows (16 bytes per size) and adjacency
+        # rows cuts the 15 graphs of one job into five batches, two of which
+        # span streams
         model = RankOne(np.linspace(0.45, 0.05, 20))
         communities = ((12, 13, 14, 15), (16, 17, 18, 19))
         base = dict(model=model, test=test, r=4, rho=25.0, epsilon=0.5, communities=communities,
@@ -286,7 +287,7 @@ class TestEstimateRisk:
             return _batch(samples)
 
         monkeypatch.setattr(harness_module, "_batch", record)
-        monkeypatch.setattr(scan_module, "_BATCH_BYTES", 3 * (6_195 + 24 + 8 * 20))
+        monkeypatch.setattr(scan_module, "_BATCH_BYTES", 3 * (6_195 + 24 + 4 * 16 + 8 * 20))
         capped = estimate_risk(ExperimentConfig(**base, workers=1))
         assert [len(b) for b in batches] == [3] * 5
         assert sum(len(set(b)) > 1 for b in batches) == 2

@@ -1557,25 +1557,19 @@ def batch_cases(draw):
 
 
 def table_bytes(scope):
-    """The bytes of the count tables and adjacency rows a batch scope holds."""
+    """The bytes of the count tables, best rows and adjacency rows a batch
+    scope holds."""
     adjacency = vars(scope).get("adjacency")
-    return sum(table.nbytes for _, tables in scope.tables.values()
-               for table in tables if table is not None) + getattr(adjacency, "nbytes", 0)
-
-
-def plan_bytes(scope):
-    """The most bytes of count tables one plan holds in a batch scope, plus
-    its adjacency rows: what _batch_graphs sizes a scope of one config's
-    scans by."""
-    adjacency = vars(scope).get("adjacency")
-    return max((sum(table.nbytes for table in tables if table is not None)
-                for _, tables in scope.tables.values()), default=0) + getattr(
-        adjacency, "nbytes", 0)
+    return (sum(table.nbytes for _, tables in scope.tables.values()
+                for table in tables if table is not None)
+            + sum(a.nbytes for record in scope.records.values() for a in record)
+            + getattr(adjacency, "nbytes", 0))
 
 
 def dropped(scope):
-    """Whether a batch scope holds no count table and no adjacency rows."""
-    return not scope.tables and "adjacency" not in vars(scope)
+    """Whether a batch scope holds no count table, no best rows and no
+    adjacency rows."""
+    return not scope.tables and not scope.records and "adjacency" not in vars(scope)
 
 
 class TestBatchScope:
@@ -1596,19 +1590,7 @@ class TestBatchScope:
         n = graphs[0].n
         # an equal graph that is not one of the scopes' samples
         outside = GraphSample(n, graphs[0].packed, None, "imported")
-        runs = {id(g): [scan for *_, scan in decide_runs(model, g, family)]
-                for g in graphs + [outside]}
-
-        def outcomes(gs, **kw):
-            return [json.dumps(scan(epsilon, **kw).to_json()) for g in gs for scan in runs[id(g)]]
-
-        with mock.patch.object(scan_module, "_BATCH_BYTES", cap):
-            per_scope = scan_module._batch_graphs(
-                ScanConfig(family.size_range(n)[1], family=family), n)
-        assert per_scope >= 1
-        # the scopes a risk estimate would open, then one of every graph,
-        # above the cap wherever the cap allows fewer
-        scopes = [graphs[s : s + per_scope] for s in range(0, len(graphs), per_scope)] + [graphs]
+        r = family.size_range(n)[1]
         counts_of = scan_module._Size.counts
         counted = []
 
@@ -1616,27 +1598,41 @@ class TestBatchScope:
             counted.append((size, len(samples)))
             return counts_of(size, samples, below)
 
-        for kw in ({}, {"keep_trace": True}, {"decide": True}):
-            alone = outcomes(graphs, **kw)
-            for scope_graphs in scopes:
-                counted.clear()
-                with mock.patch.object(scan_module._Size, "counts", count), \
-                        scan_module._batch(scope_graphs) as scope:
-                    batched = outcomes(scope_graphs, **kw)
-                    # a graph scanned twice counts nothing more
-                    assert outcomes(scope_graphs[:1], **kw) == batched[: len(runs[id(graphs[0])])]
-                    assert len({id(size) for size, _ in counted}) == len(counted)
-                    assert all(b == len(scope_graphs) for _, b in counted)
-                    if 1 < len(scope_graphs) <= per_scope:
-                        # the known and the blind plan each keep within it
-                        assert plan_bytes(scope) <= cap
-                    held, counted[:] = table_bytes(scope), []
-                    # a graph outside the scope counts alone, and adds no table
-                    assert outcomes([outside], **kw) == alone[: len(runs[id(graphs[0])])]
-                    assert all(b == 1 for _, b in counted) and table_bytes(scope) == held
-                assert dropped(scope)
-                start = graphs.index(scope_graphs[0]) * len(runs[id(graphs[0])])
-                assert batched == alone[start : start + len(batched)]
+        # the known and the blind scan in scopes of their own, as a risk
+        # estimate opens them, each sized for its family
+        for i, (_, run_family, _) in enumerate(decide_runs(model, graphs[0], family)):
+            scans = {id(g): decide_runs(model, g, family)[i][2] for g in graphs + [outside]}
+
+            def outcomes(gs, **kw):
+                return [json.dumps(scans[id(g)](epsilon, **kw).to_json()) for g in gs]
+
+            with mock.patch.object(scan_module, "_BATCH_BYTES", cap):
+                per_scope = scan_module._batch_graphs(ScanConfig(r, family=run_family), n)
+            assert per_scope >= 1
+            # the scopes a risk estimate would open, then one of every graph,
+            # above the cap wherever the cap allows fewer
+            scopes = [graphs[s : s + per_scope]
+                      for s in range(0, len(graphs), per_scope)] + [graphs]
+            for kw in ({}, {"keep_trace": True}, {"decide": True}):
+                alone = outcomes(graphs, **kw)
+                for scope_graphs in scopes:
+                    counted.clear()
+                    with mock.patch.object(scan_module._Size, "counts", count), \
+                            scan_module._batch(scope_graphs) as scope:
+                        batched = outcomes(scope_graphs, **kw)
+                        # a graph scanned twice counts nothing more
+                        assert outcomes(scope_graphs[:1], **kw) == batched[:1]
+                        assert len({id(size) for size, _ in counted}) == len(counted)
+                        assert all(b == len(scope_graphs) for _, b in counted)
+                        if 1 < len(scope_graphs) <= per_scope:
+                            assert table_bytes(scope) <= cap
+                        held, counted[:] = table_bytes(scope), []
+                        # a graph outside the scope counts alone, and adds no table
+                        assert outcomes([outside], **kw) == alone[:1]
+                        assert all(b == 1 for _, b in counted) and table_bytes(scope) == held
+                    assert dropped(scope)
+                    start = graphs.index(scope_graphs[0])
+                    assert batched == alone[start : start + len(batched)]
 
     def test_adjacency_rows_are_built_once_per_scope(self):
         # two known plans with an extended size read one stack of the
@@ -1728,7 +1724,9 @@ def grown_cases(draw):
     """A model of each kind; one to six graphs on 5..40 or 65..100 vertices
     (one or two mask words), planted with a dense block or not, of drawn
     densities; an Exhaustive(lo, hi) window with hi from 3 to 5 of at most
-    200,000 subsets; and epsilon."""
+    200,000 subsets; epsilon; and the block size of the batch's scoring
+    passes, None for the default or the most hot rows of a table, and
+    parents of a grown size, that one block holds."""
     n = draw(st.integers(5, 40) | st.integers(65, 100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     model = _random_model(draw(st.sampled_from(["homogeneous", "rank_one", "general"])), n, rng)
@@ -1741,32 +1739,53 @@ def grown_cases(draw):
         block = rng.choice(n, size=int(rng.integers(2, min(n - 1, 8) + 1)), replace=False)
         graphs.append(planted_graph(n, density, block, seed) if draw(st.booleans())
                       else random_graph(n, density, seed))
-    return model, graphs, family, draw(st.sampled_from([0.05, 0.2, 0.5, 2.0]))
+    return (model, graphs, family, draw(st.sampled_from([0.05, 0.2, 0.5, 2.0])),
+            draw(st.sampled_from([None, 1, 3, 40])))
+
+
+@contextlib.contextmanager
+def scoring_blocks(block, n):
+    """Scoring passes whose blocks hold at most block hot rows of a table
+    (or one graph's) and grow at most block parents; the defaults for None."""
+    if block is None:
+        yield
+        return
+    with mock.patch.object(scan_module, "_BATCH_ROWS", block), \
+            mock.patch.object(scan_module, "_BATCH_BYTES", 16 * n * block):
+        yield
 
 
 # cases the grown-size property always runs: the largest size grown on one
-# and on two mask words, planted or not, and grown past the candidate limit
-# (a complete graph), where the size's own table is counted instead
+# and on two mask words, planted or not, and past the candidate limit (a
+# complete graph), where the size's own table is read instead
 GROWN_EXAMPLES = {
     "one_word": (RankOne(np.linspace(0.05, 0.45, 40)),
                  [sample_null(RankOne(np.linspace(0.05, 0.45, 40)), s) for s in range(3)]
-                 + [planted_graph(40, 0.05, range(10, 16), 5)], Exhaustive(1, 4), 0.2),
+                 + [planted_graph(40, 0.05, range(10, 16), 5)], Exhaustive(1, 4), 0.2, None),
     "two_words": (Homogeneous(70, 0.005), [planted_graph(70, 0.005, range(60, 66), 0),
-                                           random_graph(70, 0.005, 1)], Exhaustive(2, 3), 0.2),
+                                           random_graph(70, 0.005, 1)], Exhaustive(2, 3), 0.2,
+                  None),
     "past_the_limit": (Homogeneous(12, 0.05), [random_graph(12, 1.0, 0), random_graph(12, 0.0, 1)],
-                       Exhaustive(1, 5), 0.5),
+                       Exhaustive(1, 5), 0.5, None),
     # 4-sets with three edges tie; (0, 1, 6, 8) grows from (0, 1, 6) before
     # (0, 1, 3, 8) grows from (0, 1, 8), and the smaller row must win
-    "tie": (Homogeneous(11, 0.02), [graph_from_edges(11, [(0, 1), (0, 6), (1, 8), (2, 7), (2, 9),
-                                                         (3, 8), (4, 8), (5, 8), (7, 8)])],
-            Exhaustive(1, 4), 0.2),
+    "tie": (Homogeneous(30, 0.005), [graph_from_edges(30, [(0, 1), (0, 6), (1, 8), (2, 7), (2, 9),
+                                                          (3, 8), (4, 8), (5, 8), (7, 8)])],
+            Exhaustive(1, 4), 0.2, None),
 }
+# the same tie with each parent grown in a block of its own
+GROWN_EXAMPLES["tie_across_blocks"] = GROWN_EXAMPLES["tie"][:4] + (1,)
+# the tie's graph on 11 vertices: 14 parents grow 154 candidates, 0.47 of
+# the 330 size-4 rows and above the 2^(1-4) that may be grown
+GROWN_EXAMPLES["over_the_cutoff"] = (Homogeneous(11, 0.02), [graph_from_edges(
+    11, [(0, 1), (0, 6), (1, 8), (2, 7), (2, 9), (3, 8), (4, 8), (5, 8), (7, 8)])],
+    Exhaustive(1, 4), 0.2, None)
 
 
 class TestGrownSizes:
-    """A deciding known scan in a batch scope scores each extended size once
-    for the whole batch, and grows the largest size from the size below by
-    the peeling bound instead of counting it; every outcome is still the
+    """A deciding known scan in a batch scope scores each size once for the
+    whole batch, and grows the largest size from the size below by the
+    peeling bound instead of counting it; every outcome is still the
     brute-force one, bit for bit."""
 
     def test_insertion_ranks_are_the_table_rows(self):
@@ -1786,8 +1805,11 @@ class TestGrownSizes:
     @example(GROWN_EXAMPLES["two_words"])
     @example(GROWN_EXAMPLES["past_the_limit"])
     @example(GROWN_EXAMPLES["tie"])
+    @example(GROWN_EXAMPLES["tie_across_blocks"])
+    @example(GROWN_EXAMPLES["over_the_cutoff"])
+    @example(GROWN_EXAMPLES["one_word"][:4] + (3,))
     def test_outcomes_are_the_brute_force_ones(self, case):
-        model, graphs, family, epsilon = case
+        model, graphs, family, epsilon, block = case
         n, r = graphs[0].n, family.size_range(graphs[0].n)[1]
         # an equal graph outside the scope is scanned in it as a batch of one
         outside = GraphSample(n, graphs[0].packed, None, "imported")
@@ -1798,7 +1820,7 @@ class TestGrownSizes:
         for eps in [epsilon] + ([near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)]
                                 if near > 0.0 else []):
             cfg = ScanConfig(r, eps, family)
-            with scan_module._batch(graphs):
+            with scoring_blocks(block, n), scan_module._batch(graphs):
                 outs = [scan_known(model, g, cfg, decide=True) for g in graphs + [outside]]
             metadata = {"subsets_evaluated": family.count(n)}
             if r >= n / 2:
@@ -1812,34 +1834,76 @@ class TestGrownSizes:
 
     def test_examples_cover_what_they_are_named_for(self):
         grown_of = scan_module._grown
-        for name, (model, graphs, family, eps) in GROWN_EXAMPLES.items():
-            calls = []
+        for name, (model, graphs, family, eps, block) in GROWN_EXAMPLES.items():
+            calls, blocks = [], []
 
-            def grown(below, table, adj, c, limit):
-                out = grown_of(below, table, adj, c, limit)
-                calls.append((adj.shape[2], out is None))
-                return out
+            def grown(below, table, parents, adj, c):
+                calls.append(adj.shape[2])
+                for found in grown_of(below, table, parents, adj, c):
+                    blocks.append(found)
+                    yield found
 
-            cfg = ScanConfig(family.size_range(graphs[0].n)[1], eps, family)
-            with mock.patch.object(scan_module, "_grown", grown), \
+            n = graphs[0].n
+            plan = scan_module._plan(family, n, model)
+            cfg = ScanConfig(family.size_range(n)[1], eps, family)
+            with mock.patch.object(scan_module, "_grown", grown), scoring_blocks(block, n), \
                     scan_module._batch(graphs) as scope:
                 outs = [scan_known(model, g, cfg, decide=True) for g in graphs]
-                # the grown size's record: the plan's last size
-                top = max(scope.records.items(), key=lambda item: item[0][1])[1]
-            words, past = {w for w, _ in calls}, {p for _, p in calls}
-            assert len(calls) == 1, name
-            assert (words, past) == {"one_word": ({1}, {False}), "two_words": ({2}, {False}),
-                                     "past_the_limit": ({1}, {True}), "tie": ({1}, {False})}[name]
-            if name == "tie":
+                # the plan's last size is scored, grown or not
+                assert len(plan) - 1 in {j for _, j, _ in scope.records}, name
+            assert calls == {"one_word": [1], "two_words": [2], "past_the_limit": [],
+                             "tie": [1], "tie_across_blocks": [1], "over_the_cutoff": []}[name]
+            if name == "over_the_cutoff":
                 assert outs[0].subset == (0, 1, 3, 8) and outs[0].reject
-                _, rows, scores = top
-                first = scan_module._plan(family, 11, model)[-1].rows[rows[np.argmax(scores)]]
-                assert tuple(first) == (0, 1, 6, 8)
+            elif name.startswith("tie"):
+                assert outs[0].subset == (0, 1, 3, 8) and outs[0].reject
+                # the first maximum grown is the larger row, in the first
+                # of several blocks where each parent has one
+                grown_rows = [plan[-1].rows[rows[np.argmax(_scores(counts, plan[-1].means[rows],
+                                                                   plan[-1].norm))]]
+                              for _, rows, counts in blocks]
+                assert tuple(grown_rows[0]) == (0, 1, 6, 8)
+                assert len(blocks) == (1 if name == "tie" else len(grown_rows)) > 0
+                if name == "tie_across_blocks":
+                    assert len(blocks) > 1 and (0, 1, 3, 8) in map(tuple, grown_rows)
             else:
                 assert {out.reject for out in outs} == {True, False}, name
 
+    def test_blocks_hold_what_they_are_sized_for(self):
+        # a table's hot rows in blocks of at most _BATCH_ROWS or one graph's,
+        # a grown size in blocks of at most _BATCH_BYTES // 16n parents,
+        # graphs ascending within and across blocks
+        model, graphs, family, eps, _ = GROWN_EXAMPLES["one_word"]
+        cfg = ScanConfig(4, eps, family)
+        alone = [scan_known(model, g, cfg, decide=True) for g in graphs]
+        hot_of, grown_of, read, grown = scan_module._hot_rows, scan_module._grown, [], []
+
+        def hot_rows(table, c):
+            for found in hot_of(table, c):
+                read.append((table >= c, found))
+                yield found
+
+        def grow(below, table, parents, adj, c):
+            grown.append(parents.size)
+            for found in grown_of(below, table, parents, adj, c):
+                grown.append(found)
+                yield found
+
+        with mock.patch.object(scan_module, "_hot_rows", hot_rows), \
+                mock.patch.object(scan_module, "_grown", grow), scoring_blocks(10, 40), \
+                scan_module._batch(graphs):
+            assert [scan_known(model, g, cfg, decide=True) for g in graphs] == alone
+        assert max(np.count_nonzero(hot, axis=1).max() for hot, _ in read) > 10
+        assert len(read) > 1
+        for hot, (graph, rows, _) in read:
+            assert graph.size <= 10 or len(set(graph.tolist())) == 1
+            assert np.all(np.diff(graph) >= 0) and np.all(hot[graph, rows])
+        parents, blocks = grown[0], grown[1:]
+        assert 1 < len(blocks) <= -(-parents // 10)
+        assert np.all(np.diff(np.concatenate([graph for graph, _, _ in blocks])) >= 0)
+
     def test_one_scoring_pass_per_batch_and_no_table_for_the_grown_size(self):
-        model, graphs, family, eps = GROWN_EXAMPLES["one_word"]
+        model, graphs, family, eps, _ = GROWN_EXAMPLES["one_word"]
         cfg = ScanConfig(4, eps, family)
         scan_known(model, graphs[0], cfg)  # the plan, and its bound tables, built before
         counts_of, counted, scored = scan_module._Size.counts, [], []
@@ -1857,10 +1921,15 @@ class TestGrownSizes:
                 scan_module._batch(graphs) as scope:
             for g in graphs:
                 scan_known(model, g, cfg, decide=True)
+            # each graph's best row of each scored size, and no more
+            assert sorted(j for _, j, _ in scope.records) == [2, 3]
+            assert table_bytes(scope) == sum(t.nbytes for t in scope.tables[id(
+                scan_module._plan(family, 40, model))][1] if t is not None) + 2 * 16 * 4 + vars(
+                scope)["adjacency"].nbytes
         # sizes 1 and 2 cannot reach 1.1 at these means; 2 is counted as the
         # base of 3, whose table is the base of the grown size 4
         assert counted == [2, 3] and len(scored) == 2
-        assert dropped(scope) and not scope.records
+        assert dropped(scope)
         # a full scan in the scope counts size 4 as before
         with mock.patch.object(scan_module._Size, "counts", count), \
                 scan_module._batch(graphs):
@@ -1869,23 +1938,30 @@ class TestGrownSizes:
         assert counted == [2, 3, 4]
 
     def test_a_batch_scope_is_sized_by_what_it_holds(self):
-        # count tables, packed triangles, and adjacency rows only where the
-        # family has an extended size
+        # count tables, packed triangles, 16 bytes of best row per size, and
+        # adjacency rows only where the family has an extended size
         rng = np.random.default_rng(0)
         explicit = Explicit(tuple(tuple(int(v) for v in rng.choice(512, size=5, replace=False))
                                   for _ in range(300)))
         cap = scan_module._BATCH_BYTES
-        for n, per_graph in ((512, 300 + 16_352), (2048, 300 + 262_016),
-                             (8192, 300 + 4_193_280)):
+        for n, per_graph in ((512, 300 + 16_352 + 16), (2048, 300 + 262_016 + 16),
+                             (8192, 300 + 4_193_280 + 16)):
             assert scan_module._batch_graphs(ScanConfig(12, family=explicit), n) == max(
                 1, cap // per_graph)
         # the adjacency charge alone gave 63 graphs at n = 512 and 3 at 2048
         assert scan_module._batch_graphs(ScanConfig(12, family=explicit), 2048) == 7
         exhaustive = Exhaustive(1, 3)
         assert scan_module._batch_graphs(ScanConfig(3, family=exhaustive), 100) == cap // (
-            exhaustive.count(100) + 619 + 8 * 100 * 2)
+            exhaustive.count(100) + 619 + 3 * 16 + 8 * 100 * 2)
         assert scan_module._batch_graphs(ScanConfig(3, family=Exhaustive(3, 3)), 100) == cap // (
-            math.comb(100, 3) + 619)
+            math.comb(100, 3) + 619 + 16)
+        # the sizes that get starts are the ones _batch_graphs charges for
+        for family, n in ((Exhaustive(1, 4), 10), (Exhaustive(3, 5), 12), (Exhaustive(2, 2), 9),
+                          (Exhaustive(1, 2), 9), (WeightPrefix(1, 4), 10), (explicit, 512)):
+            model = RankOne(np.linspace(0.1, 0.5, n))
+            extended = [size.rows.shape[1] for size in scan_module._plan(family, n, model)
+                        if size.starts is not None]
+            assert extended == list(family._extended_sizes(n))
 
 
 class TestNarrowCounts:
