@@ -26,7 +26,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import PlantedScanError, ValidationError
-from .lr import DEFAULT_EXACT_BUDGET, DEFAULT_SAMPLE_SIZE, LrProblem, likelihood_ratio_average
+from .lr import (DEFAULT_EXACT_BUDGET, DEFAULT_SAMPLE_SIZE, LrProblem, _block_graphs,
+                 likelihood_ratio_average)
 from .model import (
     EdgeProbabilityModel,
     GraphSample,
@@ -43,7 +44,7 @@ from .model import (
 from .scan import (DEFAULT_SUBSET_BUDGET, ScanConfig, SubsetFamily, _batch, _batch_graphs,
                    scan_known, scan_unknown)
 from .boundary import threshold_scaling
-from .seeding import derive_seed, generator
+from .seeding import _stream, derive_seed, generator
 
 __all__ = [
     "ExperimentConfig",
@@ -223,13 +224,15 @@ class RiskEstimate:
 def _make_decider(config: ExperimentConfig) -> tuple[Callable[[GraphSample], bool], int]:
     """The test's decision on one graph, and how many graphs _run_job
     decides in one batch scope: as many as scan._batch_graphs allows for a
-    scan, one for the likelihood ratio, which counts nothing."""
+    scan, and for the likelihood ratio the graphs one gather serves
+    (lr._block_graphs)."""
     if config.test == "lr":
         problem = LrProblem(config.model, config.r, config.rho,
                             exact_budget=config.lr_exact_budget,
                             sample_size=config.lr_sample_size,
                             community_seed=config.master_seed)
-        return (lambda g: likelihood_ratio_average(problem, g).value > 1.0), 1
+        return ((lambda g: likelihood_ratio_average(problem, g).value > 1.0),
+                _block_graphs(math.comb(config.r, 2), config.model.n))
     scan_cfg = ScanConfig(config.r, config.epsilon, config.family, config.budget)
     graphs = _batch_graphs(scan_cfg, config.model.n)
     if config.test == "scan_known":
@@ -247,8 +250,8 @@ def _run_job(job) -> list[int]:
     decide, graphs = _make_decider(config)
     replications = []  # (stream, alternative or None, seed) in stream order
     for t, (label, alt, count) in enumerate(streams):
-        replications += [(t, alt, derive_seed(config.master_seed, label, i))
-                         for i in range(count)[w::workers]]
+        seed = _stream(config.master_seed, label)
+        replications += [(t, alt, seed(i)) for i in range(count)[w::workers]]
     counts = [0] * len(streams)
     for start in range(0, len(replications), graphs):
         batch = replications[start : start + graphs]

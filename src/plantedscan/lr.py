@@ -18,10 +18,23 @@ pairs (every community of a Homogeneous model, with or without rho_map)
 has log L_C = e log rho + (K - e) l0, a function of its edge count e
 alone.  Such communities are evaluated from a table over e = 0..K, one per
 distinct (log rho, l0), with the forbidden-pair rule built in (-inf below
-e = K); per graph they cost one boolean gather from the graph's triangle,
-unpacked once per call, one count and one lookup, and the problem holds no
-per-pair float array for them.  Every other community sums its per-pair
-logs.
+e = K), and the problem holds no per-pair float array for them.  Every
+other community sums its per-pair logs.
+
+Graphs are evaluated a block at a time.  Each graph's unpacked triangle
+is one lane of a (pairs, lanes) array in the narrowest unsigned type that
+holds K (8 lanes of a byte up to K = 255, 4 of 16 bits above), viewed as
+one word per pair, so that one gather of the communities' K x M pair
+positions serves the whole block.  Adding a community's K words gives
+each graph's edge count in its own lane: a count is at most K, so no lane
+carries into the next.  A summed community reads each graph's presence
+from the same gathered words and adds its per-pair logs graph by graph.
+A block holds at most scan._BATCH_BYTES of lanes, or one graph's where
+that is more.  bayes_risk opens a batch scope (scan._batch) over each
+block of null graphs, and so does estimate_risk over the graphs it
+decides; the first likelihood_ratio_average in the scope evaluates the
+block, and each call reads its own graph's row.  A graph outside any
+scope is a block of one.
 
 Enumeration is exact while C(n, r) fits the budget; otherwise a fixed set
 of communities is sampled once per problem (reused across graph samples,
@@ -34,14 +47,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, NumericError, ValidationError
 from .model import (EdgeProbabilityModel, GraphSample, _combination_tables, _number, _pair_index,
                     check_subset, sample_null)
-from .seeding import derive_seed, generator
+from .scan import _BATCH_BYTES, _batch, _batch_of
+from .seeding import _stream, derive_seed, generator
 
 __all__ = [
     "LrProblem",
@@ -186,15 +200,17 @@ def _log_tables(model: EdgeProbabilityModel, comms: np.ndarray,
 class _LogTerms:
     """_log_tables' rows split by how log L_C is evaluated on a graph.
 
-    Every row keeps its pairs' positions.  A counted row (its absent-pair
-    log is one value l0 on all K pairs) looks up table[offset + e] with e
-    its edge count; table holds e log rho + (K - e) l0 for e = 0..K, one
-    block of K + 1 entries per distinct (log rho, l0).  A summed row keeps
-    its per-pair logs.  counted and summed are slices when all rows go one
-    way, so the common problems index without copying.
+    pairs holds every row's pair positions, pair-major: column m is row m's
+    K positions, so that a block's gathered words add up row by row along
+    axis 0.  A counted row (its absent-pair log is one value l0 on all K
+    pairs) looks up table[offset + e] with e its edge count; table holds
+    e log rho + (K - e) l0 for e = 0..K, one block of K + 1 entries per
+    distinct (log rho, l0).  A summed row keeps its per-pair logs.  counted
+    and summed are slices when all rows go one way, so the common problems
+    index without copying.
     """
 
-    pair_index: np.ndarray                # (m, K) packed-triangle positions
+    pairs: np.ndarray                     # (K, m) packed-triangle positions
     counted: slice | np.ndarray
     offsets: np.ndarray                   # per counted row
     table: np.ndarray
@@ -230,24 +246,73 @@ def _log_terms(tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> _LogTerms:
     summed = _rows(~const)
     # copies, so that no view keeps the full per-pair array alive; row-major,
     # so that the average sums each row in the order a one-row call does
-    return _LogTerms(pair_index, _rows(const), group.reshape(-1) * (k + 1), table.reshape(-1),
+    return _LogTerms(np.ascontiguousarray(pair_index.T), _rows(const),
+                     group.reshape(-1) * (k + 1), table.reshape(-1),
                      summed, edge_log[summed].copy(), noedge[summed].copy())
 
 
-def _log_ratios(terms: _LogTerms, sample: GraphSample) -> np.ndarray:
-    """log L_C of every row of the terms on one graph."""
-    present = np.unpackbits(sample.packed, count=sample.pair_count).view(bool)[terms.pair_index]
-    # counted in the narrowest type that holds K: a byte wraps past K = 255
-    counts = present[terms.counted].view(np.uint8).sum(
-        axis=1, dtype=np.min_scalar_type(present.shape[1]))
-    counted = terms.table.take(terms.offsets + counts)
-    if counted.size == present.shape[0]:
-        return counted
-    logs = np.empty(present.shape[0])
-    logs[terms.counted] = counted
-    logs[terms.summed] = np.where(present[terms.summed], terms.edge_log,
-                                  terms.noedge_log).sum(axis=1)
+def _block_graphs(k: int, n: int) -> int:
+    """The graphs one gather serves for communities of k pairs on n
+    vertices: the lanes of np.min_scalar_type(k) one 64-bit word holds (8
+    up to k = 255, 4 up to 65535), halved until the lanes of all n(n-1)/2
+    pairs take at most _BATCH_BYTES, down to one."""
+    lane = np.min_scalar_type(k).itemsize
+    fit = min(8 // lane, max(1, _BATCH_BYTES // (lane * (n * (n - 1) // 2))))
+    return 1 << (fit.bit_length() - 1)
+
+
+def _words(samples: Sequence[GraphSample], block: int, lane: np.dtype) -> np.ndarray:
+    """One word per pair of the samples' unpacked triangles, graph b in
+    lane b, lanes of lane's dtype; for a block of one, the graph's unpacked
+    bytes themselves, so that no second copy of its triangle is held."""
+    if block == 1:
+        (g,) = samples
+        return np.unpackbits(g.packed, count=g.pair_count)
+    lanes = np.zeros((samples[0].pair_count, block), lane)
+    for b, g in enumerate(samples):
+        lanes[:, b] = np.unpackbits(g.packed, count=g.pair_count)
+    return lanes.view(f"u{lane.itemsize * block}").reshape(-1)
+
+
+def _log_ratios(terms: _LogTerms, samples: Sequence[GraphSample]) -> np.ndarray:
+    """log L_C of every row of the terms on each of samples, graphs on one
+    n: one row per graph, evaluated _block_graphs graphs per gather (fewer
+    for fewer samples)."""
+    k, m = terms.pairs.shape
+    lane = np.min_scalar_type(k)
+    block = min(_block_graphs(k, samples[0].n), 1 << (len(samples) - 1).bit_length())
+    word = np.dtype(f"u{lane.itemsize * block}")
+    logs = np.empty((len(samples), m))
+    for s in range(0, len(samples), block):
+        chunk = samples[s : s + block]
+        gathered = _words(chunk, block, lane).take(terms.pairs)
+        # a count is at most K, which the lane holds: no lane carries
+        counts = np.add.reduce(gathered, axis=0, dtype=word).view(lane).reshape(m, block)
+        # graph-major and intp: take converts a byte index far more slowly
+        at = np.ascontiguousarray(counts[terms.counted, : len(chunk)].T, dtype=np.intp)
+        at += terms.offsets
+        rows = logs[s : s + len(chunk)]
+        rows[:, terms.counted] = terms.table.take(at)
+        if terms.edge_log.size:
+            bits = gathered.view(f"u{gathered.itemsize // block}").reshape(k, m, block)
+            for b, row in enumerate(rows):
+                # row-major, so that each row adds its K terms as a one-row call does
+                present = bits[:, terms.summed, b].T.astype(bool, order="C")
+                row[terms.summed] = np.where(present, terms.edge_log,
+                                             terms.noedge_log).sum(axis=1)
     return logs
+
+
+def _scoped_logs(terms: _LogTerms, sample: GraphSample) -> np.ndarray:
+    """sample's row of _log_ratios over the samples of the enclosing batch
+    scope (scan._batch), which the scope's first call for these terms
+    evaluates and the scope holds until it closes; a sample outside any
+    scope is a block of one."""
+    batch, b = _batch_of(sample)
+    held = batch.logs.get(id(terms))
+    if held is None:
+        held = batch.logs[id(terms)] = terms, _log_ratios(terms, batch.samples)
+    return held[1][b]
 
 
 def _exp(x: float) -> float:
@@ -270,7 +335,7 @@ def likelihood_ratio_single(problem: LrProblem, community: Iterable[int],
     if problem.rho_map:
         rho = problem.rho_map.get(tuple(int(v) for v in c), rho)
     terms = _log_terms(_log_tables(problem.model, c[None, :], np.array([rho])))
-    return _exp(float(_log_ratios(terms, sample)[0]))
+    return _exp(float(_log_ratios(terms, [sample])[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -288,7 +353,7 @@ def likelihood_ratio_average(problem: LrProblem, sample: GraphSample) -> LrAvera
     if problem.model.n != sample.n:
         raise ValidationError(f"model has n={problem.model.n} but sample has n={sample.n}")
     bundle = problem._bundle
-    logs = _log_ratios(bundle["tables"], sample)
+    logs = _scoped_logs(bundle["tables"], sample)
     shift = float(logs.max())
     excess = 0.0  # log of a factor the values still lack
     if shift == -math.inf:
@@ -347,7 +412,9 @@ def bayes_risk(problem: LrProblem, replications: int, master_seed: int) -> Bayes
 
     Only null samples are needed.  mean_lr tracks E0[L], which is exactly 1
     for a valid problem and is reported with its own standard error as a
-    built-in martingale check.
+    built-in martingale check.  Replication i draws its null graph from
+    (master_seed, "lr-null", i); the graphs are drawn and evaluated a block
+    of _block_graphs at a time, each block in one batch scope.
     """
     replications = _number("replications", replications, int)
     master_seed = _number("master_seed", master_seed, int)
@@ -355,16 +422,21 @@ def bayes_risk(problem: LrProblem, replications: int, master_seed: int) -> Bayes
         raise ValidationError(f"need at least 2 replications, got {replications}")
     devs = np.empty(replications)
     lrs = np.empty(replications)
-    for i in range(replications):
-        g = sample_null(problem.model, derive_seed(master_seed, "lr-null", i))
-        lr = likelihood_ratio_average(problem, g).value
-        if lr == math.inf:
-            raise NumericError(
-                f"likelihood ratio overflows on null replication {i}; "
-                "the risk estimate would be meaningless"
-            )
-        lrs[i] = lr
-        devs[i] = abs(lr - 1.0)
+    seed = _stream(master_seed, "lr-null")
+    block = _block_graphs(math.comb(problem.r, 2), problem.model.n)
+    for start in range(0, replications, block):
+        samples = [sample_null(problem.model, seed(i))
+                   for i in range(start, min(start + block, replications))]
+        with _batch(samples):
+            for i, g in enumerate(samples, start):
+                lr = likelihood_ratio_average(problem, g).value
+                if lr == math.inf:
+                    raise NumericError(
+                        f"likelihood ratio overflows on null replication {i}; "
+                        "the risk estimate would be meaningless"
+                    )
+                lrs[i] = lr
+                devs[i] = abs(lr - 1.0)
     risk = 1.0 - float(devs.mean()) / 2.0
     stderr = float(devs.std(ddof=1) / (2.0 * math.sqrt(replications)))
     return BayesRiskResult(

@@ -553,14 +553,17 @@ class _Batch:
     j extends it; the samples' adjacency rows (_adjacency_stack), built the
     first time an extended size is counted or grown; and, for deciding
     known scans, each graph's best row of a plan size among the rows whose
-    count reaches a least count c (best).  The batch holds each plan it
-    keys, so no id is reused while it lives."""
+    count reaches a least count c (best); and, keyed by the id of a
+    likelihood-ratio problem's terms, the samples' (B, M) log L_C
+    (lr._scoped_logs).  The batch holds each plan and terms it keys, so no
+    id is reused while it lives."""
 
     def __init__(self, samples: Iterable[GraphSample]) -> None:
         self.samples = list(samples)
         self.row = {sample: b for b, sample in enumerate(self.samples)}
         self.tables: dict[int, tuple[tuple[_Size, ...], list]] = {}
         self.records: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.logs: dict[int, tuple[object, np.ndarray]] = {}
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -685,11 +688,12 @@ _BATCH: ContextVar[_Batch | None] = ContextVar("_BATCH", default=None)
 
 @contextmanager
 def _batch(samples: Iterable[GraphSample]) -> Iterator[_Batch]:
-    """A scope in which the scans of a sample in samples, graphs on one n,
-    share one _Batch: each plan size's table is computed once, for all of
-    them, by the first scan in the scope that needs it, and each scan reads
-    its sample's row.  Counts are exact, so every outcome is the one the
-    scan gives alone.  Yields the batch, whose tables, best rows and
+    """A scope in which the scans and likelihood ratios of a sample in
+    samples, graphs on one n, share one _Batch: each plan size's table, or
+    a likelihood-ratio problem's logs, is computed once, for all of them,
+    by the first call in the scope that needs it, and each call reads its
+    sample's row.  Counts are exact, so every outcome is the one the call
+    gives alone.  Yields the batch, whose tables, best rows, logs and
     adjacency rows are dropped on exit."""
     batch = _Batch(samples)
     token = _BATCH.set(batch)
@@ -699,6 +703,7 @@ def _batch(samples: Iterable[GraphSample]) -> Iterator[_Batch]:
         _BATCH.reset(token)
         batch.tables.clear()
         batch.records.clear()
+        batch.logs.clear()
         vars(batch).pop("adjacency", None)
 
 
@@ -719,9 +724,9 @@ def _batch_graphs(config: ScanConfig, n: int) -> int:
 
 
 def _batch_of(sample: GraphSample) -> tuple[_Batch, int]:
-    """The batch a scan of sample reads its counts from, and sample's row in
-    it: the enclosing batch scope's where sample is one of its samples,
-    else a batch of one."""
+    """The batch a scan or likelihood ratio of sample reads from, and
+    sample's row in it: the enclosing batch scope's where sample is one of
+    its samples, else a batch of one."""
     batch = _BATCH.get()
     if batch is None or sample not in batch.row:
         return _Batch([sample]), 0

@@ -7,6 +7,8 @@ perturbs existing streams.  The derived 64-bit value seeds numpy's PCG64.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 __all__ = ["derive_seed", "generator"]
@@ -22,12 +24,23 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
-    """Stable 64-bit seed for the stream (label, index) under master_seed."""
+def _label_state(master_seed: int, label: str) -> int:
     state = master_seed & _MASK64
     for byte in label.encode("utf-8"):
         state = _splitmix64(state ^ byte)
-    return _splitmix64(state ^ (index & _MASK64))
+    return state
+
+
+def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
+    """Stable 64-bit seed for the stream (label, index) under master_seed."""
+    return _splitmix64(_label_state(master_seed, label) ^ (index & _MASK64))
+
+
+def _stream(master_seed: int, label: str) -> Callable[[int], int]:
+    """derive_seed(master_seed, label, index) as a function of index, the
+    label mixed in once rather than once per index."""
+    state = _label_state(master_seed, label)
+    return lambda index: _splitmix64(state ^ (index & _MASK64))
 
 
 def generator(seed: int) -> np.random.Generator:

@@ -225,6 +225,29 @@ class TestEstimateRisk:
         estimate_risk(small_config(test="lr", communities=4, workers=1))
         assert calls == [(math.comb(16, 3), 3)]
 
+    @pytest.mark.parametrize("model", [Homogeneous(12, 0.3),
+                                       RankOne(np.linspace(0.1, 0.6, 12))],
+                             ids=["homogeneous", "rank_one"])
+    def test_lr_decides_a_block_per_scope_with_the_same_bytes(self, model, monkeypatch):
+        # 13 null and 3 x 11 alternative replications run as blocks of 8
+        # spanning streams; one graph per scope gives the same JSON
+        cfg = small_config(model=model, test="lr", r=3, rho=1.8, communities=3,
+                           null_replications=13, alt_replications=11, workers=1)
+        assert harness_module._make_decider(cfg)[1] == 8
+        blocks = []
+        evaluate = lr_module._log_ratios
+
+        def counting(terms, samples):
+            blocks.append(len(samples))
+            return evaluate(terms, samples)
+
+        monkeypatch.setattr(lr_module, "_log_ratios", counting)
+        batched = json.dumps(estimate_risk(cfg).to_json())
+        assert blocks == [8] * 5 + [6]
+        monkeypatch.setattr(harness_module, "_block_graphs", lambda k, n: 1)
+        assert json.dumps(estimate_risk(cfg).to_json()) == batched
+        assert blocks[6:] == [1] * 46
+
     def test_community_size_must_match_r(self):
         cfg = small_config(communities=((0, 1),))
         with pytest.raises(ValidationError, match="size r"):

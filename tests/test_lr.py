@@ -4,7 +4,9 @@ risk = 1 - E0|L - 1|/2 (null samples only)."""
 
 import math
 import sys
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from plantedscan import (
     sample_null,
 )
 from plantedscan import lr as lr_module
+from plantedscan import scan as scan_module
 from plantedscan.model import GraphSample
 
 
@@ -301,21 +304,52 @@ class TestAverage:
             )
 
 
+def lane_reference(terms, g):
+    """log L_C of every row of the terms on one graph from a boolean gather
+    of its triangle: counted rows by table lookup, summed rows row-major."""
+    tri = np.unpackbits(g.packed, count=g.pair_count).view(bool)
+    present = tri[terms.pairs.T]
+    logs = np.empty(len(present))
+    logs[terms.counted] = terms.table[terms.offsets + present[terms.counted].sum(axis=1)]
+    logs[terms.summed] = np.where(present[terms.summed], terms.edge_log,
+                                  terms.noedge_log).sum(axis=1)
+    return logs
+
+
+def block_logs(terms, graphs, block):
+    """_log_ratios on graphs with blocks of at most block graphs per gather."""
+    lane = np.min_scalar_type(terms.pairs.shape[0]).itemsize
+    with mock.patch.object(lr_module, "_BATCH_BYTES", block * lane * graphs[0].pair_count):
+        assert lr_module._block_graphs(terms.pairs.shape[0], graphs[0].n) == min(block, 8 // lane)
+        return lr_module._log_ratios(terms, graphs)
+
+
 class TestEdgeCountPath:
     """A community whose absent-pair log is the same on all its pairs is
     evaluated from its edge count; the per-pair sum is the reference."""
 
     @pytest.mark.parametrize("r", [23, 24], ids=["K=253", "K=276"])
     def test_counts_past_one_byte(self, r):
-        # a one-byte count would wrap at K = 276 on the complete graph
+        # a one-byte count would wrap at K = 276 on the complete graph.
+        # K = 253 counts in byte lanes, 8 to a word, K = 276 in 16-bit
+        # lanes, 4 to a word; blocks of one to eight graphs, the last partial
         model = Homogeneous(30, 0.3)
         prob = LrProblem(model, r, 3.0, sample_size=16)
+        terms = prob._bundle["tables"]
         planted = tuple(int(v) for v in prob._bundle["communities"][0])
         graphs = [sample_null(model, 0), complete_graph(30),
                   sample_alternative(model, PlantedAlternative(planted, 3.0, model), 1)]
         for g in graphs:
-            got = lr_module._log_ratios(prob._bundle["tables"], g)
+            got = lr_module._log_ratios(terms, [g])[0]
             np.testing.assert_allclose(got, per_pair_logs(prob, g), rtol=1e-14, atol=1e-12)
+        graphs += [sample_null(model, seed) for seed in range(1, 7)]
+        for block in (1, 2, 4, 8):
+            for count in range(1, 10):
+                logs = block_logs(terms, graphs[:count], block)
+                for g, log in zip(graphs, logs):
+                    assert np.array_equal(log, lr_module._log_ratios(terms, [g])[0])
+                    assert np.array_equal(log, lane_reference(terms, g))
+            assert np.all(logs[1] == terms.table[-1])
 
     @pytest.mark.parametrize("kind", ["flat", "rho_map", "blocks", "rank_one"])
     def test_single_is_its_row_of_the_average_bit_for_bit(self, kind):
@@ -343,7 +377,7 @@ class TestEdgeCountPath:
         graphs = [sample_null(model, seed) for seed in range(4)]
         graphs += [complete_graph(9), graph_from_edges(9, [(1, 4), (1, 8), (4, 8)])]
         for g in graphs:
-            logs = lr_module._log_ratios(terms, g)
+            logs = lr_module._log_ratios(terms, [g])[0]
             for row, log in zip(prob._bundle["communities"], logs):
                 assert likelihood_ratio_single(prob, row, g) == lr_module._exp(float(log))
 
@@ -371,10 +405,10 @@ class TestEdgeCountPath:
         rho_m = np.array([rho_map.get(tuple(int(v) for v in row), rho) for row in comms])
         forbidden = rho_m * p >= 1.0
         k = r * (r - 1) // 2
-        pair_index = prob._bundle["tables"].pair_index
+        pair_index = prob._bundle["tables"].pairs.T
         for g in (sample_null(model, seed),
                   sample_alternative(model, PlantedAlternative(planted, lift, model), seed)):
-            got = lr_module._log_ratios(prob._bundle["tables"], g)
+            got = lr_module._log_ratios(prob._bundle["tables"], [g])[0]
             want = per_pair_logs(prob, g)
             assert np.array_equal(got == -np.inf, want == -np.inf)
             finite = want > -np.inf
@@ -400,8 +434,79 @@ class TestEdgeCountPath:
         rho = data.draw(st.floats(1.0, 1.6), label="rho")
         prob = LrProblem(model, r, rho, exact_budget=2000, sample_size=128)
         for g in (sample_null(model, seed), complete_graph(n)):
-            got = lr_module._log_ratios(prob._bundle["tables"], g)
+            got = lr_module._log_ratios(prob._bundle["tables"], [g])[0]
             assert np.array_equal(got, per_pair_logs(prob, g))
+
+
+class TestLanes:
+    """A block of graphs is gathered once, one graph per lane of a word;
+    every graph's logs are its one-graph logs bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_block_logs_are_the_one_graph_logs(self, data):
+        n = data.draw(st.integers(min_value=5, max_value=12), label="n")
+        r = data.draw(st.integers(min_value=2, max_value=min(n - 1, 5)), label="r")
+        kind = data.draw(st.sampled_from(["homogeneous", "blocks", "rank_one"]), label="kind")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        if kind == "homogeneous":
+            model = Homogeneous(n, 0.25)
+        elif kind == "blocks":
+            # pairs inside the first half have p = 0.5, all others 0.25:
+            # communities inside one half are counted, the others summed
+            m = np.full((n, n), 0.25)
+            m[: n // 2, : n // 2] = 0.5
+            np.fill_diagonal(m, 0.0)
+            model = GeneralMatrix(m)
+        else:
+            model = RankOne(rng.uniform(0.1, 0.7, size=n))
+        base = LrProblem(model, r, 1.0, exact_budget=400, sample_size=64)
+        comms = base._bundle["communities"]
+        rho_map = {}
+        if kind != "rank_one":
+            # 1 / (largest p) lifts a community to rho p = 1 on its densest pairs
+            for row in data.draw(st.lists(st.integers(0, len(comms) - 1), max_size=4,
+                                          unique=True), label="rho_map rows"):
+                c = tuple(int(v) for v in comms[row])
+                top = 1.0 / max(model.probability(i, j) for i, j in combinations(c, 2))
+                rho_map[c] = data.draw(st.sampled_from([1.0, top]) | st.floats(1.0, top),
+                                       label="lift")
+        rho = data.draw(st.floats(1.0, 1.3), label="rho")
+        prob = LrProblem(model, r, rho, rho_map=rho_map or None, exact_budget=400,
+                         sample_size=64)
+        terms = prob._bundle["tables"]
+        count = data.draw(st.integers(min_value=1, max_value=9), label="graphs")
+        planted = list(rho_map) or [tuple(int(v) for v in comms[0])]
+        graphs = [complete_graph(n), graph_from_edges(n, [])]
+        graphs += [graph_from_edges(n, combinations(c, 2)) for c in planted]
+        graphs += [sample_null(model, seed + i) for i in range(count)]
+        graphs = graphs[:count]
+        block = data.draw(st.sampled_from([1, 2, 4, 8]), label="block")
+        logs = block_logs(terms, graphs, block)
+        one = np.stack([lr_module._log_ratios(terms, [g])[0] for g in graphs])
+        assert np.array_equal(logs, one)
+        assert np.array_equal(logs, np.stack([lane_reference(terms, g) for g in graphs]))
+
+    def test_a_scope_evaluates_its_block_once(self, monkeypatch):
+        model = Homogeneous(10, 0.3)
+        prob = LrProblem(model, 3, 1.5)
+        graphs = [sample_null(model, seed) for seed in range(5)]
+        alone = [likelihood_ratio_average(prob, g) for g in graphs]
+        blocks = []
+        evaluate = lr_module._log_ratios
+
+        def counting(terms, samples):
+            blocks.append(len(samples))
+            return evaluate(terms, samples)
+
+        monkeypatch.setattr(lr_module, "_log_ratios", counting)
+        with scan_module._batch(graphs):
+            scoped = [likelihood_ratio_average(prob, g) for g in reversed(graphs)]
+        assert blocks == [5]
+        assert scoped[::-1] == alone
+        likelihood_ratio_average(prob, graphs[0])
+        assert blocks == [5, 1]
 
 
 class TestOverflow:
@@ -420,7 +525,7 @@ class TestOverflow:
         res = likelihood_ratio_average(prob, g)
         assert res.value == math.inf
         assert res.stderr == math.inf
-        logs = lr_module._log_ratios(prob._bundle["tables"], g)
+        logs = lr_module._log_ratios(prob._bundle["tables"], [g])[0]
         assert math.isfinite(res.log_value) and res.log_value > math.log(sys.float_info.max)
         assert res.log_value == pytest.approx(
             logs.max() + math.log(np.exp(logs - logs.max()).mean()), rel=1e-15)
@@ -430,7 +535,8 @@ class TestOverflow:
         prob = LrProblem(model, 2, 1.5)
         logs = np.full(15, -np.inf)
         logs[3], logs[5] = 710.0, 0.0
-        monkeypatch.setattr(lr_module, "_log_ratios", lambda tables, sample: logs)
+        monkeypatch.setattr(lr_module, "_log_ratios",
+                            lambda terms, samples: np.tile(logs, (len(samples), 1)))
         res = likelihood_ratio_average(prob, sample_null(model, 0))
         assert res.value == pytest.approx(math.exp(710.0 - math.log(15.0)), rel=1e-12)
         assert res.log_value == pytest.approx(710.0 - math.log(15.0), rel=1e-15)
@@ -440,7 +546,8 @@ class TestOverflow:
         prob = LrProblem(model, 2, 1.5)
         logs = np.zeros(15)
         logs[0] = 800.0
-        monkeypatch.setattr(lr_module, "_log_ratios", lambda tables, sample: logs)
+        monkeypatch.setattr(lr_module, "_log_ratios",
+                            lambda terms, samples: np.tile(logs, (len(samples), 1)))
         with pytest.raises(NumericError, match="overflows"):
             bayes_risk(prob, 4, master_seed=0)
 
@@ -540,10 +647,58 @@ class TestBayesRisk:
             ).value
             for i in range(50)
         ])
-        assert res.risk == pytest.approx(1.0 - np.abs(vals - 1.0).mean() / 2.0, rel=1e-12)
-        assert res.mean_lr == pytest.approx(vals.mean(), rel=1e-12)
+        assert res.risk == 1.0 - float(np.abs(vals - 1.0).mean()) / 2.0
+        assert res.mean_lr == float(vals.mean())
         assert res.replications == 50
         assert res.mode == "exact"
+
+    def test_calls_the_average_once_per_replication(self, monkeypatch):
+        # 13 replications are a block of 8 and a partial block of 5; each
+        # call sees replication i's graph, in order
+        model = Homogeneous(8, 0.4)
+        prob = LrProblem(model, 3, 1.6)
+        seen = []
+        average = lr_module.likelihood_ratio_average
+
+        def counting(problem, sample):
+            seen.append(sample.seed)
+            return average(problem, sample)
+
+        monkeypatch.setattr(lr_module, "likelihood_ratio_average", counting)
+        bayes_risk(prob, 13, master_seed=11)
+        assert seen == [derive_seed(11, "lr-null", i) for i in range(13)]
+
+    def test_overflow_inside_a_block_names_its_replication(self, monkeypatch):
+        # replication 10 is the third graph of the second block of 8
+        model = Homogeneous(6, 0.3)
+        prob = LrProblem(model, 2, 1.5)
+        bad = derive_seed(0, "lr-null", 10)
+
+        def logs(terms, samples):
+            out = np.zeros((len(samples), 15))
+            out[[g.seed == bad for g in samples], 0] = 800.0
+            return out
+
+        monkeypatch.setattr(lr_module, "_log_ratios", logs)
+        with pytest.raises(NumericError, match="replication 10;"):
+            bayes_risk(prob, 16, master_seed=0)
+        assert scan_module._BATCH.get() is None
+
+    def test_memory_at_n_4096_holds_one_graph_at_a_time(self):
+        # one graph's lanes already exceed _BATCH_BYTES at n = 4096, so a
+        # block is one graph.  Evaluating one graph at a time with a
+        # boolean gather, this call peaked at 9,706,869 bytes under
+        # tracemalloc (Python 3.11, NumPy 2.4), its null sampler included
+        prob = LrProblem(Homogeneous(4096, 0.01), 12, 1.5, sample_size=4096)
+        assert lr_module._block_graphs(66, 4096) == 1
+        bayes_risk(prob, 2, master_seed=0)  # builds the terms
+        tracemalloc.start()
+        try:
+            bayes_risk(prob, 9, master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9_706_869 + scan_module._BATCH_BYTES
 
     def test_planted_clique_risk_decreases_in_lift(self):
         # rho = 2 with p = 0.5 plants a clique; risk drops well past the

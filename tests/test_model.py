@@ -22,6 +22,7 @@ from plantedscan import (
     RankOne,
     ScanConfig,
     ValidationError,
+    derive_seed,
     expected_edges_across_null,
     expected_edges_null,
     expected_total_null,
@@ -35,7 +36,7 @@ from plantedscan import (
 )
 from plantedscan import model as model_module
 from plantedscan.model import check_subset
-from plantedscan.seeding import generator
+from plantedscan.seeding import _stream, generator
 
 
 def random_model(kind, n, rng):
@@ -956,6 +957,13 @@ class TestInterchange:
             model_from_json({"variant": "homogeneous", "n": 5})  # p missing
         with pytest.raises(ValidationError):
             model_from_json({"n": 5, "p": 0.5})
+
+
+class TestSeedStreams:
+    @given(st.integers(), st.text(), st.integers() | st.integers(min_value=2**64))
+    @settings(max_examples=200, deadline=None)
+    def test_stream_is_derive_seed(self, master_seed, label, index):
+        assert _stream(master_seed, label)(index) == derive_seed(master_seed, label, index)
 
 
 class TestSamplerSeeds:
