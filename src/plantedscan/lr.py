@@ -27,14 +27,17 @@ holds K (8 lanes of a byte up to K = 255, 4 of 16 bits above), viewed as
 one word per pair, so that one gather of the communities' K x M pair
 positions serves the whole block.  Adding a community's K words gives
 each graph's edge count in its own lane: a count is at most K, so no lane
-carries into the next.  A summed community reads each graph's presence
-from the same gathered words and adds its per-pair logs graph by graph.
-A block holds at most scan._BATCH_BYTES of lanes, or one graph's where
-that is more.  bayes_risk opens a batch scope (scan._batch) over each
-block of null graphs, and so does estimate_risk over the graphs it
-decides; the first likelihood_ratio_average in the scope evaluates the
-block, and each call reads its own graph's row.  A graph outside any
-scope is a block of one.
+carries into the next.  A counted community keeps its count as an index
+into the table; no per-community log is written for it.  A summed
+community reads each graph's presence from the same gathered words and
+adds its per-pair logs graph by graph.  A block holds at most
+scan._BATCH_BYTES of lanes, or one graph's where that is more.
+bayes_risk opens a batch scope (scan._batch) over each block of null
+graphs, and so does estimate_risk over the graphs it decides; the first
+likelihood_ratio_average in the scope evaluates the block, and each call
+exponentiates its own graph's table once per entry, gathers the values by
+its counted indices and exponentiates its summed logs.  A graph outside
+any scope is a block of one.
 
 Enumeration is exact while C(n, r) fits the budget; otherwise a fixed set
 of communities is sampled once per problem (reused across graph samples,
@@ -47,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -203,17 +206,20 @@ class _LogTerms:
     pairs holds every row's pair positions, pair-major: column m is row m's
     K positions, so that a block's gathered words add up row by row along
     axis 0.  A counted row (its absent-pair log is one value l0 on all K
-    pairs) looks up table[offset + e] with e its edge count; table holds
-    e log rho + (K - e) l0 for e = 0..K, one block of K + 1 entries per
-    distinct (log rho, l0).  A summed row keeps its per-pair logs.  counted
-    and summed are slices when all rows go one way, so the common problems
-    index without copying.
+    pairs) has log L_C = table[offset + e] with e its edge count; table
+    holds e log rho + (K - e) l0 for e = 0..K, one group of K + 1 entries
+    per distinct (log rho, l0).  rising is true when there is one group and
+    its entries do not decrease in e, so that a graph's largest counted
+    log is the entry at its largest count.  A summed row keeps its per-pair
+    logs.  counted and summed are slices when all rows go one way, so the
+    common problems index without copying.
     """
 
     pairs: np.ndarray                     # (K, m) packed-triangle positions
     counted: slice | np.ndarray
     offsets: np.ndarray                   # per counted row
     table: np.ndarray
+    rising: bool
     summed: slice | np.ndarray
     edge_log: np.ndarray                  # (summed rows, 1)
     noedge_log: np.ndarray                # (summed rows, K)
@@ -243,11 +249,14 @@ def _log_terms(tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> _LogTerms:
     # fixes are set to -inf below, and at e = K it is multiplied by 0
     table = e * log_rho + (k - e) * np.where(forbidden, 0.0, l0)
     table[forbidden & (e < k)] = -np.inf
+    # log rho >= 0 >= l0 makes one group's table nondecreasing in e; the
+    # check keeps the largest-count shortcut from resting on that alone
+    rising = len(lifts) == 1 and bool(np.all(table[0, 1:] >= table[0, :-1]))
     summed = _rows(~const)
     # copies, so that no view keeps the full per-pair array alive; row-major,
     # so that the average sums each row in the order a one-row call does
     return _LogTerms(np.ascontiguousarray(pair_index.T), _rows(const),
-                     group.reshape(-1) * (k + 1), table.reshape(-1),
+                     group.reshape(-1) * (k + 1), table.reshape(-1), rising,
                      summed, edge_log[summed].copy(), noedge[summed].copy())
 
 
@@ -274,36 +283,52 @@ def _words(samples: Sequence[GraphSample], block: int, lane: np.dtype) -> np.nda
     return lanes.view(f"u{lane.itemsize * block}").reshape(-1)
 
 
-def _log_ratios(terms: _LogTerms, samples: Sequence[GraphSample]) -> np.ndarray:
+class _Logs(NamedTuple):
+    """log L_C of every row of a _LogTerms on each graph of a block, one row
+    per graph (or, indexed by a graph, on that graph alone): a counted row
+    as its index into the terms' table, a summed row as its log, and the
+    largest log of all rows (-inf when every one is)."""
+
+    at: np.ndarray                        # (graphs, counted rows) intp
+    sums: np.ndarray                      # (graphs, summed rows)
+    peak: np.ndarray                      # (graphs,)
+
+
+def _log_ratios(terms: _LogTerms, samples: Sequence[GraphSample]) -> _Logs:
     """log L_C of every row of the terms on each of samples, graphs on one
-    n: one row per graph, evaluated _block_graphs graphs per gather (fewer
-    for fewer samples)."""
+    n, evaluated _block_graphs graphs per gather (fewer for fewer
+    samples)."""
     k, m = terms.pairs.shape
     lane = np.min_scalar_type(k)
     block = min(_block_graphs(k, samples[0].n), 1 << (len(samples) - 1).bit_length())
     word = np.dtype(f"u{lane.itemsize * block}")
-    logs = np.empty((len(samples), m))
+    # graph-major and intp: take converts a byte index far more slowly
+    at = np.empty((len(samples), terms.offsets.size), np.intp)
+    sums = np.empty((len(samples), terms.edge_log.shape[0]))
     for s in range(0, len(samples), block):
         chunk = samples[s : s + block]
         gathered = _words(chunk, block, lane).take(terms.pairs)
         # a count is at most K, which the lane holds: no lane carries
         counts = np.add.reduce(gathered, axis=0, dtype=word).view(lane).reshape(m, block)
-        # graph-major and intp: take converts a byte index far more slowly
-        at = np.ascontiguousarray(counts[terms.counted, : len(chunk)].T, dtype=np.intp)
-        at += terms.offsets
-        rows = logs[s : s + len(chunk)]
-        rows[:, terms.counted] = terms.table.take(at)
-        if terms.edge_log.size:
+        rows = at[s : s + len(chunk)]
+        rows[...] = counts[terms.counted, : len(chunk)].T
+        if terms.table.size > k + 1:
+            # one group's offsets are all 0
+            rows += terms.offsets
+        if sums.size:
             bits = gathered.view(f"u{gathered.itemsize // block}").reshape(k, m, block)
-            for b, row in enumerate(rows):
+            for b, row in enumerate(sums[s : s + len(chunk)]):
                 # row-major, so that each row adds its K terms as a one-row call does
                 present = bits[:, terms.summed, b].T.astype(bool, order="C")
-                row[terms.summed] = np.where(present, terms.edge_log,
-                                             terms.noedge_log).sum(axis=1)
-    return logs
+                row[...] = np.where(present, terms.edge_log, terms.noedge_log).sum(axis=1)
+    if terms.rising:
+        peak = terms.table[at.max(axis=1)]
+    else:
+        peak = terms.table.take(at).max(axis=1, initial=-np.inf)
+    return _Logs(at, sums, np.maximum(peak, sums.max(axis=1, initial=-np.inf)))
 
 
-def _scoped_logs(terms: _LogTerms, sample: GraphSample) -> np.ndarray:
+def _scoped_logs(terms: _LogTerms, sample: GraphSample) -> _Logs:
     """sample's row of _log_ratios over the samples of the enclosing batch
     scope (scan._batch), which the scope's first call for these terms
     evaluates and the scope holds until it closes; a sample outside any
@@ -312,7 +337,8 @@ def _scoped_logs(terms: _LogTerms, sample: GraphSample) -> np.ndarray:
     held = batch.logs.get(id(terms))
     if held is None:
         held = batch.logs[id(terms)] = terms, _log_ratios(terms, batch.samples)
-    return held[1][b]
+    logs = held[1]
+    return _Logs(logs.at[b], logs.sums[b], logs.peak[b])
 
 
 def _exp(x: float) -> float:
@@ -335,7 +361,8 @@ def likelihood_ratio_single(problem: LrProblem, community: Iterable[int],
     if problem.rho_map:
         rho = problem.rho_map.get(tuple(int(v) for v in c), rho)
     terms = _log_terms(_log_tables(problem.model, c[None, :], np.array([rho])))
-    return _exp(float(_log_ratios(terms, [sample])[0, 0]))
+    # the largest log of the one row is its log
+    return _exp(float(_log_ratios(terms, [sample]).peak[0]))
 
 
 @dataclass(frozen=True)
@@ -353,18 +380,28 @@ def likelihood_ratio_average(problem: LrProblem, sample: GraphSample) -> LrAvera
     if problem.model.n != sample.n:
         raise ValidationError(f"model has n={problem.model.n} but sample has n={sample.n}")
     bundle = problem._bundle
-    logs = _scoped_logs(bundle["tables"], sample)
-    shift = float(logs.max())
+    terms = bundle["tables"]
+    at, sums, shift = _scoped_logs(terms, sample)
+    shift = float(shift)
+    m = terms.pairs.shape[1]
     excess = 0.0  # log of a factor the values still lack
     if shift == -math.inf:
-        values = np.zeros(logs.shape)
+        values = np.zeros(m)
         log_value = -math.inf
     else:
-        values = np.exp(logs - shift)
+        # each table entry once; only the entries up to the shift can be
+        # gathered, and those above it may overflow
+        table = terms.table
+        ratios = np.exp(table - shift, out=np.zeros(table.shape), where=table <= shift)
+        values = ratios.take(at)  # every row, in order, when none is summed
+        if sums.size:
+            counted, values = values, np.empty(m)
+            values[terms.counted] = counted
+            values[terms.summed] = np.exp(sums - shift)
         # the mean of values is at least 1/M here, so its log is finite
         log_value = shift + math.log(float(values.mean()))
         try:
-            values = values * math.exp(shift)
+            values *= math.exp(shift)
         except OverflowError:
             # the largest L_C is past the float range; the mean may not be
             excess = shift

@@ -554,16 +554,17 @@ class _Batch:
     first time an extended size is counted or grown; and, for deciding
     known scans, each graph's best row of a plan size among the rows whose
     count reaches a least count c (best); and, keyed by the id of a
-    likelihood-ratio problem's terms, the samples' (B, M) log L_C
-    (lr._scoped_logs).  The batch holds each plan and terms it keys, so no
-    id is reused while it lives."""
+    likelihood-ratio problem's terms, the samples' log L_C in table form
+    (lr._scoped_logs): each counted community's table index and each
+    summed community's log, per graph.  The batch holds each plan and
+    terms it keys, so no id is reused while it lives."""
 
     def __init__(self, samples: Iterable[GraphSample]) -> None:
         self.samples = list(samples)
         self.row = {sample: b for b, sample in enumerate(self.samples)}
         self.tables: dict[int, tuple[tuple[_Size, ...], list]] = {}
         self.records: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self.logs: dict[int, tuple[object, np.ndarray]] = {}
+        self.logs: dict[int, tuple[object, tuple[np.ndarray, ...]]] = {}
 
     @cached_property
     def adjacency(self) -> np.ndarray:

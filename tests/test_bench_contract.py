@@ -1,0 +1,70 @@
+"""The benchmark's traced correctness check (bench/run.py --trace 1), on one
+round of every workload at seed 0, run twice under the span tracer: every
+call passes its check and matches its digest in bench/expected.json, the
+exact counts repeat from round to round, and every expected span is
+recorded.  A change that fails here is marked incorrect by the benchmark."""
+
+import json
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import plantedscan
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def run():
+    """bench/run.py as a module, with the environment variables it sets at
+    import put back."""
+    saved = dict(os.environ)
+    sys.path.insert(0, str(BENCH))
+    try:
+        import run as module
+    finally:
+        sys.path.remove(str(BENCH))
+        for key in set(os.environ) - set(saved):
+            del os.environ[key]
+        os.environ.update(saved)
+    return module
+
+
+WORKLOADS = ["risk_exhaustive", "risk_explicit", "lr_oracle", "large_graph"]
+
+
+def test_every_workload_is_checked(run):
+    assert sorted(run.WORKLOADS) == sorted(WORKLOADS)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_traced_rounds_pass_the_benchmark_check(run, name, tmp_path, capsys):
+    workload = run.WORKLOADS[name]
+    with open(run.EXPECTED_PATH, encoding="utf-8") as fh:
+        expected = json.load(fh)[name]["0"]
+    built = workload.build(plantedscan, 0, str(tmp_path))
+    # as the benchmark's set-up does: a plan built on first use counts its
+    # kernel elements in that call only
+    for warm in built.warm_up:
+        warm()
+    runner = run.Runner(workload, 0, built.calls, expected, run.Reference())
+    tracer = run.Tracer(run.PACKAGE, run.make_hooks([]))
+    rounds = []
+    tracer.install()
+    try:
+        for _ in range(2):
+            for call in built.calls:
+                runner.run_call(call, tracer)
+            rounds.append(Counter({k: tracer.counts[k] for k in run.EXACT_COUNTS}))
+            tracer.counts.clear()
+    finally:
+        tracer.uninstall()
+    assert runner.failed == 0, capsys.readouterr().err
+    assert sorted(runner.digests) == sorted(expected)
+    assert rounds[0] == rounds[1]
+    recorded = tracer.by_function(np.asarray(runner.scale))
+    assert [span for span in workload.expected_spans if span not in recorded] == []

@@ -2,9 +2,11 @@
 exact and sampled modes, and the Bayes-risk estimator built on the identity
 risk = 1 - E0|L - 1|/2 (null samples only)."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from itertools import combinations
 from unittest import mock
 
@@ -17,6 +19,7 @@ from plantedscan import (
     ExperimentConfig,
     GeneralMatrix,
     Homogeneous,
+    LrAverage,
     LrProblem,
     NumericError,
     PlantedAlternative,
@@ -316,12 +319,32 @@ def lane_reference(terms, g):
     return logs
 
 
-def block_logs(terms, graphs, block):
-    """_log_ratios on graphs with blocks of at most block graphs per gather."""
+def log_ratios(terms, graphs):
+    """_log_ratios on graphs as one (graphs, M) array of log L_C: each
+    counted row's table entry and each summed row's log.  Each graph's
+    largest log is checked against the block's own."""
+    held = lr_module._log_ratios(terms, graphs)
+    assert held.at.dtype == np.intp
+    logs = np.empty((len(graphs), terms.pairs.shape[1]))
+    logs[:, terms.counted] = terms.table.take(held.at)
+    logs[:, terms.summed] = held.sums
+    assert np.array_equal(held.peak, logs.max(axis=1))
+    return logs
+
+
+@contextmanager
+def forced_block(terms, n, block):
+    """At most block graphs per gather on n vertices inside the scope."""
     lane = np.min_scalar_type(terms.pairs.shape[0]).itemsize
-    with mock.patch.object(lr_module, "_BATCH_BYTES", block * lane * graphs[0].pair_count):
-        assert lr_module._block_graphs(terms.pairs.shape[0], graphs[0].n) == min(block, 8 // lane)
-        return lr_module._log_ratios(terms, graphs)
+    with mock.patch.object(lr_module, "_BATCH_BYTES", block * lane * (n * (n - 1) // 2)):
+        assert lr_module._block_graphs(terms.pairs.shape[0], n) == min(block, 8 // lane)
+        yield
+
+
+def block_logs(terms, graphs, block):
+    """log_ratios on graphs with blocks of at most block graphs per gather."""
+    with forced_block(terms, graphs[0].n, block):
+        return log_ratios(terms, graphs)
 
 
 class TestEdgeCountPath:
@@ -340,14 +363,14 @@ class TestEdgeCountPath:
         graphs = [sample_null(model, 0), complete_graph(30),
                   sample_alternative(model, PlantedAlternative(planted, 3.0, model), 1)]
         for g in graphs:
-            got = lr_module._log_ratios(terms, [g])[0]
+            got = log_ratios(terms, [g])[0]
             np.testing.assert_allclose(got, per_pair_logs(prob, g), rtol=1e-14, atol=1e-12)
         graphs += [sample_null(model, seed) for seed in range(1, 7)]
         for block in (1, 2, 4, 8):
             for count in range(1, 10):
                 logs = block_logs(terms, graphs[:count], block)
                 for g, log in zip(graphs, logs):
-                    assert np.array_equal(log, lr_module._log_ratios(terms, [g])[0])
+                    assert np.array_equal(log, log_ratios(terms, [g])[0])
                     assert np.array_equal(log, lane_reference(terms, g))
             assert np.all(logs[1] == terms.table[-1])
 
@@ -377,7 +400,7 @@ class TestEdgeCountPath:
         graphs = [sample_null(model, seed) for seed in range(4)]
         graphs += [complete_graph(9), graph_from_edges(9, [(1, 4), (1, 8), (4, 8)])]
         for g in graphs:
-            logs = lr_module._log_ratios(terms, [g])[0]
+            logs = log_ratios(terms, [g])[0]
             for row, log in zip(prob._bundle["communities"], logs):
                 assert likelihood_ratio_single(prob, row, g) == lr_module._exp(float(log))
 
@@ -408,7 +431,7 @@ class TestEdgeCountPath:
         pair_index = prob._bundle["tables"].pairs.T
         for g in (sample_null(model, seed),
                   sample_alternative(model, PlantedAlternative(planted, lift, model), seed)):
-            got = lr_module._log_ratios(prob._bundle["tables"], [g])[0]
+            got = log_ratios(prob._bundle["tables"], [g])[0]
             want = per_pair_logs(prob, g)
             assert np.array_equal(got == -np.inf, want == -np.inf)
             finite = want > -np.inf
@@ -434,7 +457,7 @@ class TestEdgeCountPath:
         rho = data.draw(st.floats(1.0, 1.6), label="rho")
         prob = LrProblem(model, r, rho, exact_budget=2000, sample_size=128)
         for g in (sample_null(model, seed), complete_graph(n)):
-            got = lr_module._log_ratios(prob._bundle["tables"], [g])[0]
+            got = log_ratios(prob._bundle["tables"], [g])[0]
             assert np.array_equal(got, per_pair_logs(prob, g))
 
 
@@ -484,7 +507,7 @@ class TestLanes:
         graphs = graphs[:count]
         block = data.draw(st.sampled_from([1, 2, 4, 8]), label="block")
         logs = block_logs(terms, graphs, block)
-        one = np.stack([lr_module._log_ratios(terms, [g])[0] for g in graphs])
+        one = np.stack([log_ratios(terms, [g])[0] for g in graphs])
         assert np.array_equal(logs, one)
         assert np.array_equal(logs, np.stack([lane_reference(terms, g) for g in graphs]))
 
@@ -498,7 +521,10 @@ class TestLanes:
 
         def counting(terms, samples):
             blocks.append(len(samples))
-            return evaluate(terms, samples)
+            held = evaluate(terms, samples)
+            # table form: every community counted, no float log per community
+            assert held.at.shape == (len(samples), 120) and held.sums.shape == (len(samples), 0)
+            return held
 
         monkeypatch.setattr(lr_module, "_log_ratios", counting)
         with scan_module._batch(graphs):
@@ -507,6 +533,155 @@ class TestLanes:
         assert scoped[::-1] == alone
         likelihood_ratio_average(prob, graphs[0])
         assert blocks == [5, 1]
+
+
+def reference_average(problem, logs):
+    """The LrAverage of one graph from all M of its logs: exp(logs - max)
+    over every community, then the two means (and the std when sampled).
+    The reference for the average's per-table-entry evaluation."""
+    shift = float(logs.max())
+    excess = 0.0
+    if shift == -math.inf:
+        values, log_value = np.zeros(logs.shape), -math.inf
+    else:
+        values = np.exp(logs - shift)
+        log_value = shift + math.log(float(values.mean()))
+        try:
+            values = values * math.exp(shift)
+        except OverflowError:
+            excess = shift
+
+    def scaled(x):
+        return lr_module._exp(excess + math.log(x)) if excess and x > 0.0 else x
+
+    mean = scaled(float(values.mean()))
+    if problem.mode == "exact":
+        return LrAverage(mean, log_value, "exact", values.size)
+    se = scaled(float(values.std(ddof=1) / math.sqrt(values.size))) if values.size > 1 else None
+    return LrAverage(mean, log_value, "sampled", values.size, se)
+
+
+def assert_averages_match_reference(problem, graphs, block):
+    """Every graph's LrAverage, in a scope of blocks of at most block graphs
+    and alone, equals reference_average on its boolean-gather logs, every
+    field bit for bit (repr tells -0.0 from 0.0).  Returns the averages."""
+    terms = problem._bundle["tables"]
+    with forced_block(terms, graphs[0].n, block), scan_module._batch(graphs):
+        scoped = [likelihood_ratio_average(problem, g) for g in graphs]
+    for g, got in zip(graphs, scoped):
+        want = repr(reference_average(problem, lane_reference(terms, g)))
+        assert repr(got) == want
+        assert repr(likelihood_ratio_average(problem, g)) == want
+    return scoped
+
+
+class TestAverageFromTable:
+    """The average exponentiates each table entry once and gathers the
+    values by the counted rows' indices; each LrAverage equals the one from
+    exponentiating every community's log, bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_kind_equals_the_per_community_exp(self, data):
+        n = data.draw(st.integers(min_value=5, max_value=12), label="n")
+        r = data.draw(st.integers(min_value=2, max_value=min(n - 1, 5)), label="r")
+        kind = data.draw(st.sampled_from(["homogeneous", "blocks", "rank_one"]), label="kind")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        p = 0.25
+        if kind == "homogeneous":
+            # a power of two, so that rho = 1/p is an exact forbidden lift
+            p = data.draw(st.sampled_from([0.5, 0.25]), label="p")
+            model = Homogeneous(n, p)
+        elif kind == "blocks":
+            # communities inside one half are counted, the others summed
+            m = np.full((n, n), 0.25)
+            m[: n // 2, : n // 2] = 0.5
+            np.fill_diagonal(m, 0.0)
+            model = GeneralMatrix(m)
+        else:
+            model = RankOne(rng.uniform(0.1, 0.7, size=n))
+        # every community forbidden: the empty graph has log L_C = -inf on all
+        forbid = kind == "homogeneous" and data.draw(st.booleans(), label="forbid all")
+        rho = 1.0 / p if forbid else data.draw(st.floats(1.0, 1.3), label="rho")
+        budget = data.draw(st.sampled_from([400, 8]), label="exact budget")
+        base = LrProblem(model, r, 1.0, exact_budget=budget, sample_size=64)
+        comms = base._bundle["communities"]
+        rho_map = {}
+        if kind != "rank_one" and not forbid:
+            # several table groups; 1 / (largest p) is a forbidden lift
+            for row in data.draw(st.lists(st.integers(0, len(comms) - 1), max_size=4,
+                                          unique=True), label="rho_map rows"):
+                c = tuple(int(v) for v in comms[row])
+                top = 1.0 / max(model.probability(i, j) for i, j in combinations(c, 2))
+                rho_map[c] = data.draw(st.sampled_from([1.0, top]) | st.floats(1.0, top),
+                                       label="lift")
+        prob = LrProblem(model, r, rho, rho_map=rho_map or None, exact_budget=budget,
+                         sample_size=64)
+        count = data.draw(st.integers(min_value=1, max_value=9), label="graphs")
+        planted = list(rho_map) or [tuple(int(v) for v in comms[0])]
+        graphs = [graph_from_edges(n, []), complete_graph(n)]
+        graphs += [graph_from_edges(n, combinations(c, 2)) for c in planted]
+        graphs += [sample_null(model, seed + i) for i in range(count)]
+        block = data.draw(st.sampled_from([1, 2, 4, 8]), label="block")
+        averages = assert_averages_match_reference(prob, graphs[:count], block)
+        if kind == "homogeneous" and not rho_map:
+            assert prob._bundle["tables"].rising
+        if forbid:
+            assert averages[0].log_value == -math.inf and averages[0].value == 0.0
+
+    def test_a_falling_table_reads_its_largest_log_from_the_gathered_values(self):
+        # log rho < 0 < l0 comes from no valid problem: the table falls in e,
+        # so the largest count does not give the largest log
+        model = Homogeneous(8, 0.4)
+        comms = LrProblem(model, 3, 1.6)._bundle["communities"]
+        pairs = lr_module._log_tables(model, comms, np.full(len(comms), 1.6))[0]
+        terms = lr_module._log_terms((pairs, np.full((len(comms), 1), -0.5),
+                                      np.full(pairs.shape, 0.25)))
+        assert terms.table.size == 4 and not terms.rising
+        graphs = [complete_graph(8), graph_from_edges(8, [(0, 1)])]
+        graphs += [sample_null(model, seed) for seed in range(3)]
+        logs = log_ratios(terms, graphs)  # checks each graph's largest log
+        assert np.array_equal(logs, np.stack([lane_reference(terms, g) for g in graphs]))
+        assert logs[1].max() == 0.75
+
+    @given(st.sampled_from(["K=253", "K=276", "excess"]),
+           st.integers(min_value=1, max_value=9), st.sampled_from([1, 2, 4, 8]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_wide_counts_and_excess_equal_the_per_community_exp(self, case, count, block, seed):
+        # K = 253 counts in byte lanes, K = 276 in 16-bit lanes; the planted
+        # graph's largest log is past log(float max) = 709.78
+        if case == "excess":
+            model, r, rho = Homogeneous(200, 0.05), 40, 15.0
+        else:
+            model, r, rho = Homogeneous(30, 0.3), int(case == "K=276") + 23, 3.0
+        prob = LrProblem(model, r, rho, sample_size=64 if case == "excess" else 16)
+        planted = tuple(int(v) for v in prob._bundle["communities"][0])
+        graphs = [sample_alternative(model, PlantedAlternative(planted, rho, model), seed),
+                  complete_graph(model.n)]
+        graphs += [sample_null(model, seed + i) for i in range(count)]
+        averages = assert_averages_match_reference(prob, graphs[:count], block)
+        if case == "excess":
+            assert averages[0].value == math.inf
+            assert averages[0].log_value > math.log(sys.float_info.max)
+
+
+def fixed_logs(monkeypatch, table):
+    """Make every problem built inside the patch read log L_C of row m on a
+    graph as table[m, e], e the row's edge count: each row is counted, in a
+    table group of its own.  The whole evaluation runs on the fabricated
+    table."""
+    build = lr_module._log_terms
+
+    def fixed(tables):
+        terms = build(tables)
+        m, width = table.shape
+        assert terms.counted == slice(None) and width == terms.pairs.shape[0] + 1
+        return dataclasses.replace(terms, offsets=np.arange(m) * width,
+                                   table=table.reshape(-1), rising=False)
+
+    monkeypatch.setattr(lr_module, "_log_terms", fixed)
 
 
 class TestOverflow:
@@ -525,7 +700,7 @@ class TestOverflow:
         res = likelihood_ratio_average(prob, g)
         assert res.value == math.inf
         assert res.stderr == math.inf
-        logs = lr_module._log_ratios(prob._bundle["tables"], [g])[0]
+        logs = log_ratios(prob._bundle["tables"], [g])[0]
         assert math.isfinite(res.log_value) and res.log_value > math.log(sys.float_info.max)
         assert res.log_value == pytest.approx(
             logs.max() + math.log(np.exp(logs - logs.max()).mean()), rel=1e-15)
@@ -535,8 +710,7 @@ class TestOverflow:
         prob = LrProblem(model, 2, 1.5)
         logs = np.full(15, -np.inf)
         logs[3], logs[5] = 710.0, 0.0
-        monkeypatch.setattr(lr_module, "_log_ratios",
-                            lambda terms, samples: np.tile(logs, (len(samples), 1)))
+        fixed_logs(monkeypatch, np.repeat(logs[:, None], 2, axis=1))
         res = likelihood_ratio_average(prob, sample_null(model, 0))
         assert res.value == pytest.approx(math.exp(710.0 - math.log(15.0)), rel=1e-12)
         assert res.log_value == pytest.approx(710.0 - math.log(15.0), rel=1e-15)
@@ -546,8 +720,7 @@ class TestOverflow:
         prob = LrProblem(model, 2, 1.5)
         logs = np.zeros(15)
         logs[0] = 800.0
-        monkeypatch.setattr(lr_module, "_log_ratios",
-                            lambda terms, samples: np.tile(logs, (len(samples), 1)))
+        fixed_logs(monkeypatch, np.repeat(logs[:, None], 2, axis=1))
         with pytest.raises(NumericError, match="overflows"):
             bayes_risk(prob, 4, master_seed=0)
 
@@ -673,13 +846,13 @@ class TestBayesRisk:
         model = Homogeneous(6, 0.3)
         prob = LrProblem(model, 2, 1.5)
         bad = derive_seed(0, "lr-null", 10)
-
-        def logs(terms, samples):
-            out = np.zeros((len(samples), 15))
-            out[[g.seed == bad for g in samples], 0] = 800.0
-            return out
-
-        monkeypatch.setattr(lr_module, "_log_ratios", logs)
+        # that graph alone is complete, and community (0, 1) reads 800 on it
+        table = np.zeros((15, 2))
+        table[0, 1] = 800.0
+        fixed_logs(monkeypatch, table)
+        monkeypatch.setattr(lr_module, "sample_null",
+                            lambda model, seed: complete_graph(6) if seed == bad
+                            else graph_from_edges(6, []))
         with pytest.raises(NumericError, match="replication 10;"):
             bayes_risk(prob, 16, master_seed=0)
         assert scan_module._BATCH.get() is None
