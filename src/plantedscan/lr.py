@@ -35,9 +35,10 @@ scan._BATCH_BYTES of lanes, or one graph's where that is more.
 bayes_risk opens a batch scope (scan._batch) over each block of null
 graphs, and so does estimate_risk over the graphs it decides; the first
 likelihood_ratio_average in the scope evaluates the block, and each call
-exponentiates its own graph's table once per entry, gathers the values by
-its counted indices and exponentiates its summed logs.  A graph outside
-any scope is a block of one.
+exponentiates its own graph's table once per entry (or, where the table
+has more entries than there are counted rows, each row's gathered entry),
+gathers the values by its counted indices and exponentiates its summed
+logs.  A graph outside any scope is a block of one.
 
 Enumeration is exact while C(n, r) fits the budget; otherwise a fixed set
 of communities is sampled once per problem (reused across graph samples,
@@ -312,9 +313,7 @@ def _log_ratios(terms: _LogTerms, samples: Sequence[GraphSample]) -> _Logs:
         counts = np.add.reduce(gathered, axis=0, dtype=word).view(lane).reshape(m, block)
         rows = at[s : s + len(chunk)]
         rows[...] = counts[terms.counted, : len(chunk)].T
-        if terms.table.size > k + 1:
-            # one group's offsets are all 0
-            rows += terms.offsets
+        rows += terms.offsets
         if sums.size:
             bits = gathered.view(f"u{gathered.itemsize // block}").reshape(k, m, block)
             for b, row in enumerate(sums[s : s + len(chunk)]):
@@ -322,6 +321,8 @@ def _log_ratios(terms: _LogTerms, samples: Sequence[GraphSample]) -> _Logs:
                 present = bits[:, terms.summed, b].T.astype(bool, order="C")
                 row[...] = np.where(present, terms.edge_log, terms.noedge_log).sum(axis=1)
     if terms.rising:
+        # a pass over the indices, not a gather of the table by them: about
+        # 8% of lr_oracle's throughput
         peak = terms.table[at.max(axis=1)]
     else:
         peak = terms.table.take(at).max(axis=1, initial=-np.inf)
@@ -389,11 +390,15 @@ def likelihood_ratio_average(problem: LrProblem, sample: GraphSample) -> LrAvera
         values = np.zeros(m)
         log_value = -math.inf
     else:
-        # each table entry once; only the entries up to the shift can be
-        # gathered, and those above it may overflow
         table = terms.table
-        ratios = np.exp(table - shift, out=np.zeros(table.shape), where=table <= shift)
-        values = ratios.take(at)  # every row, in order, when none is summed
+        if table.size <= at.size:
+            # each table entry once; only the entries up to the shift can be
+            # gathered, and those above it may overflow
+            ratios = np.exp(table - shift, out=np.zeros(table.shape), where=table <= shift)
+            values = ratios.take(at)  # every row, in order, when none is summed
+        else:
+            # more entries than counted rows (many lifts): each row once
+            values = np.exp(table.take(at) - shift)
         if sums.size:
             counted, values = values, np.empty(m)
             values[terms.counted] = counted

@@ -577,8 +577,10 @@ def assert_averages_match_reference(problem, graphs, block):
 
 class TestAverageFromTable:
     """The average exponentiates each table entry once and gathers the
-    values by the counted rows' indices; each LrAverage equals the one from
-    exponentiating every community's log, bit for bit."""
+    values by the counted rows' indices (or, when the table has more entries
+    than there are counted rows, exponentiates each row's gathered entry);
+    each LrAverage equals the one from exponentiating every community's log,
+    bit for bit."""
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -645,6 +647,20 @@ class TestAverageFromTable:
         assert np.array_equal(logs, np.stack([lane_reference(terms, g) for g in graphs]))
         assert logs[1].max() == 0.75
 
+    def test_a_lift_per_community_exponentiates_the_gathered_entries(self):
+        # one table group per community: the table has K + 1 entries per
+        # counted row, so each row's entry is exponentiated, not the table
+        model = Homogeneous(8, 0.25)
+        comms = LrProblem(model, 3, 1.5)._bundle["communities"]
+        lifts = np.linspace(1.0, 4.0, len(comms))  # 4.0 = 1/p is forbidden
+        prob = LrProblem(model, 3, 1.5,
+                         rho_map={tuple(int(v) for v in c): float(x) for c, x in zip(comms, lifts)})
+        terms = prob._bundle["tables"]
+        assert terms.table.size == 4 * len(comms) and not terms.rising
+        graphs = [graph_from_edges(8, combinations(comms[-1], 2)), complete_graph(8)]
+        graphs += [sample_null(model, seed) for seed in range(4)]
+        assert_averages_match_reference(prob, graphs, 4)
+
     @given(st.sampled_from(["K=253", "K=276", "excess"]),
            st.integers(min_value=1, max_value=9), st.sampled_from([1, 2, 4, 8]),
            st.integers(0, 2**32 - 1))
@@ -704,6 +720,22 @@ class TestOverflow:
         assert math.isfinite(res.log_value) and res.log_value > math.log(sys.float_info.max)
         assert res.log_value == pytest.approx(
             logs.max() + math.log(np.exp(logs - logs.max()).mean()), rel=1e-15)
+
+    def test_a_table_exponentiated_whole_skips_the_entries_past_the_shift(self):
+        # 781 table entries for 1,024 communities: the table is exponentiated,
+        # not each community's entry.  On a null graph the entries near e = K
+        # (log 15 per pair) are far past the shift and would overflow.
+        model = Homogeneous(200, 0.05)
+        prob = LrProblem(model, 40, 15.0, sample_size=1024)
+        terms = prob._bundle["tables"]
+        assert terms.table.size <= terms.offsets.size
+        planted = tuple(int(v) for v in prob._bundle["communities"][0])
+        graphs = [sample_alternative(model, PlantedAlternative(planted, 15.0, model), 1)]
+        graphs += [sample_null(model, seed) for seed in range(3)]
+        averages = assert_averages_match_reference(prob, graphs, 4)
+        assert averages[0].value == math.inf
+        assert averages[0].log_value > math.log(sys.float_info.max)
+        assert all(math.isfinite(a.value) for a in averages[1:])
 
     def test_mean_stays_finite_when_only_its_largest_term_overflows(self, monkeypatch):
         model = Homogeneous(6, 0.3)
