@@ -231,7 +231,8 @@ def _make_decider(config: ExperimentConfig) -> tuple[Callable[[GraphSample], boo
                             exact_budget=config.lr_exact_budget,
                             sample_size=config.lr_sample_size,
                             community_seed=config.master_seed)
-        return ((lambda g: likelihood_ratio_average(problem, g).value > 1.0),
+        # L > 1 on the log, which stays finite where L overflows
+        return ((lambda g: likelihood_ratio_average(problem, g).log_value > 0.0),
                 _block_graphs(math.comb(config.r, 2), config.model.n))
     scan_cfg = ScanConfig(config.r, config.epsilon, config.family, config.budget)
     graphs = _batch_graphs(scan_cfg, config.model.n)

@@ -27,18 +27,25 @@ holds K (8 lanes of a byte up to K = 255, 4 of 16 bits above), viewed as
 one word per pair, so that one gather of the communities' K x M pair
 positions serves the whole block.  Adding a community's K words gives
 each graph's edge count in its own lane: a count is at most K, so no lane
-carries into the next.  A counted community keeps its count as an index
-into the table; no per-community log is written for it.  A summed
+carries into the next.  Where the table has no more entries than there
+are counted communities, the block keeps each graph's histogram of them
+over the table's entries (np.bincount of offset + count), and nothing per
+community; otherwise each counted community's table index.  A summed
 community reads each graph's presence from the same gathered words and
 adds its per-pair logs graph by graph.  A block holds at most
 scan._BATCH_BYTES of lanes, or one graph's where that is more.
 bayes_risk opens a batch scope (scan._batch) over each block of null
 graphs, and so does estimate_risk over the graphs it decides; the first
-likelihood_ratio_average in the scope evaluates the block, and each call
-exponentiates its own graph's table once per entry (or, where the table
-has more entries than there are counted rows, each row's gathered entry),
-gathers the values by its counted indices and exponentiates its summed
-logs.  A graph outside any scope is a block of one.
+likelihood_ratio_average in the scope evaluates the block.  Each call
+exponentiates, relative to its graph's largest log, the table entries its
+histogram holds and its summed logs, and takes one mean, the
+histogram-weighted sum of those ratios over M: its work grows with the
+table and the summed communities, not with M.  With indices it
+exponentiates each counted community's gathered entry instead.  The
+weighted sum adds in another order than a sum over the M ratios would, so
+the mean may differ from that sum's in its last bits (every term is
+positive: nothing cancels).  Counts are exact, so the result does not
+depend on the block.  A graph outside any scope is a block of one.
 
 Enumeration is exact while C(n, r) fits the budget; otherwise a fixed set
 of communities is sampled once per problem (reused across graph samples,
@@ -209,21 +216,26 @@ class _LogTerms:
     axis 0.  A counted row (its absent-pair log is one value l0 on all K
     pairs) has log L_C = table[offset + e] with e its edge count; table
     holds e log rho + (K - e) l0 for e = 0..K, one group of K + 1 entries
-    per distinct (log rho, l0).  rising is true when there is one group and
-    its entries do not decrease in e, so that a graph's largest counted
-    log is the entry at its largest count.  A summed row keeps its per-pair
-    logs.  counted and summed are slices when all rows go one way, so the
-    common problems index without copying.
+    per distinct (log rho, l0).  A summed row keeps its per-pair logs.
+    counted and summed are slices when all rows go one way, so the common
+    problems index without copying.
     """
 
     pairs: np.ndarray                     # (K, m) packed-triangle positions
     counted: slice | np.ndarray
     offsets: np.ndarray                   # per counted row
     table: np.ndarray
-    rising: bool
     summed: slice | np.ndarray
     edge_log: np.ndarray                  # (summed rows, 1)
     noedge_log: np.ndarray                # (summed rows, K)
+
+    @property
+    def histogram(self) -> bool:
+        """True when the table has no more entries than there are counted
+        rows: a graph's counted rows are then held as the number of them at
+        each table entry, and otherwise (many lifts, or one row) as each
+        row's table index, so that a graph never costs more than its rows."""
+        return self.table.size <= self.offsets.size
 
 
 def _rows(mask: np.ndarray) -> slice | np.ndarray:
@@ -250,14 +262,11 @@ def _log_terms(tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> _LogTerms:
     # fixes are set to -inf below, and at e = K it is multiplied by 0
     table = e * log_rho + (k - e) * np.where(forbidden, 0.0, l0)
     table[forbidden & (e < k)] = -np.inf
-    # log rho >= 0 >= l0 makes one group's table nondecreasing in e; the
-    # check keeps the largest-count shortcut from resting on that alone
-    rising = len(lifts) == 1 and bool(np.all(table[0, 1:] >= table[0, :-1]))
     summed = _rows(~const)
     # copies, so that no view keeps the full per-pair array alive; row-major,
-    # so that the average sums each row in the order a one-row call does
+    # so that the block sums each row in the order a one-row call does
     return _LogTerms(np.ascontiguousarray(pair_index.T), _rows(const),
-                     group.reshape(-1) * (k + 1), table.reshape(-1), rising,
+                     group.reshape(-1) * (k + 1), table.reshape(-1),
                      summed, edge_log[summed].copy(), noedge[summed].copy())
 
 
@@ -286,11 +295,13 @@ def _words(samples: Sequence[GraphSample], block: int, lane: np.dtype) -> np.nda
 
 class _Logs(NamedTuple):
     """log L_C of every row of a _LogTerms on each graph of a block, one row
-    per graph (or, indexed by a graph, on that graph alone): a counted row
-    as its index into the terms' table, a summed row as its log, and the
-    largest log of all rows (-inf when every one is)."""
+    per graph (or, indexed by a graph, on that graph alone): the counted
+    rows as the number of them at each table entry (a float count, exact)
+    or, where the terms hold no histogram, as each row's table index; each
+    summed row's log; and the largest log of all rows (-inf when every one
+    is)."""
 
-    at: np.ndarray                        # (graphs, counted rows) intp
+    counted: np.ndarray                   # (graphs, table entries) or (graphs, counted rows)
     sums: np.ndarray                      # (graphs, summed rows)
     peak: np.ndarray                      # (graphs,)
 
@@ -303,30 +314,37 @@ def _log_ratios(terms: _LogTerms, samples: Sequence[GraphSample]) -> _Logs:
     lane = np.min_scalar_type(k)
     block = min(_block_graphs(k, samples[0].n), 1 << (len(samples) - 1).bit_length())
     word = np.dtype(f"u{lane.itemsize * block}")
-    # graph-major and intp: take converts a byte index far more slowly
-    at = np.empty((len(samples), terms.offsets.size), np.intp)
+    entries = terms.table.size
+    if terms.histogram:
+        counted = np.empty((len(samples), entries))
+    else:
+        # graph-major and intp: take converts a byte index far more slowly
+        counted = np.empty((len(samples), terms.offsets.size), np.intp)
     sums = np.empty((len(samples), terms.edge_log.shape[0]))
     for s in range(0, len(samples), block):
         chunk = samples[s : s + block]
         gathered = _words(chunk, block, lane).take(terms.pairs)
         # a count is at most K, which the lane holds: no lane carries
         counts = np.add.reduce(gathered, axis=0, dtype=word).view(lane).reshape(m, block)
-        rows = at[s : s + len(chunk)]
-        rows[...] = counts[terms.counted, : len(chunk)].T
-        rows += terms.offsets
+        rows = counted[s : s + len(chunk)]
+        if terms.histogram:
+            for b, row in enumerate(rows):
+                row[...] = np.bincount(terms.offsets + counts[terms.counted, b],
+                                       minlength=entries)
+        else:
+            rows[...] = counts[terms.counted, : len(chunk)].T
+            rows += terms.offsets
         if sums.size:
             bits = gathered.view(f"u{gathered.itemsize // block}").reshape(k, m, block)
             for b, row in enumerate(sums[s : s + len(chunk)]):
                 # row-major, so that each row adds its K terms as a one-row call does
                 present = bits[:, terms.summed, b].T.astype(bool, order="C")
                 row[...] = np.where(present, terms.edge_log, terms.noedge_log).sum(axis=1)
-    if terms.rising:
-        # a pass over the indices, not a gather of the table by them: about
-        # 8% of lr_oracle's throughput
-        peak = terms.table[at.max(axis=1)]
+    if terms.histogram:
+        peak = np.where(counted > 0.0, terms.table, -np.inf).max(axis=1, initial=-np.inf)
     else:
-        peak = terms.table.take(at).max(axis=1, initial=-np.inf)
-    return _Logs(at, sums, np.maximum(peak, sums.max(axis=1, initial=-np.inf)))
+        peak = terms.table.take(counted).max(axis=1, initial=-np.inf)
+    return _Logs(counted, sums, np.maximum(peak, sums.max(axis=1, initial=-np.inf)))
 
 
 def _scoped_logs(terms: _LogTerms, sample: GraphSample) -> _Logs:
@@ -339,7 +357,7 @@ def _scoped_logs(terms: _LogTerms, sample: GraphSample) -> _Logs:
     if held is None:
         held = batch.logs[id(terms)] = terms, _log_ratios(terms, batch.samples)
     logs = held[1]
-    return _Logs(logs.at[b], logs.sums[b], logs.peak[b])
+    return _Logs(logs.counted[b], logs.sums[b], logs.peak[b])
 
 
 def _exp(x: float) -> float:
@@ -382,43 +400,50 @@ def likelihood_ratio_average(problem: LrProblem, sample: GraphSample) -> LrAvera
         raise ValidationError(f"model has n={problem.model.n} but sample has n={sample.n}")
     bundle = problem._bundle
     terms = bundle["tables"]
-    at, sums, shift = _scoped_logs(terms, sample)
+    counted, sums, shift = _scoped_logs(terms, sample)
     shift = float(shift)
     m = terms.pairs.shape[1]
-    excess = 0.0  # log of a factor the values still lack
+    sampled = bundle["mode"] == "sampled"
+    se = None
     if shift == -math.inf:
-        values = np.zeros(m)
-        log_value = -math.inf
+        # every L_C is 0
+        value, log_value = 0.0, -math.inf
+        if sampled and m > 1:
+            se = 0.0
     else:
-        table = terms.table
-        if table.size <= at.size:
-            # each table entry once; only the entries up to the shift can be
-            # gathered, and those above it may overflow
-            ratios = np.exp(table - shift, out=np.zeros(table.shape), where=table <= shift)
-            values = ratios.take(at)  # every row, in order, when none is summed
+        # each L_C divided by exp(shift), at most 1: the counted rows as
+        # their table entries' ratios, each weighted by the rows it holds
+        # (one per row where the terms hold indices)
+        if terms.histogram:
+            # only entries some row holds: those above the shift may overflow
+            weights = counted
+            ratios = np.exp(terms.table - shift, out=np.zeros(counted.size), where=counted > 0.0)
         else:
-            # more entries than counted rows (many lifts): each row once
-            values = np.exp(table.take(at) - shift)
+            weights = np.ones(counted.size)
+            ratios = np.exp(terms.table.take(counted) - shift)
+        total = float(weights @ ratios)
         if sums.size:
-            counted, values = values, np.empty(m)
-            values[terms.counted] = counted
-            values[terms.summed] = np.exp(sums - shift)
-        # the mean of values is at least 1/M here, so its log is finite
-        log_value = shift + math.log(float(values.mean()))
+            exps = np.exp(sums - shift)
+            total += float(exps.sum())
+        # at least 1/M, the largest ratio being 1: its log is finite
+        mean = total / m
+        log_value = shift + math.log(mean)
         try:
-            values *= math.exp(shift)
+            scale, excess = math.exp(shift), 0.0
         except OverflowError:
             # the largest L_C is past the float range; the mean may not be
-            excess = shift
+            scale, excess = 1.0, shift
 
-    def scaled(x: float) -> float:
-        return _exp(excess + math.log(x)) if excess and x > 0.0 else x
+        def scaled(x: float) -> float:
+            return _exp(excess + math.log(x)) if excess and x > 0.0 else x * scale
 
-    mean = scaled(float(values.mean()))
-    if bundle["mode"] == "exact":
-        return LrAverage(mean, log_value, "exact", values.size)
-    se = scaled(float(values.std(ddof=1) / math.sqrt(values.size))) if values.size > 1 else None
-    return LrAverage(mean, log_value, "sampled", values.size, se)
+        value = scaled(mean)
+        if sampled and m > 1:
+            squares = float(weights @ (ratios - mean) ** 2)
+            if sums.size:
+                squares += float(((exps - mean) ** 2).sum())
+            se = scaled(math.sqrt(squares / (m - 1)) / math.sqrt(m))
+    return LrAverage(value, log_value, bundle["mode"], m, se)
 
 
 @dataclass(frozen=True)

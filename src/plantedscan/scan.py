@@ -554,9 +554,10 @@ class _Batch:
     first time an extended size is counted or grown; and, for deciding
     known scans, each graph's best row of a plan size among the rows whose
     count reaches a least count c (best); and, keyed by the id of a
-    likelihood-ratio problem's terms, the samples' log L_C in table form
-    (lr._scoped_logs): each counted community's table index and each
-    summed community's log, per graph.  The batch holds each plan and
+    likelihood-ratio problem's terms, the samples' log L_C as lr._Logs
+    (lr._scoped_logs): per graph, the counted communities' histogram over
+    the table's entries (or each one's table index), each summed
+    community's log and the largest log.  The batch holds each plan and
     terms it keys, so no id is reused while it lives."""
 
     def __init__(self, samples: Iterable[GraphSample]) -> None:

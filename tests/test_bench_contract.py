@@ -68,3 +68,20 @@ def test_traced_rounds_pass_the_benchmark_check(run, name, tmp_path, capsys):
     assert rounds[0] == rounds[1]
     recorded = tracer.by_function(np.asarray(runner.scale))
     assert [span for span in workload.expected_spans if span not in recorded] == []
+
+
+def test_lr_oracle_matches_every_recorded_seed(run):
+    # a last-bit change in the likelihood-ratio average shows up in a
+    # 12-digit digest on some seed, not necessarily on seed 0
+    workload = run.WORKLOADS["lr_oracle"]
+    with open(run.EXPECTED_PATH, encoding="utf-8") as fh:
+        recorded = json.load(fh)["lr_oracle"]
+    assert sorted(recorded, key=int) == [str(seed) for seed in range(32)]
+    for seed, expected in recorded.items():
+        built = workload.build(plantedscan, int(seed), "")
+        digests = {}
+        for call in built.calls:
+            result = call.run()
+            assert call.check(result) == [], f"seed {seed}"
+            digests[call.kind] = call.digest(result)
+        assert digests == expected, f"seed {seed}"

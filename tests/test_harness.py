@@ -32,7 +32,7 @@ from plantedscan import harness as harness_module
 from plantedscan import scan as scan_module
 from plantedscan import lr as lr_module
 from plantedscan.harness import RateWithError
-from plantedscan.model import model_to_json
+from plantedscan.model import GraphSample, model_to_json
 from plantedscan.scan import Exhaustive, Explicit, SubsetFamily, WeightPrefix
 from plantedscan.seeding import generator
 
@@ -181,7 +181,7 @@ class TestEstimateRisk:
 
     def test_null_stream_matches_manual_recount(self):
         # replication i of the null stream uses (master_seed, "null", i);
-        # the lr decider rejects when the averaged ratio exceeds 1
+        # the lr decider rejects when the log of the averaged ratio exceeds 0
         model = Homogeneous(12, 0.3)
         cfg = ExperimentConfig(
             model=model, test="lr", r=3, rho=1.8, communities=((0, 1, 2),),
@@ -192,10 +192,30 @@ class TestEstimateRisk:
         manual = sum(
             likelihood_ratio_average(
                 problem, sample_null(model, derive_seed(14, "null", i))
-            ).value > 1.0
+            ).log_value > 0.0
             for i in range(25)
         )
         assert est.type1.successes == manual
+
+    def test_lr_decides_on_the_log_of_the_ratio(self):
+        # at rho = 1 every L_C is 1, so L = 1 and log L = 0 exactly: no graph
+        # is rejected, the complete one included.  A 40-vertex community
+        # lifted 15-fold puts L past the float range on its planted graph,
+        # where log L is finite and positive: rejected
+        model = Homogeneous(9, 0.3)
+        decide, _ = harness_module._make_decider(small_config(model=model, test="lr", rho=1.0))
+        complete = GraphSample(n=9, packed=np.packbits(np.ones(36, np.uint8)), seed=0,
+                               hypothesis="imported")
+        assert not any(decide(g) for g in [complete] + [sample_null(model, s) for s in range(8)])
+        model = Homogeneous(200, 0.05)
+        cfg = small_config(model=model, test="lr", r=40, rho=15.0, communities=1, lr_sample_size=64)
+        decide, _ = harness_module._make_decider(cfg)
+        problem = LrProblem(model, 40, 15.0, sample_size=64, community_seed=cfg.master_seed)
+        planted = tuple(int(v) for v in problem._bundle["communities"][0])
+        g = sample_alternative(model, PlantedAlternative(planted, 15.0, model), 1)
+        average = likelihood_ratio_average(problem, g)
+        assert average.value == math.inf and math.isfinite(average.log_value)
+        assert decide(g)
 
     def test_worker_count_does_not_change_results(self):
         # with 2 alternative replications, the third worker's slice of each

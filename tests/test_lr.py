@@ -319,16 +319,31 @@ def lane_reference(terms, g):
     return logs
 
 
-def log_ratios(terms, graphs):
-    """_log_ratios on graphs as one (graphs, M) array of log L_C: each
-    counted row's table entry and each summed row's log.  Each graph's
-    largest log is checked against the block's own."""
-    held = lr_module._log_ratios(terms, graphs)
-    assert held.at.dtype == np.intp
-    logs = np.empty((len(graphs), terms.pairs.shape[1]))
-    logs[:, terms.counted] = terms.table.take(held.at)
-    logs[:, terms.summed] = held.sums
-    assert np.array_equal(held.peak, logs.max(axis=1))
+def held_reference(terms, g):
+    """What the block holds for one graph, from a boolean gather of its
+    triangle: the counted rows' histogram over table entries (their table
+    indices where the terms hold none), the summed rows' logs and the
+    largest log of all rows."""
+    tri = np.unpackbits(g.packed, count=g.pair_count).view(bool)
+    present = tri[terms.pairs.T]
+    index = terms.offsets + present[terms.counted].sum(axis=1)
+    if terms.histogram:
+        index = np.bincount(index, minlength=terms.table.size).astype(float)
+    sums = np.where(present[terms.summed], terms.edge_log, terms.noedge_log).sum(axis=1)
+    return lr_module._Logs(index, sums, lane_reference(terms, g).max(initial=-np.inf))
+
+
+def held(terms, graphs):
+    """_log_ratios on graphs, each graph's row checked against
+    held_reference: counts and indices exactly, summed logs and the largest
+    log bit for bit."""
+    logs = lr_module._log_ratios(terms, graphs)
+    assert logs.counted.dtype == (np.float64 if terms.histogram else np.intp)
+    for b, g in enumerate(graphs):
+        want = held_reference(terms, g)
+        assert np.array_equal(logs.counted[b], want.counted)
+        assert np.array_equal(logs.sums[b], want.sums)
+        assert logs.peak[b] == want.peak
     return logs
 
 
@@ -341,10 +356,15 @@ def forced_block(terms, n, block):
         yield
 
 
-def block_logs(terms, graphs, block):
-    """log_ratios on graphs with blocks of at most block graphs per gather."""
+def block_held(terms, graphs, block):
+    """held on graphs with blocks of at most block graphs per gather; each
+    graph's row is also its row alone, bit for bit."""
     with forced_block(terms, graphs[0].n, block):
-        return log_ratios(terms, graphs)
+        logs = held(terms, graphs)
+    for b, g in enumerate(graphs):
+        alone = held(terms, [g])
+        assert all(np.array_equal(x[b], y[0]) for x, y in zip(logs, alone))
+    return logs
 
 
 class TestEdgeCountPath:
@@ -355,24 +375,27 @@ class TestEdgeCountPath:
     def test_counts_past_one_byte(self, r):
         # a one-byte count would wrap at K = 276 on the complete graph.
         # K = 253 counts in byte lanes, 8 to a word, K = 276 in 16-bit
-        # lanes, 4 to a word; blocks of one to eight graphs, the last partial
+        # lanes, 4 to a word; blocks of one to eight graphs, the last
+        # partial.  16 rows hold their table indices, 320 a histogram
         model = Homogeneous(30, 0.3)
-        prob = LrProblem(model, r, 3.0, sample_size=16)
-        terms = prob._bundle["tables"]
-        planted = tuple(int(v) for v in prob._bundle["communities"][0])
-        graphs = [sample_null(model, 0), complete_graph(30),
-                  sample_alternative(model, PlantedAlternative(planted, 3.0, model), 1)]
-        for g in graphs:
-            got = log_ratios(terms, [g])[0]
-            np.testing.assert_allclose(got, per_pair_logs(prob, g), rtol=1e-14, atol=1e-12)
-        graphs += [sample_null(model, seed) for seed in range(1, 7)]
-        for block in (1, 2, 4, 8):
-            for count in range(1, 10):
-                logs = block_logs(terms, graphs[:count], block)
-                for g, log in zip(graphs, logs):
-                    assert np.array_equal(log, log_ratios(terms, [g])[0])
-                    assert np.array_equal(log, lane_reference(terms, g))
-            assert np.all(logs[1] == terms.table[-1])
+        for size in (16, 320):
+            prob = LrProblem(model, r, 3.0, sample_size=size)
+            terms = prob._bundle["tables"]
+            assert terms.histogram == (size == 320)
+            planted = tuple(int(v) for v in prob._bundle["communities"][0])
+            graphs = [sample_null(model, 0), complete_graph(30),
+                      sample_alternative(model, PlantedAlternative(planted, 3.0, model), 1)]
+            for g in graphs:
+                np.testing.assert_allclose(lane_reference(terms, g), per_pair_logs(prob, g),
+                                           rtol=1e-14, atol=1e-12)
+            graphs += [sample_null(model, seed) for seed in range(1, 7)]
+            for block in (1, 2, 4, 8):
+                for count in range(1, 10):
+                    logs = block_held(terms, graphs[:count], block)
+                # the complete graph holds every row at e = K, the last entry
+                index = np.full(size, terms.table.size - 1)
+                want = np.bincount(index) if terms.histogram else index
+                assert np.array_equal(logs.counted[1], want)
 
     @pytest.mark.parametrize("kind", ["flat", "rho_map", "blocks", "rank_one"])
     def test_single_is_its_row_of_the_average_bit_for_bit(self, kind):
@@ -400,8 +423,8 @@ class TestEdgeCountPath:
         graphs = [sample_null(model, seed) for seed in range(4)]
         graphs += [complete_graph(9), graph_from_edges(9, [(1, 4), (1, 8), (4, 8)])]
         for g in graphs:
-            logs = log_ratios(terms, [g])[0]
-            for row, log in zip(prob._bundle["communities"], logs):
+            held(terms, [g])
+            for row, log in zip(prob._bundle["communities"], lane_reference(terms, g)):
                 assert likelihood_ratio_single(prob, row, g) == lr_module._exp(float(log))
 
     @given(st.data())
@@ -431,7 +454,8 @@ class TestEdgeCountPath:
         pair_index = prob._bundle["tables"].pairs.T
         for g in (sample_null(model, seed),
                   sample_alternative(model, PlantedAlternative(planted, lift, model), seed)):
-            got = log_ratios(prob._bundle["tables"], [g])[0]
+            held(prob._bundle["tables"], [g])
+            got = lane_reference(prob._bundle["tables"], g)
             want = per_pair_logs(prob, g)
             assert np.array_equal(got == -np.inf, want == -np.inf)
             finite = want > -np.inf
@@ -457,13 +481,14 @@ class TestEdgeCountPath:
         rho = data.draw(st.floats(1.0, 1.6), label="rho")
         prob = LrProblem(model, r, rho, exact_budget=2000, sample_size=128)
         for g in (sample_null(model, seed), complete_graph(n)):
-            got = log_ratios(prob._bundle["tables"], [g])[0]
-            assert np.array_equal(got, per_pair_logs(prob, g))
+            held(prob._bundle["tables"], [g])
+            assert np.array_equal(lane_reference(prob._bundle["tables"], g), per_pair_logs(prob, g))
 
 
 class TestLanes:
     """A block of graphs is gathered once, one graph per lane of a word;
-    every graph's logs are its one-graph logs bit for bit."""
+    what the block holds for each graph is what it holds for that graph
+    alone, bit for bit."""
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -506,10 +531,7 @@ class TestLanes:
         graphs += [sample_null(model, seed + i) for i in range(count)]
         graphs = graphs[:count]
         block = data.draw(st.sampled_from([1, 2, 4, 8]), label="block")
-        logs = block_logs(terms, graphs, block)
-        one = np.stack([log_ratios(terms, [g])[0] for g in graphs])
-        assert np.array_equal(logs, one)
-        assert np.array_equal(logs, np.stack([lane_reference(terms, g) for g in graphs]))
+        block_held(terms, graphs, block)
 
     def test_a_scope_evaluates_its_block_once(self, monkeypatch):
         model = Homogeneous(10, 0.3)
@@ -521,10 +543,12 @@ class TestLanes:
 
         def counting(terms, samples):
             blocks.append(len(samples))
-            held = evaluate(terms, samples)
-            # table form: every community counted, no float log per community
-            assert held.at.shape == (len(samples), 120) and held.sums.shape == (len(samples), 0)
-            return held
+            logs = evaluate(terms, samples)
+            # every community counted, as a histogram over the K + 1 = 4 table
+            # entries: no value per community
+            assert logs.counted.shape == (len(samples), 4)
+            assert logs.sums.shape == (len(samples), 0)
+            return logs
 
         monkeypatch.setattr(lr_module, "_log_ratios", counting)
         with scan_module._batch(graphs):
@@ -537,8 +561,9 @@ class TestLanes:
 
 def reference_average(problem, logs):
     """The LrAverage of one graph from all M of its logs: exp(logs - max)
-    over every community, then the two means (and the std when sampled).
-    The reference for the average's per-table-entry evaluation."""
+    over every community, scaled by exp(max), then the mean (and the std
+    when sampled) of the M values.  The average must come within rounding
+    of it."""
     shift = float(logs.max())
     excess = 0.0
     if shift == -math.inf:
@@ -561,26 +586,83 @@ def reference_average(problem, logs):
     return LrAverage(mean, log_value, "sampled", values.size, se)
 
 
+def histogram_average(problem, g):
+    """The LrAverage of one graph from held_reference: the ratio
+    exp(entry - largest log) of each table entry some counted row holds
+    (of each counted row's entry where the terms hold no histogram) and of
+    each summed row, one mean of the M ratios weighted by the rows at each
+    entry, scaled by exp(largest log), and the weighted std when sampled.
+    The average must equal it bit for bit."""
+    terms = problem._bundle["tables"]
+    counted, sums, shift = held_reference(terms, g)
+    shift, m, sampled = float(shift), terms.pairs.shape[1], problem.mode == "sampled"
+    if shift == -math.inf:
+        return LrAverage(0.0, -math.inf, problem.mode, m, 0.0 if sampled and m > 1 else None)
+    if terms.histogram:
+        weights, ratios, held_entries = counted, np.zeros(counted.size), counted > 0.0
+        ratios[held_entries] = np.exp(terms.table[held_entries] - shift)
+    else:
+        weights, ratios = np.ones(counted.size), np.exp(terms.table[counted] - shift)
+    exps = np.exp(sums - shift)
+    mean = (float(weights @ ratios) + float(exps.sum())) / m
+    log_value = shift + math.log(mean)
+    try:
+        scale, excess = math.exp(shift), 0.0
+    except OverflowError:
+        scale, excess = 1.0, shift
+
+    def scaled(x):
+        return lr_module._exp(excess + math.log(x)) if excess and x > 0.0 else x * scale
+
+    se = None
+    if sampled and m > 1:
+        squares = float(weights @ (ratios - mean) ** 2) + float(((exps - mean) ** 2).sum())
+        se = scaled(math.sqrt(squares / (m - 1)) / math.sqrt(m))
+    return LrAverage(scaled(mean), log_value, problem.mode, m, se)
+
+
+def assert_near(got, want, tol, scale):
+    """got within tol * scale of want; equal where want is 0 or not finite."""
+    if want == 0.0 or not math.isfinite(want):
+        assert got == want
+    else:
+        assert abs(got - want) <= tol * scale, (got, want)
+
+
 def assert_averages_match_reference(problem, graphs, block):
     """Every graph's LrAverage, in a scope of blocks of at most block graphs
-    and alone, equals reference_average on its boolean-gather logs, every
-    field bit for bit (repr tells -0.0 from 0.0).  Returns the averages."""
+    and alone, equals histogram_average, every field bit for bit (repr
+    tells -0.0 from 0.0), and comes within (K + 1 + log2 M) units of
+    2**-52 of reference_average on the boolean-gather logs: relative on
+    value, and on log_value relative to max(1, |log_value|), since its log
+    of the mean carries the mean's relative error as an absolute one.
+    Every ratio is positive, so no sum cancels.  The std comes within that
+    many units of (std + mean) / sqrt(M).  Returns the averages."""
     terms = problem._bundle["tables"]
+    k, m = terms.pairs.shape
+    tol = (k + 1 + math.log2(m)) * 2.0**-52
     with forced_block(terms, graphs[0].n, block), scan_module._batch(graphs):
         scoped = [likelihood_ratio_average(problem, g) for g in graphs]
     for g, got in zip(graphs, scoped):
-        want = repr(reference_average(problem, lane_reference(terms, g)))
-        assert repr(got) == want
-        assert repr(likelihood_ratio_average(problem, g)) == want
+        assert repr(got) == repr(histogram_average(problem, g))
+        assert repr(likelihood_ratio_average(problem, g)) == repr(got)
+        want = reference_average(problem, lane_reference(terms, g))
+        assert (got.mode, got.communities) == (want.mode, want.communities)
+        assert_near(got.value, want.value, tol, want.value)
+        assert_near(got.log_value, want.log_value, tol, max(1.0, abs(want.log_value)))
+        if want.stderr is None:
+            assert got.stderr is None
+        else:
+            assert_near(got.stderr, want.stderr, tol, want.stderr + want.value / math.sqrt(m))
     return scoped
 
 
 class TestAverageFromTable:
-    """The average exponentiates each table entry once and gathers the
-    values by the counted rows' indices (or, when the table has more entries
-    than there are counted rows, exponentiates each row's gathered entry);
-    each LrAverage equals the one from exponentiating every community's log,
-    bit for bit."""
+    """The average exponentiates each table entry some counted row holds
+    and weights it by the rows that hold it (or, when the table has more
+    entries than there are counted rows, exponentiates each row's gathered
+    entry); each LrAverage comes within rounding of the one from
+    exponentiating every community's log."""
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -627,25 +709,23 @@ class TestAverageFromTable:
         graphs += [sample_null(model, seed + i) for i in range(count)]
         block = data.draw(st.sampled_from([1, 2, 4, 8]), label="block")
         averages = assert_averages_match_reference(prob, graphs[:count], block)
-        if kind == "homogeneous" and not rho_map:
-            assert prob._bundle["tables"].rising
         if forbid:
             assert averages[0].log_value == -math.inf and averages[0].value == 0.0
 
     def test_a_falling_table_reads_its_largest_log_from_the_gathered_values(self):
         # log rho < 0 < l0 comes from no valid problem: the table falls in e,
-        # so the largest count does not give the largest log
+        # so the largest count does not give the largest log; the largest
+        # entry the graph's counts reach does
         model = Homogeneous(8, 0.4)
         comms = LrProblem(model, 3, 1.6)._bundle["communities"]
         pairs = lr_module._log_tables(model, comms, np.full(len(comms), 1.6))[0]
         terms = lr_module._log_terms((pairs, np.full((len(comms), 1), -0.5),
                                       np.full(pairs.shape, 0.25)))
-        assert terms.table.size == 4 and not terms.rising
+        assert terms.table.size == 4 and terms.histogram
         graphs = [complete_graph(8), graph_from_edges(8, [(0, 1)])]
         graphs += [sample_null(model, seed) for seed in range(3)]
-        logs = log_ratios(terms, graphs)  # checks each graph's largest log
-        assert np.array_equal(logs, np.stack([lane_reference(terms, g) for g in graphs]))
-        assert logs[1].max() == 0.75
+        logs = held(terms, graphs)  # checks each graph's largest log
+        assert logs.peak[1] == 0.75
 
     def test_a_lift_per_community_exponentiates_the_gathered_entries(self):
         # one table group per community: the table has K + 1 entries per
@@ -656,23 +736,45 @@ class TestAverageFromTable:
         prob = LrProblem(model, 3, 1.5,
                          rho_map={tuple(int(v) for v in c): float(x) for c, x in zip(comms, lifts)})
         terms = prob._bundle["tables"]
-        assert terms.table.size == 4 * len(comms) and not terms.rising
+        assert terms.table.size == 4 * len(comms) and not terms.histogram
         graphs = [graph_from_edges(8, combinations(comms[-1], 2)), complete_graph(8)]
         graphs += [sample_null(model, seed) for seed in range(4)]
         assert_averages_match_reference(prob, graphs, 4)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_a_call_allocates_in_the_table_not_in_the_communities(self, mode):
+        # 91,390 communities on 40 vertices, or 4,096 of them sampled, and a
+        # table of K + 1 = 7 entries: once the scope's first call has
+        # evaluated the block, a call holds a few arrays of 7 values, where
+        # one array over the communities would take 731 kB (32 kB sampled)
+        model = Homogeneous(40, 0.3)
+        prob = LrProblem(model, 4, 2.0, exact_budget=100_000 if mode == "exact" else 1000)
+        assert prob.mode == mode and prob._bundle["tables"].table.size == 7
+        graphs = [sample_null(model, seed) for seed in range(8)]
+        with scan_module._batch(graphs):
+            likelihood_ratio_average(prob, graphs[0])
+            for g in graphs[1:]:
+                tracemalloc.start()
+                try:
+                    likelihood_ratio_average(prob, g)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4096
 
     @given(st.sampled_from(["K=253", "K=276", "excess"]),
            st.integers(min_value=1, max_value=9), st.sampled_from([1, 2, 4, 8]),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=12, deadline=None)
     def test_wide_counts_and_excess_equal_the_per_community_exp(self, case, count, block, seed):
-        # K = 253 counts in byte lanes, K = 276 in 16-bit lanes; the planted
-        # graph's largest log is past log(float max) = 709.78
+        # K = 253 counts in byte lanes, K = 276 in 16-bit lanes, 320 rows in
+        # a histogram; the planted graph's largest log is past log(float
+        # max) = 709.78, and its 64 rows hold their table indices
         if case == "excess":
             model, r, rho = Homogeneous(200, 0.05), 40, 15.0
         else:
             model, r, rho = Homogeneous(30, 0.3), int(case == "K=276") + 23, 3.0
-        prob = LrProblem(model, r, rho, sample_size=64 if case == "excess" else 16)
+        prob = LrProblem(model, r, rho, sample_size=64 if case == "excess" else 320)
         planted = tuple(int(v) for v in prob._bundle["communities"][0])
         graphs = [sample_alternative(model, PlantedAlternative(planted, rho, model), seed),
                   complete_graph(model.n)]
@@ -695,7 +797,7 @@ def fixed_logs(monkeypatch, table):
         m, width = table.shape
         assert terms.counted == slice(None) and width == terms.pairs.shape[0] + 1
         return dataclasses.replace(terms, offsets=np.arange(m) * width,
-                                   table=table.reshape(-1), rising=False)
+                                   table=table.reshape(-1))
 
     monkeypatch.setattr(lr_module, "_log_terms", fixed)
 
@@ -716,19 +818,20 @@ class TestOverflow:
         res = likelihood_ratio_average(prob, g)
         assert res.value == math.inf
         assert res.stderr == math.inf
-        logs = log_ratios(prob._bundle["tables"], [g])[0]
+        logs = lane_reference(prob._bundle["tables"], g)
         assert math.isfinite(res.log_value) and res.log_value > math.log(sys.float_info.max)
         assert res.log_value == pytest.approx(
             logs.max() + math.log(np.exp(logs - logs.max()).mean()), rel=1e-15)
 
     def test_a_table_exponentiated_whole_skips_the_entries_past_the_shift(self):
-        # 781 table entries for 1,024 communities: the table is exponentiated,
-        # not each community's entry.  On a null graph the entries near e = K
-        # (log 15 per pair) are far past the shift and would overflow.
+        # 781 table entries for 1,024 communities: the graph holds a
+        # histogram, and its table's entries are exponentiated where rows hold
+        # them, not each community's entry.  On a null graph the entries near
+        # e = K (log 15 per pair) are far past the shift and would overflow.
         model = Homogeneous(200, 0.05)
         prob = LrProblem(model, 40, 15.0, sample_size=1024)
         terms = prob._bundle["tables"]
-        assert terms.table.size <= terms.offsets.size
+        assert terms.histogram
         planted = tuple(int(v) for v in prob._bundle["communities"][0])
         graphs = [sample_alternative(model, PlantedAlternative(planted, 15.0, model), 1)]
         graphs += [sample_null(model, seed) for seed in range(3)]
