@@ -18,20 +18,19 @@ validated rows (lexicographic), their null means (known-probability scans
 only), the normaliser |D| ln(n/|D|) and the blind floor.  A plan is built
 on first use for its (family, n, model) and reused by later scans while it
 is among the few most recent; models and families are immutable, so a
-cached plan cannot go stale.  Per graph, the scan takes each size once: it
-reads the counts of all of the size's rows, then scores them.  Counts come
-from a batch of B graphs (_Batch), one (B, m) table per plan size, each
-computed on first use: a scan alone is a batch of one, and inside a batch
-scope (_batch, which estimate_risk opens over the graphs it has sampled)
-the first scan that needs a size counts it for every graph of the scope,
-and the others read their rows.  A scope is sized by _batch_graphs to hold
-at most _BATCH_BYTES, and drops what it holds when it closes.  An
-exhaustive size above the plan's first and above 2 is counted from the size
-below's table, one popcount of each head's adjacency rows, which the batch
-stacks the first time such a size needs them, against each extended
-subset's vertex mask.  Every other size counts its rows' pairs directly
-(_edge_counts), each block of pair positions computed once for the whole
-batch.  A size-k count is held in the narrowest unsigned dtype that holds
+cached plan cannot go stale.  Per graph, the scan takes each size once.
+Counts come from a batch of B graphs (_Batch), one (B, m) table per plan
+size, each computed on first use: a scan alone is a batch of one, and
+inside a batch scope (_batch, which estimate_risk opens over the graphs it
+has sampled) the first scan that needs a size counts it for every graph of
+the scope, and the others read their rows.  A scope is sized by
+_batch_graphs to hold at most _BATCH_BYTES, and drops what it holds when it
+closes.  An exhaustive size above the plan's first and above 2 is counted
+from the size below's table, one popcount of each head's adjacency rows,
+which the batch stacks the first time such a size needs them, against each
+extended subset's vertex mask.  Every other size counts its rows' pairs
+directly (_edge_counts), each block of pair positions computed once for the
+whole batch.  A size-k count is held in the narrowest unsigned dtype that holds
 C(k, 2) (uint8 up to k = 23, uint16 up to k = 362): an extended size adds
 in its own dtype, and the blind cross count widens to int64 before its
 arithmetic.  A row whose count exceeds a positive mean is hot and scores its
@@ -40,28 +39,26 @@ count the statistic falls as the mean rises, so each plan size holds a
 bound table: for each count c = 0..C(k, 2), the score of c at the size's
 least positive null mean or, blind, at the floor, which no blind mean is
 below, made nondecreasing in c and raised by a relative 1e-9.  No row with
-count c scores above bound[c].  A size scores only the rows whose count
-reaches the table's first entry above the running best (at least 0.0): it
-yields their first maximum and its row, (0.0, 0) when none is hot,
-evaluating the kernel on their hot rows only and, blind, gathering degree
-sums and estimating means for those rows only.  A size whose table stays at
+count c scores above bound[c].  Every size, known or blind, of a full,
+traced or deciding scan, is scored by its batch (_Batch.best): for a least
+count c, each graph's first maximum over its rows whose count reaches c,
+ties to the smallest row, (0.0, 0) when none is hot, found for every graph
+of the batch at once, its hot rows scored a block at a time, each block in
+one _scores call, blind means estimated for those rows only from the
+batch's degree stack and edge totals.  A scan takes c at its table's first
+entry above the running best (at least 0.0).  A size whose table stays at
 or below the best is not scored, and its counts are not read unless a size
 that extends from it is scored (in a batch scope another graph's scan may
-still have needed the table); at n = 40 the blind floor exceeds
-C(k, 2) for every k <= 5, so a default blind scan with r <= 5 counts
-nothing.  The rows left out cannot beat the best, so the first strict
-maximum in plan order still wins, which breaks ties toward the smaller
-subset, then the lexicographically smallest vertex tuple.  A scan that only
-decides (decide=True) also cuts at the threshold: each size scores only
-the rows whose table entry reaches it, and a size is counted only if its
-table, or that of a size extending from it, does.  Every row that reaches
-the threshold is still scored, so wherever the full scan rejects the
-outcome is the same; elsewhere the statistic is a lower bound.
-A deciding known scan takes each size's best row from the batch's record
-for the size and c, the least count whose table entry reaches the
-threshold: each graph's first maximum over its rows whose count reaches
-c, ties to the smallest row, found for every graph of the batch at once,
-its hot rows scored a block at a time, each block in one _scores call.
+still have needed the table); at n = 40 the blind floor exceeds C(k, 2)
+for every k <= 5, so a default blind scan with r <= 5 counts nothing.  The
+rows left out cannot beat the best, so the first strict maximum in plan
+order still wins, which breaks ties toward the smaller subset, then the
+lexicographically smallest vertex tuple.  A scan that only decides
+(decide=True) takes c at the table's first entry that reaches the
+threshold, one c per size for the whole batch, and a size is counted only
+if its table, or that of a size extending from it, reaches it.  Every row
+that reaches the threshold is still scored, so wherever the full scan
+rejects the outcome is the same; elsewhere the statistic is a lower bound.
 The plan's largest size, where it extends the size below, is grown
 rather than counted (_grown): by the peeling step of greedy densest
 subgraph, a k-set with at least c edges holds a (k-1)-set with at least
@@ -70,9 +67,9 @@ each grown by every vertex outside it, counted by a popcount against that
 vertex's adjacency row and indexed by lexicographic rank
 (_insertion_ranks).  No table of that size is built, unless the
 candidates number more than 2^(1-k) of its entries, where counting it
-was measured faster.
-The one-subset statistic functions score a one-row size the same way, so
-a scan outcome is bit-for-bit reproducible subset by subset.
+was measured faster.  The one-subset statistic functions score their one
+row with the same _scores and _blind_means, so a scan outcome is
+bit-for-bit reproducible subset by subset.
 """
 
 from __future__ import annotations
@@ -120,10 +117,11 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # outnumber the size's k m vertex entries).  A batch holds besides, per
 # graph, one count per row of each size counted, 1 byte for k <= 23 and 2
 # for k <= 362, n^2/8 bytes of adjacency rows once an extended size is
-# counted or grown, and for deciding known scans 16 bytes of best row per
-# size scored: a scan alone until it returns, a batch scope about
-# _BATCH_BYTES until it closes.  A deciding scan's scoring passes hold
-# besides a block at a time (_hot_rows, _grown)
+# counted or grown, 8n bytes of degree stack once a blind size is scored,
+# and 16 bytes of best row per size scored: a scan alone until it returns,
+# a batch scope about _BATCH_BYTES until it closes.  Its scoring passes hold
+# besides a table's bool mask and an 8-byte index per entry that reaches
+# c, and a block at a time (_hot_rows, _grown)
 _PLAN_CACHE_SIZE = 2
 
 # the bytes of count tables, packed triangles and adjacency rows a batch
@@ -384,8 +382,8 @@ class _Size:
     the one below: its rows headed by vertex a are a followed by the rows of
     the size below from starts[a] on.  A scan then counts them from that
     size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask, or,
-    deciding the plan's largest size, grows the rows that can reach the
-    threshold from that size's (_grown).  Any other size is counted pair
+    scoring the plan's largest size, grows the rows that can beat its cut
+    from that size's (_grown).  Any other size is counted pair
     by pair (_edge_counts).
 
     bound is nondecreasing, and on every graph no row whose count is c
@@ -426,27 +424,6 @@ class _Size:
                 out += np.bitwise_count(masks_k[s:, w] & adj[:, a, w, None])
             at += m - s
         return counts
-
-    def best(self, sample: GraphSample, counts: np.ndarray, low: int = 0) -> tuple[float, int]:
-        """The first maximum of the statistic over the rows whose e(D) on
-        sample, counts, is at least low, and its row; (0.0, 0) when none of
-        them is hot.  Rows score _scores against the null means or, blind,
-        against max(_blind_mean(e(V), sum deg(D) - 2 e(D)), floor), with
-        sum deg(D) gathered for those rows only."""
-        near = np.flatnonzero(counts >= low)
-        if not near.size:
-            return 0.0, 0
-        counts = counts[near]
-        if self.means is None:
-            cross = sample._degrees[self.rows[near]].sum(axis=1) - 2 * counts.astype(np.int64)
-            means = np.maximum(_blind_mean(float(sample.total_edges()), cross), self.floor)
-        else:
-            means = self.means[near]
-        # a hot row's count / mean - 1 is at least one ulp of 1.0 (its count
-        # is an integer), so it scores above the 0.0 of every cold row
-        scores = _scores(counts, means, self.norm)
-        i = int(scores.argmax())
-        return (float(scores[i]), int(near[i])) if scores[i] > 0.0 else (0.0, 0)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -530,6 +507,13 @@ def _blind_mean(e_total, cross):
     return root * root / 4.0
 
 
+def _blind_means(e_total, degree_sums, counts: np.ndarray, floor: float) -> np.ndarray:
+    """The blind null means max(_blind_mean(e(V), sum deg(D) - 2 e(D)),
+    floor) of rows with counts e(D) and degree sums sum deg(D), on graphs
+    with e_total edges; elementwise, the cross count in int64."""
+    return np.maximum(_blind_mean(e_total, degree_sums - 2 * counts.astype(np.int64)), floor)
+
+
 def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
                subset: Iterable[int]) -> float:
     """Known-probability scan statistic of one subset.
@@ -542,8 +526,8 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
     rows = d[None, :]
-    size = _Size(rows, model.within_mean(rows), _norm(sample.n, d.size), None, _NO_BOUND)
-    return size.best(sample, _edge_counts([sample], rows)[0])[0]
+    return float(_scores(_edge_counts([sample], rows)[0], model.within_mean(rows),
+                         _norm(sample.n, d.size))[0])
 
 
 class _Batch:
@@ -551,9 +535,10 @@ class _Batch:
     plan, keyed by its id, the (B, m) count table of each plan size
     (_Size.counts), computed on first use, the size below first where size
     j extends it; the samples' adjacency rows (_adjacency_stack), built the
-    first time an extended size is counted or grown; and, for deciding
-    known scans, each graph's best row of a plan size among the rows whose
-    count reaches a least count c (best); and, keyed by the id of a
+    first time an extended size is counted or grown; their degrees and edge
+    totals (degrees), built the first time a blind size is scored; for each
+    plan size, each graph's best row among the rows whose count reaches the
+    least count c last asked for (best); and, keyed by the id of a
     likelihood-ratio problem's terms, the samples' log L_C as lr._Logs
     (lr._scoped_logs): per graph, the counted communities' histogram over
     the table's entries (or each one's table index), each summed
@@ -564,12 +549,18 @@ class _Batch:
         self.samples = list(samples)
         self.row = {sample: b for b, sample in enumerate(self.samples)}
         self.tables: dict[int, tuple[tuple[_Size, ...], list]] = {}
-        self.records: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self.records: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray]] = {}
         self.logs: dict[int, tuple[object, tuple[np.ndarray, ...]]] = {}
 
     @cached_property
     def adjacency(self) -> np.ndarray:
         return _adjacency_stack(self.samples)
+
+    @cached_property
+    def degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """The samples' (B, n) degree stack and their (B,) edge totals e(V)."""
+        return (np.stack([sample._degrees for sample in self.samples]),
+                np.array([float(sample.total_edges()) for sample in self.samples]))
 
     def table(self, plan: tuple[_Size, ...], j: int) -> np.ndarray:
         tables = self.tables.setdefault(id(plan), (plan, [None] * len(plan)))[1]
@@ -581,20 +572,31 @@ class _Batch:
         return tables[j]
 
     def best(self, plan: tuple[_Size, ...], j: int, c: int, b: int) -> tuple[float, int]:
-        """_Size.best of known plan size j on graph b over the rows whose
-        count is at least c: the first maximum, ties to the smallest row
-        index, and (0.0, 0) when none of them is hot.  The first call for
-        (plan, j, c) finds it for every graph of the batch, scoring the hot
-        blocks of the whole batch (hot); later calls read it."""
-        key = (id(plan), j, c)
-        if key not in self.records:
+        """The first maximum of the statistic of plan size j on graph b over
+        the rows whose count is at least c, ties to the smallest row index,
+        and its row; (0.0, 0) when none of them is hot.  Rows score _scores
+        against their null means or, blind, against _blind_means, with the
+        degree sums gathered for those rows only.  The first call for (plan,
+        j, c) scores the hot blocks of the whole batch (hot) and keeps every
+        graph's, one record per size: later calls at c read it, one at
+        another c (a full scan's follows its running best) replaces it."""
+        key = (id(plan), j)
+        if self.records.get(key, (None,))[0] != c:
             size = plan[j]
             stats = np.zeros(len(self.samples))
             rows = np.zeros(len(self.samples), dtype=np.int64)
             for graph, row, counts in self.hot(plan, j, c):
-                _fold(stats, rows, graph, row, _scores(counts, size.means[row], size.norm))
-            self.records[key] = stats, rows
-        stats, rows = self.records[key]
+                if size.means is None:
+                    degrees, totals = self.degrees
+                    sums = degrees[graph[:, None], size.rows[row]].sum(axis=1)
+                    means = _blind_means(totals[graph], sums, counts, size.floor)
+                else:
+                    means = size.means[row]
+                # a hot row's count / mean - 1 is at least one ulp of 1.0 (its
+                # count is an integer), so it scores above the 0.0 of every cold row
+                _fold(stats, rows, graph, row, _scores(counts, means, size.norm))
+            self.records[key] = c, stats, rows
+        _, stats, rows = self.records[key]
         return float(stats[b]), int(rows[b])
 
     def hot(self, plan: tuple[_Size, ...], j: int, c: int) -> Iterator[tuple]:
@@ -623,33 +625,28 @@ class _Batch:
 
 def _hot_rows(table: np.ndarray, c: int) -> Iterator[tuple]:
     """(graph, row, count) of the entries of a (B, m) count table that reach
-    c, graphs ascending and rows ascending within a graph, in blocks of
-    whole graphs holding at most _BATCH_ROWS entries (or one graph)."""
-    hot = table >= c
-    ends = np.count_nonzero(hot, axis=1).cumsum()
-    g = 0
-    while g < len(ends):
-        h = max(g + 1, int(np.searchsorted(ends, (ends[g - 1] if g else 0) + _BATCH_ROWS,
-                                           "right")))
-        flat = np.flatnonzero(hot[g:h])
-        if flat.size:
-            graph, rows = np.divmod(flat, table.shape[1])
-            yield graph + g, rows, table[g:h].reshape(-1)[flat]
-        g = h
+    c, graphs ascending and rows ascending within a graph, in blocks of at
+    most _BATCH_ROWS entries, so that a scoring pass holds the temporaries
+    of one block, however many rows one graph has hot."""
+    flat = np.flatnonzero(table >= c)
+    for s in range(0, flat.size, _BATCH_ROWS):
+        graph, rows = np.divmod(flat[s : s + _BATCH_ROWS], table.shape[1])
+        yield graph, rows, table.reshape(-1)[flat[s : s + _BATCH_ROWS]]
 
 
 def _grown(below: _Size, table: np.ndarray, parents: np.ndarray, adj: np.ndarray,
            c: int) -> Iterator[tuple]:
     """(graph, row, count) blocks of the k-sets, k one above below's size,
-    with at least c edges that grow from parents, the flat indices of
-    entries of below's (B, m) count table on a batch whose adjacency rows
-    are adj: the parent row D of graph b grown by each vertex v outside it,
-    counted e(D + v) = e(D) + |N(v) & D|, a popcount of D's mask against
-    v's row, at the row _insertion_ranks gives.  Graphs ascend.  A block
-    grows at most max(1, _BATCH_BYTES // 16n) parents, so that the words it
-    gathers from adj and their intersections with the masks take at most
-    _BATCH_BYTES.  A k-set grows from each of its parents, so it may appear
-    more than once, always with the same count."""
+    with at least c >= 1 edges (a vertex of D is zeroed, not dropped) that
+    grow from parents, the flat indices of entries of below's (B, m) count
+    table on a batch whose adjacency rows are adj: the parent row D of
+    graph b grown by each vertex v outside it, counted e(D + v) = e(D) +
+    |N(v) & D|, a popcount of D's mask against v's row, at the row
+    _insertion_ranks gives.  Graphs ascend.  A block grows at most max(1,
+    _BATCH_BYTES // 16n) parents, so that the words it gathers from adj and
+    their intersections with the masks take at most _BATCH_BYTES.  A k-set
+    grows from each of its parents, so it may appear more than once, always
+    with the same count."""
     k = below.rows.shape[1] + 1
     n = adj.shape[1]
     step = max(1, _BATCH_BYTES // (16 * n))
@@ -695,8 +692,8 @@ def _batch(samples: Iterable[GraphSample]) -> Iterator[_Batch]:
     a likelihood-ratio problem's logs, is computed once, for all of them,
     by the first call in the scope that needs it, and each call reads its
     sample's row.  Counts are exact, so every outcome is the one the call
-    gives alone.  Yields the batch, whose tables, best rows, logs and
-    adjacency rows are dropped on exit."""
+    gives alone.  Yields the batch, whose tables, best rows, logs,
+    adjacency rows and degrees are dropped on exit."""
     batch = _Batch(samples)
     token = _BATCH.set(batch)
     try:
@@ -707,6 +704,7 @@ def _batch(samples: Iterable[GraphSample]) -> Iterator[_Batch]:
         batch.records.clear()
         batch.logs.clear()
         vars(batch).pop("adjacency", None)
+        vars(batch).pop("degrees", None)
 
 
 def _batch_graphs(config: ScanConfig, n: int) -> int:
@@ -714,8 +712,8 @@ def _batch_graphs(config: ScanConfig, n: int) -> int:
     as keep within _BATCH_BYTES their count tables, at most one entry per
     subset of the family in the dtype of its largest size, their packed
     triangles, which the scope's caller holds while it lasts, 16 bytes per
-    size for a deciding known scan's best row (_Batch.best) and, where the
-    family has an extended size, their adjacency rows; at least one."""
+    size for its best row (_Batch.best) and, where the family has an
+    extended size, their adjacency rows; at least one."""
     family = config.family or Exhaustive(1, config.r)
     lo, hi = family.size_range(n)
     per_graph = (family.count(n) * _count_dtype(hi * (hi - 1) // 2).itemsize
@@ -736,9 +734,9 @@ def _batch_of(sample: GraphSample) -> tuple[_Batch, int]:
 
 
 def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
-              floor: float = 0.0) -> tuple[float, tuple[int, ...], dict | None, int]:
+              floor: float = 0.0) -> tuple[float, tuple[int, ...], dict | None]:
     """First strict maximum in plan order of the sizes' best rows on sample,
-    each size counted and scored once, among the rows that score at least
+    each size scored once (_Batch.best), among the rows that score at least
     floor; the result is the full scan's wherever that maximum reaches floor.
 
     Only a row that scores above the running best (0.0 while keeping the
@@ -750,17 +748,14 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
     its counts are read only if a size that extends from it is scored.  A
     floor above 0.0 leaves out rows the full scan scores, so where no row
     reaches it the maximum returned is a lower bound on the full scan's,
-    not the maximum itself.  With a floor, a known plan's sizes take the
-    batch's best rows at the floor's least count (_Batch.best), which
-    differ from _Size.best at low only where neither beats the running
-    best."""
+    not the maximum itself.  With a floor, every size takes the batch's
+    best rows at the floor's least count, one c for all its graphs, which
+    differ from those at the running best's only where neither beats it."""
     batch, b = _batch_of(sample)
     best_stat = -math.inf
     best_subset: tuple[int, ...] | None = None
     trace: dict[int, tuple[float, tuple[int, ...]]] = {}
-    evaluated = 0
     for j, size in enumerate(plan):
-        evaluated += len(size.rows)
         cut = 0.0 if keep_trace else max(best_stat, 0.0)
         # the first count whose bound is above cut and at least floor: a row
         # that scores exactly floor has a bound of at least floor
@@ -768,19 +763,15 @@ def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
         low = reach if floor > cut else int(np.searchsorted(size.bound, cut, "right"))
         if low >= len(size.bound):
             mx, i = 0.0, 0
-        elif floor > 0.0 and size.means is not None:
-            # the rows between reach and low score at most the running best,
-            # so the maximum over the record at reach changes no outcome
-            mx, i = batch.best(plan, j, reach, b)
         else:
-            mx, i = size.best(sample, batch.table(plan, j)[b], low)
+            mx, i = batch.best(plan, j, reach if floor > 0.0 else low, b)
         if mx > best_stat or keep_trace:
             subset = tuple(int(v) for v in size.rows[i])
             if mx > best_stat:
                 best_stat, best_subset = mx, subset
             if keep_trace:
                 trace[size.rows.shape[1]] = (mx, subset)
-    return best_stat, best_subset, (trace if keep_trace else None), evaluated
+    return best_stat, best_subset, (trace if keep_trace else None)
 
 
 def _scan(sample: GraphSample, config: ScanConfig, model: EdgeProbabilityModel | None,
@@ -805,9 +796,10 @@ def _scan(sample: GraphSample, config: ScanConfig, model: EdgeProbabilityModel |
         raise BudgetError(
             f"family enumerates {count} subsets, over the budget {config.budget}"
         )
-    stat, subset, trace, evaluated = _run_plan(_plan(family, n, model), sample, keep_trace,
-                                               threshold if decide else 0.0)
-    metadata = {"subsets_evaluated": evaluated}
+    stat, subset, trace = _run_plan(_plan(family, n, model), sample, keep_trace,
+                                    threshold if decide else 0.0)
+    # the family's count is the sum of its plan's rows
+    metadata = {"subsets_evaluated": count}
     if config.r >= n / 2:
         # the per-size normalisation ln(n/|D|) degenerates as |D| -> n;
         # results at r >= n/2 are outside the calibrated regime
@@ -900,11 +892,13 @@ def stat_unknown(sample: GraphSample, subset: Iterable[int],
     """Blind scan statistic: the known-probability form with the null mean
     replaced by its floored estimate."""
     d, n = _blind_subset(sample, subset, n)
-    rows = d[None, :]
+    counts = _edge_counts([sample], d[None, :])[0]
     floor = _blind_floor(n, d.size)
-    size = _Size(rows, None, _norm(n, d.size), floor, _NO_BOUND)
     # a count at or below the floor is cold, and needs no degree sum
-    return size.best(sample, _edge_counts([sample], rows)[0], math.floor(floor) + 1)[0]
+    if counts[0] <= floor:
+        return 0.0
+    means = _blind_means(float(sample.total_edges()), sample._degrees[d].sum(), counts, floor)
+    return float(_scores(counts, means, _norm(n, d.size))[0])
 
 
 def scan_unknown(sample: GraphSample, config: ScanConfig,

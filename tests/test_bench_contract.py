@@ -70,18 +70,31 @@ def test_traced_rounds_pass_the_benchmark_check(run, name, tmp_path, capsys):
     assert [span for span in workload.expected_spans if span not in recorded] == []
 
 
-def test_lr_oracle_matches_every_recorded_seed(run):
-    # a last-bit change in the likelihood-ratio average shows up in a
-    # 12-digit digest on some seed, not necessarily on seed 0
-    workload = run.WORKLOADS["lr_oracle"]
+def check_recorded_seeds(run, name, workdir):
+    """Every call of workload name, built in workdir on each seed recorded in
+    bench/expected.json (0 to 31), passes its check and matches its digest."""
+    workload = run.WORKLOADS[name]
     with open(run.EXPECTED_PATH, encoding="utf-8") as fh:
-        recorded = json.load(fh)["lr_oracle"]
+        recorded = json.load(fh)[name]
     assert sorted(recorded, key=int) == [str(seed) for seed in range(32)]
     for seed, expected in recorded.items():
-        built = workload.build(plantedscan, int(seed), "")
+        built = workload.build(plantedscan, int(seed), workdir)
         digests = {}
         for call in built.calls:
             result = call.run()
             assert call.check(result) == [], f"seed {seed}"
             digests[call.kind] = call.digest(result)
         assert digests == expected, f"seed {seed}"
+
+
+def test_lr_oracle_matches_every_recorded_seed(run):
+    # a last-bit change in the likelihood-ratio average shows up in a
+    # 12-digit digest on some seed, not necessarily on seed 0
+    check_recorded_seeds(run, "lr_oracle", "")
+
+
+@pytest.mark.parametrize("name", ["risk_exhaustive", "risk_explicit", "large_graph"])
+def test_scan_workloads_match_every_recorded_seed(run, name, tmp_path):
+    # a deciding or full scan path can move a statistic, a subset or a
+    # decision on some seed, not necessarily on seed 0
+    check_recorded_seeds(run, name, str(tmp_path))

@@ -682,17 +682,18 @@ class TestScanPlan:
         # every size above the first and above 2 is counted from the size
         # below; every size the scan counts must receive exactly the direct
         # counts of all its rows, whatever the rows per gather.  Each best
-        # call here returns 0.0, so the sizes left uncounted must be exactly
-        # those whose bound, and that of every size extending from them, is
-        # all zero, and the sizes scored exactly those whose own bound is not
+        # call here reads the size's table and returns 0.0, so the sizes left
+        # uncounted must be exactly those whose bound, and that of every size
+        # extending from them, is all zero, and the sizes scored exactly
+        # those whose own bound is not
         g, family, rows = case
         lo, hi = family.size_range(g.n)
         counts_of = scan_module._Size.counts
         for model in (Homogeneous(g.n, 0.3), None):
             scored, counted = [], []
 
-            def record(size, sample, counts, low=0):
-                scored.append((size, counts))
+            def record(batch, plan, j, c, b):
+                scored.append((plan[j], batch.table(plan, j)[b]))
                 return 0.0, 0
 
             def count(size, samples, below=None):
@@ -707,7 +708,7 @@ class TestScanPlan:
             assert [size.starts is not None for size in plan] == extended
             assert [size.masks is not None for size in plan] == extended[1:] + [False]
             with batch_rows(rows), \
-                    mock.patch.object(scan_module._Size, "best", record), \
+                    mock.patch.object(scan_module._Batch, "best", record), \
                     mock.patch.object(scan_module._Size, "counts", count):
                 scan_module._run_plan(plan, g, keep_trace=False)
             live = [bool(size.bound.any()) for size in plan]
@@ -751,24 +752,28 @@ class TestScanPlan:
             refs.append(first_max_reference(blind, lambda d: stat_unknown(g, d)))
         assert default == [(*best, trace, len(cands)) for (best, trace), cands
                            in zip(refs, (candidates, blind))]
-        best = scan_module._Size.best
+        best = scan_module._Batch.best
         for rows in (1, 2, 3, 7):
             scored = []
 
-            def record(size, sample, counts, low=0):
-                scored.append((size, len(counts)))
-                return best(size, sample, counts, low)
+            def record(batch, plan, j, c, b):
+                out = best(batch, plan, j, c, b)
+                scored.append((plan, j, batch.tables[id(plan)][1][j]))
+                return out
 
             scan_module._plan.cache_clear()
             try:
-                with batch_rows(rows), mock.patch.object(scan_module._Size, "best", record):
+                with batch_rows(rows), mock.patch.object(scan_module._Batch, "best", record):
                     assert outcomes() == default
             finally:
                 scan_module._plan.cache_clear()
-            # each best call scores the counts of all of one size's rows, and
-            # no size twice; there is none only where every bound table is all zero
-            assert all(length == len(size.rows) for size, length in scored)
-            assert len({id(size) for size, _ in scored}) == len(scored)
+            # each best call scores one size of a batch of one, from a table
+            # of all its rows or, the plan's last size, grown, and no size
+            # twice; there is none only where every bound table is all zero
+            assert all(table.shape == (1, len(plan[j].rows)) if table is not None
+                       else j == len(plan) - 1 and plan[j].starts is not None
+                       for plan, j, table in scored)
+            assert len({id(plan[j]) for plan, j, _ in scored}) == len(scored)
             assert scored or not any(size.bound.any() for f, m, _ in runs
                                      for size in scan_module._plan.__wrapped__(f, g.n, m))
 
@@ -889,6 +894,24 @@ class TestScanPlan:
             (1140, 1), False]
         assert peak < 2 * held
 
+    def test_scoring_holds_one_block_of_temporaries(self):
+        # half of the 319,600 pairs of one graph are hot against p = 0.01:
+        # scored whole, their kernel temporaries took about 70 bytes per hot
+        # row; in blocks of 1,024 the scan holds the table, its mask and an
+        # 8-byte index per hot row
+        n, model = 800, Homogeneous(800, 0.01)
+        g = random_graph(n, 0.5, 0)
+        cfg = ScanConfig(2, family=Exhaustive(2, 2))
+        ref = scan_known(model, g, cfg)
+        with mock.patch.object(scan_module, "_BATCH_ROWS", 1024):
+            tracemalloc.start()
+            try:
+                out = scan_known(model, g, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out == ref and peak < 16 * g.total_edges()
+
 
 def dense_best(size, sample, low=0):
     """np.argmax/max over _scores of a plan size's rows on sample, from
@@ -914,33 +937,36 @@ def popcount_path(size):
 
 def check_best_rows(model, g, family):
     """Run the known and the blind plan over family on g.  Each size the
-    scan scores, once at most, must return the dense reference: from the
-    counts and the least count the scan passes it, over the rows that reach
-    that count, and from its direct counts over all its rows; and those
-    counts must be the direct ones.  Returns per size scored (size, the
-    counts the scan passed, its direct counts, its (statistic, row) over all
-    its rows)."""
+    scan scores, once at most, must return the dense reference over the
+    rows that reach the least count the scan passes it; the size's count
+    table, where the batch builds one, must hold the direct counts; and the
+    batch's best row over all its rows with an edge (a row with none is
+    cold) must be the dense reference over all of them.  Returns per size
+    scored (size, its table's counts on g or None where it was grown, its
+    direct counts, its (statistic, row) over all its rows)."""
     calls = []
-    best = scan_module._Size.best
+    best = scan_module._Batch.best
 
-    def record(size, sample, counts, low=0):
-        out = best(size, sample, counts, low)
-        calls.append((size, low, counts, out))
+    def record(batch, plan, j, c, b):
+        out = best(batch, plan, j, c, b)
+        table = batch.tables[id(plan)][1][j]
+        calls.append((plan, j, c, None if table is None else table[b], out))
         return out
 
     for m in (model, None):
         plan = scan_module._plan.__wrapped__(family, g.n, m)
-        with mock.patch.object(scan_module._Size, "best", record):
+        with mock.patch.object(scan_module._Batch, "best", record):
             scan_module._run_plan(plan, g, keep_trace=False)
-    assert len({id(size) for size, *_ in calls}) == len(calls)
+    assert len({id(plan[j]) for plan, j, *_ in calls}) == len(calls)
     seen = []
-    for size, low, counts, (stat, row) in calls:
-        assert (stat.hex(), row) == dense_best(size, g, low)
+    for plan, j, c, counts, (stat, row) in calls:
+        size = plan[j]
+        assert (stat.hex(), row) == dense_best(size, g, c)
         ref = dense_best(size, g)
         direct = direct_counts(g, size.rows)
-        stat, row = size.best(g, direct)
+        stat, row = scan_module._Batch([g]).best(plan, j, 1, 0)
         assert (stat.hex(), row) == ref
-        assert np.array_equal(counts, direct)
+        assert counts is None or np.array_equal(counts, direct)
         seen.append((size, counts, direct, (stat, row)))
     return seen
 
@@ -1223,7 +1249,8 @@ class TestPruning:
 
     def test_live_size_counted_from_dead_ones(self):
         # at n = 20 sizes 2 and 3 are dead and size 4 is not; size 4 extends
-        # 3, which extends 2, so all three are counted but only 4 is scored
+        # 3, which extends 2, so 2 and 3 are counted but only 4 is scored,
+        # grown from the triangles of 3's table
         n = 20
         rng = np.random.default_rng(7)
         pairs = list(itertools.combinations(range(n), 2))
@@ -1235,25 +1262,31 @@ class TestPruning:
         candidates = family_candidates(Exhaustive(2, 4), n)
         ref, ref_trace = keyed_reference(g, candidates, None)
         assert ref[0] > 0.0
-        best, counts_of = scan_module._Size.best, scan_module._Size.counts
+        best, counts_of, grown_of = (scan_module._Batch.best, scan_module._Size.counts,
+                                     scan_module._grown)
         for keep_trace in (True, False):
-            scored, counted = [], []
+            scored, counted, grown = [], [], []
 
-            def record_best(size, *args):
-                scored.append(size.rows.shape[1])
-                return best(size, *args)
+            def record_best(batch, plan, j, *args):
+                scored.append(plan[j].rows.shape[1])
+                return best(batch, plan, j, *args)
 
             def record_counts(size, *args):
                 counted.append(size.rows.shape[1])
                 return counts_of(size, *args)
 
-            with mock.patch.object(scan_module._Size, "best", record_best), \
-                    mock.patch.object(scan_module._Size, "counts", record_counts):
+            def record_grown(below, *args):
+                grown.append(below.rows.shape[1] + 1)
+                return grown_of(below, *args)
+
+            with mock.patch.object(scan_module._Batch, "best", record_best), \
+                    mock.patch.object(scan_module._Size, "counts", record_counts), \
+                    mock.patch.object(scan_module, "_grown", record_grown):
                 out = scan_unknown(g, ScanConfig(r=4), keep_trace=keep_trace)
             assert (out.statistic, out.subset) == ref
             assert out.size_trace == (ref_trace if keep_trace else None)
             assert out.metadata["subsets_evaluated"] == len(candidates)
-            assert counted == [2, 3, 4] and set(scored) == {4}
+            assert counted == [2, 3] and scored == grown == [4]
 
 
 def naive_counts(g, rows):
@@ -1493,13 +1526,11 @@ class TestDecide:
             # the tie: a floor at the exact maximum keeps the full outcome,
             # and one an ulp above it leaves a lower bound below the floor
             plan = scan_module._plan(sizes, g.n, m)
-            stat, subset, _, evaluated = scan_module._run_plan(plan, g, False)
+            stat, subset, _ = scan_module._run_plan(plan, g, False)
             if stat > 0.0:
-                assert scan_module._run_plan(plan, g, False, stat) == (
-                    stat, subset, None, evaluated)
+                assert scan_module._run_plan(plan, g, False, stat) == (stat, subset, None)
                 above = np.nextafter(stat, np.inf)
-                low, _, _, count = scan_module._run_plan(plan, g, False, above)
-                assert low < above and count == evaluated
+                assert scan_module._run_plan(plan, g, False, above)[0] < above
 
     def test_a_row_scoring_exactly_its_bound_reaches_an_equal_floor(self):
         # the plan's tables carry a 1e-9 margin, so no row scores exactly its
@@ -1512,7 +1543,7 @@ class TestDecide:
         table = np.where(np.arange(math.comb(len(row), 2) + 1) >= count, stat, 0.0)
         plan = (dataclasses.replace(size, bound=table),)
         assert stat > 0.0
-        assert scan_module._run_plan(plan, g, False, stat) == (stat, row, None, 1)
+        assert scan_module._run_plan(plan, g, False, stat) == (stat, row, None)
         assert scan_module._run_plan(plan, g, False, np.nextafter(stat, np.inf))[0] == 0.0
 
     def test_examples_cover_both_decisions(self):
@@ -1562,14 +1593,15 @@ def table_bytes(scope):
     adjacency = vars(scope).get("adjacency")
     return (sum(table.nbytes for _, tables in scope.tables.values()
                 for table in tables if table is not None)
-            + sum(a.nbytes for record in scope.records.values() for a in record)
+            + sum(a.nbytes for _, *record in scope.records.values() for a in record)
             + getattr(adjacency, "nbytes", 0))
 
 
 def dropped(scope):
-    """Whether a batch scope holds no count table, no best rows and no
-    adjacency rows."""
-    return not scope.tables and not scope.records and "adjacency" not in vars(scope)
+    """Whether a batch scope holds no count table, no best rows, no
+    adjacency rows and no degrees."""
+    return not scope.tables and not scope.records and not {"adjacency", "degrees"} & set(
+        vars(scope))
 
 
 class TestBatchScope:
@@ -1585,6 +1617,10 @@ class TestBatchScope:
     @example((DECIDE_EXAMPLES["weight_prefix"][0],
               [planted_graph(20, 0.1, range(6), seed) for seed in range(3)],
               WeightPrefix(1, 8), 0.2, 40_000))
+    # two full scans in one scope score a size at different least counts:
+    # the scope keeps one best-row record per size, as it is sized for
+    @example((Homogeneous(4, 0.33), [graph_from_edges(4, [(2, 3)]), graph_from_edges(4, [])],
+              Exhaustive(2, 3), 0.05, 150))
     def test_outcomes_are_the_standalone_scans(self, case):
         model, graphs, family, epsilon, cap = case
         n = graphs[0].n
@@ -1671,6 +1707,33 @@ class TestBatchScope:
         for g, before in zip(graphs, attributes):
             assert set(vars(g)) - before <= {"_degrees", "_edge_total"}
 
+    def test_a_blind_deciding_scope_scores_each_size_once(self):
+        # 8- and 9-subsets of n = 30, both sizes able to reach 1 + eps/3:
+        # each is scored for the whole scope in one block, its degree sums
+        # gathered from the scope's degree stack
+        rng = np.random.default_rng(4)
+        family = Explicit(tuple(range(k)) for k in (8, 9))
+        family = Explicit(family.subsets + tuple(
+            tuple(int(v) for v in rng.choice(30, size=k, replace=False))
+            for k in (8, 9) for _ in range(40)))
+        graphs = [planted_graph(30, 0.1, range(9), seed) for seed in range(3)] + [
+            random_graph(30, 0.1, 3)]
+        cfg = ScanConfig(9, 0.2, family)
+        alone = [scan_unknown(g, cfg, decide=True) for g in graphs]
+        assert {out.reject for out in alone} == {True, False}
+        scored = []
+
+        def scores(counts, means, norm):
+            scored.append(len(counts))
+            return _scores(counts, means, norm)
+
+        with mock.patch.object(scan_module, "_scores", scores), \
+                scan_module._batch(graphs) as scope:
+            assert [scan_unknown(g, cfg, decide=True) for g in graphs] == alone
+            assert sorted(j for _, j in scope.records) == [0, 1]
+            assert vars(scope)["degrees"][0].shape == (4, 30)
+        assert len(scored) == 2 and dropped(scope)
+
     def test_tables_are_dropped_when_a_scan_raises(self):
         model, g, family, eps = DECIDE_EXAMPLES["small"]
         graphs = [g, planted_graph(12, 0.3, range(6), 1)]
@@ -1745,8 +1808,8 @@ def grown_cases(draw):
 
 @contextlib.contextmanager
 def scoring_blocks(block, n):
-    """Scoring passes whose blocks hold at most block hot rows of a table
-    (or one graph's) and grow at most block parents; the defaults for None."""
+    """Scoring passes whose blocks hold at most block hot rows of a table and
+    grow at most block parents; the defaults for None."""
     if block is None:
         yield
         return
@@ -1850,7 +1913,7 @@ class TestGrownSizes:
                     scan_module._batch(graphs) as scope:
                 outs = [scan_known(model, g, cfg, decide=True) for g in graphs]
                 # the plan's last size is scored, grown or not
-                assert len(plan) - 1 in {j for _, j, _ in scope.records}, name
+                assert len(plan) - 1 in {j for _, j in scope.records}, name
             assert calls == {"one_word": [1], "two_words": [2], "past_the_limit": [],
                              "tie": [1], "tie_across_blocks": [1], "over_the_cutoff": []}[name]
             if name == "over_the_cutoff":
@@ -1870,9 +1933,9 @@ class TestGrownSizes:
                 assert {out.reject for out in outs} == {True, False}, name
 
     def test_blocks_hold_what_they_are_sized_for(self):
-        # a table's hot rows in blocks of at most _BATCH_ROWS or one graph's,
-        # a grown size in blocks of at most _BATCH_BYTES // 16n parents,
-        # graphs ascending within and across blocks
+        # a table's hot rows in blocks of at most _BATCH_ROWS, a graph's split
+        # across blocks where it has more, a grown size in blocks of at most
+        # _BATCH_BYTES // 16n parents, graphs ascending within and across blocks
         model, graphs, family, eps, _ = GROWN_EXAMPLES["one_word"]
         cfg = ScanConfig(4, eps, family)
         alone = [scan_known(model, g, cfg, decide=True) for g in graphs]
@@ -1896,7 +1959,7 @@ class TestGrownSizes:
         assert max(np.count_nonzero(hot, axis=1).max() for hot, _ in read) > 10
         assert len(read) > 1
         for hot, (graph, rows, _) in read:
-            assert graph.size <= 10 or len(set(graph.tolist())) == 1
+            assert graph.size <= 10
             assert np.all(np.diff(graph) >= 0) and np.all(hot[graph, rows])
         parents, blocks = grown[0], grown[1:]
         assert 1 < len(blocks) <= -(-parents // 10)
@@ -1922,7 +1985,7 @@ class TestGrownSizes:
             for g in graphs:
                 scan_known(model, g, cfg, decide=True)
             # each graph's best row of each scored size, and no more
-            assert sorted(j for _, j, _ in scope.records) == [2, 3]
+            assert sorted(j for _, j in scope.records) == [2, 3]
             assert table_bytes(scope) == sum(t.nbytes for t in scope.tables[id(
                 scan_module._plan(family, 40, model))][1] if t is not None) + 2 * 16 * 4 + vars(
                 scope)["adjacency"].nbytes
@@ -1930,12 +1993,51 @@ class TestGrownSizes:
         # base of 3, whose table is the base of the grown size 4
         assert counted == [2, 3] and len(scored) == 2
         assert dropped(scope)
-        # a full scan in the scope counts size 4 as before
+        # a full scan in the scope grows size 4 too, and builds no table for it
+        grown_of, grown = scan_module._grown, []
+
+        def grow(below, *args):
+            grown.append(below.rows.shape[1] + 1)
+            return grown_of(below, *args)
+
         with mock.patch.object(scan_module._Size, "counts", count), \
-                scan_module._batch(graphs):
+                mock.patch.object(scan_module, "_grown", grow), \
+                scan_module._batch(graphs) as scope:
             counted.clear()
             scan_known(model, graphs[0], cfg)
-        assert counted == [2, 3, 4]
+            assert scope.tables[id(scan_module._plan(family, 40, model))][1][3] is None
+        assert counted == [2, 3] and grown == [4]
+
+    def test_a_full_scan_grows_its_largest_size(self):
+        # outside a scope a full scan is a batch of one: its largest size is
+        # grown from the rows of the size below that can beat its running
+        # best, and no table is built for it, unless those rows grow more
+        # candidates than the cutoff allows (one null graph of one_word)
+        counts_of, grown_of, counted, grown = scan_module._Size.counts, scan_module._grown, [], []
+
+        def count(size, samples, below=None):
+            counted.append(size.rows.shape[1])
+            return counts_of(size, samples, below)
+
+        def grow(below, *args):
+            grown.append(below.rows.shape[1] + 1)
+            return grown_of(below, *args)
+
+        for name in ("one_word", "two_words", "tie"):
+            model, graphs, family, _, _ = GROWN_EXAMPLES[name]
+            ways = []
+            for g in graphs:
+                r = family.size_range(g.n)[1]
+                counted[:], grown[:] = [], []
+                with mock.patch.object(scan_module._Size, "counts", count), \
+                        mock.patch.object(scan_module, "_grown", grow):
+                    out = scan_known(model, g, ScanConfig(r, family=family))
+                ways.append("grown" if grown == [r] and r not in counted else
+                            "counted" if not grown and r in counted else None)
+                stat, subset = hot_reference(model, g, family, 0.0)
+                assert (out.statistic.hex(), out.subset) == (stat.hex(), subset), name
+            assert ways == {"one_word": ["grown", "counted", "grown", "grown"]}.get(
+                name, ["grown"] * len(graphs)), name
 
     def test_a_batch_scope_is_sized_by_what_it_holds(self):
         # count tables, packed triangles, 16 bytes of best row per size, and
