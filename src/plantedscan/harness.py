@@ -235,7 +235,7 @@ def _make_decider(config: ExperimentConfig) -> tuple[Callable[[GraphSample], boo
         return ((lambda g: likelihood_ratio_average(problem, g).log_value > 0.0),
                 _block_graphs(math.comb(config.r, 2), config.model.n))
     scan_cfg = ScanConfig(config.r, config.epsilon, config.family, config.budget)
-    graphs = _batch_graphs(scan_cfg, config.model.n)
+    graphs = _batch_graphs(scan_cfg, config.model.n, config.test == "scan_unknown")
     if config.test == "scan_known":
         return (lambda g: scan_known(config.model, g, scan_cfg, decide=True).reject), graphs
     return (lambda g: scan_unknown(g, scan_cfg, decide=True).reject), graphs

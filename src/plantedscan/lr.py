@@ -63,8 +63,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetError, NumericError, ValidationError
-from .model import (EdgeProbabilityModel, GraphSample, _combination_tables, _number, _pair_index,
-                    check_subset, sample_null)
+from .model import (EdgeProbabilityModel, GraphSample, _combination_tables, _count_dtype, _number,
+                    _pair_index, check_subset, sample_null)
 from .scan import _BATCH_BYTES, _batch, _batch_of
 from .seeding import _stream, derive_seed, generator
 
@@ -272,10 +272,10 @@ def _log_terms(tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> _LogTerms:
 
 def _block_graphs(k: int, n: int) -> int:
     """The graphs one gather serves for communities of k pairs on n
-    vertices: the lanes of np.min_scalar_type(k) one 64-bit word holds (8
-    up to k = 255, 4 up to 65535), halved until the lanes of all n(n-1)/2
-    pairs take at most _BATCH_BYTES, down to one."""
-    lane = np.min_scalar_type(k).itemsize
+    vertices: the lanes of _count_dtype(k) one 64-bit word holds (8 up to
+    k = 255, 4 up to 65535), halved until the lanes of all n(n-1)/2 pairs
+    take at most _BATCH_BYTES, down to one."""
+    lane = _count_dtype(k).itemsize
     fit = min(8 // lane, max(1, _BATCH_BYTES // (lane * (n * (n - 1) // 2))))
     return 1 << (fit.bit_length() - 1)
 
@@ -311,7 +311,7 @@ def _log_ratios(terms: _LogTerms, samples: Sequence[GraphSample]) -> _Logs:
     n, evaluated _block_graphs graphs per gather (fewer for fewer
     samples)."""
     k, m = terms.pairs.shape
-    lane = np.min_scalar_type(k)
+    lane = _count_dtype(k)
     block = min(_block_graphs(k, samples[0].n), 1 << (len(samples) - 1).bit_length())
     word = np.dtype(f"u{lane.itemsize * block}")
     entries = terms.table.size
@@ -353,10 +353,7 @@ def _scoped_logs(terms: _LogTerms, sample: GraphSample) -> _Logs:
     evaluates and the scope holds until it closes; a sample outside any
     scope is a block of one."""
     batch, b = _batch_of(sample)
-    held = batch.logs.get(id(terms))
-    if held is None:
-        held = batch.logs[id(terms)] = terms, _log_ratios(terms, batch.samples)
-    logs = held[1]
+    logs = batch.memo(terms, None, lambda: _log_ratios(terms, batch.samples))
     return _Logs(logs.counted[b], logs.sums[b], logs.peak[b])
 
 

@@ -18,44 +18,42 @@ validated rows (lexicographic), their null means (known-probability scans
 only), the normaliser |D| ln(n/|D|) and the blind floor.  A plan is built
 on first use for its (family, n, model) and reused by later scans while it
 is among the few most recent; models and families are immutable, so a
-cached plan cannot go stale.  Per graph, the scan takes each size once.
-Counts come from a batch of B graphs (_Batch), one (B, m) table per plan
-size, each computed on first use: a scan alone is a batch of one, and
-inside a batch scope (_batch, which estimate_risk opens over the graphs it
-has sampled) the first scan that needs a size counts it for every graph of
-the scope, and the others read their rows.  A scope is sized by
-_batch_graphs to hold at most _BATCH_BYTES, and drops what it holds when it
-closes.  An exhaustive size above the plan's first and above 2 is counted
-from the size below's table, one popcount of each head's adjacency rows,
-which the batch stacks the first time such a size needs them, against each
-extended subset's vertex mask.  Every other size counts its rows' pairs
-directly (_edge_counts), each block of pair positions computed once for the
-whole batch.  A size-k count is held in the narrowest unsigned dtype that holds
-C(k, 2) (uint8 up to k = 23, uint16 up to k = 362): an extended size adds
-in its own dtype, and the blind cross count widens to int64 before its
-arithmetic.  A row whose count exceeds a positive mean is hot and scores its
-kernel value, which is positive; every other row scores 0.0.  At a fixed
-count the statistic falls as the mean rises, so each plan size holds a
-bound table: for each count c = 0..C(k, 2), the score of c at the size's
-least positive null mean or, blind, at the floor, which no blind mean is
-below, made nondecreasing in c and raised by a relative 1e-9.  No row with
-count c scores above bound[c].  Every size, known or blind, of a full,
-traced or deciding scan, is scored by its batch (_Batch.best): for a least
-count c, each graph's first maximum over its rows whose count reaches c,
-ties to the smallest row, (0.0, 0) when none is hot, found for every graph
-of the batch at once, its hot rows scored a block at a time, each block in
-one _scores call, blind means estimated for those rows only from the
-batch's degree stack and edge totals.  A scan takes c at its table's first
-entry above the running best (at least 0.0).  A size whose table stays at
-or below the best is not scored, and its counts are not read unless a size
-that extends from it is scored (in a batch scope another graph's scan may
-still have needed the table); at n = 40 the blind floor exceeds C(k, 2)
-for every k <= 5, so a default blind scan with r <= 5 counts nothing.  The
-rows left out cannot beat the best, so the first strict maximum in plan
-order still wins, which breaks ties toward the smaller subset, then the
-lexicographically smallest vertex tuple.  A scan that only decides
-(decide=True) takes c at the table's first entry that reaches the
-threshold, one c per size for the whole batch, and a size is counted only
+cached plan cannot go stale.  A scan reads its graph's outcome from one
+pass of its plan (_pass) over a batch of B graphs: itself alone, or the
+graphs of the enclosing batch scope (_batch, which estimate_risk opens over
+the graphs it has sampled, sized by _batch_graphs to hold at most
+_BATCH_BYTES), whose first scan for that plan, floor and trace runs it for
+all of them.  The pass takes each size once for all B graphs, into a
+(B, m) count table that lives until it ends.  An exhaustive size above the
+plan's first and above 2 is counted from the size below's table, one
+popcount of each head's adjacency rows, which the batch stacks the first
+time such a size needs them, against each extended subset's vertex mask.
+Every other size counts its rows' pairs directly (_edge_counts), each
+block of pair positions computed once for the whole batch.  A size-k count
+is held in the narrowest unsigned dtype that holds C(k, 2) (uint8 up to
+k = 23, uint16 up to k = 362): an extended size adds in its own dtype, and
+the blind cross count widens to int64 before its arithmetic.  A row whose
+count exceeds a positive mean is hot and scores its kernel value, which is
+positive; every other row scores 0.0.  At a fixed count the statistic
+falls as the mean rises, so each plan size holds a bound table: for each
+count c = 0..C(k, 2), the score of c at the size's least positive null
+mean or, blind, at the floor, which no blind mean is below, made
+nondecreasing in c and raised by a relative 1e-9.  No row with count c
+scores above bound[c].  Every size of every scan is scored by one
+_Batch.best call per pass: each graph b's first maximum over its rows whose
+count reaches its least count c[b], ties to the smallest row, (0.0, 0) when
+none is hot, its hot rows scored a block at a time, each block in one
+_scores call, blind means estimated for those rows only from the batch's
+degree stack and edge totals.  Graph b takes c[b] at its table's first
+entry above its running best (at least 0.0).  A size whose table stays at
+or below every graph's best is not scored, and its counts are not read
+unless a size that extends from it is scored; at n = 40 the blind floor
+exceeds C(k, 2) for every k <= 5, so a default blind scan with r <= 5
+counts nothing.  The rows left out cannot beat the best, so the first
+strict maximum in plan order still wins, which breaks ties toward the
+smaller subset, then the lexicographically smallest vertex tuple.  A scan
+that only decides (decide=True) takes c at the table's first entry that
+reaches the threshold, one c for every graph, and a size is counted only
 if its table, or that of a size extending from it, reaches it.  Every row
 that reaches the threshold is still scored, so wherever the full scan
 rejects the outcome is the same; elsewhere the statistic is a lower bound.
@@ -115,21 +113,20 @@ DEFAULT_SUBSET_BUDGET = 5_000_000
 # vertex mask per row of an exhaustive size that a larger one extends, plus
 # a bound table of C(k, 2) + 1 floats per size (one float where that would
 # outnumber the size's k m vertex entries).  A batch holds besides, per
-# graph, one count per row of each size counted, 1 byte for k <= 23 and 2
-# for k <= 362, n^2/8 bytes of adjacency rows once an extended size is
-# counted or grown, 8n bytes of degree stack once a blind size is scored,
-# and 16 bytes of best row per size scored: a scan alone until it returns,
-# a batch scope about _BATCH_BYTES until it closes.  Its scoring passes hold
-# besides a table's bool mask and an 8-byte index per entry that reaches
-# c, and a block at a time (_hot_rows, _grown)
+# graph, n^2/8 bytes of adjacency rows once an extended size is counted or
+# grown, 8n bytes of degree stack once a blind size is scored, and 16 bytes
+# per size of each pass's result, until its scope closes.  A pass holds,
+# per graph, one count per row of each size counted (1 byte for k <= 23, 2
+# for k <= 362) until it ends, and a table's bool mask and an 8-byte index
+# per entry that reaches c, a block at a time (_hot_rows, _grown)
 _PLAN_CACHE_SIZE = 2
 
-# the bytes of count tables, packed triangles and adjacency rows a batch
-# scope is sized to hold.  Known scans of RankOne(40) null graphs at r = 4, deciding
-# at eps = 0.2 (about 102 kB of tables per graph), took 0.36 ms per graph
-# unbatched and 0.29/0.24/0.21/0.21/0.20/0.20/0.20/0.23 ms at B = 2, 5, 10,
-# 15, 20, 30, 50 and 100 (timed in-process, 400 graphs): past about 2 MB
-# the tables outgrow the cache and the gain stops
+# the bytes a batch scope is sized to hold (_batch_graphs).  Known scans
+# of RankOne(40) null graphs at r = 4, deciding at eps = 0.2 (about 102 kB
+# of tables per graph), took 0.36 ms per graph unbatched and
+# 0.29/0.24/0.21/0.21/0.20/0.20/0.20/0.23 ms at B = 2, 5, 10, 15, 20, 30,
+# 50 and 100 (timed in-process, 400 graphs): past about 2 MB the tables
+# outgrow the cache and the gain stops
 _BATCH_BYTES = 2 << 20
 
 
@@ -364,6 +361,11 @@ def min_blind_size(r: int) -> int:
     integer in floating point (e.g. 27**(1/3) == 3.0000000000000004)."""
     if r < 1:
         raise ValidationError(f"r must be >= 1, got {r}")
+    return _blind_min_size(r)
+
+
+def _blind_min_size(r: int) -> int:
+    """min_blind_size of an r already checked (a ScanConfig's)."""
     return max(1, math.ceil(r ** (1.0 / 3.0) - 1e-9))
 
 
@@ -380,11 +382,10 @@ class _Size:
 
     In an exhaustive plan each size above the first and above 2 extends
     the one below: its rows headed by vertex a are a followed by the rows of
-    the size below from starts[a] on.  A scan then counts them from that
+    the size below from starts[a] on.  A pass then counts them from that
     size's counts, e(a + D) = e(D) + |N(a) & D| with D's vertex mask, or,
     scoring the plan's largest size, grows the rows that can beat its cut
-    from that size's (_grown).  Any other size is counted pair
-    by pair (_edge_counts).
+    from that size's (_grown).  Any other size is counted pair by pair.
 
     bound is nondecreasing, and on every graph no row whose count is c
     scores above bound[min(c, len(bound) - 1)] (see _bound).
@@ -531,26 +532,16 @@ def stat_known(model: EdgeProbabilityModel, sample: GraphSample,
 
 
 class _Batch:
-    """Samples on one n whose scans share what is counted for them: for each
-    plan, keyed by its id, the (B, m) count table of each plan size
-    (_Size.counts), computed on first use, the size below first where size
-    j extends it; the samples' adjacency rows (_adjacency_stack), built the
-    first time an extended size is counted or grown; their degrees and edge
-    totals (degrees), built the first time a blind size is scored; for each
-    plan size, each graph's best row among the rows whose count reaches the
-    least count c last asked for (best); and, keyed by the id of a
-    likelihood-ratio problem's terms, the samples' log L_C as lr._Logs
-    (lr._scoped_logs): per graph, the counted communities' histogram over
-    the table's entries (or each one's table index), each summed
-    community's log and the largest log.  The batch holds each plan and
-    terms it keys, so no id is reused while it lives."""
+    """Samples on one n whose scans and likelihood ratios share their
+    adjacency rows (_adjacency_stack) and degrees, each built on first use,
+    and one memo of results keyed by the id of their owner: each pass of a
+    plan (_pass) and the logs of a likelihood-ratio problem's terms.  The
+    batch holds each owner, so no id is reused while it lives."""
 
     def __init__(self, samples: Iterable[GraphSample]) -> None:
         self.samples = list(samples)
         self.row = {sample: b for b, sample in enumerate(self.samples)}
-        self.tables: dict[int, tuple[tuple[_Size, ...], list]] = {}
-        self.records: dict[tuple[int, int], tuple[int, np.ndarray, np.ndarray]] = {}
-        self.logs: dict[int, tuple[object, tuple[np.ndarray, ...]]] = {}
+        self.results: dict[tuple, tuple[object, object]] = {}
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -562,86 +553,78 @@ class _Batch:
         return (np.stack([sample._degrees for sample in self.samples]),
                 np.array([float(sample.total_edges()) for sample in self.samples]))
 
-    def table(self, plan: tuple[_Size, ...], j: int) -> np.ndarray:
-        tables = self.tables.setdefault(id(plan), (plan, [None] * len(plan)))[1]
-        if tables[j] is None:
-            size = plan[j]
-            below = None if size.starts is None else (
-                self.table(plan, j - 1), plan[j - 1].masks, self.adjacency)
-            tables[j] = size.counts(self.samples, below)
-        return tables[j]
+    def memo(self, owner: object, key: object, compute):
+        """compute(), computed by the first call for (owner, key) and held,
+        with owner, until the batch scope closes."""
+        held = self.results.get((id(owner), key))
+        if held is None:
+            held = self.results[id(owner), key] = owner, compute()
+        return held[1]
 
-    def best(self, plan: tuple[_Size, ...], j: int, c: int, b: int) -> tuple[float, int]:
-        """The first maximum of the statistic of plan size j on graph b over
-        the rows whose count is at least c, ties to the smallest row index,
-        and its row; (0.0, 0) when none of them is hot.  Rows score _scores
-        against their null means or, blind, against _blind_means, with the
-        degree sums gathered for those rows only.  The first call for (plan,
-        j, c) scores the hot blocks of the whole batch (hot) and keeps every
-        graph's, one record per size: later calls at c read it, one at
-        another c (a full scan's follows its running best) replaces it."""
-        key = (id(plan), j)
-        if self.records.get(key, (None,))[0] != c:
-            size = plan[j]
-            stats = np.zeros(len(self.samples))
-            rows = np.zeros(len(self.samples), dtype=np.int64)
-            for graph, row, counts in self.hot(plan, j, c):
-                if size.means is None:
-                    degrees, totals = self.degrees
-                    sums = degrees[graph[:, None], size.rows[row]].sum(axis=1)
-                    means = _blind_means(totals[graph], sums, counts, size.floor)
-                else:
-                    means = size.means[row]
-                # a hot row's count / mean - 1 is at least one ulp of 1.0 (its
-                # count is an integer), so it scores above the 0.0 of every cold row
-                _fold(stats, rows, graph, row, _scores(counts, means, size.norm))
-            self.records[key] = c, stats, rows
-        _, stats, rows = self.records[key]
-        return float(stats[b]), int(rows[b])
+    def best(self, plan: tuple[_Size, ...], j: int, c: np.ndarray,
+             table) -> tuple[np.ndarray, np.ndarray]:
+        """Each graph b's first maximum of the statistic of plan size j over
+        the rows whose count is at least c[b], ties to the smallest row, and
+        its row, (0.0, 0) where none is hot, table(i) being the (B, m) count
+        table of plan size i: _scores against null means or, blind,
+        _blind_means, a block of hot rows (hot) at a time."""
+        size = plan[j]
+        stats = np.zeros(len(self.samples))
+        rows = np.zeros(len(self.samples), dtype=np.int64)
+        for graph, row, counts in self.hot(plan, j, c, table):
+            if size.means is None:
+                degrees, totals = self.degrees
+                sums = degrees[graph[:, None], size.rows[row]].sum(axis=1)
+                means = _blind_means(totals[graph], sums, counts, size.floor)
+            else:
+                means = size.means[row]
+            # a hot row's count / mean - 1 is at least one ulp of 1.0 (its
+            # count is an integer), so it scores above the 0.0 of every cold row
+            _fold(stats, rows, graph, row, _scores(counts, means, size.norm))
+        return stats, rows
 
-    def hot(self, plan: tuple[_Size, ...], j: int, c: int) -> Iterator[tuple]:
+    def hot(self, plan: tuple[_Size, ...], j: int, c: np.ndarray, table) -> Iterator[tuple]:
         """(graph, row, count) blocks of the rows of plan size j whose count
-        reaches c on each graph of the batch, graphs ascending.  The plan's
-        last size k, where it extends the size below, is grown (_grown)
-        where its candidates number at most 2^(1-k) of its table's entries:
-        a k-set with e edges has a vertex of internal degree at most
-        floor(2e/k) (the peeling step of greedy densest subgraph), so each
-        of its rows that reaches c is a row of the size below with at least
-        c - floor(2c/k) edges plus one vertex.  Any other size is read from
-        its table (_hot_rows).  Growing beat counting the table up to about
-        0.3-0.6 of the entries at k = 3, 0.2-0.3 at k = 4, 0.07-0.15 at
-        k = 5 and 0.1 at k = 6 (n = 20-100, dense graphs against sparse
-        means), the more hot rows a candidate yields the less."""
+        reaches c[b] on each graph b of the batch, graphs ascending.  The
+        plan's last size k, where it extends the size below, is grown
+        (_grown) where its candidates number at most 2^(1-k) of its table's
+        entries: each of its rows that reaches c[b] is a row of the size
+        below with at least c[b] - floor(2c[b]/k) edges plus one vertex.
+        Growing beat counting the table up to about 0.3-0.6 of the entries
+        at k = 3, 0.2-0.3 at k = 4 and 0.07-0.15 at k = 5 and 6 (n = 20-100,
+        dense graphs against sparse means).  Any other size is read from its
+        table (_hot_rows)."""
         size = plan[j]
         if j == len(plan) - 1 and size.starts is not None:
             k = size.rows.shape[1]
-            table = self.table(plan, j - 1)
-            light = table >= c - 2 * c // k
-            if np.count_nonzero(light) * self.samples[0].n << (k - 1) <= table.shape[0] * len(
+            below = table(j - 1)
+            light = below >= (c - 2 * c // k).astype(below.dtype)[:, None]
+            if np.count_nonzero(light) * self.samples[0].n << (k - 1) <= below.shape[0] * len(
                     size.rows):
-                return _grown(plan[j - 1], table, np.flatnonzero(light), self.adjacency, c)
-        return _hot_rows(self.table(plan, j), c)
+                return _grown(plan[j - 1], below, np.flatnonzero(light), self.adjacency, c)
+        return _hot_rows(table(j), c)
 
 
-def _hot_rows(table: np.ndarray, c: int) -> Iterator[tuple]:
+def _hot_rows(table: np.ndarray, c: np.ndarray) -> Iterator[tuple]:
     """(graph, row, count) of the entries of a (B, m) count table that reach
-    c, graphs ascending and rows ascending within a graph, in blocks of at
-    most _BATCH_ROWS entries, so that a scoring pass holds the temporaries
-    of one block, however many rows one graph has hot."""
-    flat = np.flatnonzero(table >= c)
+    c[b] on graph b, graphs ascending and rows ascending within a graph, in
+    blocks of at most _BATCH_ROWS entries, so that a scoring pass holds the
+    temporaries of one block, however many rows one graph has hot."""
+    # c in the table's dtype, which holds C(k, 2) + 1: against int64 ten times slower
+    flat = np.flatnonzero(table >= c.astype(table.dtype)[:, None])
     for s in range(0, flat.size, _BATCH_ROWS):
         graph, rows = np.divmod(flat[s : s + _BATCH_ROWS], table.shape[1])
         yield graph, rows, table.reshape(-1)[flat[s : s + _BATCH_ROWS]]
 
 
 def _grown(below: _Size, table: np.ndarray, parents: np.ndarray, adj: np.ndarray,
-           c: int) -> Iterator[tuple]:
+           c: np.ndarray) -> Iterator[tuple]:
     """(graph, row, count) blocks of the k-sets, k one above below's size,
-    with at least c >= 1 edges (a vertex of D is zeroed, not dropped) that
-    grow from parents, the flat indices of entries of below's (B, m) count
-    table on a batch whose adjacency rows are adj: the parent row D of
-    graph b grown by each vertex v outside it, counted e(D + v) = e(D) +
-    |N(v) & D|, a popcount of D's mask against v's row, at the row
+    with at least c[b] >= 1 edges on graph b (a vertex of D is zeroed, not
+    dropped) that grow from parents, the flat indices of entries of below's
+    (B, m) count table on a batch whose adjacency rows are adj: the parent
+    row D of graph b grown by each vertex v outside it, counted e(D + v) =
+    e(D) + |N(v) & D|, a popcount of D's mask against v's row, at the row
     _insertion_ranks gives.  Graphs ascend.  A block grows at most max(1,
     _BATCH_BYTES // 16n) parents, so that the words it gathers from adj and
     their intersections with the masks take at most _BATCH_BYTES.  A k-set
@@ -660,7 +643,7 @@ def _grown(below: _Size, table: np.ndarray, parents: np.ndarray, adj: np.ndarray
             counts += np.bitwise_count(masks[:, w, None] & adj[graph, :, w])
         rows = below.rows[parent]
         counts[np.arange(len(rows))[:, None], rows] = 0  # v in D: not a k-set
-        flat = np.flatnonzero(counts >= c)
+        flat = np.flatnonzero(counts >= c[graph].astype(counts.dtype)[:, None])
         if flat.size:
             at, v = np.divmod(flat, n)
             yield graph[at], _insertion_ranks(n, rows[at], v), counts.reshape(-1)[flat]
@@ -688,38 +671,42 @@ _BATCH: ContextVar[_Batch | None] = ContextVar("_BATCH", default=None)
 @contextmanager
 def _batch(samples: Iterable[GraphSample]) -> Iterator[_Batch]:
     """A scope in which the scans and likelihood ratios of a sample in
-    samples, graphs on one n, share one _Batch: each plan size's table, or
-    a likelihood-ratio problem's logs, is computed once, for all of them,
-    by the first call in the scope that needs it, and each call reads its
-    sample's row.  Counts are exact, so every outcome is the one the call
-    gives alone.  Yields the batch, whose tables, best rows, logs,
-    adjacency rows and degrees are dropped on exit."""
+    samples, graphs on one n, share one _Batch: each result is computed for
+    all of them by the first call that needs it, and each call reads its
+    sample's row, the outcome it gives alone.  Yields the batch, whose
+    results, adjacency rows and degrees are dropped on exit."""
     batch = _Batch(samples)
     token = _BATCH.set(batch)
     try:
         yield batch
     finally:
         _BATCH.reset(token)
-        batch.tables.clear()
-        batch.records.clear()
-        batch.logs.clear()
+        batch.results.clear()
         vars(batch).pop("adjacency", None)
         vars(batch).pop("degrees", None)
 
 
-def _batch_graphs(config: ScanConfig, n: int) -> int:
-    """The graphs per batch scope for scans by config on n vertices: as many
-    as keep within _BATCH_BYTES their count tables, at most one entry per
-    subset of the family in the dtype of its largest size, their packed
-    triangles, which the scope's caller holds while it lasts, 16 bytes per
-    size for its best row (_Batch.best) and, where the family has an
-    extended size, their adjacency rows; at least one."""
-    family = config.family or Exhaustive(1, config.r)
+def _scan_family(config: ScanConfig, blind: bool) -> SubsetFamily:
+    """The family a scan by config maximises over: config's, by default
+    every subset of sizes [1, r] or, blind, [ceil(r^(1/3)), r]."""
+    return config.family or Exhaustive(_blind_min_size(config.r) if blind else 1, config.r)
+
+
+def _batch_graphs(config: ScanConfig, n: int, blind: bool) -> int:
+    """The graphs per batch scope for known (or blind) scans by config on n
+    vertices, at least one: as many as keep within _BATCH_BYTES their count
+    tables (one entry per subset of the family, in its largest size's
+    dtype), their packed triangles, which the scope's caller holds, 16
+    bytes per size of pass result (_pass), their adjacency rows where the
+    family has an extended size and, blind, their degrees."""
+    family = _scan_family(config, blind)
     lo, hi = family.size_range(n)
     per_graph = (family.count(n) * _count_dtype(hi * (hi - 1) // 2).itemsize
                  + (n * (n - 1) // 2 + 7) // 8 + 16 * (hi - lo + 1))
     if family._extended_sizes(n):
         per_graph += 8 * n * -(-n // 64)
+    if blind:
+        per_graph += 8 * n
     return max(1, _BATCH_BYTES // per_graph)
 
 
@@ -733,61 +720,76 @@ def _batch_of(sample: GraphSample) -> tuple[_Batch, int]:
     return batch, batch.row[sample]
 
 
-def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
-              floor: float = 0.0) -> tuple[float, tuple[int, ...], dict | None]:
-    """First strict maximum in plan order of the sizes' best rows on sample,
-    each size scored once (_Batch.best), among the rows that score at least
-    floor; the result is the full scan's wherever that maximum reaches floor.
+def _pass(batch: _Batch, plan: tuple[_Size, ...], floor: float,
+          keep_trace: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The (sizes, B) statistics and rows of each size's best row on each
+    graph, among the rows that score at least floor and can beat the graph's
+    running best (0.0 with keep_trace, which records each size's own best):
+    a size is scored once for all graphs (_Batch.best), graph b from its
+    least count c[b], or, where its bound rules out every graph's rows, not
+    at all, each graph taking (0.0, 0), its exact best row wherever the
+    outcome can take it.  Count tables live until the pass ends."""
+    tables: list[np.ndarray | None] = [None] * len(plan)
 
-    Only a row that scores above the running best (0.0 while keeping the
-    trace, which records each size's own best; else the overall best, at
-    least 0.0, which every row scores) and at least floor can change the
-    outcome, so a size scores only the rows whose count its bound table
-    does not rule out.  A size that has none is not scored, and stands as
-    (0.0, 0), which is its exact best row whenever the outcome can take it;
-    its counts are read only if a size that extends from it is scored.  A
-    floor above 0.0 leaves out rows the full scan scores, so where no row
-    reaches it the maximum returned is a lower bound on the full scan's,
-    not the maximum itself.  With a floor, every size takes the batch's
-    best rows at the floor's least count, one c for all its graphs, which
-    differ from those at the running best's only where neither beats it."""
-    batch, b = _batch_of(sample)
-    best_stat = -math.inf
-    best_subset: tuple[int, ...] | None = None
-    trace: dict[int, tuple[float, tuple[int, ...]]] = {}
+    def table(j: int) -> np.ndarray:
+        # a loop: a recursive closure is a cycle that keeps the tables alive
+        first = j
+        while plan[first].starts is not None and tables[first - 1] is None:
+            first -= 1
+        for i in range(first, j + 1):
+            if tables[i] is None:
+                below = None if plan[i].starts is None else (
+                    tables[i - 1], plan[i - 1].masks, batch.adjacency)
+                tables[i] = plan[i].counts(batch.samples, below)
+        return tables[j]
+
+    graphs = len(batch.samples)
+    stats = np.zeros((len(plan), graphs))
+    rows = np.zeros((len(plan), graphs), dtype=np.int64)
     for j, size in enumerate(plan):
-        cut = 0.0 if keep_trace else max(best_stat, 0.0)
+        cut = np.zeros(graphs) if keep_trace else stats[:j].max(axis=0, initial=0.0)
         # the first count whose bound is above cut and at least floor: a row
         # that scores exactly floor has a bound of at least floor
-        reach = int(np.searchsorted(size.bound, floor, "left"))
-        low = reach if floor > cut else int(np.searchsorted(size.bound, cut, "right"))
-        if low >= len(size.bound):
-            mx, i = 0.0, 0
-        else:
-            mx, i = batch.best(plan, j, reach if floor > 0.0 else low, b)
-        if mx > best_stat or keep_trace:
-            subset = tuple(int(v) for v in size.rows[i])
-            if mx > best_stat:
-                best_stat, best_subset = mx, subset
-            if keep_trace:
-                trace[size.rows.shape[1]] = (mx, subset)
-    return best_stat, best_subset, (trace if keep_trace else None)
+        reach = int(size.bound.searchsorted(floor, "left"))
+        low = np.where(floor > cut, reach, size.bound.searchsorted(cut, "right"))
+        if (low < len(size.bound)).any():
+            # past the bound table, low is above every count of the size
+            c = np.full(graphs, reach) if floor > 0.0 else low
+            stats[j], rows[j] = batch.best(plan, j, c, table)
+    return stats, rows
+
+
+def _run_plan(plan: tuple[_Size, ...], sample: GraphSample, keep_trace: bool,
+              floor: float = 0.0) -> tuple[float, tuple[int, ...], dict | None]:
+    """sample's first strict maximum (argmax's first of equal maxima) over
+    the sizes of the pass of plan at floor over its batch (_pass, run once
+    per batch), its subset and, with keep_trace, each size's best; the full
+    scan's where it reaches floor."""
+    batch, b = _batch_of(sample)
+    stats, rows = batch.memo(plan, (floor, keep_trace),
+                             lambda: _pass(batch, plan, floor, keep_trace))
+
+    def best(j) -> tuple[float, tuple[int, ...]]:
+        return float(stats[j, b]), tuple(plan[j].rows[rows[j, b]].tolist())
+
+    trace = {size.rows.shape[1]: best(j) for j, size in enumerate(plan)} if keep_trace else None
+    return *best(stats[:, b].argmax()), trace
 
 
 def _scan(sample: GraphSample, config: ScanConfig, model: EdgeProbabilityModel | None,
-          k_min: int, threshold: float, keep_trace: bool, decide: bool) -> ScanOutcome:
-    """Both scans: maximise the statistic over the family (by default every
-    subset of sizes [k_min, r]) with a plan whose null means come from
-    model, and reject at threshold; with decide, among the rows that reach
-    the threshold only.  r must be below n and the family within sizes up
-    to r; its size is checked against config.budget before any work."""
+          threshold: float, keep_trace: bool, decide: bool) -> ScanOutcome:
+    """Both scans: maximise the statistic over the family (_scan_family)
+    with a plan whose null means come from model (None for the blind scan),
+    and reject at threshold; with decide, among the rows that reach the
+    threshold only.  r must be below n and the family within sizes up to r;
+    its size is checked against config.budget before any work."""
     if decide and keep_trace:
         raise ValidationError("decide=True scores only rows that can reach the threshold, "
                               "so it keeps no size trace")
     n = sample.n
     if config.r >= n:
         raise ValidationError(f"r must be < n, got r={config.r}, n={n}")
-    family = config.family or Exhaustive(k_min, config.r)
+    family = _scan_family(config, model is None)
     hi = family.size_range(n)[1]
     if hi > config.r:
         raise ValidationError(f"family reaches size {hi}, above the scan bound r={config.r}")
@@ -834,7 +836,7 @@ def scan_known(model: EdgeProbabilityModel, sample: GraphSample, config: ScanCon
     """
     if model.n != sample.n:
         raise ValidationError(f"model has n={model.n} but sample has n={sample.n}")
-    return _scan(sample, config, model, 1, 1.0 + config.epsilon / 2.0, keep_trace, decide)
+    return _scan(sample, config, model, 1.0 + config.epsilon / 2.0, keep_trace, decide)
 
 
 def estimate_from_totals(total_edges: float, cross_edges: float) -> float:
@@ -915,6 +917,6 @@ def scan_unknown(sample: GraphSample, config: ScanConfig,
         raise ValidationError(
             f"family includes size {lo}, below the blind floor ceil(r^(1/3)) = {k_min}"
         )
-    out = _scan(sample, config, None, k_min, 1.0 + config.epsilon / 3.0, keep_trace, decide)
+    out = _scan(sample, config, None, 1.0 + config.epsilon / 3.0, keep_trace, decide)
     out.metadata["size_window"] = [k_min, config.r]
     return out

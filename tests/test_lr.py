@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plantedscan import (
     BudgetError,
@@ -621,9 +621,10 @@ def histogram_average(problem, g):
     return LrAverage(scaled(mean), log_value, problem.mode, m, se)
 
 
-def assert_near(got, want, tol, scale):
-    """got within tol * scale of want; equal where want is 0 or not finite."""
-    if want == 0.0 or not math.isfinite(want):
+def assert_near(got, want, tol, scale, exact):
+    """got within tol * scale of want; equal where exact or want is not
+    finite."""
+    if exact or not math.isfinite(want):
         assert got == want
     else:
         assert abs(got - want) <= tol * scale, (got, want)
@@ -648,13 +649,69 @@ def assert_averages_match_reference(problem, graphs, block):
         assert repr(likelihood_ratio_average(problem, g)) == repr(got)
         want = reference_average(problem, lane_reference(terms, g))
         assert (got.mode, got.communities) == (want.mode, want.communities)
-        assert_near(got.value, want.value, tol, want.value)
-        assert_near(got.log_value, want.log_value, tol, max(1.0, abs(want.log_value)))
+        # exact where every L_C is 0; a log that rounds to 0.0 is not exact
+        # (the two means sum in different orders)
+        forbidden = want.value == 0.0
+        assert_near(got.value, want.value, tol, want.value, forbidden)
+        assert_near(got.log_value, want.log_value, tol, max(1.0, abs(want.log_value)), forbidden)
         if want.stderr is None:
             assert got.stderr is None
         else:
-            assert_near(got.stderr, want.stderr, tol, want.stderr + want.value / math.sqrt(m))
+            assert_near(got.stderr, want.stderr, tol, want.stderr + want.value / math.sqrt(m),
+                        want.stderr == 0.0)
     return scoped
+
+
+def blocks_model(n):
+    """p = 0.5 inside the first n // 2 vertices, 0.25 elsewhere: communities
+    inside that half are counted, the others summed."""
+    m = np.full((n, n), 0.25)
+    m[: n // 2, : n // 2] = 0.5
+    np.fill_diagonal(m, 0.0)
+    return GeneralMatrix(m)
+
+
+@st.composite
+def average_cases(draw):
+    """A problem of each kind on 5..12 vertices, exact or sampled, with or
+    without rho_map lifts; one to nine graphs, the empty graph first; the
+    block of a scope; and whether every community is forbidden."""
+    n = draw(st.integers(min_value=5, max_value=12), label="n")
+    r = draw(st.integers(min_value=2, max_value=min(n - 1, 5)), label="r")
+    kind = draw(st.sampled_from(["homogeneous", "blocks", "rank_one"]), label="kind")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    p = 0.25
+    if kind == "homogeneous":
+        # a power of two, so that rho = 1/p is an exact forbidden lift
+        p = draw(st.sampled_from([0.5, 0.25]), label="p")
+        model = Homogeneous(n, p)
+    elif kind == "blocks":
+        model = blocks_model(n)
+    else:
+        model = RankOne(rng.uniform(0.1, 0.7, size=n))
+    # every community forbidden: the empty graph has log L_C = -inf on all
+    forbid = kind == "homogeneous" and draw(st.booleans(), label="forbid all")
+    rho = 1.0 / p if forbid else draw(st.floats(1.0, 1.3), label="rho")
+    budget = draw(st.sampled_from([400, 8]), label="exact budget")
+    base = LrProblem(model, r, 1.0, exact_budget=budget, sample_size=64)
+    comms = base._bundle["communities"]
+    rho_map = {}
+    if kind != "rank_one" and not forbid:
+        # several table groups; 1 / (largest p) is a forbidden lift
+        for row in draw(st.lists(st.integers(0, len(comms) - 1), max_size=4, unique=True),
+                        label="rho_map rows"):
+            c = tuple(int(v) for v in comms[row])
+            top = 1.0 / max(model.probability(i, j) for i, j in combinations(c, 2))
+            rho_map[c] = draw(st.sampled_from([1.0, top]) | st.floats(1.0, top), label="lift")
+    prob = LrProblem(model, r, rho, rho_map=rho_map or None, exact_budget=budget,
+                     sample_size=64)
+    count = draw(st.integers(min_value=1, max_value=9), label="graphs")
+    planted = list(rho_map) or [tuple(int(v) for v in comms[0])]
+    graphs = [graph_from_edges(n, []), complete_graph(n)]
+    graphs += [graph_from_edges(n, combinations(c, 2)) for c in planted]
+    graphs += [sample_null(model, seed + i) for i in range(count)]
+    return prob, graphs[:count], draw(st.sampled_from([1, 2, 4, 8]), label="block"), forbid
 
 
 class TestAverageFromTable:
@@ -664,51 +721,15 @@ class TestAverageFromTable:
     entry); each LrAverage comes within rounding of the one from
     exponentiating every community's log."""
 
-    @given(st.data())
+    @given(average_cases())
     @settings(max_examples=80, deadline=None)
-    def test_every_kind_equals_the_per_community_exp(self, data):
-        n = data.draw(st.integers(min_value=5, max_value=12), label="n")
-        r = data.draw(st.integers(min_value=2, max_value=min(n - 1, 5)), label="r")
-        kind = data.draw(st.sampled_from(["homogeneous", "blocks", "rank_one"]), label="kind")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        rng = np.random.default_rng(seed)
-        p = 0.25
-        if kind == "homogeneous":
-            # a power of two, so that rho = 1/p is an exact forbidden lift
-            p = data.draw(st.sampled_from([0.5, 0.25]), label="p")
-            model = Homogeneous(n, p)
-        elif kind == "blocks":
-            # communities inside one half are counted, the others summed
-            m = np.full((n, n), 0.25)
-            m[: n // 2, : n // 2] = 0.5
-            np.fill_diagonal(m, 0.0)
-            model = GeneralMatrix(m)
-        else:
-            model = RankOne(rng.uniform(0.1, 0.7, size=n))
-        # every community forbidden: the empty graph has log L_C = -inf on all
-        forbid = kind == "homogeneous" and data.draw(st.booleans(), label="forbid all")
-        rho = 1.0 / p if forbid else data.draw(st.floats(1.0, 1.3), label="rho")
-        budget = data.draw(st.sampled_from([400, 8]), label="exact budget")
-        base = LrProblem(model, r, 1.0, exact_budget=budget, sample_size=64)
-        comms = base._bundle["communities"]
-        rho_map = {}
-        if kind != "rank_one" and not forbid:
-            # several table groups; 1 / (largest p) is a forbidden lift
-            for row in data.draw(st.lists(st.integers(0, len(comms) - 1), max_size=4,
-                                          unique=True), label="rho_map rows"):
-                c = tuple(int(v) for v in comms[row])
-                top = 1.0 / max(model.probability(i, j) for i, j in combinations(c, 2))
-                rho_map[c] = data.draw(st.sampled_from([1.0, top]) | st.floats(1.0, top),
-                                       label="lift")
-        prob = LrProblem(model, r, rho, rho_map=rho_map or None, exact_budget=budget,
-                         sample_size=64)
-        count = data.draw(st.integers(min_value=1, max_value=9), label="graphs")
-        planted = list(rho_map) or [tuple(int(v) for v in comms[0])]
-        graphs = [graph_from_edges(n, []), complete_graph(n)]
-        graphs += [graph_from_edges(n, combinations(c, 2)) for c in planted]
-        graphs += [sample_null(model, seed + i) for i in range(count)]
-        block = data.draw(st.sampled_from([1, 2, 4, 8]), label="block")
-        averages = assert_averages_match_reference(prob, graphs[:count], block)
+    # a lift one ulp above 1: the reference's log of the mean rounds to 0.0,
+    # the histogram mean's to -2.2e-16, both within rounding of -1.0e-16
+    @example((LrProblem(blocks_model(5), 2, 1.0000000000000002, rho_map={(0, 1): 1.0},
+                        exact_budget=400, sample_size=64), [graph_from_edges(5, [])], 1, False))
+    def test_every_kind_equals_the_per_community_exp(self, case):
+        prob, graphs, block, forbid = case
+        averages = assert_averages_match_reference(prob, graphs, block)
         if forbid:
             assert averages[0].log_value == -math.inf and averages[0].value == 0.0
 

@@ -651,6 +651,15 @@ def batch_rows(rows):
         yield
 
 
+def reading(table, read):
+    """A pass's count tables, table(i) for plan size i, that records in
+    read each table it returns, by size index."""
+    def traced(i):
+        read[i] = table(i)
+        return read[i]
+    return traced
+
+
 @st.composite
 def exhaustive_cases(draw):
     """A graph on n <= 64 or 65..130 vertices (one to three mask words), an
@@ -692,9 +701,9 @@ class TestScanPlan:
         for model in (Homogeneous(g.n, 0.3), None):
             scored, counted = [], []
 
-            def record(batch, plan, j, c, b):
-                scored.append((plan[j], batch.table(plan, j)[b]))
-                return 0.0, 0
+            def record(batch, plan, j, c, table):
+                scored.append((plan[j], table(j)[0]))
+                return np.zeros(1), np.zeros(1, dtype=np.int64)
 
             def count(size, samples, below=None):
                 # outside a batch scope a scan counts a batch of one
@@ -756,9 +765,10 @@ class TestScanPlan:
         for rows in (1, 2, 3, 7):
             scored = []
 
-            def record(batch, plan, j, c, b):
-                out = best(batch, plan, j, c, b)
-                scored.append((plan, j, batch.tables[id(plan)][1][j]))
+            def record(batch, plan, j, c, table):
+                read = {}
+                out = best(batch, plan, j, c, reading(table, read))
+                scored.append((plan, j, read.get(j)))
                 return out
 
             scan_module._plan.cache_clear()
@@ -939,19 +949,22 @@ def check_best_rows(model, g, family):
     """Run the known and the blind plan over family on g.  Each size the
     scan scores, once at most, must return the dense reference over the
     rows that reach the least count the scan passes it; the size's count
-    table, where the batch builds one, must hold the direct counts; and the
-    batch's best row over all its rows with an edge (a row with none is
-    cold) must be the dense reference over all of them.  Returns per size
-    scored (size, its table's counts on g or None where it was grown, its
-    direct counts, its (statistic, row) over all its rows)."""
+    table, where the pass reads one, must hold the direct counts; and the
+    scorer's best row over all its rows with an edge (a row with none is
+    cold), from the direct counts, must be the dense reference over all of
+    them.  Returns per size scored (size, its table's counts on g or None
+    where it was grown, its direct counts, its (statistic, row) over all its
+    rows)."""
     calls = []
     best = scan_module._Batch.best
 
-    def record(batch, plan, j, c, b):
-        out = best(batch, plan, j, c, b)
-        table = batch.tables[id(plan)][1][j]
-        calls.append((plan, j, c, None if table is None else table[b], out))
-        return out
+    def record(batch, plan, j, c, table):
+        read = {}
+        stats, rows = best(batch, plan, j, c, reading(table, read))
+        table = read.get(j)
+        calls.append((plan, j, int(c[0]), None if table is None else table[0],
+                      (float(stats[0]), int(rows[0]))))
+        return stats, rows
 
     for m in (model, None):
         plan = scan_module._plan.__wrapped__(family, g.n, m)
@@ -964,7 +977,9 @@ def check_best_rows(model, g, family):
         assert (stat.hex(), row) == dense_best(size, g, c)
         ref = dense_best(size, g)
         direct = direct_counts(g, size.rows)
-        stat, row = scan_module._Batch([g]).best(plan, j, 1, 0)
+        stats, rows = scan_module._Batch([g]).best(
+            plan, j, np.ones(1, dtype=np.int64), lambda i: direct_counts(g, plan[i].rows)[None])
+        stat, row = float(stats[0]), int(rows[0])
         assert (stat.hex(), row) == ref
         assert counts is None or np.array_equal(counts, direct)
         seen.append((size, counts, direct, (stat, row)))
@@ -1587,27 +1602,16 @@ def batch_cases(draw):
     return model, graphs, family, epsilon, draw(st.integers(1, 40_000))
 
 
-def table_bytes(scope):
-    """The bytes of the count tables, best rows and adjacency rows a batch
-    scope holds."""
-    adjacency = vars(scope).get("adjacency")
-    return (sum(table.nbytes for _, tables in scope.tables.values()
-                for table in tables if table is not None)
-            + sum(a.nbytes for _, *record in scope.records.values() for a in record)
-            + getattr(adjacency, "nbytes", 0))
-
-
 def dropped(scope):
-    """Whether a batch scope holds no count table, no best rows, no
-    adjacency rows and no degrees."""
-    return not scope.tables and not scope.records and not {"adjacency", "degrees"} & set(
-        vars(scope))
+    """Whether a batch scope holds no result, no adjacency rows and no
+    degrees."""
+    return not scope.results and not {"adjacency", "degrees"} & set(vars(scope))
 
 
 class TestBatchScope:
-    """Inside a batch scope the scans of its samples share count tables,
-    each plan size counted once for all of them; every outcome is still the
-    one the scan gives alone, bit for bit."""
+    """Inside a batch scope the scans of its samples share one pass of their
+    plan, each size counted and scored once for all of them; every outcome
+    is still the one the scan gives alone, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(batch_cases())
@@ -1617,8 +1621,7 @@ class TestBatchScope:
     @example((DECIDE_EXAMPLES["weight_prefix"][0],
               [planted_graph(20, 0.1, range(6), seed) for seed in range(3)],
               WeightPrefix(1, 8), 0.2, 40_000))
-    # two full scans in one scope score a size at different least counts:
-    # the scope keeps one best-row record per size, as it is sized for
+    # two full scans in one scope score a size at different least counts
     @example((Homogeneous(4, 0.33), [graph_from_edges(4, [(2, 3)]), graph_from_edges(4, [])],
               Exhaustive(2, 3), 0.05, 150))
     def test_outcomes_are_the_standalone_scans(self, case):
@@ -1627,23 +1630,29 @@ class TestBatchScope:
         # an equal graph that is not one of the scopes' samples
         outside = GraphSample(n, graphs[0].packed, None, "imported")
         r = family.size_range(n)[1]
-        counts_of = scan_module._Size.counts
-        counted = []
+        counts_of, pass_of = scan_module._Size.counts, scan_module._pass
+        counted, passes = [], []
 
         def count(size, samples, below=None):
-            counted.append((size, len(samples)))
-            return counts_of(size, samples, below)
+            counts = counts_of(size, samples, below)
+            counted.append((size, len(samples), counts.nbytes))
+            return counts
+
+        def run(batch, *args):
+            passes.append(len(batch.samples))
+            return pass_of(batch, *args)
 
         # the known and the blind scan in scopes of their own, as a risk
         # estimate opens them, each sized for its family
-        for i, (_, run_family, _) in enumerate(decide_runs(model, graphs[0], family)):
+        for i, (m, run_family, _) in enumerate(decide_runs(model, graphs[0], family)):
             scans = {id(g): decide_runs(model, g, family)[i][2] for g in graphs + [outside]}
 
             def outcomes(gs, **kw):
                 return [json.dumps(scans[id(g)](epsilon, **kw).to_json()) for g in gs]
 
             with mock.patch.object(scan_module, "_BATCH_BYTES", cap):
-                per_scope = scan_module._batch_graphs(ScanConfig(r, family=run_family), n)
+                per_scope = scan_module._batch_graphs(ScanConfig(r, family=run_family), n,
+                                                      m is None)
             assert per_scope >= 1
             # the scopes a risk estimate would open, then one of every graph,
             # above the cap wherever the cap allows fewer
@@ -1653,22 +1662,76 @@ class TestBatchScope:
                 alone = outcomes(graphs, **kw)
                 for scope_graphs in scopes:
                     counted.clear()
+                    passes.clear()
                     with mock.patch.object(scan_module._Size, "counts", count), \
+                            mock.patch.object(scan_module, "_pass", run), \
                             scan_module._batch(scope_graphs) as scope:
                         batched = outcomes(scope_graphs, **kw)
                         # a graph scanned twice counts nothing more
                         assert outcomes(scope_graphs[:1], **kw) == batched[:1]
-                        assert len({id(size) for size, _ in counted}) == len(counted)
-                        assert all(b == len(scope_graphs) for _, b in counted)
+                        # one pass for the scope, each size counted once in it
+                        assert passes == [len(scope_graphs)] and len(scope.results) == 1
+                        assert len({id(size) for size, *_ in counted}) == len(counted)
+                        assert all(b == len(scope_graphs) for _, b, _ in counted)
                         if 1 < len(scope_graphs) <= per_scope:
-                            assert table_bytes(scope) <= cap
-                        held, counted[:] = table_bytes(scope), []
-                        # a graph outside the scope counts alone, and adds no table
+                            adjacency = getattr(vars(scope).get("adjacency"), "nbytes", 0)
+                            assert sum(nbytes for *_, nbytes in counted) + adjacency <= cap
+                        counted.clear()
+                        passes.clear()
+                        # a graph outside the scope is a pass of its own, and
+                        # adds no result to the scope
                         assert outcomes([outside], **kw) == alone[:1]
-                        assert all(b == 1 for _, b in counted) and table_bytes(scope) == held
+                        assert passes == [1] and all(b == 1 for _, b, _ in counted)
+                        assert len(scope.results) == 1
                     assert dropped(scope)
                     start = graphs.index(scope_graphs[0])
                     assert batched == alone[start : start + len(batched)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch_cases())
+    @example((Homogeneous(4, 0.33), [graph_from_edges(4, [(2, 3)]), graph_from_edges(4, [])],
+              Exhaustive(2, 3), 0.05, 150))
+    def test_full_scans_score_each_graph_at_its_own_count(self, case):
+        # a full scan prunes each graph against that graph's running best:
+        # the scans of a scope score, in total, as many kernel elements as
+        # they do alone.  The last size is grown, or read from its table,
+        # for the whole scope (its cutoff is the scope's), and a grown set
+        # may be scored once per parent, so the totals are compared where
+        # the scope takes the way each scan alone takes
+        model, graphs, family, epsilon, _ = case
+        kernel, hot_of, grown_of = scan_module.entropy_h_vec, scan_module._Batch.hot, \
+            scan_module._grown
+        elements, last = [0], []
+
+        def kernel_elements(x):
+            elements[0] += x.size
+            return kernel(x)
+
+        def hot(batch, plan, j, *args):
+            if j == len(plan) - 1:
+                last.append(False)
+            return hot_of(batch, plan, j, *args)
+
+        def grown(*args):
+            last[-1] = True
+            return grown_of(*args)
+
+        for i in range(len(decide_runs(model, graphs[0], family))):
+            scans = [decide_runs(model, g, family)[i][2] for g in graphs]
+            for kw in ({}, {"keep_trace": True}):
+                scans[0](epsilon, **kw)  # the plan, and its bound tables, built before
+                with mock.patch.object(scan_module, "entropy_h_vec", kernel_elements), \
+                        mock.patch.object(scan_module._Batch, "hot", hot), \
+                        mock.patch.object(scan_module, "_grown", grown):
+                    elements[0], last[:] = 0, []
+                    alone = [scan(epsilon, **kw) for scan in scans]
+                    alone_elements, alone_ways = elements[0], set(last)
+                    elements[0], last[:] = 0, []
+                    with scan_module._batch(graphs):
+                        assert [scan(epsilon, **kw) for scan in scans] == alone
+                assert len(last) <= 1
+                if alone_ways <= set(last):
+                    assert elements[0] == alone_elements
 
     def test_adjacency_rows_are_built_once_per_scope(self):
         # two known plans with an extended size read one stack of the
@@ -1689,7 +1752,7 @@ class TestBatchScope:
                 for g in graphs:
                     for model in models:
                         scan_known(model, g, cfg, keep_trace=True)
-                assert len(scope.tables) == 2 and [b for b, _ in built] == [3]
+                assert len(scope.results) == 2 and [b for b, _ in built] == [3]
                 j = np.arange(n)
                 for b, g in enumerate(graphs):
                     bits = built[0][1]()[b][:, j >> 6] >> (j & 63).astype(np.uint64) & 1
@@ -1721,18 +1784,22 @@ class TestBatchScope:
         cfg = ScanConfig(9, 0.2, family)
         alone = [scan_unknown(g, cfg, decide=True) for g in graphs]
         assert {out.reject for out in alone} == {True, False}
-        scored = []
+        best, scored, sizes = scan_module._Batch.best, [], []
 
         def scores(counts, means, norm):
             scored.append(len(counts))
             return _scores(counts, means, norm)
 
+        def record(batch, plan, j, *args):
+            sizes.append(j)
+            return best(batch, plan, j, *args)
+
         with mock.patch.object(scan_module, "_scores", scores), \
+                mock.patch.object(scan_module._Batch, "best", record), \
                 scan_module._batch(graphs) as scope:
             assert [scan_unknown(g, cfg, decide=True) for g in graphs] == alone
-            assert sorted(j for _, j in scope.records) == [0, 1]
             assert vars(scope)["degrees"][0].shape == (4, 30)
-        assert len(scored) == 2 and dropped(scope)
+        assert sizes == [0, 1] and len(scored) == 2 and dropped(scope)
 
     def test_tables_are_dropped_when_a_scan_raises(self):
         model, g, family, eps = DECIDE_EXAMPLES["small"]
@@ -1740,10 +1807,10 @@ class TestBatchScope:
         with pytest.raises(ValidationError, match="trace"):
             with scan_module._batch(graphs) as scope:
                 scan_known(model, g, ScanConfig(4, eps, family), decide=True)
-                assert table_bytes(scope) > 0
+                assert scope.results
                 scan_known(model, g, ScanConfig(4, eps, family), keep_trace=True, decide=True)
         assert dropped(scope) and scan_module._BATCH.get() is None
-        # and a scope is left on any exception, its tables dropped
+        # and a scope is left on any exception, its results dropped
         with pytest.raises(KeyError):
             with scan_module._batch(graphs) as scope:
                 scan_unknown(g, ScanConfig(4, eps))
@@ -1896,9 +1963,9 @@ class TestGrownSizes:
                     assert stat_known(model, g, subset) == stat
 
     def test_examples_cover_what_they_are_named_for(self):
-        grown_of = scan_module._grown
+        grown_of, best = scan_module._grown, scan_module._Batch.best
         for name, (model, graphs, family, eps, block) in GROWN_EXAMPLES.items():
-            calls, blocks = [], []
+            calls, blocks, sizes = [], [], []
 
             def grown(below, table, parents, adj, c):
                 calls.append(adj.shape[2])
@@ -1906,14 +1973,19 @@ class TestGrownSizes:
                     blocks.append(found)
                     yield found
 
+            def record(batch, plan, j, *args):
+                sizes.append(j)
+                return best(batch, plan, j, *args)
+
             n = graphs[0].n
             plan = scan_module._plan(family, n, model)
             cfg = ScanConfig(family.size_range(n)[1], eps, family)
             with mock.patch.object(scan_module, "_grown", grown), scoring_blocks(block, n), \
-                    scan_module._batch(graphs) as scope:
+                    mock.patch.object(scan_module._Batch, "best", record), \
+                    scan_module._batch(graphs):
                 outs = [scan_known(model, g, cfg, decide=True) for g in graphs]
-                # the plan's last size is scored, grown or not
-                assert len(plan) - 1 in {j for _, j in scope.records}, name
+            # the plan's last size is scored, grown or not
+            assert len(plan) - 1 in sizes, name
             assert calls == {"one_word": [1], "two_words": [2], "past_the_limit": [],
                              "tie": [1], "tie_across_blocks": [1], "over_the_cutoff": []}[name]
             if name == "over_the_cutoff":
@@ -1943,7 +2015,7 @@ class TestGrownSizes:
 
         def hot_rows(table, c):
             for found in hot_of(table, c):
-                read.append((table >= c, found))
+                read.append((table >= c[:, None], found))
                 yield found
 
         def grow(below, table, parents, adj, c):
@@ -1969,44 +2041,59 @@ class TestGrownSizes:
         model, graphs, family, eps, _ = GROWN_EXAMPLES["one_word"]
         cfg = ScanConfig(4, eps, family)
         scan_known(model, graphs[0], cfg)  # the plan, and its bound tables, built before
-        counts_of, counted, scored = scan_module._Size.counts, [], []
+        plan = scan_module._plan(family, 40, model)
+        counts_of, best, counted, tables, sizes, scored = (
+            scan_module._Size.counts, scan_module._Batch.best, [], [], [], [])
 
         def count(size, samples, below=None):
+            counts = counts_of(size, samples, below)
             counted.append(size.rows.shape[1])
-            return counts_of(size, samples, below)
+            tables.append(weakref.ref(counts))
+            return counts
+
+        def record(batch, plan, j, *args):
+            sizes.append(j)
+            return best(batch, plan, j, *args)
 
         def scores(counts, means, norm):
             scored.append(len(counts))
             return _scores(counts, means, norm)
 
         with mock.patch.object(scan_module._Size, "counts", count), \
+                mock.patch.object(scan_module._Batch, "best", record), \
                 mock.patch.object(scan_module, "_scores", scores), \
                 scan_module._batch(graphs) as scope:
             for g in graphs:
                 scan_known(model, g, cfg, decide=True)
-            # each graph's best row of each scored size, and no more
-            assert sorted(j for _, j in scope.records) == [2, 3]
-            assert table_bytes(scope) == sum(t.nbytes for t in scope.tables[id(
-                scan_module._plan(family, 40, model))][1] if t is not None) + 2 * 16 * 4 + vars(
-                scope)["adjacency"].nbytes
+            # the pass's result and the adjacency rows; its count tables
+            # were freed when it ended
+            assert list(scope.results) == [(id(plan), (1.0 + eps / 2.0, False))]
+            assert set(vars(scope)) - {"samples", "row", "results"} == {"adjacency"}
+            assert tables and all(table() is None for table in tables)
         # sizes 1 and 2 cannot reach 1.1 at these means; 2 is counted as the
         # base of 3, whose table is the base of the grown size 4
-        assert counted == [2, 3] and len(scored) == 2
+        assert counted == [2, 3] and sizes == [2, 3] and len(scored) == 2
         assert dropped(scope)
-        # a full scan in the scope grows size 4 too, and builds no table for it
+        # a full scan in the scope grows size 4 too, and builds no table for
+        # it, where the scope's graphs, each at its own count, stay within
+        # the cutoff; the second graph alone does not (it counts size 4 in
+        # test_a_full_scan_grows_its_largest_size), and with it the scope
+        # counts size 4 for all
         grown_of, grown = scan_module._grown, []
 
         def grow(below, *args):
             grown.append(below.rows.shape[1] + 1)
             return grown_of(below, *args)
 
-        with mock.patch.object(scan_module._Size, "counts", count), \
-                mock.patch.object(scan_module, "_grown", grow), \
-                scan_module._batch(graphs) as scope:
-            counted.clear()
-            scan_known(model, graphs[0], cfg)
-            assert scope.tables[id(scan_module._plan(family, 40, model))][1][3] is None
-        assert counted == [2, 3] and grown == [4]
+        for scope_graphs, ways in (([graphs[0]] + graphs[2:], ([2, 3], [4])),
+                                   (graphs, ([2, 3, 4], []))):
+            with mock.patch.object(scan_module._Size, "counts", count), \
+                    mock.patch.object(scan_module, "_grown", grow), \
+                    scan_module._batch(scope_graphs):
+                counted.clear()
+                grown.clear()
+                scan_known(model, graphs[0], cfg)
+            assert (counted, grown) == ways
 
     def test_a_full_scan_grows_its_largest_size(self):
         # outside a scope a full scan is a batch of one: its largest size is
@@ -2040,23 +2127,31 @@ class TestGrownSizes:
                 name, ["grown"] * len(graphs)), name
 
     def test_a_batch_scope_is_sized_by_what_it_holds(self):
-        # count tables, packed triangles, 16 bytes of best row per size, and
-        # adjacency rows only where the family has an extended size
+        # count tables, packed triangles, the pass's result (16 bytes per
+        # size), adjacency rows only where the family has an extended size,
+        # and degrees only blind
         rng = np.random.default_rng(0)
         explicit = Explicit(tuple(tuple(int(v) for v in rng.choice(512, size=5, replace=False))
                                   for _ in range(300)))
         cap = scan_module._BATCH_BYTES
         for n, per_graph in ((512, 300 + 16_352 + 16), (2048, 300 + 262_016 + 16),
                              (8192, 300 + 4_193_280 + 16)):
-            assert scan_module._batch_graphs(ScanConfig(12, family=explicit), n) == max(
-                1, cap // per_graph)
+            for blind in (False, True):
+                assert scan_module._batch_graphs(ScanConfig(12, family=explicit), n, blind) == max(
+                    1, cap // (per_graph + 8 * n * blind))
         # the adjacency charge alone gave 63 graphs at n = 512 and 3 at 2048
-        assert scan_module._batch_graphs(ScanConfig(12, family=explicit), 2048) == 7
+        assert scan_module._batch_graphs(ScanConfig(12, family=explicit), 2048, False) == 7
         exhaustive = Exhaustive(1, 3)
-        assert scan_module._batch_graphs(ScanConfig(3, family=exhaustive), 100) == cap // (
+        assert scan_module._batch_graphs(ScanConfig(3, family=exhaustive), 100, False) == cap // (
             exhaustive.count(100) + 619 + 3 * 16 + 8 * 100 * 2)
-        assert scan_module._batch_graphs(ScanConfig(3, family=Exhaustive(3, 3)), 100) == cap // (
-            math.comb(100, 3) + 619 + 16)
+        assert scan_module._batch_graphs(ScanConfig(3, family=Exhaustive(3, 3)), 100,
+                                         False) == cap // (math.comb(100, 3) + 619 + 16)
+        # by default the blind scan runs sizes from ceil(r^(1/3)) up: at r = 4
+        # on n = 40 the known scope charges sizes 1-4 and the blind one sizes
+        # 2-4 and the degree stack, 20 graphs each
+        known, blind = (scan_module._batch_graphs(ScanConfig(4), 40, b) for b in (False, True))
+        assert known == cap // (Exhaustive(1, 4).count(40) + 98 + 4 * 16 + 8 * 40) == 20
+        assert blind == cap // (Exhaustive(2, 4).count(40) + 98 + 3 * 16 + 8 * 40 + 8 * 40) == 20
         # the sizes that get starts are the ones _batch_graphs charges for
         for family, n in ((Exhaustive(1, 4), 10), (Exhaustive(3, 5), 12), (Exhaustive(2, 2), 9),
                           (Exhaustive(1, 2), 9), (WeightPrefix(1, 4), 10), (explicit, 512)):
